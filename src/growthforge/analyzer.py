@@ -12,10 +12,20 @@ the union of the W(2^j), j <= depth. Two independent routes compute it:
         F(n) = union over j >= ceil(log2 n) - 1 of
                { suffix_a(C_j) ++ prefix_(n-a)(W(2^j)) : 1 <= a <= min(n-1, 2^j) }
 
-    with prefix sets computed by the same halving recursion. Windows are
-    deduplicated as base-d integer codes; when d^n fits in 64 bits the
-    combination runs vectorized on uint64 arrays, otherwise on Python ints.
-    Both encodings are injective, so counts are exact, never hashed guesses.
+    with prefix sets computed by the same halving recursion.
+
+Words are base-d integer codes, an injective encoding, so counts are exact.
+Each choice-set member is encoded once; every suffix code is then
+member_code mod d^a and every short prefix code member_code div d^(len-m).
+Prefix and suffix tables are sorted code arrays, one per (level, length),
+held as uint64 when d^length <= 2^64 and as Python ints beyond. When the
+window codes of F(n) fit in 64 bits, |F(n)| comes from concatenating the
+straddle products, sorting them in place and counting adjacent differences;
+wider n take a Python-set route. Counts are memoized per engine, so every
+report that needs dim_n shares one computation. Membership of a single word
+never builds F(n): w is a factor exactly when, for some straddle (j, a),
+w[:a] is a suffix table entry and w[a:] a prefix table entry, both found by
+binary search.
 
 Dimensions dim_n = |F(n)| feed the growth report (cumulative sums, entropy
 partials g(n)^(1/n) via exact integer roots), the dyadic growth sandwich,
@@ -39,11 +49,20 @@ from .exactmath import ceil_log2, nth_root_floor_scaled, sqrt_bracket, decimal_s
 
 DEFAULT_BUDGET = 5_000_000
 ENTROPY_DIGITS = 6
+_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
 def _budget() -> int:
     raw = os.environ.get("GROWTHFORGE_BUDGET")
-    return int(raw) if raw else DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    try:
+        value = int(raw)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"GROWTHFORGE_BUDGET must be a positive integer, got {raw!r}")
 
 
 @dataclass(frozen=True)
@@ -59,26 +78,48 @@ class FactorSet:
         return len(self.members)
 
 
+def _sorted_unique(codes: np.ndarray) -> np.ndarray:
+    """Distinct codes in ascending order; sorts `codes` in place."""
+    codes.sort()
+    keep = np.ones(codes.size, dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    return codes[keep]
+
+
+def _holds(table: np.ndarray, code: int) -> bool:
+    """Binary search for code in a sorted table."""
+    probe = np.uint64(code) if table.dtype == np.uint64 else code
+    i = int(table.searchsorted(probe))
+    return i < table.size and table[i] == probe
+
+
 class FactorEngine:
     """Structural factor computation with per-system caches.
 
-    Caches prefix sets and choice-set suffix sets as integer codes; safe to
-    reuse across many n because the system is immutable once built.
+    Caches sorted prefix and suffix code tables and the counts |F(n)|; safe
+    to reuse across many n because the system is immutable once built.
     """
 
-    def __init__(self, system: LevelSystem, force_python: bool = False):
+    def __init__(self, system: LevelSystem):
         self.system = system
         self.d = system.alphabet.size
         self.depth = system.depth
         self._digit = {ch: i for i, ch in enumerate(system.alphabet.letters)}
-        self._pi: dict[tuple[int, int], list[int]] = {}
-        self._sfx: dict[tuple[int, int], list[int]] = {}
-        self._pi_np: dict[tuple[int, int], np.ndarray] = {}
-        self._sfx_np: dict[tuple[int, int], np.ndarray] = {}
-        self._force_python = force_python
-        self._cset_codes = [
-            [self.encode(s) for s in cs.strings] for cs in system.csets
+        self._prefix: dict[tuple[int, int], np.ndarray] = {}
+        self._suffix: dict[tuple[int, int], np.ndarray] = {}
+        self._counts: dict[int, int] = {}
+        self._members = [
+            self._table(sorted(self._encode_members(cs.strings)), 1 << cs.level)
+            for cs in system.csets
         ]
+
+    def _encode_members(self, words: list[str]) -> list[int]:
+        """Codes of choice-set members; they hold alphabet letters only, so
+        for d <= 36 base-d int() parsing of their digit strings is exact."""
+        if not 2 <= self.d <= 36:
+            return [self.encode(w) for w in words]
+        to_digits = str.maketrans(self.system.alphabet.letters, _DIGITS[:self.d])
+        return [int(w.translate(to_digits), self.d) for w in words]
 
     def encode(self, word: str) -> int:
         code = 0
@@ -96,50 +137,51 @@ class FactorEngine:
             out.append(letters[rem])
         return "".join(reversed(out))
 
-    # -- prefix and suffix code sets ---------------------------------------
+    # -- prefix and suffix code tables --------------------------------------
 
-    def prefixes(self, j: int, m: int) -> list[int]:
-        """Codes of the distinct length-m prefixes of W(2^j) elements."""
+    def _table(self, codes, length: int) -> np.ndarray:
+        """Codes of length-`length` words: uint64 when d^length <= 2^64, else Python ints."""
+        return np.asarray(codes, dtype=np.uint64 if self.d ** length <= 1 << 64 else object)
+
+    def _distinct(self, codes: np.ndarray, length: int) -> np.ndarray:
+        return _sorted_unique(self._table(codes, length))
+
+    def prefixes(self, j: int, m: int) -> np.ndarray:
+        """Sorted codes of the distinct length-m prefixes of W(2^j) elements."""
         key = (j, m)
-        hit = self._pi.get(key)
+        hit = self._prefix.get(key)
         if hit is not None:
             return hit
         if not 1 <= m <= (1 << j):
             raise ValueError(f"prefix length {m} invalid at level {j}")
         if j == 0:
-            out = list(range(self.d))
+            out = np.arange(self.d, dtype=np.uint64)
         else:
             half = 1 << (j - 1)
+            members = self._members[j - 1]
             if m <= half:
-                out = sorted({self.encode(s[:m]) for s in self.system.csets[j - 1].strings})
+                out = self._distinct(members // self.d ** (half - m), m)
             else:
+                # c ++ p is injective and ascending in (c, p): no dedupe needed.
                 sub = self.prefixes(j - 1, m - half)
-                mult = self.d ** (m - half)
-                out = sorted({c * mult + p for c in self._cset_codes[j - 1] for p in sub})
-        self._pi[key] = out
+                heads = self._table(members, m) * self.d ** (m - half)
+                out = (heads[:, None] + self._table(sub, m)[None, :]).ravel()
+        self._prefix[key] = out
         return out
 
-    def suffixes(self, j: int, a: int) -> list[int]:
-        """Codes of the distinct length-a suffixes of C(2^j) members."""
+    def suffixes(self, j: int, a: int) -> np.ndarray:
+        """Sorted codes of the distinct length-a suffixes of C(2^j) members."""
         key = (j, a)
-        hit = self._sfx.get(key)
+        hit = self._suffix.get(key)
         if hit is not None:
             return hit
-        out = sorted({self.encode(s[-a:]) for s in self.system.csets[j].strings})
-        self._sfx[key] = out
+        length = 1 << j
+        if not 1 <= a <= length:
+            raise ValueError(f"suffix length {a} invalid at level {j}")
+        members = self._members[j]
+        out = members if a == length else self._distinct(members % self.d ** a, a)
+        self._suffix[key] = out
         return out
-
-    def _np_prefixes(self, j: int, m: int) -> np.ndarray:
-        key = (j, m)
-        if key not in self._pi_np:
-            self._pi_np[key] = np.array(self.prefixes(j, m), dtype=np.uint64)
-        return self._pi_np[key]
-
-    def _np_suffixes(self, j: int, a: int) -> np.ndarray:
-        key = (j, a)
-        if key not in self._sfx_np:
-            self._sfx_np[key] = np.array(self.suffixes(j, a), dtype=np.uint64)
-        return self._sfx_np[key]
 
     # -- factor sets --------------------------------------------------------
 
@@ -152,6 +194,10 @@ class FactorEngine:
             if a_min <= a_max:
                 yield j, a_min, a_max
 
+    def _check_depth(self, n: int) -> None:
+        if n > 1 << (self.depth - 1):
+            raise DepthTooShallow(n, 1 << (self.depth - 1))
+
     def codes(self, n: int) -> set[int]:
         """All factor codes of length n (Python-set route)."""
         if n == 1:
@@ -160,38 +206,58 @@ class FactorEngine:
         for j, a_min, a_max in self._straddle_ranges(n):
             for a in range(a_min, a_max + 1):
                 mult = self.d ** (n - a)
-                pref = self.prefixes(j, n - a)
-                for s in self.suffixes(j, a):
-                    base = s * mult
-                    out.update(base + p for p in pref)
+                pref = self.prefixes(j, n - a).tolist()
+                for s in self.suffixes(j, a).tolist():
+                    out.update(map((s * mult).__add__, pref))
         return out
 
     def count(self, n: int) -> int:
-        """|F(n)|, vectorized on uint64 when the codes fit in 64 bits."""
-        if n > 1 << (self.depth - 1):
-            raise DepthTooShallow(n, 1 << (self.depth - 1))
-        if n == 1:
-            return self.d
-        if self._force_python or self.d ** n > 1 << 64:
-            return len(self.codes(n))
-        chunks: list[np.ndarray] = []
+        """|F(n)|, memoized; sort-based on uint64 when the codes fit in 64 bits."""
+        self._check_depth(n)
+        hit = self._counts.get(n)
+        if hit is None:
+            if n == 1:
+                hit = self.d
+            elif self.d ** n > 1 << 64:
+                hit = len(self.codes(n))
+            else:
+                hit = self._count_sorted(n)
+            self._counts[n] = hit
+        return hit
+
+    def _count_sorted(self, n: int) -> int:
+        pairs = [(self.suffixes(j, a), self.prefixes(j, n - a), self.d ** (n - a))
+                 for j, a_min, a_max in self._straddle_ranges(n)
+                 for a in range(a_min, a_max + 1)]
+        window = np.empty(sum(s.size * p.size for s, p, _ in pairs), dtype=np.uint64)
+        pos = 0
+        for sfx, pref, mult in pairs:
+            size = sfx.size * pref.size
+            block = window[pos:pos + size].reshape(sfx.size, pref.size)
+            np.add((sfx * mult)[:, None], pref[None, :], out=block)
+            pos += size
+        window.sort()
+        return 1 + int(np.count_nonzero(window[1:] != window[:-1]))
+
+    def contains(self, word: str) -> bool:
+        """Whether word is in F(len(word)), without building F(n)."""
+        n = len(word)
+        self._check_depth(n)
+        if any(ch not in self._digit for ch in word):
+            return False
+        if n <= 1:
+            return True
+        code = self.encode(word)
         for j, a_min, a_max in self._straddle_ranges(n):
             for a in range(a_min, a_max + 1):
-                mult = np.uint64(self.d ** (n - a))
-                sfx = self._np_suffixes(j, a)
-                pref = self._np_prefixes(j, n - a)
-                if len(sfx) == 0 or len(pref) == 0:
-                    continue
-                combo = sfx[:, None] * mult + pref[None, :]
-                chunks.append(combo.ravel())
-        if not chunks:
-            return 0
-        return int(np.unique(np.concatenate(chunks)).size)
+                head, tail = divmod(code, self.d ** (n - a))
+                if _holds(self.suffixes(j, a), head) and _holds(self.prefixes(j, n - a), tail):
+                    return True
+        return False
 
     def factors(self, n: int) -> frozenset[str]:
         """F(n) as strings; intended for desk-scale n."""
-        if n > 1 << (self.depth - 1):
-            raise DepthTooShallow(n, 1 << (self.depth - 1))
+        self._check_depth(n)
         return frozenset(self.decode(c, n) for c in self.codes(n))
 
 

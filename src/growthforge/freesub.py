@@ -160,9 +160,10 @@ def verify_free_generators(
     """Check that every product of the generators up to a length is a factor.
 
     Substitutes each word over {X, Y} of length 1..max_products_len into a
-    letter string and tests membership in the exact factor set of that
-    length. Distinct products give distinct strings (equal-length code), so
-    full presence certifies no monomial relation up to the bound.
+    letter string and tests its membership in the exact factor set of that
+    length, one word at a time, without building the set. Distinct products
+    give distinct strings (equal-length code), so full presence certifies no
+    monomial relation up to the bound.
     """
     if max_products_len < 1:
         raise ValueError("max_products_len must be >= 1")
@@ -172,14 +173,14 @@ def verify_free_generators(
             f"products of length {max_products_len} need factor length "
             f"{max_products_len * degree} > certified maximum {1 << (system.depth - 1)}")
     blocks = {0: params.x_word, 1: params.y_word}
+    engine = analyzer._engine_for(system)
     missing: list[str] = []
     checked = 0
     for length in range(1, max_products_len + 1):
-        factors = analyzer.factor_set_structural(system, length * degree).members
         for bits in iter_product((0, 1), repeat=length):
             word = "".join(blocks[b] for b in bits)
             checked += 1
-            if word not in factors:
+            if not engine.contains(word):
                 missing.append(word)
     capacity = []
     for r in range(1, system.depth - params.t):

@@ -114,6 +114,8 @@ def load_system(path: str | Path) -> LevelSystem:
         )
     if system.depth != doc["depth"]:
         raise SystemFileError(f"{path}: depth field {doc['depth']} != {system.depth} levels")
+    if system.depth < 1:
+        raise SystemFileError(f"{path}: depth {system.depth} has no choice set, need depth >= 1")
     return system
 
 

@@ -55,10 +55,13 @@ class TestFactorSets:
             assert verify_recurrence_gaps(system, scan_cap=2000, seed=0).passed
 
     def test_python_and_numpy_paths_agree(self, captured4):
-        fast = FactorEngine(captured4)
-        slow = FactorEngine(captured4, force_python=True)
+        # count() sorts uint64 codes here (d^n <= 2^64); codes() is the
+        # Python-set route. Both must match the brute-force oracle.
+        engine = FactorEngine(captured4)
         for n in range(1, 9):
-            assert fast.count(n) == slow.count(n) == len(slow.codes(n))
+            oracle = factor_set_bruteforce(captured4, n).members
+            assert engine.count(n) == len(engine.codes(n)) == len(oracle)
+            assert {engine.decode(c, n) for c in engine.codes(n)} == oracle
 
     def test_depth_cap(self, toy_system):
         with pytest.raises(DepthTooShallow):
@@ -75,10 +78,80 @@ class TestFactorSets:
         monkeypatch.setenv("GROWTHFORGE_BUDGET", "100000")
         assert len(factor_set_bruteforce(toy_system, 2).members) == 4
 
+    @pytest.mark.parametrize("raw", ["abc", "1e6", "0", "-5"])
+    def test_budget_env_var_rejects_bad_values(self, toy_system, monkeypatch, raw):
+        monkeypatch.setenv("GROWTHFORGE_BUDGET", raw)
+        with pytest.raises(ValueError, match="GROWTHFORGE_BUDGET"):
+            factor_set_bruteforce(toy_system, 2)
+
+    @pytest.mark.parametrize("values, depth, lengths", [
+        # d = 2, depth 8: n = 65..128 have codes wider than 64 bits.
+        ({1: 2, 2: 4, 4: 8, 8: 8, 16: 16, 32: 16, 64: 16, 128: 32, 256: 32}, 8,
+         (65, 66, 97, 128)),
+        # d = 3, depth 7: 3^41 > 2^64.
+        ({1: 3, 2: 6, 4: 12, 8: 12, 16: 24, 32: 24, 64: 24, 128: 48}, 7,
+         (41, 42, 64)),
+    ])
+    def test_wide_codes_match_bruteforce(self, values, depth, lengths):
+        # Seeded, so that member codes are not the all-'a' words of lex.
+        system = build_plain(table_spec(values), "seeded", depth, seed=5)
+        engine = FactorEngine(system)
+        for n in lengths:
+            assert system.alphabet.size ** n > 1 << 64
+            oracle = factor_set_bruteforce(system, n).members
+            assert engine.count(n) == len(oracle)
+            assert engine.factors(n) == oracle
+            assert all(engine.contains(w) for w in oracle)
+
     def test_encode_decode_roundtrip(self, captured4):
         eng = FactorEngine(captured4)
         for word in ("a", "ab", "abba", "babbab"):
             assert eng.decode(eng.encode(word), len(word)) == word
+
+
+class TestContains:
+    # The free eps = 1 system holds every binary word, so it rejects nothing;
+    # its brute-force expansion is slow, so only the top length is checked.
+    @pytest.mark.parametrize("name, lengths, rejects", [
+        ("captured4", range(2, 9), True),
+        ("free_system_eps1", (8,), False),
+    ])
+    def test_matches_bruteforce(self, request, name, lengths, rejects):
+        system = request.getfixturevalue(name)
+        system = system[0] if isinstance(system, tuple) else system
+        engine = FactorEngine(system)
+        letters = system.alphabet.letters
+        assert all(engine.contains(z) for z in letters)
+        rejected = 0
+        for n in lengths:
+            prev = factor_set_bruteforce(system, n - 1).members
+            cur = factor_set_bruteforce(system, n).members
+            assert all(engine.contains(w) for w in cur)
+            for w in prev:
+                for z in letters:
+                    if w + z not in cur:
+                        assert not engine.contains(w + z)
+                        rejected += 1
+        assert (rejected > 0) == rejects
+
+    def test_foreign_letter_and_depth(self, captured4):
+        engine = FactorEngine(captured4)
+        assert not engine.contains("az")
+        with pytest.raises(DepthTooShallow):
+            engine.contains("a" * 9)
+
+
+class TestConsecutiveDims:
+    # |F(n+1)| = sum over w in F(n) of its right extensions: Cassaigne's
+    # identity without assuming every factor extends to the right.
+    @pytest.mark.parametrize("name, n_top", [("captured4", 7), ("captured7", 16)])
+    def test_dims_count_right_extensions(self, request, name, n_top):
+        system = request.getfixturevalue(name)
+        engine = FactorEngine(system)
+        letters = system.alphabet.letters
+        for n in range(1, n_top + 1):
+            extensions = sum(engine.contains(w + z) for w in engine.factors(n) for z in letters)
+            assert engine.count(n + 1) == extensions
 
 
 class TestDimSeries:

@@ -129,6 +129,18 @@ class TestCli:
         sys_path.write_text(sys_path.read_text().replace('"seed": 0', '"seed": 7'))
         assert main(["analyze", str(sys_path), "--out", str(tmp_path / "r.json")]) == 2
 
+    def test_analyze_depth_zero_exits_2(self, tmp_path, toy_system, capsys):
+        # A depth-0 document with a recomputed digest passes the digest check.
+        doc = persist.system_to_document(toy_system)
+        doc.update(depth=0, csets=[], capture_log=[])
+        doc["digest"] = persist.document_digest(doc)
+        sys_path = tmp_path / "d0.json"
+        sys_path.write_text(json.dumps(doc))
+        assert main(["analyze", str(sys_path), "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert "depth 0" in err and str(sys_path) in err
+        assert "negative shift count" not in err
+
     def test_free_with_system_file(self, tmp_path):
         system, _ = build_free_power_system(1, 4)
         sys_path = tmp_path / "free.json"

@@ -139,6 +139,18 @@ def test_compute_mu_monotone_in_offset(offset):
     assert lower > 1 + offset
 
 
+@given(feasible_tables(), st.sampled_from(["lex", "seeded"]), st.integers(0, 2 ** 16))
+@settings(max_examples=25, deadline=None)
+def test_consecutive_dims_count_right_extensions(table_depth, chooser, seed):
+    values, depth = table_depth
+    system = build_plain(table_spec(values), chooser, depth, seed=seed)
+    engine = FactorEngine(system)
+    letters = system.alphabet.letters
+    for n in range(1, 1 << (depth - 1)):
+        extensions = sum(engine.contains(w + z) for w in engine.factors(n) for z in letters)
+        assert engine.count(n + 1) == extensions
+
+
 @given(feasible_tables(), st.integers(0, 2 ** 16))
 @settings(max_examples=15, deadline=None)
 def test_dim_submultiplicativity_random(table_depth, seed):
