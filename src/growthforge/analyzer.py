@@ -49,7 +49,6 @@ from .exactmath import ceil_log2, nth_root_floor_scaled, sqrt_bracket, decimal_s
 
 DEFAULT_BUDGET = 5_000_000
 ENTROPY_DIGITS = 6
-_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
 def _budget() -> int:
@@ -109,17 +108,9 @@ class FactorEngine:
         self._suffix: dict[tuple[int, int], np.ndarray] = {}
         self._counts: dict[int, int] = {}
         self._members = [
-            self._table(sorted(self._encode_members(cs.strings)), 1 << cs.level)
+            self._table(sorted(self.encode(w) for w in cs.strings), 1 << cs.level)
             for cs in system.csets
         ]
-
-    def _encode_members(self, words: list[str]) -> list[int]:
-        """Codes of choice-set members; they hold alphabet letters only, so
-        for d <= 36 base-d int() parsing of their digit strings is exact."""
-        if not 2 <= self.d <= 36:
-            return [self.encode(w) for w in words]
-        to_digits = str.maketrans(self.system.alphabet.letters, _DIGITS[:self.d])
-        return [int(w.translate(to_digits), self.d) for w in words]
 
     def encode(self, word: str) -> int:
         code = 0
@@ -265,6 +256,11 @@ def factor_set_structural(system: LevelSystem, n: int) -> FactorSet:
     """F(n) without materializing W; exact equal to the brute-force route."""
     engine = _engine_for(system)
     return FactorSet(n, engine.factors(n), system.depth, "structural")
+
+
+def is_factor(system: LevelSystem, word: str) -> bool:
+    """Whether word is a factor of the system, without building F(len(word))."""
+    return _engine_for(system).contains(word)
 
 
 def factor_set_bruteforce(system: LevelSystem, n: int, budget: int | None = None) -> FactorSet:

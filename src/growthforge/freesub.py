@@ -173,14 +173,13 @@ def verify_free_generators(
             f"products of length {max_products_len} need factor length "
             f"{max_products_len * degree} > certified maximum {1 << (system.depth - 1)}")
     blocks = {0: params.x_word, 1: params.y_word}
-    engine = analyzer._engine_for(system)
     missing: list[str] = []
     checked = 0
     for length in range(1, max_products_len + 1):
         for bits in iter_product((0, 1), repeat=length):
             word = "".join(blocks[b] for b in bits)
             checked += 1
-            if not engine.contains(word):
+            if not analyzer.is_factor(system, word):
                 missing.append(word)
     capacity = []
     for r in range(1, system.depth - params.t):

@@ -103,6 +103,30 @@ class TestFactorSets:
             assert engine.factors(n) == oracle
             assert all(engine.contains(w) for w in oracle)
 
+    def test_long_members_d3(self):
+        # d = 3 at depth 14: level-13 members hold 8192 letters, more base-3
+        # digits than Python's int-from-string limit of 4300.
+        values = {1: 3, 2: 6, 4: 12, 8: 12, 16: 24, 32: 24, 64: 24}
+        values.update({1 << k: 48 for k in range(7, 15)})
+        system = build_plain(table_spec(values), "seeded", 14, seed=5)
+        assert len(system.csets[13].strings[0]) == 8192
+        engine = FactorEngine(system)
+        for n in (5, 64):
+            oracle = factor_set_bruteforce(system, n).members
+            assert engine.count(n) == len(oracle)
+            assert engine.factors(n) == oracle
+        words = [system.expand(ref) for j in (13, 14) for ref in system.iter_refs(j)]
+        letters = system.alphabet.letters
+        rejected = 0
+        for start in (0, 777, 8000):
+            w = words[-1][start:start + 4400]
+            assert engine.contains(w)
+            for z in letters:
+                present = any(w + z in x for x in words)
+                assert engine.contains(w + z) == present
+                rejected += not present
+        assert rejected > 0
+
     def test_encode_decode_roundtrip(self, captured4):
         eng = FactorEngine(captured4)
         for word in ("a", "ab", "abba", "babbab"):
