@@ -18,14 +18,14 @@ Words are base-d integer codes, an injective encoding, so counts are exact.
 Each choice-set member is encoded once; every suffix code is then
 member_code mod d^a and every short prefix code member_code div d^(len-m).
 Prefix and suffix tables are sorted code arrays, one per (level, length),
-held as uint64 when d^length <= 2^64 and as Python ints beyond. When the
-window codes of F(n) fit in 64 bits, |F(n)| comes from concatenating the
-straddle products, sorting them in place and counting adjacent differences;
-wider n take a Python-set route. Counts are memoized per engine, so every
-report that needs dim_n shares one computation. Membership of a single word
-never builds F(n): w is a factor exactly when, for some straddle (j, a),
-w[:a] is a suffix table entry and w[a:] a prefix table entry, both found by
-binary search.
+held as uint64 when d^length <= 2^64 and as Python ints beyond. |F(n)|
+comes from concatenating the straddle products into one array of the same
+dtype rule, sorting it in place and counting adjacent differences; F(n) as
+strings decodes the distinct entries of that array. Counts are memoized per
+engine, so every report that needs dim_n shares one computation. Membership
+of a single word never builds F(n): w is a factor exactly when, for some
+straddle (j, a), w[:a] is a suffix table entry and w[a:] a prefix table
+entry, both found by binary search.
 
 Dimensions dim_n = |F(n)| feed the growth report (cumulative sums, entropy
 partials g(n)^(1/n) via exact integer roots), the dyadic growth sandwich,
@@ -130,9 +130,12 @@ class FactorEngine:
 
     # -- prefix and suffix code tables --------------------------------------
 
+    def _dtype(self, length: int):
+        """uint64 when every length-`length` code fits in 64 bits, else Python ints."""
+        return np.uint64 if self.d ** length <= 1 << 64 else object
+
     def _table(self, codes, length: int) -> np.ndarray:
-        """Codes of length-`length` words: uint64 when d^length <= 2^64, else Python ints."""
-        return np.asarray(codes, dtype=np.uint64 if self.d ** length <= 1 << 64 else object)
+        return np.asarray(codes, dtype=self._dtype(length))
 
     def _distinct(self, codes: np.ndarray, length: int) -> np.ndarray:
         return _sorted_unique(self._table(codes, length))
@@ -189,46 +192,32 @@ class FactorEngine:
         if n > 1 << (self.depth - 1):
             raise DepthTooShallow(n, 1 << (self.depth - 1))
 
-    def codes(self, n: int) -> set[int]:
-        """All factor codes of length n (Python-set route)."""
+    def _windows(self, n: int) -> np.ndarray:
+        """Every straddle window code of length n, unsorted, with repeats."""
         if n == 1:
-            return set(range(self.d))
-        out: set[int] = set()
-        for j, a_min, a_max in self._straddle_ranges(n):
-            for a in range(a_min, a_max + 1):
-                mult = self.d ** (n - a)
-                pref = self.prefixes(j, n - a).tolist()
-                for s in self.suffixes(j, a).tolist():
-                    out.update(map((s * mult).__add__, pref))
-        return out
-
-    def count(self, n: int) -> int:
-        """|F(n)|, memoized; sort-based on uint64 when the codes fit in 64 bits."""
-        self._check_depth(n)
-        hit = self._counts.get(n)
-        if hit is None:
-            if n == 1:
-                hit = self.d
-            elif self.d ** n > 1 << 64:
-                hit = len(self.codes(n))
-            else:
-                hit = self._count_sorted(n)
-            self._counts[n] = hit
-        return hit
-
-    def _count_sorted(self, n: int) -> int:
+            return np.arange(self.d, dtype=np.uint64)
         pairs = [(self.suffixes(j, a), self.prefixes(j, n - a), self.d ** (n - a))
                  for j, a_min, a_max in self._straddle_ranges(n)
                  for a in range(a_min, a_max + 1)]
-        window = np.empty(sum(s.size * p.size for s, p, _ in pairs), dtype=np.uint64)
+        window = np.empty(sum(s.size * p.size for s, p, _ in pairs), dtype=self._dtype(n))
         pos = 0
         for sfx, pref, mult in pairs:
             size = sfx.size * pref.size
             block = window[pos:pos + size].reshape(sfx.size, pref.size)
-            np.add((sfx * mult)[:, None], pref[None, :], out=block)
+            np.add((self._table(sfx, n) * mult)[:, None], self._table(pref, n)[None, :], out=block)
             pos += size
-        window.sort()
-        return 1 + int(np.count_nonzero(window[1:] != window[:-1]))
+        return window
+
+    def count(self, n: int) -> int:
+        """|F(n)|, memoized: sort the window codes, count adjacent differences."""
+        self._check_depth(n)
+        hit = self._counts.get(n)
+        if hit is None:
+            window = self._windows(n)
+            window.sort()
+            hit = 1 + int(np.count_nonzero(window[1:] != window[:-1]))
+            self._counts[n] = hit
+        return hit
 
     def contains(self, word: str) -> bool:
         """Whether word is in F(len(word)), without building F(n)."""
@@ -238,18 +227,23 @@ class FactorEngine:
             return False
         if n <= 1:
             return True
+        # The head code w[:a] grows one letter per a; the tail code is taken
+        # from the whole code only once the head is a suffix table entry.
         code = self.encode(word)
-        for j, a_min, a_max in self._straddle_ranges(n):
-            for a in range(a_min, a_max + 1):
-                head, tail = divmod(code, self.d ** (n - a))
-                if _holds(self.suffixes(j, a), head) and _holds(self.prefixes(j, n - a), tail):
+        ranges = list(self._straddle_ranges(n))
+        head = 0
+        for a in range(1, n):
+            head = head * self.d + self._digit[word[a - 1]]
+            for j, a_min, a_max in ranges:
+                if (a_min <= a <= a_max and _holds(self.suffixes(j, a), head)
+                        and _holds(self.prefixes(j, n - a), code % self.d ** (n - a))):
                     return True
         return False
 
     def factors(self, n: int) -> frozenset[str]:
         """F(n) as strings; intended for desk-scale n."""
         self._check_depth(n)
-        return frozenset(self.decode(c, n) for c in self.codes(n))
+        return frozenset(self.decode(c, n) for c in _sorted_unique(self._windows(n)).tolist())
 
 
 def factor_set_structural(system: LevelSystem, n: int) -> FactorSet:
@@ -486,8 +480,10 @@ def verify_recurrence_gaps(system: LevelSystem, scan_cap: int = 10_000, seed: in
         for m in range(log.capture_level + 1, system.depth + 1):
             total = system.level_word_count(m)
             if total <= scan_cap:
-                refs = (system.ref_from_rank(m, k) for k in range(total))
+                refs = system.iter_refs(m)
             else:
+                # An exhausted iterator drops its list, so one level's sample
+                # is freed before the next level's is drawn.
                 refs = iter(system.sample_elements(m, scan_cap, seed))
             for ref in refs:
                 u = system.expand(ref)
@@ -530,9 +526,6 @@ class AperiodicityReport:
     @property
     def passed(self) -> bool:
         return self.first_stall is None
-
-    def growth_increments(self) -> list[int]:
-        return [b - a for a, b in zip(self.dims, self.dims[1:])]
 
     def to_dict(self) -> dict:
         return {
@@ -630,25 +623,3 @@ def entropy_partial(system: LevelSystem, n_max: int, digits: int = ENTROPY_DIGIT
         power_band = (lo, (1 + eps) ** 2)
         linear_band = (1 + eps / 3, 1 + 3 * eps)
     return EntropyReport(partials, power_band, linear_band, digits, system.depth)
-
-
-# -- right extensions (limit-property probe, report only) ----------------------------
-
-
-def right_extension_report(system: LevelSystem, n_max: int) -> dict[int, list[str]]:
-    """Factors with no one-letter right extension at this depth.
-
-    Finite truncations legitimately contain such words (a word occurring only
-    as a terminal suffix never extends); full right-extendability is a limit
-    property of captured systems. Report only, never asserted.
-    """
-    engine = _engine_for(system)
-    letters = system.alphabet.letters
-    dead: dict[int, list[str]] = {}
-    for n in range(1, n_max + 1):
-        cur = engine.factors(n)
-        nxt = engine.factors(n + 1)
-        stuck = sorted(w for w in cur if not any(w + z in nxt for z in letters))
-        if stuck:
-            dead[n] = stuck
-    return dead

@@ -72,6 +72,10 @@ class RunConfig:
         "free": ("free_epsilon", "products_len", "free_depth"),
         "output": ("out", "csv"),
     }
+    # Flags that set the field of the same name.
+    _flags = ("family", "epsilon", "power", "table_values", "horizon", "depth", "captures",
+              "mu_offset", "chooser", "seed", "mode", "nmax", "forbidden_max", "scan_cap",
+              "products_len", "out", "csv")
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -92,18 +96,8 @@ class RunConfig:
         return cfg
 
     def apply_flags(self, args: argparse.Namespace) -> None:
-        mapping = {
-            "family": "family", "epsilon": "epsilon", "power": "power",
-            "table_values": "table_values", "horizon": "horizon",
-            "depth": "depth", "captures": "captures", "mu_offset": "mu_offset",
-            "chooser": "chooser", "seed": "seed", "mode": "mode",
-            "nmax": "nmax", "forbidden_max": "forbidden_max",
-            "scan_cap": "scan_cap",
-            "products_len": "products_len",
-            "out": "out", "csv": "csv",
-        }
-        for flag, attr in mapping.items():
-            value = getattr(args, flag, None)
+        for attr in self._flags:
+            value = getattr(args, attr, None)
             if value is not None:
                 setattr(self, attr, value)
         if getattr(args, "command", "") == "free" and getattr(args, "epsilon", None) is not None:
@@ -160,10 +154,6 @@ def _emit(doc: dict, path: str) -> None:
         sys.stdout.write(text)
 
 
-def _frac_str(x) -> str:
-    return str(x)
-
-
 # -- subcommands ----------------------------------------------------------------
 
 
@@ -205,12 +195,12 @@ def cmd_validate(cfg: RunConfig) -> int:
             "horizon": report.rapid.horizon,
         },
         "capture_conditions": {
-            "beta_table": [[_frac_str(b), nb] for b, nb in report.capture.beta_table],
-            "margins": [[n, _frac_str(m)] for n, m in report.capture.margins],
-            "product_partials": [_frac_str(p) for p in report.capture.product_partials],
-            "ceiling_slack_partials": [_frac_str(p) for p in report.capture.ceiling_slack_partials],
+            "beta_table": [[str(b), nb] for b, nb in report.capture.beta_table],
+            "margins": [[n, str(m)] for n, m in report.capture.margins],
+            "product_partials": [str(p) for p in report.capture.product_partials],
+            "ceiling_slack_partials": [str(p) for p in report.capture.ceiling_slack_partials],
             "summand_decay_ok": report.capture.summand_decay_ok,
-            "product_tail_estimate": _frac_str(report.capture.product_tail_estimate)
+            "product_tail_estimate": str(report.capture.product_tail_estimate)
             if report.capture.product_tail_estimate is not None else None,
         },
         "mu_table": report.mu_table,

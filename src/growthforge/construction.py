@@ -28,9 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 from random import Random
 
-from .errors import CapacityExceeded, HorizonTooSmall, InsufficientWords, OutOfRange
+from .errors import CapacityExceeded, HorizonTooSmall, InsufficientWords
 from .growth import GrowthSpec, compute_mu, check_basic, geometric
 
 LETTER_POOL = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
@@ -185,20 +186,13 @@ class LevelSystem:
 
     def ref_from_rank(self, level: int, rank: int) -> WordRef:
         """The rank-th element of W(2^level) in tuple-lex order (mixed radix)."""
-        radices = [len(self.csets[j]) for j in range(level - 1, -1, -1)]
-        radices.append(self.alphabet.size)
-        digits = []
-        for r in reversed(radices):
-            rank, d = divmod(rank, r)
-            digits.append(d)
-        if rank:
-            raise ValueError("rank out of range")
-        return WordRef(level, tuple(reversed(digits)))
+        return _unrank(level, *self._admissible(level, ""), rank)
 
     def iter_refs(self, level: int):
         """All of W(2^level) in tuple-lex order."""
-        for rank in range(self.level_word_count(level)):
-            yield self.ref_from_rank(level, rank)
+        radices, tails = self._admissible(level, "")
+        for rank in range(prod(radices)):
+            yield _unrank(level, radices, tails, rank)
 
     # -- expansion -------------------------------------------------------------
 
@@ -209,27 +203,6 @@ class LevelSystem:
             parts.append(self.csets[ref.level - 1 - k].strings[c])
         parts.append(self.alphabet.letters[ref.choices[-1]])
         return "".join(parts)
-
-    def expand_window(self, ref: WordRef, start: int, length: int) -> str:
-        """A window of the expansion without materializing the whole word."""
-        total = 1 << ref.level
-        if start < 0 or length < 0 or start + length > total:
-            raise OutOfRange(f"window [{start}, {start + length}) outside word of length {total}")
-        out = []
-        pos = 0
-        need_from, need_to = start, start + length
-        for k, c in enumerate(ref.choices[:-1]):
-            j = ref.level - 1 - k
-            block_len = 1 << j
-            if pos + block_len > need_from and pos < need_to:
-                s = self.csets[j].strings[c]
-                out.append(s[max(0, need_from - pos):need_to - pos])
-            pos += block_len
-            if pos >= need_to:
-                break
-        if pos < need_to:
-            out.append(self.alphabet.letters[ref.choices[-1]])
-        return "".join(out)
 
     # -- admissible-word combinatorics ----------------------------------------
 
@@ -248,64 +221,33 @@ class LevelSystem:
             return None
         return WordRef(level, (c,) + tail.choices)
 
-    def admissible_count(self, level: int, suffix: str) -> int:
-        """How many W(2^level) elements end with the given suffix."""
-        if len(suffix) > (1 << level):
-            return 0
+    def _admissible(self, level: int, suffix: str) -> tuple[list[int], list[tuple[int, ...]]]:
+        """The W(2^level) elements ending with suffix, as radices and tails.
+
+        An element is one free choice per radix (the top levels, most
+        significant first, and the letter when suffix is empty) followed by
+        one of the fixed tails, which list the low-level choices in tuple-lex
+        order. There are prod(radices) * len(tails) of them, and mixed-radix
+        rank order over (radices, tail index) is tuple-lex order.
+        """
+        if len(suffix) > 1 << level:
+            return [], []
+        radices = []
+        while level > 0 and len(suffix) <= 1 << (level - 1):
+            level -= 1
+            radices.append(len(self.csets[level]))
         if not suffix:
-            return self.level_word_count(level)
+            return radices + [self.alphabet.size], [()]
         if level == 0:
-            return 1 if suffix in self.alphabet.letters else 0
+            tail = self._suffix_tail_ref(0, suffix)
+            return radices, [tail.choices] if tail else []
         half = 1 << (level - 1)
-        if len(suffix) <= half:
-            return len(self.csets[level - 1]) * self.admissible_count(level - 1, suffix)
-        head, tail = suffix[:-half], suffix[-half:]
-        if self._suffix_tail_ref(level - 1, tail) is None:
-            return 0
-        holders = sum(1 for s in self.csets[level - 1].strings if s.endswith(head))
-        return holders
-
-    def iter_admissible(self, level: int, suffix: str):
-        """Admissible refs in tuple-lex order."""
-        if len(suffix) > (1 << level):
-            return
-        if level == 0:
-            if not suffix:
-                for i in range(self.alphabet.size):
-                    yield WordRef(0, (i,))
-            elif suffix in self.alphabet.letters:
-                yield WordRef(0, (self.alphabet.index(suffix),))
-            return
-        half = 1 << (level - 1)
-        if len(suffix) <= half:
-            for c in range(len(self.csets[level - 1])):
-                for tail in self.iter_admissible(level - 1, suffix):
-                    yield WordRef(level, (c,) + tail.choices)
-            return
-        head, tail_word = suffix[:-half], suffix[-half:]
-        tail = self._suffix_tail_ref(level - 1, tail_word)
+        tail = self._suffix_tail_ref(level - 1, suffix[-half:])
         if tail is None:
-            return
-        for c, s in enumerate(self.csets[level - 1].strings):
-            if s.endswith(head):
-                yield WordRef(level, (c,) + tail.choices)
-
-    def _admissible_at(self, level: int, suffix: str, rank: int) -> WordRef:
-        """rank-th admissible ref in tuple-lex order (mixed-radix unranking)."""
-        if level == 0:
-            if not suffix:
-                return WordRef(0, (rank,))
-            return WordRef(0, (self.alphabet.index(suffix),))
-        half = 1 << (level - 1)
-        if len(suffix) <= half:
-            sub = self.admissible_count(level - 1, suffix)
-            c, rest = divmod(rank, sub)
-            tail = self._admissible_at(level - 1, suffix, rest)
-            return WordRef(level, (c,) + tail.choices)
-        head, tail_word = suffix[:-half], suffix[-half:]
-        tail = self._suffix_tail_ref(level - 1, tail_word)
-        holders = [c for c, s in enumerate(self.csets[level - 1].strings) if s.endswith(head)]
-        return WordRef(level, (holders[rank],) + tail.choices)
+            return radices, []
+        head = suffix[:-half]
+        holders = self.csets[level - 1].strings
+        return radices, [(c,) + tail.choices for c, s in enumerate(holders) if s.endswith(head)]
 
     # -- choice-set construction ----------------------------------------------
 
@@ -328,7 +270,8 @@ class LevelSystem:
         include = list(must_include or [])
         if len(include) > required:
             raise CapacityExceeded(level, len(include), required)
-        available = self.admissible_count(level, suffix)
+        radices, tails = self._admissible(level, suffix)
+        available = prod(radices) * len(tails)
 
         chosen: list[WordRef] = []
         seen: set[tuple[int, ...]] = set()
@@ -340,38 +283,22 @@ class LevelSystem:
                 chosen.append(ref)
         overlap = sum(
             1 for ref in chosen if not suffix or self.expand(ref).endswith(suffix))
-        if available - overlap < required - len(chosen):
-            raise InsufficientWords(level, required - len(chosen), available - overlap)
         fill = required - len(chosen)
-        if fill > 0:
-            if self.chooser == "lex":
-                for ref in self.iter_admissible(level, suffix):
-                    if ref.choices in seen:
-                        continue
-                    seen.add(ref.choices)
-                    chosen.append(ref)
-                    fill -= 1
-                    if fill == 0:
-                        break
-                if fill > 0:
-                    raise InsufficientWords(level, required, len(chosen))
-            else:
-                taken_ranks: set[int] = set()
-                guard = 0
-                while fill > 0:
-                    rank = self._rng.randrange(available)
-                    if rank in taken_ranks:
-                        guard += 1
-                        if guard > 64 * required + 1024:
-                            raise InsufficientWords(level, required, len(chosen))
-                        continue
-                    taken_ranks.add(rank)
-                    ref = self._admissible_at(level, suffix, rank)
-                    if ref.choices in seen:
-                        continue
-                    seen.add(ref.choices)
-                    chosen.append(ref)
-                    fill -= 1
+        if available - overlap < fill:
+            raise InsufficientWords(level, fill, available - overlap)
+        # Lex takes ranks 0, 1, ...; seeded draws enough distinct ranks that
+        # `fill` of them miss the included refs.
+        ranks = range(available)
+        if self.chooser == "seeded" and fill:
+            ranks = _sample_ranks(self._rng, available, fill + overlap)
+        for rank in ranks:
+            if fill == 0:
+                break
+            ref = _unrank(level, radices, tails, rank)
+            if ref.choices not in seen:
+                seen.add(ref.choices)
+                chosen.append(ref)
+                fill -= 1
 
         strings = [self.expand(ref) for ref in chosen]
         if len(set(strings)) != len(strings):
@@ -380,30 +307,44 @@ class LevelSystem:
         self.csets.append(cs)
         return cs
 
-    def capture_prefixes(self, entry: CaptureEntry) -> list[str]:
-        """The arbitrary prefix v of each member v.w' of a captured choice set."""
-        cut = len(entry.target_word)
-        return [s[:-cut] for s in self.csets[entry.capture_level].strings]
-
     # -- sampling ---------------------------------------------------------------
 
     def sample_elements(self, level: int, count: int, seed: int) -> list[WordRef]:
         """Seeded sample of W(2^level) without replacement; all of it when count covers it."""
         if count < 1:
             raise ValueError("count must be >= 1")
-        total = self.level_word_count(level)
+        radices, tails = self._admissible(level, "")
+        total = prod(radices)
         if count >= total:
-            return [self.ref_from_rank(level, k) for k in range(total)]
-        rng = Random(f"growthforge-sample:{seed}:{level}")
-        picked: set[int] = set()
-        out = []
-        while len(out) < count:
-            rank = rng.randrange(total)
-            if rank in picked:
-                continue
-            picked.add(rank)
-            out.append(self.ref_from_rank(level, rank))
-        return out
+            ranks = range(total)
+        else:
+            ranks = _sample_ranks(Random(f"growthforge-sample:{seed}:{level}"), total, count)
+        return [_unrank(level, radices, tails, rank) for rank in ranks]
+
+
+def _sample_ranks(rng: Random, total: int, k: int) -> list[int]:
+    """k distinct ranks below total, by Floyd's algorithm.
+
+    random.sample(range(total), k) cannot size a range longer than
+    sys.maxsize, and a level can hold more elements than that.
+    """
+    picked: dict[int, None] = {}
+    for top in range(total - k, total):
+        rank = rng.randrange(top + 1)
+        picked[top if rank in picked else rank] = None
+    return list(picked)
+
+
+def _unrank(level: int, radices: list[int], tails: list[tuple[int, ...]], rank: int) -> WordRef:
+    """The rank-th of the refs that `LevelSystem._admissible` describes."""
+    rank, t = divmod(rank, len(tails))
+    digits = []
+    for r in reversed(radices):
+        rank, digit = divmod(rank, r)
+        digits.append(digit)
+    if rank:
+        raise ValueError("rank out of range")
+    return WordRef(level, tuple(reversed(digits)) + tails[t])
 
 
 # -- whole-system builders -----------------------------------------------------
@@ -469,7 +410,8 @@ def capture_target(
             filled.append(system.depth)
             system.choose_cset(system.depth)
         required = system.spec.ratio(t_prime)
-        if system.admissible_count(t_prime, word) >= required:
+        radices, tails = system._admissible(t_prime, word)
+        if prod(radices) * len(tails) >= required:
             break
         retries.append(t_prime)
         t_prime += 1

@@ -82,9 +82,5 @@ class DepthTooShallow(GrowthForgeError):
         self.max_n = max_n
 
 
-class OutOfRange(GrowthForgeError):
-    """Window coordinates fall outside the referenced word."""
-
-
 class SystemFileError(GrowthForgeError):
     """A persisted system file is unreadable, tampered, or inconsistent."""

@@ -23,10 +23,6 @@ def ceil_frac(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)
 
 
-def floor_frac(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
 def ceil_div(a: int, b: int) -> int:
     """Ceiling of a/b for positive integers."""
     return -((-a) // b)

@@ -40,21 +40,6 @@ def compute_t(eps: Fraction | str | int) -> int:
     return m + 1
 
 
-def generator_degree_invariants(eps: Fraction) -> bool:
-    """Exact form of the defining inequalities for t = compute_t(eps).
-
-    (1+eps)^(2^(t-1)) >= 2 always, and (1+eps)^(2^(t-2)) < 2 when t >= 2;
-    equivalently 2^t > 1/log2(1+eps) >= 2^(t-2).
-    """
-    eps = Fraction(eps)
-    t = compute_t(eps)
-    base = 1 + eps
-    ok = base ** (1 << (t - 1)) >= 2
-    if t >= 2:
-        ok = ok and base ** (1 << (t - 2)) < 2
-    return ok
-
-
 def degree_lower_bound(eps: Fraction | str | int, tol: Fraction = Fraction(1, 10 ** 6)) -> Fraction:
     """1/log2(1+eps) as a rational within tol of the true value.
 
@@ -193,21 +178,3 @@ def verify_free_generators(
         capacity_checks=capacity,
         depth=system.depth,
     )
-
-
-def proposition_consistency(degree: int, h_value: Fraction) -> dict:
-    """Compare an achieved degree against 1/log2(h) - 1 for a measured h(n).
-
-    Finite-size entropy estimates sit below the limit, so one unit of slack
-    is allowed; anything beyond that is reported, not asserted.
-    """
-    if h_value <= 1:
-        return {"h": str(h_value), "bound": None, "consistent": True}
-    lo, hi = log2_bracket(h_value, 40)
-    bound = (1 / hi if hi > 0 else Fraction(0)) - 1
-    return {
-        "h": str(h_value),
-        "bound": str(bound),
-        "degree": degree,
-        "consistent": Fraction(degree) >= bound,
-    }

@@ -65,13 +65,22 @@ def load_system(path: str | Path) -> LevelSystem:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise SystemFileError(f"cannot read system file {path}: {exc}") from exc
-    if doc.get("format") != FORMAT_NAME:
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise SystemFileError(f"{path}: not a {FORMAT_NAME} file")
     if doc.get("version") != FORMAT_VERSION:
         raise SystemFileError(f"{path}: unsupported version {doc.get('version')}")
     if doc.get("digest") != document_digest(doc):
         raise SystemFileError(f"{path}: digest mismatch, file was modified")
+    # The digest proves integrity, not a well-formed document: a missing key
+    # or a value of the wrong type is a bad file, not a failed computation.
+    try:
+        return _system_from_document(doc, path)
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
+        raise SystemFileError(
+            f"{path}: malformed system file ({type(exc).__name__}: {exc})") from exc
 
+
+def _system_from_document(doc: dict, path: str | Path) -> LevelSystem:
     spec = spec_from_dict(doc["growth"])
     system = LevelSystem(
         spec,

@@ -15,7 +15,6 @@ from growthforge.analyzer import (
     minimal_forbidden_words,
     scan_occurrences,
     verify_recurrence_gaps,
-    right_extension_report,
 )
 from growthforge.construction import CaptureEntry, build_plain
 from growthforge.growth import table_spec
@@ -55,13 +54,13 @@ class TestFactorSets:
             assert verify_recurrence_gaps(system, scan_cap=2000, seed=0).passed
 
     def test_python_and_numpy_paths_agree(self, captured4):
-        # count() sorts uint64 codes here (d^n <= 2^64); codes() is the
-        # Python-set route. Both must match the brute-force oracle.
+        # count() and factors() read the same sorted uint64 window codes
+        # here (d^n <= 2^64); both must match the brute-force oracle.
         engine = FactorEngine(captured4)
         for n in range(1, 9):
             oracle = factor_set_bruteforce(captured4, n).members
-            assert engine.count(n) == len(engine.codes(n)) == len(oracle)
-            assert {engine.decode(c, n) for c in engine.codes(n)} == oracle
+            assert engine.count(n) == len(oracle)
+            assert engine.factors(n) == oracle
 
     def test_depth_cap(self, toy_system):
         with pytest.raises(DepthTooShallow):
@@ -285,7 +284,7 @@ class TestAperiodicity:
     def test_captured7(self, captured7):
         rep = check_nonperiodicity(captured7, 32)
         assert rep.passed
-        assert all(inc > 0 for inc in rep.growth_increments())
+        assert all(b > a for a, b in zip(rep.dims, rep.dims[1:]))
 
 
 class TestMinimalForbidden:
@@ -334,9 +333,9 @@ class TestEntropy:
 class TestRightExtensions:
     def test_toy_has_dead_suffix_factors(self, toy_system):
         # "bbb" occurs only as a terminal suffix, so it never extends right;
-        # this is expected of finite truncations and is report-only.
-        dead = right_extension_report(toy_system, 3)
-        assert "bbb" in dead.get(3, [])
+        # this is expected of finite truncations.
+        assert analyzer.is_factor(toy_system, "bbb")
+        assert not any(analyzer.is_factor(toy_system, "bbb" + z) for z in "ab")
 
     def test_captured_targets_extend(self, captured4):
         # Captured targets sit inside choice-set members followed by the next

@@ -1,9 +1,14 @@
+import sys
+from math import prod
+from random import Random
+
 import pytest
 
-from growthforge.errors import CapacityExceeded, HorizonTooSmall, InsufficientWords, OutOfRange
+from growthforge.errors import CapacityExceeded, HorizonTooSmall, InsufficientWords
 from growthforge.growth import exp_power, geometric, poly_geometric, table_spec
 from growthforge.construction import (
     WordRef,
+    _sample_ranks,
     build_free_power_system,
     build_plain,
     build_uniformly_recurrent,
@@ -76,30 +81,21 @@ class TestBuildPlain:
 class TestExpand:
     def test_expansion_and_window(self, toy_system):
         ref = WordRef(2, (1, 0, 1))  # C(2)[1]=ab ++ C(1)[0]=a ++ letter b
-        assert toy_system.expand(ref) == "abab"
-        assert toy_system.expand_window(ref, 1, 2) == "ba"
-        assert toy_system.expand_window(ref, 0, 4) == "abab"
-        assert toy_system.expand_window(ref, 3, 1) == "b"
+        word = toy_system.expand(ref)
+        assert word == "abab"
+        # Each choice fills the window of its level: [0, 2), [2, 3), then the letter.
+        assert word[0:2] == toy_system.csets[1].strings[1]
+        assert word[2:3] == toy_system.csets[0].strings[0]
+        assert word[3:] == "b"
 
     def test_level_zero(self, toy_system):
         assert toy_system.expand(WordRef(0, (0,))) == "a"
-
-    def test_window_out_of_range(self, toy_system):
-        with pytest.raises(OutOfRange):
-            toy_system.expand_window(WordRef(2, (0, 0, 0)), 2, 4)
 
     def test_roundtrip_all_members(self, captured4):
         for cs in captured4.csets:
             for ref, s in zip(cs.members, cs.strings):
                 assert captured4.expand(ref) == s
                 assert len(s) == 1 << cs.level
-
-    def test_windows_match_full_expansion(self, captured4):
-        ref = captured4.ref_from_rank(4, 37)
-        word = captured4.expand(ref)
-        for start in range(0, 13):
-            for length in (1, 3, 4):
-                assert captured4.expand_window(ref, start, length) == word[start:start + length]
 
 
 class TestCapture:
@@ -131,14 +127,6 @@ class TestCapture:
             for s in captured7.csets[e.capture_level].strings:
                 assert s.endswith(e.target_word)
 
-    def test_capture_prefixes(self, captured7):
-        for e in captured7.capture_log:
-            prefixes = captured7.capture_prefixes(e)
-            members = captured7.csets[e.capture_level].strings
-            assert [p + e.target_word for p in prefixes] == members
-        first = captured7.capture_log[0]
-        assert captured7.capture_prefixes(first) == ["a", "b"]  # C(2) = {aa, ba}
-
     def test_geometric_eps1_capture_impossible(self):
         system = init_system(geometric(1))
         with pytest.raises(HorizonTooSmall):
@@ -153,7 +141,8 @@ class TestCapture:
         word = system.expand(target)
         entry = capture_target(system, target, 0, 12)
         assert entry.capture_level == 4
-        assert system.admissible_count(4, word) == 15
+        radices, tails = system._admissible(4, word)
+        assert prod(radices) * len(tails) == 15
         assert len(system.csets[4]) == 10
         for s in system.csets[4].strings:
             assert s.endswith(word)
@@ -260,6 +249,13 @@ class TestSampling:
         assert a == b
         c = captured4.sample_elements(3, 5, seed=10)
         assert a != c
+
+    def test_sample_ranks_distinct_at_any_size(self):
+        # random.sample(range(total), k) raises OverflowError past sys.maxsize.
+        for total, k in ((2 ** 70, 50), (sys.maxsize + 2, 3), (7, 7), (5, 1)):
+            ranks = _sample_ranks(Random(1), total, k)
+            assert len(set(ranks)) == k and all(0 <= r < total for r in ranks)
+        assert _sample_ranks(Random(1), 2 ** 70, 50) == _sample_ranks(Random(1), 2 ** 70, 50)
 
     def test_level_zero(self, toy_system):
         refs = toy_system.sample_elements(0, 2, seed=0)

@@ -3,14 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from growthforge.analyzer import dim_series
 from growthforge.construction import build_free_power_system
 from growthforge.freesub import (
     compute_t,
     degree_lower_bound,
-    generator_degree_invariants,
     optimality_report,
-    proposition_consistency,
     verify_free_generators,
 )
 
@@ -31,10 +28,13 @@ class TestComputeT:
     def test_defining_inequalities(self):
         for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 10), Fraction(3, 7),
                     Fraction(99, 100), Fraction(1, 64)):
-            assert generator_degree_invariants(eps)
             t = compute_t(eps)
             base = 1 + eps
-            assert base ** (1 << t) > 2  # 2^t > 1/log2(1+eps)
+            # 2^t > 1/log2(1+eps) >= 2^(t-2), in exact powers.
+            assert base ** (1 << t) > 2
+            assert base ** (1 << (t - 1)) >= 2
+            if t >= 2:
+                assert base ** (1 << (t - 2)) < 2
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
@@ -103,10 +103,3 @@ class TestVerifyGenerators:
         system, params = free_system_eps1
         with pytest.raises(ValueError):
             verify_free_generators(system, params, 5)  # 5 * 2 > 2^(4-1)
-
-
-def test_proposition_consistency_on_built_system(free_system_eps1):
-    system, params = free_system_eps1
-    h8 = dim_series(system, 8).entropy(8)
-    result = proposition_consistency(params.degree, h8)
-    assert result["consistent"]

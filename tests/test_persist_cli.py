@@ -46,6 +46,15 @@ class TestPersist:
         with pytest.raises(SystemFileError):
             persist.load_system(tmp_path / "nope.json")
 
+    def test_lex_digests_pinned(self, captured7):
+        # Digests of lex builds, fixed so that a rewrite of the chooser is
+        # checked against earlier output and not only against itself.
+        assert persist.system_to_document(captured7)["digest"] == (
+            "sha256:700e40222a68f8d2f9778a74464f8ad928a3c80964f930695696f2df7fdeae69")
+        system, _ = build_free_power_system(1, 5)
+        assert persist.system_to_document(system)["digest"] == (
+            "sha256:686b2d65439e6a92d86e84a61c77bdf27b22d1a92286ec3f258507acfdadd7be")
+
     def test_same_build_same_bytes(self, tmp_path):
         poly = poly_geometric("1/10")
         for name in ("a.json", "b.json"):
@@ -140,6 +149,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert "depth 0" in err and str(sys_path) in err
         assert "negative shift count" not in err
+
+    @pytest.mark.parametrize("mutate", [
+        lambda doc: doc.pop("chooser"),
+        lambda doc: doc.update(csets=5),
+        lambda doc: doc["csets"][1][0].__setitem__(0, "0"),
+        lambda doc: doc["capture_log"][0].pop("gap_bound"),
+    ], ids=["no-chooser", "csets-int", "string-choice", "capture-no-gap-bound"])
+    def test_analyze_malformed_exits_2(self, tmp_path, captured4, capsys, mutate):
+        # Each document carries a recomputed digest, so only the shape is wrong.
+        doc = persist.system_to_document(captured4)
+        mutate(doc)
+        doc["digest"] = persist.document_digest(doc)
+        sys_path = tmp_path / "bad.json"
+        sys_path.write_text(json.dumps(doc))
+        assert main(["analyze", str(sys_path), "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert "malformed" in err and "Traceback" not in err
 
     def test_free_with_system_file(self, tmp_path):
         system, _ = build_free_power_system(1, 4)

@@ -1,12 +1,14 @@
 """Property-based checks over randomized small systems and growth specs."""
 
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 from hypothesis import given, settings, strategies as st
 
 from growthforge import analyzer, persist
 from growthforge.analyzer import FactorEngine, factor_set_bruteforce, factor_set_structural
-from growthforge.construction import build_plain
+from growthforge.construction import WordRef, _unrank, build_plain
 from growthforge.growth import GrowthSpec, geometric, poly_geometric, table_spec
 
 
@@ -39,6 +41,29 @@ def test_structural_matches_bruteforce_on_random_systems(table_depth, chooser, s
     for n in range(1, (1 << (depth - 1)) + 1):
         assert (factor_set_structural(system, n).members
                 == factor_set_bruteforce(system, n).members)
+
+
+@given(feasible_tables(), st.sampled_from(["lex", "seeded"]), st.integers(0, 2 ** 16),
+       st.data())
+@settings(max_examples=40, deadline=None)
+def test_unrank_lists_suffix_refs_in_lex_order(table_depth, chooser, seed, data):
+    values, depth = table_depth
+    system = build_plain(table_spec(values), chooser, depth, seed=seed)
+    level = data.draw(st.integers(0, depth))
+    # The oracle: every choice tuple, in tuple-lex order, with its expansion.
+    ranges = [range(len(system.csets[j])) for j in range(level - 1, -1, -1)]
+    ranges.append(range(system.alphabet.size))
+    words = {c: system.expand(WordRef(level, c)) for c in product(*ranges)}
+    # Every suffix of one element, the empty one included, and one word that
+    # may be absent and may be one letter longer than the elements.
+    word = data.draw(st.sampled_from(sorted(words.values())))
+    other = data.draw(st.text(alphabet=system.alphabet.letters,
+                              min_size=1, max_size=(1 << level) + 1))
+    for suffix in [word[k:] for k in range(len(word) + 1)] + [other]:
+        expected = [WordRef(level, c) for c, w in words.items() if w.endswith(suffix)]
+        radices, tails = system._admissible(level, suffix)
+        count = prod(radices) * len(tails)
+        assert [_unrank(level, radices, tails, r) for r in range(count)] == expected
 
 
 @given(feasible_tables(), st.integers(0, 2 ** 16))
