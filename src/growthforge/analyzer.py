@@ -29,17 +29,25 @@ entry, both found by binary search.
 
 Dimensions dim_n = |F(n)| feed the growth report (cumulative sums, entropy
 partials g(n)^(1/n) via exact integer roots), the dyadic growth sandwich,
-the Morse-Hedlund aperiodicity test, minimal forbidden words, and the
-recurrence-gap verification of captured targets. All results carry the build
-depth: they are exact for the truncation and lower approximations of the
-limit object.
+the Morse-Hedlund aperiodicity test and minimal forbidden words. All results
+carry the build depth: they are exact for the truncation and lower
+approximations of the limit object.
+
+The recurrence certificate covers every element of every level and expands
+none of them. For a captured target w, an occurrence summary records a
+word's length, its |w|-1 letters at each end, the first and last start of w
+and the largest gap between starts. The summary of uv follows from those of
+u and v, so each level W(2^(j+1)) = C(2^j) W(2^j) is a Counter of distinct
+summaries with element multiplicities.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 import numpy as np
 
@@ -406,6 +414,7 @@ class RecurrenceEntry:
     gap_bound: int
     max_gap: int
     max_first_occurrence: int
+    max_tail: int
     elements_scanned: int
     violations: int
 
@@ -420,6 +429,7 @@ class RecurrenceEntry:
             "gap_bound": self.gap_bound,
             "max_gap": self.max_gap,
             "max_first_occurrence": self.max_first_occurrence,
+            "max_tail": self.max_tail,
             "elements_scanned": self.elements_scanned,
             "violations": self.violations,
             "passed": self.passed,
@@ -429,8 +439,6 @@ class RecurrenceEntry:
 @dataclass
 class RecurrenceReport:
     entries: list[RecurrenceEntry]
-    scan_cap: int
-    seed: int
     depth: int
 
     @property
@@ -439,12 +447,12 @@ class RecurrenceReport:
 
     # Finite truncations certify recurrence only for the targets actually
     # captured; this label is part of the report contract.
-    certification = "uniformly recurrent up to captured set"
+    certification = ("exhaustive: every length-c window of every element of W(2^m), "
+                     "capture level < m <= depth, contains w")
 
     def to_dict(self) -> dict:
         return {
             "entries": [e.to_dict() for e in self.entries],
-            "scan_cap": self.scan_cap, "seed": self.seed,
             "depth": self.depth, "passed": self.passed,
             "certification": self.certification,
         }
@@ -460,57 +468,64 @@ def scan_occurrences(text: str, word: str) -> list[int]:
     return out
 
 
-def verify_recurrence_gaps(system: LevelSystem, scan_cap: int = 10_000, seed: int = 0) -> RecurrenceReport:
-    """Check every captured target reoccurs within its gap bound.
+def _summary(text: str, word: str) -> tuple:
+    """(|u|, u[:k], u[-k:], first start, last start, max gap) of u = text, k = |word| - 1."""
+    k = len(word) - 1
+    occ = scan_occurrences(text, word)
+    gap = max(map(sub, occ[1:], occ), default=0)
+    return (len(text), text[:k], text[max(0, len(text) - k):],
+            occ[0] if occ else None, occ[-1] if occ else None, gap)
 
-    For each capture-log entry with bound c = 2^(t'+1), scans elements of
-    W(2^m) for t' < m <= depth (all of a level when it fits under scan_cap,
-    else a seeded sample): the first occurrence must start within c and
-    consecutive occurrence starts must be at most c apart. Violations mean a
-    builder bug, not a mathematical surprise.
+
+def _concat(left: tuple, right: tuple, word: str) -> tuple:
+    """The summary of uv: starts in u, then across the junction, then in v shifted by |u|."""
+    n1, pre1, suf1, first1, last1, gap1 = left
+    n2, pre2, suf2, first2, last2, gap2 = right
+    k = len(word) - 1
+    edge = n1 - len(suf1)
+    starts = [edge + q for q in scan_occurrences(suf1 + pre2, word) if q < len(suf1)]
+    if last1 is not None:
+        starts.insert(0, last1)
+    if first2 is not None:
+        starts.append(n1 + first2)
+    tail = suf1 + suf2
+    return (n1 + n2, (pre1 + pre2)[:k], tail[max(0, len(tail) - k):],
+            first1 if first1 is not None else starts[0] if starts else None,
+            n1 + last2 if last2 is not None else starts[-1] if starts else None,
+            max(gap1, gap2, *map(sub, starts[1:], starts)))
+
+
+def verify_recurrence_gaps(system: LevelSystem) -> RecurrenceReport:
+    """Certify for each capture (w, t', c) that w lies in every length-c window of W(2^m), m > t'.
+
+    That is first <= c - |w|, gaps <= c - |w| + 1 and |u| - last <= c; a u
+    without w has first = tail = |u|, and a u shorter than c has no window.
     """
     entries: list[RecurrenceEntry] = []
     for log in system.capture_log:
-        word = log.target_word
-        bound = log.gap_bound
-        max_gap = 0
-        max_first = 0
-        scanned = 0
-        violations = 0
-        for m in range(log.capture_level + 1, system.depth + 1):
-            total = system.level_word_count(m)
-            if total <= scan_cap:
-                refs = system.iter_refs(m)
-            else:
-                # An exhausted iterator drops its list, so one level's sample
-                # is freed before the next level's is drawn.
-                refs = iter(system.sample_elements(m, scan_cap, seed))
-            for ref in refs:
-                u = system.expand(ref)
-                scanned += 1
-                occ = scan_occurrences(u, word)
-                if not occ:
-                    violations += 1
-                    max_first = max(max_first, len(u))
-                    continue
-                max_first = max(max_first, occ[0])
-                if occ[0] > bound:
-                    violations += 1
-                for prev, cur in zip(occ, occ[1:]):
-                    gap = cur - prev
-                    max_gap = max(max_gap, gap)
-                    if gap > bound:
-                        violations += 1
-        entries.append(RecurrenceEntry(
-            target_word=word,
-            capture_level=log.capture_level,
-            gap_bound=bound,
-            max_gap=max_gap,
-            max_first_occurrence=max_first,
-            elements_scanned=scanned,
-            violations=violations,
-        ))
-    return RecurrenceReport(entries, scan_cap, seed, system.depth)
+        word, bound = log.target_word, log.gap_bound
+        slack = bound - len(word)
+        level = Counter(_summary(ch, word) for ch in system.alphabet.letters)
+        max_gap = max_first = max_tail = scanned = violations = 0
+        for m in range(1, system.depth + 1):
+            members = Counter(_summary(s, word) for s in system.csets[m - 1].strings)
+            level, previous = Counter(), level
+            for head, x in members.items():
+                for rest, y in previous.items():
+                    level[_concat(head, rest, word)] += x * y
+            if m <= log.capture_level:
+                continue
+            for (n, _, _, first, last, gap), count in level.items():
+                first, tail = (n, n) if first is None else (first, n - last)
+                max_first = max(max_first, first)
+                max_gap = max(max_gap, gap)
+                max_tail = max(max_tail, tail)
+                scanned += count
+                if n >= bound and (first > slack or gap > slack + 1 or tail > bound):
+                    violations += count
+        entries.append(RecurrenceEntry(word, log.capture_level, bound, max_gap, max_first,
+                                       max_tail, scanned, violations))
+    return RecurrenceReport(entries, system.depth)
 
 
 # -- aperiodicity -----------------------------------------------------------------

@@ -54,8 +54,6 @@ class RunConfig:
 
     nmax: int = 16
     forbidden_max: int = 0
-    scan_cap: int = 10_000
-    sample_seed: int = 0
 
     free_epsilon: str = "1"
     products_len: int = 4
@@ -68,14 +66,14 @@ class RunConfig:
         "growth": ("family", "epsilon", "power", "table_values", "horizon",
                    "betas", "alpha_max", "mu_t_max"),
         "build": ("mode", "depth", "captures", "mu_offset", "chooser", "seed"),
-        "analyze": ("nmax", "forbidden_max", "scan_cap", "sample_seed"),
+        "analyze": ("nmax", "forbidden_max"),
         "free": ("free_epsilon", "products_len", "free_depth"),
         "output": ("out", "csv"),
     }
     # Flags that set the field of the same name.
     _flags = ("family", "epsilon", "power", "table_values", "horizon", "depth", "captures",
-              "mu_offset", "chooser", "seed", "mode", "nmax", "forbidden_max", "scan_cap",
-              "products_len", "out", "csv")
+              "mu_offset", "chooser", "seed", "mode", "nmax", "forbidden_max", "products_len",
+              "out", "csv")
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -248,7 +246,7 @@ def cmd_analyze(cfg: RunConfig, system_path: str) -> int:
     while (1 << n) <= n_max:
         sandwich.append(analyzer.check_growth_sandwich(system, n))
         n += 1
-    recurrence = analyzer.verify_recurrence_gaps(system, cfg.scan_cap, cfg.sample_seed)
+    recurrence = analyzer.verify_recurrence_gaps(system)
     aperiodicity = None
     if system.depth >= 2:
         aperiodicity = analyzer.check_nonperiodicity(system, max(2, n_max))
@@ -367,7 +365,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--config")
     p_an.add_argument("--nmax", type=int, help="largest factor length analyzed")
     p_an.add_argument("--forbidden-max", dest="forbidden_max", type=int)
-    p_an.add_argument("--scan-cap", dest="scan_cap", type=int)
     p_an.add_argument("--out")
     p_an.add_argument("--csv", help="write the dimension series as CSV")
 

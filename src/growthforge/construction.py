@@ -307,20 +307,6 @@ class LevelSystem:
         self.csets.append(cs)
         return cs
 
-    # -- sampling ---------------------------------------------------------------
-
-    def sample_elements(self, level: int, count: int, seed: int) -> list[WordRef]:
-        """Seeded sample of W(2^level) without replacement; all of it when count covers it."""
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        radices, tails = self._admissible(level, "")
-        total = prod(radices)
-        if count >= total:
-            ranks = range(total)
-        else:
-            ranks = _sample_ranks(Random(f"growthforge-sample:{seed}:{level}"), total, count)
-        return [_unrank(level, radices, tails, rank) for rank in ranks]
-
 
 def _sample_ranks(rng: Random, total: int, k: int) -> list[int]:
     """k distinct ranks below total, by Floyd's algorithm.

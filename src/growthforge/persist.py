@@ -4,8 +4,9 @@ The file is canonical JSON (sorted keys, fixed separators, no timestamps)
 holding the growth parameters, chooser, seed, per-level member choice tuples
 (indices, never strings), the capture log, and a sha256 content digest.
 Identical configurations therefore produce byte-identical files. Loading
-re-derives every cached string and re-validates sizes, distinctness, and the
-digest before handing the system to analysis code.
+re-derives every cached string and re-validates sizes, distinctness, the
+digest, the capture levels and gap bounds, and the free parameters before
+handing the system to analysis code.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from pathlib import Path
 from .construction import CaptureEntry, CSet, FreeParams, LevelSystem, WordRef
 from .errors import SystemFileError
 from .exactmath import parse_rational
+from .freesub import compute_t
 from .growth import spec_from_dict
 
 FORMAT_NAME = "growthforge-system"
@@ -99,7 +101,7 @@ def _system_from_document(doc: dict, path: str | Path) -> LevelSystem:
         members = []
         for raw in tuples:
             ref = WordRef(level, tuple(raw))
-            _validate_ref(system, ref)
+            _validate_ref(system, ref, path)
             members.append(ref)
         strings = [system.expand(ref) for ref in members]
         if len(set(strings)) != len(strings):
@@ -107,13 +109,22 @@ def _system_from_document(doc: dict, path: str | Path) -> LevelSystem:
         system.csets.append(CSet(level, members, strings))
     system.capture_log = [CaptureEntry.from_dict(e) for e in doc["capture_log"]]
     for entry in system.capture_log:
+        # The recurrence certificate trusts the capture level and gap bound.
+        if not (0 <= entry.target_level < entry.capture_level < system.depth
+                and entry.gap_bound == 1 << (entry.capture_level + 1)):
+            raise SystemFileError(
+                f"{path}: malformed capture entry for {entry.target_word!r}: target level "
+                f"{entry.target_level}, capture level {entry.capture_level}, gap bound "
+                f"{entry.gap_bound!r}; need target < capture < depth {system.depth} and "
+                f"gap bound 2^(capture level + 1)")
         ref = WordRef(entry.target_level, tuple(entry.target_choices))
+        _validate_ref(system, ref, path)
         if system.expand(ref) != entry.target_word:
             raise SystemFileError(
                 f"{path}: capture target {entry.target_word!r} does not match its reference")
     if doc["free_params"]:
         fp = doc["free_params"]
-        system.free_params = FreeParams(
+        params = FreeParams(
             epsilon=parse_rational(fp["epsilon"]),
             t=fp["t"],
             degree=fp["degree"],
@@ -121,6 +132,13 @@ def _system_from_document(doc: dict, path: str | Path) -> LevelSystem:
             y_word=fp["y_word"],
             r_max=fp["r_max"],
         )
+        t = compute_t(params.epsilon)
+        if (params.t, params.degree, params.x_word, params.y_word, params.r_max) != (
+                t, 1 << t, "x" * (1 << t), "y" * (1 << t), system.depth - 1 - t):
+            raise SystemFileError(
+                f"{path}: malformed free_params: t, degree, x_word, y_word and r_max must "
+                f"follow from epsilon {params.epsilon} and depth {system.depth}")
+        system.free_params = params
     if system.depth != doc["depth"]:
         raise SystemFileError(f"{path}: depth field {doc['depth']} != {system.depth} levels")
     if system.depth < 1:
@@ -128,10 +146,10 @@ def _system_from_document(doc: dict, path: str | Path) -> LevelSystem:
     return system
 
 
-def _validate_ref(system: LevelSystem, ref: WordRef) -> None:
+def _validate_ref(system: LevelSystem, ref: WordRef, path: str | Path) -> None:
     for k, c in enumerate(ref.choices[:-1]):
         j = ref.level - 1 - k
         if not 0 <= c < len(system.csets[j]):
-            raise SystemFileError(f"choice {c} out of range at level {j}")
+            raise SystemFileError(f"{path}: choice {c} out of range at level {j}")
     if not 0 <= ref.choices[-1] < system.alphabet.size:
-        raise SystemFileError(f"letter index {ref.choices[-1]} out of range")
+        raise SystemFileError(f"{path}: letter index {ref.choices[-1]} out of range")

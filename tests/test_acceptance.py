@@ -96,7 +96,7 @@ def test_criterion_4_capture_correctness(captured7):
     for entry in captured7.capture_log:
         for s in captured7.csets[entry.capture_level].strings:
             ok &= entry.target_word in s
-    report = verify_recurrence_gaps(captured7, scan_cap=10_000, seed=0)
+    report = verify_recurrence_gaps(captured7)
     ok &= report.passed
     for entry in report.entries:
         ok &= entry.violations == 0
@@ -124,7 +124,7 @@ def test_criterion_5_mu_witnesses():
 
 def test_criterion_6_aperiodicity_and_minimality(captured7):
     ap = check_nonperiodicity(captured7, 32)
-    rec = verify_recurrence_gaps(captured7, scan_cap=10_000, seed=0)
+    rec = verify_recurrence_gaps(captured7)
     ok = ap.passed and rec.passed
     _verdict(6, "p(n) >= n+1 for n <= 32 and recurrence holds on the captured system", ok)
 
@@ -173,7 +173,7 @@ def test_criterion_9_determinism(tmp_path, monkeypatch):
         "[growth]\nfamily = poly_geometric\nepsilon = 1/10\nhorizon = 12\n"
         "[build]\nmode = recurrent\ndepth = 5\ncaptures = 2\nmu_offset = 0\n"
         "chooser = lex\nseed = 0\n"
-        "[analyze]\nnmax = 8\nforbidden_max = 5\nscan_cap = 2000\n")
+        "[analyze]\nnmax = 8\nforbidden_max = 5\n")
     outputs = []
     # Identical configs including relative output paths; only the working
     # directory differs between the two runs.

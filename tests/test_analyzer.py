@@ -1,6 +1,8 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from growthforge.errors import BudgetExceeded, DepthTooShallow
 from growthforge import analyzer
@@ -16,8 +18,8 @@ from growthforge.analyzer import (
     scan_occurrences,
     verify_recurrence_gaps,
 )
-from growthforge.construction import CaptureEntry, build_plain
-from growthforge.growth import table_spec
+from growthforge.construction import CaptureEntry, build_plain, build_uniformly_recurrent
+from growthforge.growth import exp_power, poly_geometric, table_spec
 
 
 class TestFactorSets:
@@ -51,7 +53,7 @@ class TestFactorSets:
             for n in range(1, top + 1):
                 assert (factor_set_structural(system, n).members
                         == factor_set_bruteforce(system, n).members)
-            assert verify_recurrence_gaps(system, scan_cap=2000, seed=0).passed
+            assert verify_recurrence_gaps(system).passed
 
     def test_python_and_numpy_paths_agree(self, captured4):
         # count() and factors() read the same sorted uint64 window codes
@@ -240,10 +242,11 @@ class TestRecurrence:
             capture_level=1, gap_bound=4, m_before=-1,
             filled_levels=[], retries=[])]
         try:
-            rep = verify_recurrence_gaps(toy_system, scan_cap=100, seed=0)
+            rep = verify_recurrence_gaps(toy_system)
             entry = rep.entries[0]
             assert entry.passed
             assert entry.max_gap <= 4 and entry.max_first_occurrence <= 4
+            assert entry.max_tail <= 4
         finally:
             toy_system.capture_log = []
 
@@ -252,11 +255,17 @@ class TestRecurrence:
         assert rep.entries == [] and rep.passed
 
     def test_captured7_zero_violations(self, captured7):
-        rep = verify_recurrence_gaps(captured7, scan_cap=1000, seed=3)
-        assert rep.passed
+        rep = verify_recurrence_gaps(captured7)
+        assert rep.passed and "exhaustive" in rep.certification
         for entry in rep.entries:
-            assert entry.max_gap <= entry.gap_bound
-            assert entry.max_first_occurrence <= entry.gap_bound
+            c, p = entry.gap_bound, len(entry.target_word)
+            # The window form: every length-c window holds the target.
+            assert entry.max_first_occurrence <= c - p
+            assert entry.max_gap <= c - p + 1
+            assert entry.max_tail <= c
+            assert entry.elements_scanned == sum(
+                captured7.level_word_count(m)
+                for m in range(entry.capture_level + 1, captured7.depth + 1))
 
     def test_violation_detected_on_fake_bound(self, captured7):
         # Shrinking the recorded bound must produce violations: the scan is
@@ -265,10 +274,97 @@ class TestRecurrence:
         original = entry.gap_bound
         entry.gap_bound = 1
         try:
-            rep = verify_recurrence_gaps(captured7, scan_cap=50, seed=0)
+            rep = verify_recurrence_gaps(captured7)
             assert not rep.entries[1].passed
         finally:
             entry.gap_bound = original
+
+
+def window_oracle(system) -> list[tuple[int, int, int, int, int]]:
+    """(max first, max gap, max tail, elements, violations) per capture, by brute force.
+
+    Expands every element of every level above the capture level and checks
+    every length-c window; a word without the target counts first = tail = |u|.
+    """
+    out = []
+    for log in system.capture_log:
+        w, c = log.target_word, log.gap_bound
+        firsts, gaps, tails = [0], [0], [0]
+        scanned = violations = 0
+        for m in range(log.capture_level + 1, system.depth + 1):
+            for ref in system.iter_refs(m):
+                u = system.expand(ref)
+                occ = [i for i in range(len(u)) if u.startswith(w, i)]
+                scanned += 1
+                firsts.append(occ[0] if occ else len(u))
+                tails.append(len(u) - occ[-1] if occ else len(u))
+                gaps.extend(b - a for a, b in zip(occ, occ[1:]))
+                violations += any(w not in u[s:s + c] for s in range(len(u) - c + 1))
+        out.append((max(firsts), max(gaps), max(tails), scanned, violations))
+    return out
+
+
+def summary_route(system) -> list[tuple[int, int, int, int, int]]:
+    return [(e.max_first_occurrence, e.max_gap, e.max_tail, e.elements_scanned, e.violations)
+            for e in verify_recurrence_gaps(system).entries]
+
+
+class TestRecurrenceOracle:
+    @pytest.mark.parametrize("shrink", [0, 1, 2])
+    @pytest.mark.parametrize("build", [
+        lambda: build_uniformly_recurrent(poly_geometric("1/10"), depth=4, capture_budget=2,
+                                          horizon=12),
+        lambda: build_uniformly_recurrent(poly_geometric("1/10"), depth=5, capture_budget=4,
+                                          horizon=12),
+        lambda: build_uniformly_recurrent(poly_geometric("1/10"), depth=4, capture_budget=2,
+                                          chooser="seeded", seed=11, horizon=12),
+        lambda: build_uniformly_recurrent(exp_power("1/2"), depth=5, capture_budget=2,
+                                          horizon=12),
+    ], ids=["captured4", "depth5-4-captures", "seeded", "exp_power"])
+    def test_built_systems_match_window_oracle(self, build, shrink):
+        system = build()
+        system.capture_log = [dataclasses.replace(e, gap_bound=max(1, e.gap_bound >> shrink))
+                              for e in system.capture_log]
+        assert summary_route(system) == window_oracle(system)
+        if shrink:
+            # Shrunk bounds must be caught: the certificate is not vacuous.
+            assert any(e.violations for e in verify_recurrence_gaps(system).entries)
+
+    def test_captured4_exact_values(self, captured4):
+        # Targets a (c = 4) and b (c = 8) over levels 2..4 and 3..4.
+        assert summary_route(captured4) == [(1, 4, 3, 152, 0), (3, 8, 5, 144, 0)]
+
+
+@st.composite
+def capture_systems(draw):
+    """A small table_spec system (d = 2 or 3) carrying hand-set capture entries."""
+    d = draw(st.sampled_from([2, 3]))
+    depth = draw(st.integers(2, 5))
+    values, v, capacity = {1: d}, d, d
+    for i in range(depth):
+        r = min(draw(st.integers(1, 3)), capacity)
+        v, capacity = v * r, capacity * r
+        values[1 << (i + 1)] = v
+    system = build_plain(table_spec(values), draw(st.sampled_from(["lex", "seeded"])), depth,
+                         seed=draw(st.integers(0, 2 ** 16)))
+    letters = system.alphabet.letters
+    system.capture_log = [
+        CaptureEntry(target_level=0, target_choices=(0,),
+                     target_word=draw(st.text(alphabet=letters, min_size=1, max_size=5)),
+                     capture_level=draw(st.integers(0, min(3, depth - 1))),
+                     gap_bound=draw(st.integers(1, 20)), m_before=-1,
+                     filled_levels=[], retries=[])
+        for _ in range(draw(st.integers(1, 3)))]
+    return system
+
+
+@given(capture_systems())
+@settings(max_examples=60, deadline=None)
+def test_summaries_match_window_oracle(system):
+    # Targets up to 5 letters from capture level 0 reach levels where
+    # 2^m < |w| - 1. Bounds 1..20 include some below |w|, where every window
+    # fails, and some above |u|, where an element has no window to check.
+    assert summary_route(system) == window_oracle(system)
 
 
 class TestAperiodicity:

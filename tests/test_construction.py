@@ -238,25 +238,9 @@ class TestFreeBuilder:
 
 
 class TestSampling:
-    def test_exhaustive_when_count_exceeds(self, toy_system):
-        refs = toy_system.sample_elements(2, 99, seed=1)
-        assert len(refs) == 8
-        assert [toy_system.expand(r) for r in refs[:2]] == ["aaaa", "aaab"]
-
-    def test_seeded_stability(self, captured4):
-        a = captured4.sample_elements(3, 5, seed=9)
-        b = captured4.sample_elements(3, 5, seed=9)
-        assert a == b
-        c = captured4.sample_elements(3, 5, seed=10)
-        assert a != c
-
     def test_sample_ranks_distinct_at_any_size(self):
         # random.sample(range(total), k) raises OverflowError past sys.maxsize.
         for total, k in ((2 ** 70, 50), (sys.maxsize + 2, 3), (7, 7), (5, 1)):
             ranks = _sample_ranks(Random(1), total, k)
             assert len(set(ranks)) == k and all(0 <= r < total for r in ranks)
         assert _sample_ranks(Random(1), 2 ** 70, 50) == _sample_ranks(Random(1), 2 ** 70, 50)
-
-    def test_level_zero(self, toy_system):
-        refs = toy_system.sample_elements(0, 2, seed=0)
-        assert sorted(toy_system.expand(r) for r in refs) == ["a", "b"]

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from growthforge import persist
 from growthforge.cli import RunConfig, main
@@ -150,13 +151,23 @@ class TestCli:
         assert "depth 0" in err and str(sys_path) in err
         assert "negative shift count" not in err
 
-    @pytest.mark.parametrize("mutate", [
-        lambda doc: doc.pop("chooser"),
-        lambda doc: doc.update(csets=5),
-        lambda doc: doc["csets"][1][0].__setitem__(0, "0"),
-        lambda doc: doc["capture_log"][0].pop("gap_bound"),
-    ], ids=["no-chooser", "csets-int", "string-choice", "capture-no-gap-bound"])
-    def test_analyze_malformed_exits_2(self, tmp_path, captured4, capsys, mutate):
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda doc: doc.pop("chooser"), "malformed"),
+        (lambda doc: doc.update(csets=5), "malformed"),
+        (lambda doc: doc["csets"][1][0].__setitem__(0, "0"), "malformed"),
+        (lambda doc: doc["capture_log"][0].pop("gap_bound"), "malformed"),
+        # A negative index would wrap around to the last letter, still "b".
+        (lambda doc: doc["capture_log"][1].update(target_choices=[-1]), "out of range"),
+        # The certificate would pass and state c = 10^6.
+        (lambda doc: doc["capture_log"][0].update(gap_bound=10 ** 6), "malformed capture"),
+        (lambda doc: doc["capture_log"][0].update(gap_bound="0"), "malformed capture"),
+        # Consistent bound, but no level above the capture is left to certify.
+        (lambda doc: doc["capture_log"][1].update(capture_level=4, gap_bound=32),
+         "malformed capture"),
+    ], ids=["no-chooser", "csets-int", "string-choice", "capture-no-gap-bound",
+            "capture-negative-choice", "capture-huge-gap-bound", "capture-string-gap-bound",
+            "capture-at-depth"])
+    def test_analyze_malformed_exits_2(self, tmp_path, captured4, capsys, mutate, message):
         # Each document carries a recomputed digest, so only the shape is wrong.
         doc = persist.system_to_document(captured4)
         mutate(doc)
@@ -165,7 +176,22 @@ class TestCli:
         sys_path.write_text(json.dumps(doc))
         assert main(["analyze", str(sys_path), "--out", str(tmp_path / "r.json")]) == 2
         err = capsys.readouterr().err
-        assert "malformed" in err and "Traceback" not in err
+        assert message in err and str(sys_path) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("mutate", [
+        # One-letter generators would make the freeness check vacuous.
+        lambda fp: fp.update(x_word="x", y_word="y"),
+        lambda fp: fp.update(y_word=[]),
+        lambda fp: fp.update(degree=[]),
+    ], ids=["one-letter-words", "y-word-list", "degree-list"])
+    def test_free_malformed_exits_2(self, tmp_path, free_system_eps1, capsys, mutate):
+        doc = persist.system_to_document(free_system_eps1[0])
+        mutate(doc["free_params"])
+        doc["digest"] = persist.document_digest(doc)
+        sys_path = tmp_path / "bad.json"
+        sys_path.write_text(json.dumps(doc))
+        assert main(["free", str(sys_path), "--out", str(tmp_path / "r.json")]) == 2
+        assert "malformed free_params" in capsys.readouterr().err
 
     def test_free_with_system_file(self, tmp_path):
         system, _ = build_free_power_system(1, 4)
@@ -230,3 +256,59 @@ class TestCli:
             f"[output]\nout = {tmp_path / 'sys.json'}\n")
         assert main(["build", "--config", str(cfg)]) == 0
         assert (tmp_path / "sys.json").exists()
+
+
+# -- hostile system files ------------------------------------------------------
+
+
+def _leaf_paths(node, path=()):
+    """Key paths to every scalar and every empty container of a JSON document."""
+    if isinstance(node, dict) and node:
+        for key, value in node.items():
+            yield from _leaf_paths(value, path + (key,))
+    elif isinstance(node, list) and node:
+        for i, value in enumerate(node):
+            yield from _leaf_paths(value, path + (i,))
+    else:
+        yield path
+
+
+@pytest.fixture(scope="module")
+def fuzz_documents(tmp_path_factory):
+    captured = build_uniformly_recurrent(poly_geometric("1/10"), depth=4, capture_budget=2,
+                                         horizon=12)
+    free, _ = build_free_power_system(1, 4)
+    docs = [persist.system_to_document(captured), persist.system_to_document(free)]
+    # Choice indices are most of the leaves, so the rest get a pool of their own.
+    leaves = [[p for p in _leaf_paths(doc) if p != ("digest",)] for doc in docs]
+    pools = [(st.sampled_from(every) | st.sampled_from([p for p in every if p[0] != "csets"]))
+             for every in leaves]
+    return docs, pools, tmp_path_factory.mktemp("fuzz")
+
+
+REMOVE = object()
+
+
+@given(which=st.integers(0, 1), data=st.data(),
+       value=st.sampled_from([None, -1, 10 ** 6, "0", [], {}, REMOVE]))
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_hostile_documents_never_raise(fuzz_documents, which, data, value):
+    # One leaf of a valid captured or free document is replaced or removed and
+    # the digest recomputed; every command must end with a documented exit code.
+    docs, pools, work = fuzz_documents
+    doc = json.loads(json.dumps(docs[which]))
+    path = data.draw(pools[which])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is REMOVE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    doc["digest"] = persist.document_digest(doc)
+    sys_path = work / "fuzz.json"
+    sys_path.write_text(json.dumps(doc))
+    out = str(work / "report.json")
+    assert main(["analyze", str(sys_path), "--out", out]) in (0, 1, 2)
+    assert main(["free", str(sys_path), "--products-len", "2", "--out", out]) in (0, 1, 2)
