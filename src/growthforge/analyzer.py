@@ -15,8 +15,10 @@ the union of the W(2^j), j <= depth. Two independent routes compute it:
     with prefix sets computed by the same halving recursion.
 
 Words are base-d integer codes, an injective encoding, so counts are exact.
-Each choice-set member is encoded once; every suffix code is then
-member_code mod d^a and every short prefix code member_code div d^(len-m).
+A member of C_j is a member of C_(j-1) followed by a shorter element, so
+member codes are folded up the levels from member references; no member
+string is encoded. Every suffix code is then member_code mod d^a and every
+short prefix code member_code div d^(len-m).
 Prefix and suffix tables are sorted code arrays, one per (level, length),
 held as uint64 when d^length <= 2^64 and as Python ints beyond. |F(n)|
 comes from concatenating the straddle products into one array of the same
@@ -37,8 +39,10 @@ The recurrence certificate covers every element of every level and expands
 none of them. For a captured target w, an occurrence summary records a
 word's length, its |w|-1 letters at each end, the first and last start of w
 and the largest gap between starts. The summary of uv follows from those of
-u and v, so each level W(2^(j+1)) = C(2^j) W(2^j) is a Counter of distinct
-summaries with element multiplicities.
+u and v, so member summaries are folded from member references the same way
+as member codes, with no member string scanned, and each level
+W(2^(j+1)) = C(2^j) W(2^j) is a Counter of distinct summaries with element
+multiplicities.
 """
 
 from __future__ import annotations
@@ -115,10 +119,10 @@ class FactorEngine:
         self._prefix: dict[tuple[int, int], np.ndarray] = {}
         self._suffix: dict[tuple[int, int], np.ndarray] = {}
         self._counts: dict[int, int] = {}
-        self._members = [
-            self._table(sorted(self.encode(w) for w in cs.strings), 1 << cs.level)
-            for cs in system.csets
-        ]
+        # A level-l join shifts the head past 2^(l-1) letters.
+        scale = [self.d ** (1 << (l - 1)) if l else 1 for l in range(self.depth)]
+        codes = _fold_members(system, lambda i: i, lambda head, tail, l: head * scale[l] + tail)
+        self._members = [self._table(sorted(level), 1 << j) for j, level in enumerate(codes)]
 
     def encode(self, word: str) -> int:
         code = 0
@@ -280,6 +284,28 @@ def factor_set_bruteforce(system: LevelSystem, n: int, budget: int | None = None
             for i in range(len(word) - n + 1):
                 seen.add(word[i:i + n])
     return FactorSet(n, frozenset(seen), system.depth, "bruteforce")
+
+
+def _fold_members(system: LevelSystem, leaf, join) -> list[list]:
+    """For each level j, one value per C_j member in member order, folded from its ref.
+
+    A member (c_(j-1), ..., c_0, letter) is C_(j-1)[c_(j-1)] followed by the
+    element (c_(j-2), ..., letter), so its value is v = leaf(letter) and then
+    v = join(value of C_(l-1)[c_(l-1)], v, l) for l = 1..j. Member strings
+    are never read.
+    """
+    leaves = [leaf(i) for i in range(system.alphabet.size)]
+    values: list[list] = []
+    for j, cs in enumerate(system.csets):
+        level = []
+        for ref in cs.members:
+            choices = ref.choices
+            v = leaves[choices[j]]
+            for l in range(1, j + 1):
+                v = join(values[l - 1][choices[j - l]], v, l)
+            level.append(v)
+        values.append(level)
+    return values
 
 
 def _engine_for(system: LevelSystem) -> FactorEngine:
@@ -501,14 +527,27 @@ def verify_recurrence_gaps(system: LevelSystem) -> RecurrenceReport:
     That is first <= c - |w|, gaps <= c - |w| + 1 and |u| - last <= c; a u
     without w has first = tail = |u|, and a u shorter than c has no window.
     """
+    letters = system.alphabet.letters
     entries: list[RecurrenceEntry] = []
     for log in system.capture_log:
         word, bound = log.target_word, log.gap_bound
         slack = bound - len(word)
-        level = Counter(_summary(ch, word) for ch in system.alphabet.letters)
+        level = Counter(_summary(ch, word) for ch in letters)
+        # Members share few distinct summaries, so each (head, rest) pair is
+        # concatenated once.
+        joined: dict[tuple, tuple] = {}
+
+        def join(head, rest, _level):
+            key = (head, rest)
+            hit = joined.get(key)
+            if hit is None:
+                hit = joined[key] = _concat(head, rest, word)
+            return hit
+
+        summaries = _fold_members(system, lambda i: _summary(letters[i], word), join)
         max_gap = max_first = max_tail = scanned = violations = 0
         for m in range(1, system.depth + 1):
-            members = Counter(_summary(s, word) for s in system.csets[m - 1].strings)
+            members = Counter(summaries[m - 1])
             level, previous = Counter(), level
             for head, x in members.items():
                 for rest, y in previous.items():

@@ -152,6 +152,12 @@ def _emit(doc: dict, path: str) -> None:
         sys.stdout.write(text)
 
 
+def _require_at_least(value: int, low: int, flag: str) -> None:
+    """Refuse a count below `low`, whether it came from a flag or a config file."""
+    if value < low:
+        raise ValueError(f"{flag} must be at least {low}, got {value}")
+
+
 # -- subcommands ----------------------------------------------------------------
 
 
@@ -208,6 +214,7 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def cmd_build(cfg: RunConfig, force: bool) -> int:
+    _require_at_least(cfg.captures, 0, "--captures")
     spec = cfg.growth_spec()
     if cfg.mode == "recurrent" and not force:
         checks = verify_hypotheses(spec, cfg.horizon, betas=cfg.beta_list(),
@@ -237,6 +244,8 @@ def cmd_build(cfg: RunConfig, force: bool) -> int:
 
 
 def cmd_analyze(cfg: RunConfig, system_path: str) -> int:
+    _require_at_least(cfg.nmax, 1, "--nmax")
+    _require_at_least(cfg.forbidden_max, 0, "--forbidden-max")
     system = persist.load_system(system_path)
     digest = persist.system_to_document(system)["digest"]
     n_max = min(cfg.nmax, 1 << (system.depth - 1))

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,9 +19,22 @@ from growthforge.analyzer import (
     minimal_forbidden_words,
     scan_occurrences,
     verify_recurrence_gaps,
+    _concat,
+    _fold_members,
+    _summary,
 )
-from growthforge.construction import CaptureEntry, build_plain, build_uniformly_recurrent
+from growthforge.construction import (
+    CaptureEntry, build_plain, build_uniformly_recurrent, init_system,
+)
 from growthforge.growth import exp_power, poly_geometric, table_spec
+
+
+@pytest.fixture(scope="module")
+def long_members_d3():
+    """d = 3 at depth 14: level-13 members hold 8192 letters."""
+    values = {1: 3, 2: 6, 4: 12, 8: 12, 16: 24, 32: 24, 64: 24}
+    values.update({1 << k: 48 for k in range(7, 15)})
+    return build_plain(table_spec(values), "seeded", 14, seed=5)
 
 
 class TestFactorSets:
@@ -104,12 +119,10 @@ class TestFactorSets:
             assert engine.factors(n) == oracle
             assert all(engine.contains(w) for w in oracle)
 
-    def test_long_members_d3(self):
-        # d = 3 at depth 14: level-13 members hold 8192 letters, more base-3
-        # digits than Python's int-from-string limit of 4300.
-        values = {1: 3, 2: 6, 4: 12, 8: 12, 16: 24, 32: 24, 64: 24}
-        values.update({1 << k: 48 for k in range(7, 15)})
-        system = build_plain(table_spec(values), "seeded", 14, seed=5)
+    def test_long_members_d3(self, long_members_d3):
+        # Level-13 members hold more base-3 digits than Python's
+        # int-from-string limit of 4300.
+        system = long_members_d3
         assert len(system.csets[13].strings[0]) == 8192
         engine = FactorEngine(system)
         for n in (5, 64):
@@ -335,18 +348,23 @@ class TestRecurrenceOracle:
         assert summary_route(captured4) == [(1, 4, 3, 152, 0), (3, 8, 5, 144, 0)]
 
 
-@st.composite
-def capture_systems(draw):
-    """A small table_spec system (d = 2 or 3) carrying hand-set capture entries."""
+def draw_table(draw, depth):
+    """A table_spec over d = 2 or 3 letters whose ratios 1-3 every level can fill."""
     d = draw(st.sampled_from([2, 3]))
-    depth = draw(st.integers(2, 5))
     values, v, capacity = {1: d}, d, d
     for i in range(depth):
         r = min(draw(st.integers(1, 3)), capacity)
         v, capacity = v * r, capacity * r
         values[1 << (i + 1)] = v
-    system = build_plain(table_spec(values), draw(st.sampled_from(["lex", "seeded"])), depth,
-                         seed=draw(st.integers(0, 2 ** 16)))
+    return table_spec(values)
+
+
+@st.composite
+def capture_systems(draw):
+    """A small table_spec system (d = 2 or 3) carrying hand-set capture entries."""
+    depth = draw(st.integers(2, 5))
+    system = build_plain(draw_table(draw, depth), draw(st.sampled_from(["lex", "seeded"])),
+                         depth, seed=draw(st.integers(0, 2 ** 16)))
     letters = system.alphabet.letters
     system.capture_log = [
         CaptureEntry(target_level=0, target_choices=(0,),
@@ -365,6 +383,83 @@ def test_summaries_match_window_oracle(system):
     # 2^m < |w| - 1. Bounds 1..20 include some below |w|, where every window
     # fails, and some above |u|, where an element has no window to check.
     assert summary_route(system) == window_oracle(system)
+
+
+# -- folds over member references ---------------------------------------------------
+
+
+def assert_folds_match_strings(system, words):
+    """Member codes and occurrence summaries folded from refs equal those read off the strings."""
+    d, letters = system.alphabet.size, system.alphabet.letters
+    engine = FactorEngine(system)
+    codes = [[engine.encode(s) for s in cs.strings] for cs in system.csets]
+    assert _fold_members(system, lambda i: i,
+                         lambda head, tail, l: head * d ** (1 << (l - 1)) + tail) == codes
+    # The engine's whole-member tables come from its own fold.
+    assert [engine.suffixes(j, 1 << j).tolist() for j in range(system.depth)] == [
+        sorted(level) for level in codes]
+    for w in words:
+        folded = _fold_members(system, lambda i: _summary(letters[i], w),
+                               lambda head, rest, _: _concat(head, rest, w))
+        assert folded == [[_summary(s, w) for s in cs.strings] for cs in system.csets]
+
+
+@st.composite
+def fold_systems(draw):
+    """A table_spec system (d = 2 or 3, depth 2-6) and target words.
+
+    With captures, some levels take a lower-level element as the common
+    suffix of all their members, as a capture does, and that element is a
+    target; one arbitrary word of 1-4 letters is always a target.
+    """
+    depth = draw(st.integers(2, 6))
+    system = init_system(draw_table(draw, depth), draw(st.sampled_from(["lex", "seeded"])),
+                         seed=draw(st.integers(0, 2 ** 16)))
+    captures = draw(st.booleans())
+    targets = [draw(st.text(alphabet=system.alphabet.letters, min_size=1, max_size=4))]
+    for level in range(depth):
+        suffix = ""
+        if captures and level:
+            t = draw(st.integers(0, level - 1))
+            word = system.expand(system.ref_from_rank(
+                t, draw(st.integers(0, system.level_word_count(t) - 1))))
+            radices, tails = system._admissible(level, word)
+            if prod(radices) * len(tails) >= system.spec.ratio(level):
+                suffix = word
+                targets.append(word)
+        system.choose_cset(level, suffix=suffix)
+    return system, targets
+
+
+@given(fold_systems())
+@settings(max_examples=60, deadline=None)
+def test_fold_matches_member_strings(system_targets):
+    assert_folds_match_strings(*system_targets)
+
+
+class TestFold:
+    def test_free_eps1(self, free_system_eps1):
+        assert_folds_match_strings(free_system_eps1[0], ["x", "yx", "xyy", "yxxy"])
+
+    def test_long_members_d3(self, long_members_d3):
+        assert_folds_match_strings(long_members_d3, ["a", "cb", "abc", "bcab"])
+
+    def test_engine_and_certificate_read_no_member_strings(self, captured7):
+        class Unreadable(list):
+            def __iter__(self):
+                raise AssertionError("member strings read")
+
+            def __getitem__(self, index):
+                raise AssertionError("member strings read")
+
+        guarded = copy.copy(captured7)
+        guarded.csets = [dataclasses.replace(cs, strings=Unreadable(cs.strings))
+                         for cs in captured7.csets]
+        engine, reference = FactorEngine(guarded), FactorEngine(captured7)
+        for n in range(1, 17):
+            assert engine.count(n) == reference.count(n)
+        expected = verify_recurrence_gaps(captured7).to_dict()
+        assert verify_recurrence_gaps(guarded).to_dict() == expected
 
 
 class TestAperiodicity:

@@ -178,6 +178,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert message in err and str(sys_path) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, config, flag", [
+        (["analyze", "{system}", "--nmax", "0"], "", "--nmax"),
+        (["analyze", "{system}", "--nmax", "-3"], "", "--nmax"),
+        (["analyze", "{system}", "--forbidden-max", "-1"], "", "--forbidden-max"),
+        (["build", "--family", "poly_geometric", "--epsilon", "1/10", "--mode", "recurrent",
+          "--depth", "4", "--captures", "-1", "--out", "{system}"], "", "--captures"),
+        (["analyze", "{system}"], "[analyze]\nnmax = 0\n", "--nmax"),
+        (["build", "--mode", "recurrent", "--depth", "4", "--out", "{system}"],
+         "[build]\ncaptures = -2\n", "--captures"),
+    ], ids=["nmax-0", "nmax-negative", "forbidden-max-negative", "captures-negative",
+            "config-nmax-0", "config-captures-negative"])
+    def test_nonsensical_counts_exit_2(self, tmp_path, toy_system, capsys, argv, config, flag):
+        sys_path = tmp_path / "sys.json"
+        persist.save_system(toy_system, sys_path)
+        before = sys_path.read_bytes()
+        argv = [a.replace("{system}", str(sys_path)) for a in argv]
+        argv += ["--out", str(tmp_path / "r.json")] if argv[0] == "analyze" else []
+        if config:
+            (tmp_path / "run.ini").write_text(config)
+            argv += ["--config", str(tmp_path / "run.ini")]
+        assert main(argv) == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists() and sys_path.read_bytes() == before
+
     @pytest.mark.parametrize("mutate", [
         # One-letter generators would make the freeness check vacuous.
         lambda fp: fp.update(x_word="x", y_word="y"),
