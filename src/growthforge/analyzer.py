@@ -3,8 +3,10 @@
 The factor set F(n) is the set of distinct length-n windows of all words in
 the union of the W(2^j), j <= depth. Two independent routes compute it:
 
-  * brute force: expand every element of every level and slide windows
-    (bounded by a character budget, the oracle for everything else);
+  * brute force: expand each choice-set member once with
+    LevelSystem.expand, join every element of every level from those words
+    and slide windows (bounded by a character budget, the oracle for
+    everything else);
   * structural: never materialize W. Every window either sits inside the
     leading choice-set block of some level or straddles the boundary between
     that block and the W-tail behind it, so
@@ -275,12 +277,15 @@ def factor_set_bruteforce(system: LevelSystem, n: int, budget: int | None = None
     total = sum(system.level_word_count(j) << j for j in range(system.depth + 1))
     if total > budget:
         raise BudgetExceeded(total, budget)
+    # Members are elements too, so their expansion stays inside the budget.
+    members = [[system.expand(ref) for ref in cs.members] for cs in system.csets]
     seen: set[str] = set()
     for j in range(system.depth + 1):
         if (1 << j) < n:
             continue
+        blocks = members[:j][::-1] + [system.alphabet.letters]   # one per choice
         for ref in system.iter_refs(j):
-            word = system.expand(ref)
+            word = "".join([block[c] for block, c in zip(blocks, ref.choices)])
             for i in range(len(word) - n + 1):
                 seen.add(word[i:i + n])
     return FactorSet(n, frozenset(seen), system.depth, "bruteforce")

@@ -298,6 +298,8 @@ def cmd_analyze(cfg: RunConfig, system_path: str) -> int:
 
 
 def cmd_free(cfg: RunConfig, system_path: str | None) -> int:
+    _require_at_least(cfg.free_depth, 0, "--depth")
+    _require_at_least(cfg.products_len, 1, "--products-len")
     eps = parse_rational(cfg.free_epsilon)
     verification = None
     digest = None

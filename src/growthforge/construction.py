@@ -5,7 +5,8 @@ W(1) = alphabet and W(2^(i+1)) = C(2^i) W(2^i), where each choice set
 C(2^i) is a subset of W(2^i) of exactly r_i = ceil(f(2^(i+1))/f(2^i))
 elements. W(2^i) is never materialized: an element is a reference
 (c_(i-1), ..., c_0, letter) that picks one choice-set member per level plus
-a final letter, and expands to the concatenation of those cached strings.
+a final letter. Choice sets hold member references only, so a word's
+letters are a view derived on demand by expanding its references.
 
 Three builders are provided:
 
@@ -26,7 +27,7 @@ treated as immutable by all analysis code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from random import Random
@@ -71,18 +72,10 @@ class WordRef:
 
 @dataclass
 class CSet:
-    """Materialized choice set at one level: member refs plus cached strings."""
+    """Choice set at one level: its member refs, in member order."""
 
     level: int
     members: list[WordRef]
-    strings: list[str]
-    # Populated lazily: string -> index, for suffix decomposition.
-    _index: dict[str, int] | None = field(default=None, repr=False)
-
-    def index_of(self, word: str) -> int | None:
-        if self._index is None:
-            self._index = {s: k for k, s in enumerate(self.strings)}
-        return self._index.get(word)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -197,29 +190,26 @@ class LevelSystem:
     # -- expansion -------------------------------------------------------------
 
     def expand(self, ref: WordRef) -> str:
-        """The 2^level-letter word a reference denotes."""
-        parts = []
-        for k, c in enumerate(ref.choices[:-1]):
-            parts.append(self.csets[ref.level - 1 - k].strings[c])
-        parts.append(self.alphabet.letters[ref.choices[-1]])
-        return "".join(parts)
+        """The 2^level-letter word a reference denotes, by recursion on member refs.
+
+        A member met twice within one expansion is expanded once.
+        """
+        csets, letters = self.csets, self.alphabet.letters
+        words: dict[tuple[int, int], str] = {}
+
+        def word(ref: WordRef) -> str:
+            j, parts = ref.level, []
+            for c in ref.choices[:-1]:
+                j -= 1
+                w = words.get((j, c))
+                if w is None:
+                    w = words[j, c] = word(csets[j].members[c])
+                parts.append(w)
+            return "".join(parts) + letters[ref.choices[-1]]
+
+        return word(ref)
 
     # -- admissible-word combinatorics ----------------------------------------
-
-    def _suffix_tail_ref(self, level: int, suffix: str) -> WordRef | None:
-        """Unique ref of W(2^level) expanding exactly to suffix (len = 2^level)."""
-        if level == 0:
-            if suffix in self.alphabet.letters:
-                return WordRef(0, (self.alphabet.index(suffix),))
-            return None
-        half = 1 << (level - 1)
-        c = self.csets[level - 1].index_of(suffix[:half])
-        if c is None:
-            return None
-        tail = self._suffix_tail_ref(level - 1, suffix[half:])
-        if tail is None:
-            return None
-        return WordRef(level, (c,) + tail.choices)
 
     def _admissible(self, level: int, suffix: str) -> tuple[list[int], list[tuple[int, ...]]]:
         """The W(2^level) elements ending with suffix, as radices and tails.
@@ -228,7 +218,9 @@ class LevelSystem:
         significant first, and the letter when suffix is empty) followed by
         one of the fixed tails, which list the low-level choices in tuple-lex
         order. There are prod(radices) * len(tails) of them, and mixed-radix
-        rank order over (radices, tail index) is tuple-lex order.
+        rank order over (radices, tail index) is tuple-lex order. Suffixes
+        are matched against the expanded members of the one level they
+        split at, and the recursion finds the lower part's one tail.
         """
         if len(suffix) > 1 << level:
             return [], []
@@ -239,15 +231,13 @@ class LevelSystem:
         if not suffix:
             return radices + [self.alphabet.size], [()]
         if level == 0:
-            tail = self._suffix_tail_ref(0, suffix)
-            return radices, [tail.choices] if tail else []
+            found = suffix in self.alphabet.letters
+            return radices, [(self.alphabet.index(suffix),)] if found else []
         half = 1 << (level - 1)
-        tail = self._suffix_tail_ref(level - 1, suffix[-half:])
-        if tail is None:
-            return radices, []
         head = suffix[:-half]
-        holders = self.csets[level - 1].strings
-        return radices, [(c,) + tail.choices for c, s in enumerate(holders) if s.endswith(head)]
+        holders = self.csets[level - 1].members
+        return radices, [(c,) + tail for tail in self._admissible(level - 1, suffix[-half:])[1]
+                         for c, ref in enumerate(holders) if self.expand(ref).endswith(head)]
 
     # -- choice-set construction ----------------------------------------------
 
@@ -300,10 +290,7 @@ class LevelSystem:
                 chosen.append(ref)
                 fill -= 1
 
-        strings = [self.expand(ref) for ref in chosen]
-        if len(set(strings)) != len(strings):
-            raise AssertionError(f"level {level}: duplicate member words")
-        cs = CSet(level, chosen, strings)
+        cs = CSet(level, chosen)
         self.csets.append(cs)
         return cs
 

@@ -1,11 +1,12 @@
 """Versioned persistence for built systems.
 
-The file is canonical JSON (sorted keys, fixed separators, no timestamps)
+The file is canonical JSON (sorted keys, compact separators, no timestamps)
 holding the growth parameters, chooser, seed, per-level member choice tuples
-(indices, never strings), the capture log, and a sha256 content digest.
-Identical configurations therefore produce byte-identical files. Loading
-re-derives every cached string and re-validates sizes, distinctness, the
-digest, the capture levels and gap bounds, and the free parameters before
+(indices, never strings), the capture log, and a sha256 content digest over
+the same canonical text without the digest. Identical configurations
+therefore produce byte-identical files. Loading expands no member: it
+re-validates the digest, set sizes, choice ranges, distinct choice tuples,
+the capture levels, gap bounds and targets, and the free parameters before
 handing the system to analysis code.
 """
 
@@ -19,7 +20,7 @@ from .construction import CaptureEntry, CSet, FreeParams, LevelSystem, WordRef
 from .errors import SystemFileError
 from .exactmath import parse_rational
 from .freesub import compute_t
-from .growth import spec_from_dict
+from .growth import geometric, spec_from_dict
 
 FORMAT_NAME = "growthforge-system"
 FORMAT_VERSION = 1
@@ -57,12 +58,12 @@ def system_to_document(system: LevelSystem) -> dict:
 def save_system(system: LevelSystem, path: str | Path) -> str:
     """Write the system file; returns its digest."""
     doc = system_to_document(system)
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    Path(path).write_text(canonical_json(doc) + "\n")
     return doc["digest"]
 
 
 def load_system(path: str | Path) -> LevelSystem:
-    """Read, digest-check, rebuild cached strings, and re-validate."""
+    """Read, digest-check and re-validate; members are checked, never expanded."""
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -93,20 +94,19 @@ def _system_from_document(doc: dict, path: str | Path) -> LevelSystem:
     )
     system.mu_offset = doc["mu_offset"]
     system.horizon = doc["horizon"]
+    bounds = [system.alphabet.size]   # |C_(level-1)|, ..., |C_0|, d
     for level, tuples in enumerate(doc["csets"]):
         required = spec.ratio(level)
         if len(tuples) != required:
             raise SystemFileError(
                 f"{path}: level {level} holds {len(tuples)} members, ratio demands {required}")
-        members = []
-        for raw in tuples:
-            ref = WordRef(level, tuple(raw))
-            _validate_ref(system, ref, path)
-            members.append(ref)
-        strings = [system.expand(ref) for ref in members]
-        if len(set(strings)) != len(strings):
-            raise SystemFileError(f"{path}: duplicate member words at level {level}")
-        system.csets.append(CSet(level, members, strings))
+        members = [WordRef(level, tuple(raw)) for raw in tuples]
+        for ref in members:
+            _validate_ref(ref, bounds, path)
+        if len({ref.choices for ref in members}) != len(members):
+            raise SystemFileError(f"{path}: duplicate member choice tuples at level {level}")
+        system.csets.append(CSet(level, members))
+        bounds.insert(0, required)
     system.capture_log = [CaptureEntry.from_dict(e) for e in doc["capture_log"]]
     for entry in system.capture_log:
         # The recurrence certificate trusts the capture level and gap bound.
@@ -118,7 +118,7 @@ def _system_from_document(doc: dict, path: str | Path) -> LevelSystem:
                 f"{entry.gap_bound!r}; need target < capture < depth {system.depth} and "
                 f"gap bound 2^(capture level + 1)")
         ref = WordRef(entry.target_level, tuple(entry.target_choices))
-        _validate_ref(system, ref, path)
+        _validate_ref(ref, bounds[system.depth - entry.target_level:], path)
         if system.expand(ref) != entry.target_word:
             raise SystemFileError(
                 f"{path}: capture target {entry.target_word!r} does not match its reference")
@@ -133,11 +133,13 @@ def _system_from_document(doc: dict, path: str | Path) -> LevelSystem:
             r_max=fp["r_max"],
         )
         t = compute_t(params.epsilon)
-        if (params.t, params.degree, params.x_word, params.y_word, params.r_max) != (
-                t, 1 << t, "x" * (1 << t), "y" * (1 << t), system.depth - 1 - t):
+        if (params.t, params.degree, params.x_word, params.y_word, params.r_max, spec) != (
+                t, 1 << t, "x" * (1 << t), "y" * (1 << t), system.depth - 1 - t,
+                geometric(params.epsilon)):
             raise SystemFileError(
-                f"{path}: malformed free_params: t, degree, x_word, y_word and r_max must "
-                f"follow from epsilon {params.epsilon} and depth {system.depth}")
+                f"{path}: malformed free_params: t, degree, x_word, y_word, r_max and the "
+                f"geometric growth must follow from epsilon {params.epsilon} and depth "
+                f"{system.depth}")
         system.free_params = params
     if system.depth != doc["depth"]:
         raise SystemFileError(f"{path}: depth field {doc['depth']} != {system.depth} levels")
@@ -146,10 +148,10 @@ def _system_from_document(doc: dict, path: str | Path) -> LevelSystem:
     return system
 
 
-def _validate_ref(system: LevelSystem, ref: WordRef, path: str | Path) -> None:
-    for k, c in enumerate(ref.choices[:-1]):
-        j = ref.level - 1 - k
-        if not 0 <= c < len(system.csets[j]):
-            raise SystemFileError(f"{path}: choice {c} out of range at level {j}")
-    if not 0 <= ref.choices[-1] < system.alphabet.size:
-        raise SystemFileError(f"{path}: letter index {ref.choices[-1]} out of range")
+def _validate_ref(ref: WordRef, bounds: list[int], path: str | Path) -> None:
+    """Each choice must be an int below its bound: |C_(level-1)|, ..., |C_0|, then d."""
+    for c, bound in zip(ref.choices, bounds):
+        if type(c) is not int or not 0 <= c < bound:
+            raise SystemFileError(
+                f"{path}: choice {c!r} of {list(ref.choices)} malformed or out of range "
+                f"0..{bound - 1}")

@@ -94,8 +94,8 @@ def test_criterion_3_growth_sandwich(captured7):
 def test_criterion_4_capture_correctness(captured7):
     ok = len(captured7.capture_log) >= 2
     for entry in captured7.capture_log:
-        for s in captured7.csets[entry.capture_level].strings:
-            ok &= entry.target_word in s
+        for ref in captured7.csets[entry.capture_level].members:
+            ok &= entry.target_word in captured7.expand(ref)
     report = verify_recurrence_gaps(captured7)
     ok &= report.passed
     for entry in report.entries:
@@ -209,7 +209,7 @@ def _chunk_property_holds(system) -> bool:
             for n in range(0, m):
                 size = 1 << n
                 blocks = [u[i:i + size] for i in range(0, len(u), size)]
-                c_strings = set(system.csets[n].strings)
+                c_strings = {system.expand(ref) for ref in system.csets[n].members}
                 for left, right in zip(blocks, blocks[1:]):
                     in_cw = left in c_strings and right in w_strings[n]
                     in_wc = left in w_strings[n] and right in c_strings

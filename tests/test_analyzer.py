@@ -1,6 +1,6 @@
-import copy
 import dataclasses
 from fractions import Fraction
+from itertools import product
 from math import prod
 
 import pytest
@@ -24,7 +24,7 @@ from growthforge.analyzer import (
     _summary,
 )
 from growthforge.construction import (
-    CaptureEntry, build_plain, build_uniformly_recurrent, init_system,
+    CaptureEntry, LevelSystem, build_plain, build_uniformly_recurrent, init_system,
 )
 from growthforge.growth import exp_power, poly_geometric, table_spec
 
@@ -123,7 +123,7 @@ class TestFactorSets:
         # Level-13 members hold more base-3 digits than Python's
         # int-from-string limit of 4300.
         system = long_members_d3
-        assert len(system.csets[13].strings[0]) == 8192
+        assert len(system.expand(system.csets[13].members[0])) == 8192
         engine = FactorEngine(system)
         for n in (5, 64):
             oracle = factor_set_bruteforce(system, n).members
@@ -392,7 +392,10 @@ def assert_folds_match_strings(system, words):
     """Member codes and occurrence summaries folded from refs equal those read off the strings."""
     d, letters = system.alphabet.size, system.alphabet.letters
     engine = FactorEngine(system)
-    codes = [[engine.encode(s) for s in cs.strings] for cs in system.csets]
+    strings = [[system.expand(ref) for ref in cs.members] for cs in system.csets]
+    # Distinct members, hence distinct elements: what choose_cset relies on.
+    assert all(len(set(level)) == len(level) for level in strings)
+    codes = [[engine.encode(s) for s in level] for level in strings]
     assert _fold_members(system, lambda i: i,
                          lambda head, tail, l: head * d ** (1 << (l - 1)) + tail) == codes
     # The engine's whole-member tables come from its own fold.
@@ -401,7 +404,7 @@ def assert_folds_match_strings(system, words):
     for w in words:
         folded = _fold_members(system, lambda i: _summary(letters[i], w),
                                lambda head, rest, _: _concat(head, rest, w))
-        assert folded == [[_summary(s, w) for s in cs.strings] for cs in system.csets]
+        assert folded == [[_summary(s, w) for s in level] for level in strings]
 
 
 @st.composite
@@ -444,22 +447,21 @@ class TestFold:
     def test_long_members_d3(self, long_members_d3):
         assert_folds_match_strings(long_members_d3, ["a", "cb", "abc", "bcab"])
 
-    def test_engine_and_certificate_read_no_member_strings(self, captured7):
-        class Unreadable(list):
-            def __iter__(self):
-                raise AssertionError("member strings read")
-
-            def __getitem__(self, index):
-                raise AssertionError("member strings read")
-
-        guarded = copy.copy(captured7)
-        guarded.csets = [dataclasses.replace(cs, strings=Unreadable(cs.strings))
-                         for cs in captured7.csets]
-        engine, reference = FactorEngine(guarded), FactorEngine(captured7)
-        for n in range(1, 17):
-            assert engine.count(n) == reference.count(n)
+    def test_engine_and_certificate_read_no_member_strings(self, captured7, monkeypatch):
+        reference = FactorEngine(captured7)
+        counts = [reference.count(n) for n in range(1, 17)]
+        words = ["".join(w) for n in (1, 5, 9) for w in product("ab", repeat=n)]
+        contained = [reference.contains(w) for w in words]
         expected = verify_recurrence_gaps(captured7).to_dict()
-        assert verify_recurrence_gaps(guarded).to_dict() == expected
+
+        def unexpandable(self, ref):
+            raise AssertionError("member expanded")
+
+        monkeypatch.setattr(LevelSystem, "expand", unexpandable)
+        engine = FactorEngine(captured7)
+        assert [engine.count(n) for n in range(1, 17)] == counts
+        assert [engine.contains(w) for w in words] == contained
+        assert verify_recurrence_gaps(captured7).to_dict() == expected
 
 
 class TestAperiodicity:

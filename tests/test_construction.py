@@ -19,6 +19,11 @@ from growthforge.construction import (
 TOY = table_spec({1: 2, 2: 4, 4: 8, 8: 16})
 
 
+def member_words(system):
+    """Each level's member words, expanded from the member refs."""
+    return [[system.expand(ref) for ref in cs.members] for cs in system.csets]
+
+
 class TestInit:
     def test_alphabet_sizes(self):
         assert init_system(geometric(1)).alphabet.letters == "ab"
@@ -37,13 +42,13 @@ class TestChooseCset:
         system = init_system(TOY)
         system.choose_cset(0)
         cs = system.choose_cset(1)
-        assert cs.strings == ["aa", "ab"]
+        assert [system.expand(ref) for ref in cs.members] == ["aa", "ab"]
 
     def test_toy_fixed_suffix(self):
         system = init_system(TOY)
         system.choose_cset(0)
         cs = system.choose_cset(1, suffix="a")
-        assert cs.strings == ["aa", "ba"]
+        assert [system.expand(ref) for ref in cs.members] == ["aa", "ba"]
 
     def test_insufficient_words_pigeonhole(self):
         # ratio(0) = ceil(8/2) = 4 > |W(1)| = 2.
@@ -54,15 +59,15 @@ class TestChooseCset:
 
     def test_seeded_chooser_is_deterministic(self):
         def build():
-            return [cs.strings for cs in build_plain(TOY, "seeded", 3, seed=42).csets]
+            return member_words(build_plain(TOY, "seeded", 3, seed=42))
         assert build() == build()
-        other = [cs.strings for cs in build_plain(TOY, "seeded", 3, seed=43).csets]
+        other = member_words(build_plain(TOY, "seeded", 3, seed=43))
         assert build() != other  # different seed, different sets (overwhelmingly)
 
 
 class TestBuildPlain:
     def test_toy_depth3(self, toy_system):
-        assert [cs.strings for cs in toy_system.csets] == [
+        assert member_words(toy_system) == [
             ["a", "b"], ["aa", "ab"], ["aaaa", "aaab"]]
 
     def test_poly_sizes(self):
@@ -84,17 +89,22 @@ class TestExpand:
         word = toy_system.expand(ref)
         assert word == "abab"
         # Each choice fills the window of its level: [0, 2), [2, 3), then the letter.
-        assert word[0:2] == toy_system.csets[1].strings[1]
-        assert word[2:3] == toy_system.csets[0].strings[0]
+        assert word[0:2] == toy_system.expand(toy_system.csets[1].members[1])
+        assert word[2:3] == toy_system.expand(toy_system.csets[0].members[0])
         assert word[3:] == "b"
 
     def test_level_zero(self, toy_system):
         assert toy_system.expand(WordRef(0, (0,))) == "a"
 
     def test_roundtrip_all_members(self, captured4):
+        # A member's word is its head member's word followed by its tail's.
         for cs in captured4.csets:
-            for ref, s in zip(cs.members, cs.strings):
-                assert captured4.expand(ref) == s
+            for ref in cs.members:
+                s = captured4.expand(ref)
+                if cs.level:
+                    head = captured4.csets[cs.level - 1].members[ref.choices[0]]
+                    tail = WordRef(cs.level - 1, ref.choices[1:])
+                    assert s == captured4.expand(head) + captured4.expand(tail)
                 assert len(s) == 1 << cs.level
 
 
@@ -104,7 +114,7 @@ class TestCapture:
         system = init_system(poly)
         entry = capture_target(system, WordRef(0, (0,)), 0, 12)
         assert entry.capture_level == 1 and entry.gap_bound == 4
-        assert system.csets[1].strings == ["aa", "ba"]
+        assert member_words(system)[1] == ["aa", "ba"]
         assert entry.filled_levels == [0]
 
     def test_second_capture_at_next_level(self, captured7):
@@ -112,7 +122,7 @@ class TestCapture:
         assert (e1.target_word, e1.capture_level, e1.gap_bound) == ("a", 1, 4)
         assert (e2.target_word, e2.capture_level, e2.gap_bound) == ("b", 2, 8)
         assert e2.m_before == 1
-        assert captured7.csets[2].strings == ["aaab", "aabb", "baab"]
+        assert member_words(captured7)[2] == ["aaab", "aabb", "baab"]
 
     def test_gap_bound_formula(self, captured7):
         for e in captured7.capture_log:
@@ -124,7 +134,7 @@ class TestCapture:
 
     def test_members_contain_target(self, captured7):
         for e in captured7.capture_log:
-            for s in captured7.csets[e.capture_level].strings:
+            for s in member_words(captured7)[e.capture_level]:
                 assert s.endswith(e.target_word)
 
     def test_geometric_eps1_capture_impossible(self):
@@ -144,7 +154,7 @@ class TestCapture:
         radices, tails = system._admissible(4, word)
         assert prod(radices) * len(tails) == 15
         assert len(system.csets[4]) == 10
-        for s in system.csets[4].strings:
+        for s in member_words(system)[4]:
             assert s.endswith(word)
 
 
@@ -153,7 +163,7 @@ class TestScheduler:
         poly = poly_geometric("1/10")
         recurrent = build_uniformly_recurrent(poly, depth=5, capture_budget=0, horizon=12)
         plain = build_plain(poly, "lex", 5)
-        assert [cs.strings for cs in recurrent.csets] == [cs.strings for cs in plain.csets]
+        assert member_words(recurrent) == member_words(plain)
         assert recurrent.capture_log == []
 
     def test_depth_budget_stops_captures(self):
@@ -167,7 +177,7 @@ class TestScheduler:
         poly = poly_geometric("1/10")
         a = build_uniformly_recurrent(poly, depth=6, capture_budget=2, horizon=12)
         b = build_uniformly_recurrent(poly, depth=6, capture_budget=2, horizon=12)
-        assert [cs.strings for cs in a.csets] == [cs.strings for cs in b.csets]
+        assert member_words(a) == member_words(b)
         assert [e.to_dict() for e in a.capture_log] == [e.to_dict() for e in b.capture_log]
 
     def test_third_target_is_a_two_letter_word(self):
@@ -179,7 +189,7 @@ class TestScheduler:
         assert third.target_word == "aa"
         assert third.target_level == 1
         assert third.capture_level == 3 and third.gap_bound == 16
-        for s in system.csets[3].strings:
+        for s in member_words(system)[3]:
             assert s.endswith("aa")
 
     def test_seeded_chooser_with_captures(self):
@@ -189,9 +199,9 @@ class TestScheduler:
                                       chooser="seeded", seed=11, horizon=12)
         b = build_uniformly_recurrent(poly, depth=6, capture_budget=2,
                                       chooser="seeded", seed=11, horizon=12)
-        assert [cs.strings for cs in a.csets] == [cs.strings for cs in b.csets]
+        assert member_words(a) == member_words(b)
         for entry in a.capture_log:
-            for s in a.csets[entry.capture_level].strings:
+            for s in member_words(a)[entry.capture_level]:
                 assert s.endswith(entry.target_word)
 
     def test_exp_power_family_captures(self):
@@ -206,25 +216,27 @@ class TestScheduler:
 class TestFreeBuilder:
     def test_eps1_structure(self, free_system_eps1):
         system, params = free_system_eps1
+        words = member_words(system)
         assert params.t == 1 and params.degree == 2
-        assert set(system.csets[0].strings) == {"x", "y"}
-        assert system.csets[1].strings[:2] == ["xx", "yy"]
-        assert system.csets[2].strings[:4] == ["xxxx", "xxyy", "yyxx", "yyyy"]
+        assert set(words[0]) == {"x", "y"}
+        assert words[1][:2] == ["xx", "yy"]
+        assert words[2][:4] == ["xxxx", "xxyy", "yyxx", "yyyy"]
         assert len(system.csets[2]) == 16       # r_2 = ceil(2^8 / 2^4)
         assert len(system.csets[3]) == 256
         # Level 3 holds all 16 products of length 4 in bit order.
-        assert system.csets[3].strings[0] == "x" * 8
-        assert system.csets[3].strings[15] == "y" * 8
-        assert system.csets[3].strings[5] == "xxyyxxyy"
+        assert words[3][0] == "x" * 8
+        assert words[3][15] == "y" * 8
+        assert words[3][5] == "xxyyxxyy"
 
     def test_eps_half(self):
         system, params = build_free_power_system("1/2", 5)
         assert params.t == 2 and params.degree == 4
         assert params.x_word == "xxxx" and params.y_word == "yyyy"
+        words = member_words(system)
         for i in range(3):
-            assert "x" * (1 << i) * 1 in [s for s in system.csets[i].strings]
-            assert system.csets[i].strings[0] == "x" * (1 << i)
-            assert system.csets[i].strings[1] == "y" * (1 << i)
+            assert "x" * (1 << i) * 1 in [s for s in words[i]]
+            assert words[i][0] == "x" * (1 << i)
+            assert words[i][1] == "y" * (1 << i)
 
     def test_eps_small_capacity_error(self):
         # geometric(1/10) has ratio(0) = 1 < 2: both letters cannot be forced in.

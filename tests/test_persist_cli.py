@@ -11,12 +11,24 @@ from growthforge.construction import build_free_power_system, build_uniformly_re
 from growthforge.growth import poly_geometric
 
 
+def member_words(system):
+    """Each level's member words, expanded from the member refs."""
+    return [[system.expand(ref) for ref in cs.members] for cs in system.csets]
+
+
+def tamper(path, **fields):
+    """Rewrite fields of a system file and keep its now stale digest."""
+    doc = json.loads(path.read_text())
+    doc.update(fields)
+    path.write_text(json.dumps(doc))
+
+
 class TestPersist:
     def test_roundtrip_plain(self, toy_system, tmp_path):
         path = tmp_path / "toy.json"
         digest = persist.save_system(toy_system, path)
         loaded = persist.load_system(path)
-        assert [cs.strings for cs in loaded.csets] == [cs.strings for cs in toy_system.csets]
+        assert member_words(loaded) == member_words(toy_system)
         assert persist.system_to_document(loaded)["digest"] == digest
 
     def test_roundtrip_captured(self, captured4, tmp_path):
@@ -38,10 +50,27 @@ class TestPersist:
     def test_tamper_detection(self, toy_system, tmp_path):
         path = tmp_path / "toy.json"
         persist.save_system(toy_system, path)
-        body = path.read_text().replace('"chooser": "lex"', '"chooser": "seeded"')
-        path.write_text(body)
+        before = path.read_bytes()
+        tamper(path, chooser="seeded")
+        assert path.read_bytes() != before
         with pytest.raises(SystemFileError, match="digest"):
             persist.load_system(path)
+
+    def test_indented_file_loads(self, captured4, tmp_path):
+        # Files were once written with indent=1; the digest covers the
+        # canonical text of the parsed document, so they still load.
+        path = tmp_path / "old.json"
+        digest = persist.save_system(captured4, path)
+        path.write_text(json.dumps(json.loads(path.read_text()), sort_keys=True, indent=1) + "\n")
+        loaded = persist.load_system(path)
+        assert persist.system_to_document(loaded)["digest"] == digest
+        assert member_words(loaded) == member_words(captured4)
+
+    def test_file_is_canonical_json(self, toy_system, tmp_path):
+        path = tmp_path / "toy.json"
+        persist.save_system(toy_system, path)
+        doc = persist.system_to_document(toy_system)
+        assert path.read_text() == persist.canonical_json(doc) + "\n"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(SystemFileError):
@@ -130,13 +159,15 @@ class TestCli:
         assert main(["build", "--family", "table", "--table-values", "2,4,8,16",
                      "--mode", "plain", "--depth", "3", "--out", str(sys_path)]) == 0
         loaded = persist.load_system(sys_path)
-        assert [cs.strings for cs in loaded.csets] == [
+        assert member_words(loaded) == [
             ["a", "b"], ["aa", "ab"], ["aaaa", "aaab"]]
 
     def test_analyze_tampered_exits_2(self, tmp_path, toy_system):
         sys_path = tmp_path / "t.json"
         persist.save_system(toy_system, sys_path)
-        sys_path.write_text(sys_path.read_text().replace('"seed": 0', '"seed": 7'))
+        before = sys_path.read_bytes()
+        tamper(sys_path, seed=7)
+        assert sys_path.read_bytes() != before
         assert main(["analyze", str(sys_path), "--out", str(tmp_path / "r.json")]) == 2
 
     def test_analyze_depth_zero_exits_2(self, tmp_path, toy_system, capsys):
@@ -164,9 +195,13 @@ class TestCli:
         # Consistent bound, but no level above the capture is left to certify.
         (lambda doc: doc["capture_log"][1].update(capture_level=4, gap_bound=32),
          "malformed capture"),
+        # Level 2 has three members; the third repeats the first.
+        (lambda doc: doc["csets"][2].__setitem__(2, doc["csets"][2][0]), "duplicate"),
+        # Members are not expanded on load, so nothing else would index with it.
+        (lambda doc: doc["csets"][2][0].__setitem__(0, 1.0), "out of range"),
     ], ids=["no-chooser", "csets-int", "string-choice", "capture-no-gap-bound",
             "capture-negative-choice", "capture-huge-gap-bound", "capture-string-gap-bound",
-            "capture-at-depth"])
+            "capture-at-depth", "duplicate-member", "float-choice"])
     def test_analyze_malformed_exits_2(self, tmp_path, captured4, capsys, mutate, message):
         # Each document carries a recomputed digest, so only the shape is wrong.
         doc = persist.system_to_document(captured4)
@@ -176,7 +211,9 @@ class TestCli:
         sys_path.write_text(json.dumps(doc))
         assert main(["analyze", str(sys_path), "--out", str(tmp_path / "r.json")]) == 2
         err = capsys.readouterr().err
-        assert message in err and str(sys_path) in err and "Traceback" not in err
+        assert str(sys_path) in err and "Traceback" not in err
+        # The path holds the test's name, so look for the message without it.
+        assert message in err.replace(str(sys_path), "")
 
     @pytest.mark.parametrize("argv, config, flag", [
         (["analyze", "{system}", "--nmax", "0"], "", "--nmax"),
@@ -187,14 +224,22 @@ class TestCli:
         (["analyze", "{system}"], "[analyze]\nnmax = 0\n", "--nmax"),
         (["build", "--mode", "recurrent", "--depth", "4", "--out", "{system}"],
          "[build]\ncaptures = -2\n", "--captures"),
+        (["free", "--epsilon", "1", "--depth", "-3"], "", "--depth"),
+        (["free", "--epsilon", "1", "--depth", "2", "--products-len", "0"], "",
+         "--products-len"),
+        (["free", "{system}", "--products-len", "-1"], "", "--products-len"),
+        (["free", "--epsilon", "1"], "[free]\ndepth = -1\n", "--depth"),
+        (["free", "--epsilon", "1"], "[free]\nproducts_len = 0\n", "--products-len"),
     ], ids=["nmax-0", "nmax-negative", "forbidden-max-negative", "captures-negative",
-            "config-nmax-0", "config-captures-negative"])
+            "config-nmax-0", "config-captures-negative", "free-depth-negative",
+            "free-products-len-0", "free-system-products-len-negative",
+            "config-free-depth-negative", "config-products-len-0"])
     def test_nonsensical_counts_exit_2(self, tmp_path, toy_system, capsys, argv, config, flag):
         sys_path = tmp_path / "sys.json"
         persist.save_system(toy_system, sys_path)
         before = sys_path.read_bytes()
         argv = [a.replace("{system}", str(sys_path)) for a in argv]
-        argv += ["--out", str(tmp_path / "r.json")] if argv[0] == "analyze" else []
+        argv += ["--out", str(tmp_path / "r.json")] if argv[0] in ("analyze", "free") else []
         if config:
             (tmp_path / "run.ini").write_text(config)
             argv += ["--config", str(tmp_path / "run.ini")]
@@ -204,13 +249,16 @@ class TestCli:
 
     @pytest.mark.parametrize("mutate", [
         # One-letter generators would make the freeness check vacuous.
-        lambda fp: fp.update(x_word="x", y_word="y"),
-        lambda fp: fp.update(y_word=[]),
-        lambda fp: fp.update(degree=[]),
-    ], ids=["one-letter-words", "y-word-list", "degree-list"])
+        lambda doc: doc["free_params"].update(x_word="x", y_word="y"),
+        lambda doc: doc["free_params"].update(y_word=[]),
+        lambda doc: doc["free_params"].update(degree=[]),
+        # Same dyadic ratios as geometric(1), but not the growth freeness assumes.
+        lambda doc: doc.update(growth={"family": "table", "table": {
+            "1": 2, "2": 4, "4": 16, "8": 256, "16": 65536}}),
+    ], ids=["one-letter-words", "y-word-list", "degree-list", "table-growth"])
     def test_free_malformed_exits_2(self, tmp_path, free_system_eps1, capsys, mutate):
         doc = persist.system_to_document(free_system_eps1[0])
-        mutate(doc["free_params"])
+        mutate(doc)
         doc["digest"] = persist.document_digest(doc)
         sys_path = tmp_path / "bad.json"
         sys_path.write_text(json.dumps(doc))
