@@ -3,10 +3,9 @@
 The factor set F(n) is the set of distinct length-n windows of all words in
 the union of the W(2^j), j <= depth. Two independent routes compute it:
 
-  * brute force: expand each choice-set member once with
-    LevelSystem.expand, join every element of every level from those words
-    and slide windows (bounded by a character budget, the oracle for
-    everything else);
+  * brute force: join each level's member words from the lower levels'
+    words, then every element of every level from those, and slide windows
+    (bounded by a character budget, the oracle for everything else);
   * structural: never materialize W. Every window either sits inside the
     leading choice-set block of some level or straddles the boundary between
     that block and the W-tail behind it, so
@@ -18,9 +17,10 @@ the union of the W(2^j), j <= depth. Two independent routes compute it:
 
 Words are base-d integer codes, an injective encoding, so counts are exact.
 A member of C_j is a member of C_(j-1) followed by a shorter element, so
-member codes are folded up the levels from member references; no member
-string is encoded. Every suffix code is then member_code mod d^a and every
-short prefix code member_code div d^(len-m).
+member codes are folded up the levels from the choice arrays, one gather
+and one multiply-add per level step; no member string is encoded. Every
+suffix code is then member_code mod d^a and every short prefix code
+member_code div d^(len-m).
 Prefix and suffix tables are sorted code arrays, one per (level, length),
 held as uint64 when d^length <= 2^64 and as Python ints beyond. |F(n)|
 comes from concatenating the straddle products into one array of the same
@@ -41,15 +41,15 @@ The recurrence certificate covers every element of every level and expands
 none of them. For a captured target w, an occurrence summary records a
 word's length, its |w|-1 letters at each end, the first and last start of w
 and the largest gap between starts. The summary of uv follows from those of
-u and v, so member summaries are folded from member references the same way
-as member codes, with no member string scanned, and each level
-W(2^(j+1)) = C(2^j) W(2^j) is a Counter of distinct summaries with element
-multiplicities.
+u and v, so member summaries are folded from the choice arrays the same way
+as member codes, with no member string scanned: summaries are interned as
+ids, and each fold step concatenates each distinct (head id, rest id) pair
+once. Each level W(2^(j+1)) = C(2^j) W(2^j) is a Counter of distinct
+summaries with element multiplicities.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,25 +57,11 @@ from operator import sub
 
 import numpy as np
 
-from .construction import LevelSystem
-from .errors import BudgetExceeded, DepthTooShallow
+from .construction import LevelSystem, _fold_members
+from .errors import BudgetExceeded, DepthTooShallow, size_budget
 from .exactmath import ceil_log2, nth_root_floor_scaled, sqrt_bracket, decimal_string
 
-DEFAULT_BUDGET = 5_000_000
 ENTROPY_DIGITS = 6
-
-
-def _budget() -> int:
-    raw = os.environ.get("GROWTHFORGE_BUDGET")
-    if not raw:
-        return DEFAULT_BUDGET
-    try:
-        value = int(raw)
-        if value >= 1:
-            return value
-    except ValueError:
-        pass
-    raise ValueError(f"GROWTHFORGE_BUDGET must be a positive integer, got {raw!r}")
 
 
 @dataclass(frozen=True)
@@ -121,10 +107,8 @@ class FactorEngine:
         self._prefix: dict[tuple[int, int], np.ndarray] = {}
         self._suffix: dict[tuple[int, int], np.ndarray] = {}
         self._counts: dict[int, int] = {}
-        # A level-l join shifts the head past 2^(l-1) letters.
-        scale = [self.d ** (1 << (l - 1)) if l else 1 for l in range(self.depth)]
-        codes = _fold_members(system, lambda i: i, lambda head, tail, l: head * scale[l] + tail)
-        self._members = [self._table(sorted(level), 1 << j) for j, level in enumerate(codes)]
+        codes = _fold_members(system, np.arange(self.d, dtype=np.uint64), self._join)
+        self._members = [np.sort(level) for level in codes]
 
     def encode(self, word: str) -> int:
         code = 0
@@ -147,6 +131,12 @@ class FactorEngine:
     def _dtype(self, length: int):
         """uint64 when every length-`length` code fits in 64 bits, else Python ints."""
         return np.uint64 if self.d ** length <= 1 << 64 else object
+
+    def _join(self, head: np.ndarray, tail: np.ndarray, l: int) -> np.ndarray:
+        """Codes of 2^l-letter words: each head shifted past the 2^(l-1) tail letters."""
+        dtype = self._dtype(1 << l)
+        return (head.astype(dtype, copy=False) * self.d ** (1 << (l - 1))
+                + tail.astype(dtype, copy=False))
 
     def _table(self, codes, length: int) -> np.ndarray:
         return np.asarray(codes, dtype=self._dtype(length))
@@ -273,12 +263,17 @@ def is_factor(system: LevelSystem, word: str) -> bool:
 
 def factor_set_bruteforce(system: LevelSystem, n: int, budget: int | None = None) -> FactorSet:
     """F(n) by full expansion of every level; the independent oracle."""
-    budget = budget if budget is not None else _budget()
+    budget = budget if budget is not None else size_budget()
     total = sum(system.level_word_count(j) << j for j in range(system.depth + 1))
     if total > budget:
         raise BudgetExceeded(total, budget)
-    # Members are elements too, so their expansion stays inside the budget.
-    members = [[system.expand(ref) for ref in cs.members] for cs in system.csets]
+    # Members are elements too, so their words stay inside the budget. Each
+    # level's members are joined from the lower levels' member words.
+    members: list[list[str]] = []
+    for cs in system.csets:
+        blocks = members[::-1] + [system.alphabet.letters]   # one per choice
+        members.append(["".join([block[c] for block, c in zip(blocks, row)])
+                        for row in cs.choices.tolist()])
     seen: set[str] = set()
     for j in range(system.depth + 1):
         if (1 << j) < n:
@@ -289,28 +284,6 @@ def factor_set_bruteforce(system: LevelSystem, n: int, budget: int | None = None
             for i in range(len(word) - n + 1):
                 seen.add(word[i:i + n])
     return FactorSet(n, frozenset(seen), system.depth, "bruteforce")
-
-
-def _fold_members(system: LevelSystem, leaf, join) -> list[list]:
-    """For each level j, one value per C_j member in member order, folded from its ref.
-
-    A member (c_(j-1), ..., c_0, letter) is C_(j-1)[c_(j-1)] followed by the
-    element (c_(j-2), ..., letter), so its value is v = leaf(letter) and then
-    v = join(value of C_(l-1)[c_(l-1)], v, l) for l = 1..j. Member strings
-    are never read.
-    """
-    leaves = [leaf(i) for i in range(system.alphabet.size)]
-    values: list[list] = []
-    for j, cs in enumerate(system.csets):
-        level = []
-        for ref in cs.members:
-            choices = ref.choices
-            v = leaves[choices[j]]
-            for l in range(1, j + 1):
-                v = join(values[l - 1][choices[j - l]], v, l)
-            level.append(v)
-        values.append(level)
-    return values
 
 
 def _engine_for(system: LevelSystem) -> FactorEngine:
@@ -526,6 +499,40 @@ def _concat(left: tuple, right: tuple, word: str) -> tuple:
             max(gap1, gap2, *map(sub, starts[1:], starts)))
 
 
+def _member_summaries(system: LevelSystem, word: str) -> tuple[list[tuple], list[np.ndarray]]:
+    """Occurrence summaries of every member, interned: the table and per-level member ids.
+
+    A fold step packs each (head id, rest id) pair into one int64 key, and
+    each distinct pair is concatenated once over the whole fold.
+    """
+    table: list[tuple] = []
+    ids: dict[tuple, int] = {}
+    joined: dict[tuple[int, int], int] = {}
+
+    def intern(summary: tuple) -> int:
+        i = ids.get(summary)
+        if i is None:
+            i = ids[summary] = len(table)
+            table.append(summary)
+        return i
+
+    def join(head: np.ndarray, rest: np.ndarray, _level: int) -> np.ndarray:
+        width = len(table)
+        keys, inverse = np.unique(head * width + rest, return_inverse=True)
+        out = []
+        for key in keys.tolist():
+            pair = divmod(key, width)
+            i = joined.get(pair)
+            if i is None:
+                i = joined[pair] = intern(_concat(table[pair[0]], table[pair[1]], word))
+            out.append(i)
+        return np.array(out, dtype=np.int64)[inverse]
+
+    leaves = np.array([intern(_summary(ch, word)) for ch in system.alphabet.letters],
+                      dtype=np.int64)
+    return table, _fold_members(system, leaves, join)
+
+
 def verify_recurrence_gaps(system: LevelSystem) -> RecurrenceReport:
     """Certify for each capture (w, t', c) that w lies in every length-c window of W(2^m), m > t'.
 
@@ -538,25 +545,15 @@ def verify_recurrence_gaps(system: LevelSystem) -> RecurrenceReport:
         word, bound = log.target_word, log.gap_bound
         slack = bound - len(word)
         level = Counter(_summary(ch, word) for ch in letters)
-        # Members share few distinct summaries, so each (head, rest) pair is
-        # concatenated once.
-        joined: dict[tuple, tuple] = {}
-
-        def join(head, rest, _level):
-            key = (head, rest)
-            hit = joined.get(key)
-            if hit is None:
-                hit = joined[key] = _concat(head, rest, word)
-            return hit
-
-        summaries = _fold_members(system, lambda i: _summary(letters[i], word), join)
+        table, member_ids = _member_summaries(system, word)
         max_gap = max_first = max_tail = scanned = violations = 0
         for m in range(1, system.depth + 1):
-            members = Counter(summaries[m - 1])
+            counts = np.bincount(member_ids[m - 1])   # members per summary id
+            heads = np.flatnonzero(counts)
             level, previous = Counter(), level
-            for head, x in members.items():
+            for i, x in zip(heads.tolist(), counts[heads].tolist()):
                 for rest, y in previous.items():
-                    level[_concat(head, rest, word)] += x * y
+                    level[_concat(table[i], rest, word)] += x * y
             if m <= log.capture_level:
                 continue
             for (n, _, _, first, last, gap), count in level.items():

@@ -247,7 +247,7 @@ def cmd_analyze(cfg: RunConfig, system_path: str) -> int:
     _require_at_least(cfg.nmax, 1, "--nmax")
     _require_at_least(cfg.forbidden_max, 0, "--forbidden-max")
     system = persist.load_system(system_path)
-    digest = persist.system_to_document(system)["digest"]
+    digest = system.digest
     n_max = min(cfg.nmax, 1 << (system.depth - 1))
     dims = analyzer.dim_series(system, n_max)
     sandwich = []
@@ -309,7 +309,7 @@ def cmd_free(cfg: RunConfig, system_path: str | None) -> int:
             raise SystemFileError(f"{system_path} was not built in free mode")
         params = system.free_params
         eps = params.epsilon
-        digest = persist.system_to_document(system)["digest"]
+        digest = system.digest
         verification = freesub.verify_free_generators(system, params, cfg.products_len)
     elif cfg.free_depth > 0:
         system, params = build_free_power_system(eps, cfg.free_depth)

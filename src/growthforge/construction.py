@@ -5,8 +5,11 @@ W(1) = alphabet and W(2^(i+1)) = C(2^i) W(2^i), where each choice set
 C(2^i) is a subset of W(2^i) of exactly r_i = ceil(f(2^(i+1))/f(2^i))
 elements. W(2^i) is never materialized: an element is a reference
 (c_(i-1), ..., c_0, letter) that picks one choice-set member per level plus
-a final letter. Choice sets hold member references only, so a word's
-letters are a view derived on demand by expanding its references.
+a final letter. A choice set is one int64 array holding such a tuple per
+member, one row each, so a word's letters are a view derived on demand by
+expanding rows. Choosing a set unranks all its candidate ranks in one
+mixed-radix pass over a rank array, and per-member values (codes, occurrence
+summaries) are folded up the levels by gathering from these arrays.
 
 Three builders are provided:
 
@@ -32,7 +35,11 @@ from fractions import Fraction
 from math import prod
 from random import Random
 
-from .errors import CapacityExceeded, HorizonTooSmall, InsufficientWords
+import numpy as np
+
+from .errors import (
+    BudgetExceeded, CapacityExceeded, HorizonTooSmall, InsufficientWords, size_budget,
+)
 from .growth import GrowthSpec, compute_mu, check_basic, geometric
 
 LETTER_POOL = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
@@ -70,15 +77,23 @@ class WordRef:
             raise ValueError("ref needs one choice per level plus a letter")
 
 
-@dataclass
+@dataclass(eq=False)
 class CSet:
-    """Choice set at one level: its member refs, in member order."""
+    """Choice set at one level: row i of `choices` is member i's choice tuple.
+
+    `choices` is a C-contiguous int64 array of shape |C| x (level + 1).
+    """
 
     level: int
-    members: list[WordRef]
+    choices: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.choices)
+
+    @property
+    def members(self) -> np.ndarray:
+        """The member rows, the same array as `choices`; bench/tracing.py counts them."""
+        return self.choices
 
 
 @dataclass
@@ -154,6 +169,7 @@ class LevelSystem:
         self.free_params: "FreeParams | None" = None
         self.mu_offset = 0
         self.horizon = 0
+        self.digest: str | None = None     # set by persist.load_system to the verified digest
         self._rng = Random(f"growthforge:{seed}")
 
     # -- structure queries ---------------------------------------------------
@@ -179,35 +195,44 @@ class LevelSystem:
 
     def ref_from_rank(self, level: int, rank: int) -> WordRef:
         """The rank-th element of W(2^level) in tuple-lex order (mixed radix)."""
-        return _unrank(level, *self._admissible(level, ""), rank)
+        row = _unrank(level, *self._admissible(level, ""), [rank])[0]
+        return WordRef(level, tuple(row.tolist()))
 
     def iter_refs(self, level: int):
         """All of W(2^level) in tuple-lex order."""
         radices, tails = self._admissible(level, "")
-        for rank in range(prod(radices)):
-            yield _unrank(level, radices, tails, rank)
+        total = prod(radices)
+        for start in range(0, total, _RANK_BLOCK):
+            ranks = np.arange(start, min(start + _RANK_BLOCK, total))
+            for row in _unrank(level, radices, tails, ranks).tolist():
+                yield WordRef(level, tuple(row))
 
     # -- expansion -------------------------------------------------------------
 
     def expand(self, ref: WordRef) -> str:
-        """The 2^level-letter word a reference denotes, by recursion on member refs.
+        """The 2^level-letter word a reference denotes, by recursion on member rows."""
+        member = self._member_word()
+        j = ref.level
+        return "".join([member(j - 1 - i, c) for i, c in enumerate(ref.choices[:-1])]
+                       ) + self.alphabet.letters[ref.choices[-1]]
 
-        A member met twice within one expansion is expanded once.
+    def _member_word(self):
+        """A function (j, c) -> the word of member c of C_j.
+
+        It keeps the words it has made, so a member met twice is expanded once.
         """
         csets, letters = self.csets, self.alphabet.letters
         words: dict[tuple[int, int], str] = {}
 
-        def word(ref: WordRef) -> str:
-            j, parts = ref.level, []
-            for c in ref.choices[:-1]:
-                j -= 1
-                w = words.get((j, c))
-                if w is None:
-                    w = words[j, c] = word(csets[j].members[c])
-                parts.append(w)
-            return "".join(parts) + letters[ref.choices[-1]]
+        def member(j: int, c: int) -> str:
+            w = words.get((j, c))
+            if w is None:
+                row = csets[j].choices[c].tolist()
+                w = words[j, c] = "".join(
+                    [member(j - 1 - i, x) for i, x in enumerate(row[:-1])]) + letters[row[-1]]
+            return w
 
-        return word(ref)
+        return member
 
     # -- admissible-word combinatorics ----------------------------------------
 
@@ -235,9 +260,11 @@ class LevelSystem:
             return radices, [(self.alphabet.index(suffix),)] if found else []
         half = 1 << (level - 1)
         head = suffix[:-half]
-        holders = self.csets[level - 1].members
+        member = self._member_word()
+        holders = [c for c in range(len(self.csets[level - 1]))
+                   if member(level - 1, c).endswith(head)]
         return radices, [(c,) + tail for tail in self._admissible(level - 1, suffix[-half:])[1]
-                         for c, ref in enumerate(holders) if self.expand(ref).endswith(head)]
+                         for c in holders]
 
     # -- choice-set construction ----------------------------------------------
 
@@ -253,9 +280,11 @@ class LevelSystem:
         given order), then admissible elements of W(2^level) whose expansion
         ends with `suffix`; the lex chooser takes the smallest choice tuples,
         the seeded chooser draws without replacement from the build RNG.
+        A set of more than GROWTHFORGE_BUDGET choice entries is refused first.
         """
         if level != self.depth:
             raise ValueError(f"levels must be defined in order; next is {self.depth}")
+        _require_choice_budget(self.spec, [level])
         required = self.spec.ratio(level)
         include = list(must_include or [])
         if len(include) > required:
@@ -263,36 +292,55 @@ class LevelSystem:
         radices, tails = self._admissible(level, suffix)
         available = prod(radices) * len(tails)
 
-        chosen: list[WordRef] = []
-        seen: set[tuple[int, ...]] = set()
+        # The included refs in order without repeats, and the admissible
+        # ranks they take: a ref is admissible iff its tail is one of `tails`.
+        chosen: dict[tuple[int, ...], None] = {}
         for ref in include:
             if ref.level != level:
                 raise ValueError("must_include ref at wrong level")
-            if ref.choices not in seen:
-                seen.add(ref.choices)
-                chosen.append(ref)
-        overlap = sum(
-            1 for ref in chosen if not suffix or self.expand(ref).endswith(suffix))
+            chosen[ref.choices] = None
+        tail_index = {tail: i for i, tail in enumerate(tails)}
+        taken = []
+        for choices in chosen:
+            i = tail_index.get(choices[len(radices):])
+            if i is not None:
+                rank = 0
+                for c, r in zip(choices, radices):
+                    rank = rank * r + c
+                taken.append(rank * len(tails) + i)
         fill = required - len(chosen)
-        if available - overlap < fill:
-            raise InsufficientWords(level, fill, available - overlap)
+        if available - len(taken) < fill:
+            raise InsufficientWords(level, fill, available - len(taken))
         # Lex takes ranks 0, 1, ...; seeded draws enough distinct ranks that
         # `fill` of them miss the included refs.
-        ranks = range(available)
         if self.chooser == "seeded" and fill:
-            ranks = _sample_ranks(self._rng, available, fill + overlap)
-        for rank in ranks:
-            if fill == 0:
-                break
-            ref = _unrank(level, radices, tails, rank)
-            if ref.choices not in seen:
-                seen.add(ref.choices)
-                chosen.append(ref)
-                fill -= 1
-
-        cs = CSet(level, chosen)
+            ranks = np.array(_sample_ranks(self._rng, available, fill + len(taken)),
+                             dtype=_rank_dtype(available))
+        else:
+            ranks = np.arange(fill + len(taken))
+        if taken:
+            ranks = ranks[~np.isin(ranks, taken)]
+        rows = np.array(list(chosen), dtype=np.int64).reshape(len(chosen), level + 1)
+        cs = CSet(level, np.concatenate([rows, _unrank(level, radices, tails, ranks[:fill])]))
         self.csets.append(cs)
         return cs
+
+
+_RANK_BLOCK = 1 << 16   # ranks iter_refs unranks at a time
+
+
+def _rank_dtype(available: int):
+    """int64 while every rank below `available` fits, else Python ints."""
+    return np.int64 if available < 1 << 63 else object
+
+
+def _require_choice_budget(spec: GrowthSpec, levels) -> None:
+    """Refuse a level whose r_level * (level + 1) choice entries exceed GROWTHFORGE_BUDGET."""
+    cap = size_budget()
+    for level in levels:
+        entries = spec.ratio(level) * (level + 1)
+        if entries > cap:
+            raise BudgetExceeded(entries, cap, f"level {level} choice set", "choice entries")
 
 
 def _sample_ranks(rng: Random, total: int, k: int) -> list[int]:
@@ -308,16 +356,46 @@ def _sample_ranks(rng: Random, total: int, k: int) -> list[int]:
     return list(picked)
 
 
-def _unrank(level: int, radices: list[int], tails: list[tuple[int, ...]], rank: int) -> WordRef:
-    """The rank-th of the refs that `LevelSystem._admissible` describes."""
-    rank, t = divmod(rank, len(tails))
-    digits = []
-    for r in reversed(radices):
-        rank, digit = divmod(rank, r)
-        digits.append(digit)
-    if rank:
+def _unrank(level: int, radices: list[int], tails: list[tuple[int, ...]], ranks) -> np.ndarray:
+    """The choice rows of the ranked refs that `LevelSystem._admissible` describes.
+
+    One mixed-radix pass over the whole rank array: digit by digit, least
+    significant first, with int64 ranks while they fit and Python ints
+    beyond; the rows are int64 either way.
+    """
+    available = prod(radices) * len(tails)
+    ranks = np.asarray(ranks, dtype=_rank_dtype(available))
+    if ((ranks < 0) | (ranks >= available)).any():
         raise ValueError("rank out of range")
-    return WordRef(level, tuple(reversed(digits)) + tails[t])
+    rows = np.empty((ranks.size, level + 1), dtype=np.int64)
+    if not ranks.size:
+        return rows
+    tail_rows = np.array(tails, dtype=np.int64).reshape(len(tails), level + 1 - len(radices))
+    rows[:, len(radices):] = tail_rows[(ranks % len(tails)).astype(np.int64)]
+    ranks = ranks // len(tails)
+    for i in reversed(range(len(radices))):
+        rows[:, i] = ranks % radices[i]
+        ranks = ranks // radices[i]
+    return rows
+
+
+def _fold_members(system: LevelSystem, leaves: np.ndarray, join) -> list[np.ndarray]:
+    """For each level j, one value per C_j member in member order, folded from its row.
+
+    A member (c_(j-1), ..., c_0, letter) is C_(j-1)[c_(j-1)] followed by the
+    element (c_(j-2), ..., letter), so its values are v = leaves[letter] and
+    then v = join(values of C_(l-1) gathered at c_(l-1), v, l) for
+    l = 1..j, each step one array operation over the whole level. Member
+    strings are never read.
+    """
+    values: list[np.ndarray] = []
+    for j, cs in enumerate(system.csets):
+        choices = cs.choices
+        v = leaves[choices[:, j]]
+        for l in range(1, j + 1):
+            v = join(values[l - 1][choices[:, j - l]], v, l)
+        values.append(v)
+    return values
 
 
 # -- whole-system builders -----------------------------------------------------
@@ -344,6 +422,7 @@ def build_plain(
     """Choice sets 0..depth-1 with no constraints."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    _require_choice_budget(spec, range(depth))
     system = init_system(spec, chooser=chooser, seed=seed, letters=letters, mode="plain")
     for level in range(depth):
         system.choose_cset(level)
@@ -428,6 +507,7 @@ def build_uniformly_recurrent(
     basic = check_basic(spec, 16)
     if not basic.submultiplicative_ok:
         raise ValueError(f"growth fails submultiplicativity: {basic.submultiplicative_violation}")
+    _require_choice_budget(spec, range(depth))
     system = init_system(spec, chooser=chooser, seed=seed, letters=letters, mode="recurrent")
     system.mu_offset = mu_offset
     system.horizon = horizon
@@ -502,49 +582,30 @@ def build_free_power_system(
     t = compute_t(eps)
     if depth < t + 1:
         raise ValueError(f"depth must be >= t+1 = {t + 1}")
-    # Exact capacity precheck before any work.
+    # Exact capacity and size prechecks before any work.
     for i in range(depth):
         required = 2 if i <= t else 1 << (1 << (i - t))
         if spec.ratio(i) < required:
             raise CapacityExceeded(i, required, spec.ratio(i))
+    _require_choice_budget(spec, range(depth))
 
     system = init_system(spec, chooser=chooser, seed=seed, letters="xy", mode="free")
-    x_ref = WordRef(0, (0,))
-    y_ref = WordRef(0, (1,))
-    # product_refs maps a tuple of bits (0 = x-power, 1 = y-power) to the ref
-    # of the corresponding product at the current level; inclusion order is
-    # bit-tuple lex, so member k of the forced prefix is the product with
-    # binary expansion k.
-    product_refs: dict[tuple[int, ...], WordRef] = {(0,): x_ref, (1,): y_ref}
     for level in range(depth):
+        # The forced members come first, in bit order, so member k of the
+        # previous level's set is its product with binary expansion k (the
+        # powers x^(2^i), y^(2^i) are members 0 and 1 up to level t).
         if level == 0:
-            system.choose_cset(0, must_include=[x_ref, y_ref])
-            continue
-        if level <= t:
-            prev_x = product_refs[(0,)]
-            prev_y = product_refs[(1,)]
-            new_x = WordRef(level, (0,) + prev_x.choices)
-            new_y = WordRef(level, (1,) + prev_y.choices)
-            system.choose_cset(level, must_include=[new_x, new_y])
-            product_refs = {(0,): new_x, (1,): new_y}
-            continue
-        # level = t + r with r >= 1: the previous level's forced members are
-        # the products of length 2^(r-1); their position in that choice set is
-        # the numeric value of their bit tuple because they were included in
-        # bit-lex order.
-        prev = product_refs
-        n_bits = 1 << (level - t)
-        rank_of = {bits: k for k, bits in enumerate(sorted(prev.keys()))}
-        new_products: dict[tuple[int, ...], WordRef] = {}
-        include: list[WordRef] = []
-        for rank in range(1 << n_bits):
-            bits = tuple((rank >> (n_bits - 1 - i)) & 1 for i in range(n_bits))
-            left, right = bits[:n_bits // 2], bits[n_bits // 2:]
-            ref = WordRef(level, (rank_of[left],) + prev[right].choices)
-            new_products[bits] = ref
-            include.append(ref)
-        system.choose_cset(level, must_include=include)
-        product_refs = new_products
+            rows = np.array([[0], [1]])
+        elif level <= t:
+            rows = np.column_stack([[0, 1], system.csets[level - 1].choices[:2]])
+        else:
+            # level = t + r: a product of 2^r power words is the product of its
+            # first 2^(r-1) followed by the element made of its last 2^(r-1).
+            half = 1 << (level - t - 1)
+            k = np.arange(1 << (2 * half))
+            prev = system.csets[level - 1].choices
+            rows = np.column_stack([k >> half, prev[k & ((1 << half) - 1)]])
+        system.choose_cset(level, must_include=[WordRef(level, tuple(r)) for r in rows.tolist()])
     params = FreeParams(
         epsilon=eps,
         t=t,

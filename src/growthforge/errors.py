@@ -1,8 +1,28 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one size budget.
 
 Every mathematically meaningful failure carries the exact integers that
 witness it, so callers (and the CLI) can print deficits instead of guesses.
+Work whose size is known in advance is checked against GROWTHFORGE_BUDGET
+before anything is allocated.
 """
+
+import os
+
+DEFAULT_BUDGET = 5_000_000
+
+
+def size_budget() -> int:
+    """GROWTHFORGE_BUDGET, or DEFAULT_BUDGET when unset; not a positive integer is a ValueError."""
+    raw = os.environ.get("GROWTHFORGE_BUDGET")
+    if not raw:
+        return DEFAULT_BUDGET
+    try:
+        value = int(raw)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"GROWTHFORGE_BUDGET must be a positive integer, got {raw!r}")
 
 
 class GrowthForgeError(Exception):
@@ -65,12 +85,18 @@ class CapacityExceeded(GrowthForgeError):
 
 
 class BudgetExceeded(GrowthForgeError):
-    """A brute-force expansion would exceed the configured character budget."""
+    """Work of a size known in advance would exceed GROWTHFORGE_BUDGET."""
 
-    def __init__(self, needed: int, budget: int):
-        super().__init__(f"full expansion needs {needed} characters, budget is {budget}")
+    def __init__(self, needed: int, budget: int, what: str = "full expansion",
+                 unit: str = "characters"):
+        super().__init__(f"{what} needs {needed} {unit}, budget is {budget}"
+                         f" (deficit {needed - budget})")
         self.needed = needed
         self.budget = budget
+
+    @property
+    def deficit(self) -> int:
+        return self.needed - self.budget
 
 
 class DepthTooShallow(GrowthForgeError):

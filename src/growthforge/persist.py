@@ -5,16 +5,21 @@ holding the growth parameters, chooser, seed, per-level member choice tuples
 (indices, never strings), the capture log, and a sha256 content digest over
 the same canonical text without the digest. Identical configurations
 therefore produce byte-identical files. Loading expands no member: it
-re-validates the digest, set sizes, choice ranges, distinct choice tuples,
-the capture levels, gap bounds and targets, and the free parameters before
-handing the system to analysis code.
+re-validates the digest, set sizes, choice types, then each level's choice
+array at once (ranges by one comparison against the level's bound vector,
+distinct rows by sorting them), the capture levels, gap bounds and targets,
+and the free parameters before handing the system to analysis code. The
+system keeps the digest it was checked against.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from .construction import CaptureEntry, CSet, FreeParams, LevelSystem, WordRef
 from .errors import SystemFileError
@@ -47,7 +52,7 @@ def system_to_document(system: LevelSystem) -> dict:
         "depth": system.depth,
         "mu_offset": system.mu_offset,
         "horizon": system.horizon,
-        "csets": [[list(ref.choices) for ref in cs.members] for cs in system.csets],
+        "csets": [cs.choices.tolist() for cs in system.csets],
         "capture_log": [e.to_dict() for e in system.capture_log],
         "free_params": system.free_params.to_dict() if system.free_params else None,
     }
@@ -63,7 +68,10 @@ def save_system(system: LevelSystem, path: str | Path) -> str:
 
 
 def load_system(path: str | Path) -> LevelSystem:
-    """Read, digest-check and re-validate; members are checked, never expanded."""
+    """Read, digest-check and re-validate; members are checked, never expanded.
+
+    The returned system's `digest` is the digest the file was checked against.
+    """
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -77,10 +85,12 @@ def load_system(path: str | Path) -> LevelSystem:
     # The digest proves integrity, not a well-formed document: a missing key
     # or a value of the wrong type is a bad file, not a failed computation.
     try:
-        return _system_from_document(doc, path)
+        system = _system_from_document(doc, path)
     except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
         raise SystemFileError(
             f"{path}: malformed system file ({type(exc).__name__}: {exc})") from exc
+    system.digest = doc["digest"]
+    return system
 
 
 def _system_from_document(doc: dict, path: str | Path) -> LevelSystem:
@@ -100,12 +110,11 @@ def _system_from_document(doc: dict, path: str | Path) -> LevelSystem:
         if len(tuples) != required:
             raise SystemFileError(
                 f"{path}: level {level} holds {len(tuples)} members, ratio demands {required}")
-        members = [WordRef(level, tuple(raw)) for raw in tuples]
-        for ref in members:
-            _validate_ref(ref, bounds, path)
-        if len({ref.choices for ref in members}) != len(members):
+        rows = _choice_rows(tuples, bounds, path, f"level {level} members")
+        ordered = rows[np.lexsort(rows.T)]
+        if (ordered[1:] == ordered[:-1]).all(axis=1).any():
             raise SystemFileError(f"{path}: duplicate member choice tuples at level {level}")
-        system.csets.append(CSet(level, members))
+        system.csets.append(CSet(level, rows))
         bounds.insert(0, required)
     system.capture_log = [CaptureEntry.from_dict(e) for e in doc["capture_log"]]
     for entry in system.capture_log:
@@ -117,9 +126,9 @@ def _system_from_document(doc: dict, path: str | Path) -> LevelSystem:
                 f"{entry.target_level}, capture level {entry.capture_level}, gap bound "
                 f"{entry.gap_bound!r}; need target < capture < depth {system.depth} and "
                 f"gap bound 2^(capture level + 1)")
-        ref = WordRef(entry.target_level, tuple(entry.target_choices))
-        _validate_ref(ref, bounds[system.depth - entry.target_level:], path)
-        if system.expand(ref) != entry.target_word:
+        _choice_rows([list(entry.target_choices)], bounds[system.depth - entry.target_level:],
+                     path, "capture target")
+        if system.expand(WordRef(entry.target_level, entry.target_choices)) != entry.target_word:
             raise SystemFileError(
                 f"{path}: capture target {entry.target_word!r} does not match its reference")
     if doc["free_params"]:
@@ -148,10 +157,28 @@ def _system_from_document(doc: dict, path: str | Path) -> LevelSystem:
     return system
 
 
-def _validate_ref(ref: WordRef, bounds: list[int], path: str | Path) -> None:
-    """Each choice must be an int below its bound: |C_(level-1)|, ..., |C_0|, then d."""
-    for c, bound in zip(ref.choices, bounds):
-        if type(c) is not int or not 0 <= c < bound:
-            raise SystemFileError(
-                f"{path}: choice {c!r} of {list(ref.choices)} malformed or out of range "
-                f"0..{bound - 1}")
+def _choice_rows(raw, bounds: list[int], path: str | Path, what: str) -> np.ndarray:
+    """raw as an int64 array of rows with one int per bound, each below its bound.
+
+    The bounds are |C_(level-1)|, ..., |C_0|, d. Types are checked before
+    numpy sees the values, which would turn True into 1 and refuse 2**64
+    with an OverflowError; a bad file is then scanned for its first bad choice.
+    """
+    width = len(bounds)
+    if type(raw) is not list or set(map(type, raw)) - {list} or set(map(len, raw)) - {width}:
+        raise SystemFileError(f"{path}: {what} malformed: need lists of {width} choices")
+    rows = None
+    if not set(map(type, chain.from_iterable(raw))) - {int}:
+        try:
+            rows = np.fromiter(chain.from_iterable(raw), dtype=np.int64,
+                               count=len(raw) * width).reshape(len(raw), width)
+        except OverflowError:
+            pass
+    if rows is None or ((rows < 0) | (rows >= bounds)).any():
+        for row in raw:
+            for c, bound in zip(row, bounds):
+                if type(c) is not int or not 0 <= c < bound:
+                    raise SystemFileError(
+                        f"{path}: choice {c!r} of {row} in {what} malformed or out of range "
+                        f"0..{bound - 1}")
+    return rows

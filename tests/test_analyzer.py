@@ -3,11 +3,12 @@ from fractions import Fraction
 from itertools import product
 from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from growthforge.errors import BudgetExceeded, DepthTooShallow
-from growthforge import analyzer
+from growthforge import analyzer, persist
 from growthforge.analyzer import (
     FactorEngine,
     check_growth_sandwich,
@@ -19,12 +20,12 @@ from growthforge.analyzer import (
     minimal_forbidden_words,
     scan_occurrences,
     verify_recurrence_gaps,
-    _concat,
-    _fold_members,
+    _member_summaries,
     _summary,
 )
 from growthforge.construction import (
-    CaptureEntry, LevelSystem, build_plain, build_uniformly_recurrent, init_system,
+    CaptureEntry, LevelSystem, WordRef, _fold_members, build_plain, build_uniformly_recurrent,
+    init_system,
 )
 from growthforge.growth import exp_power, poly_geometric, table_spec
 
@@ -123,7 +124,7 @@ class TestFactorSets:
         # Level-13 members hold more base-3 digits than Python's
         # int-from-string limit of 4300.
         system = long_members_d3
-        assert len(system.expand(system.csets[13].members[0])) == 8192
+        assert len(system.expand(WordRef(13, tuple(system.csets[13].choices[0].tolist())))) == 8192
         engine = FactorEngine(system)
         for n in (5, 64):
             oracle = factor_set_bruteforce(system, n).members
@@ -389,21 +390,23 @@ def test_summaries_match_window_oracle(system):
 
 
 def assert_folds_match_strings(system, words):
-    """Member codes and occurrence summaries folded from refs equal those read off the strings."""
-    d, letters = system.alphabet.size, system.alphabet.letters
+    """Member codes and occurrence summaries folded from choice rows equal the strings' ones."""
+    d = system.alphabet.size
     engine = FactorEngine(system)
-    strings = [[system.expand(ref) for ref in cs.members] for cs in system.csets]
+    strings = [[system.expand(WordRef(cs.level, tuple(row))) for row in cs.choices.tolist()]
+               for cs in system.csets]
     # Distinct members, hence distinct elements: what choose_cset relies on.
     assert all(len(set(level)) == len(level) for level in strings)
     codes = [[engine.encode(s) for s in level] for level in strings]
-    assert _fold_members(system, lambda i: i,
-                         lambda head, tail, l: head * d ** (1 << (l - 1)) + tail) == codes
+    folded = _fold_members(system, np.arange(d, dtype=object),
+                           lambda head, tail, l: head * d ** (1 << (l - 1)) + tail)
+    assert [level.tolist() for level in folded] == codes
     # The engine's whole-member tables come from its own fold.
     assert [engine.suffixes(j, 1 << j).tolist() for j in range(system.depth)] == [
         sorted(level) for level in codes]
     for w in words:
-        folded = _fold_members(system, lambda i: _summary(letters[i], w),
-                               lambda head, rest, _: _concat(head, rest, w))
+        table, ids = _member_summaries(system, w)
+        folded = [[table[i] for i in level.tolist()] for level in ids]
         assert folded == [[_summary(s, w) for s in level] for level in strings]
 
 
@@ -447,12 +450,25 @@ class TestFold:
     def test_long_members_d3(self, long_members_d3):
         assert_folds_match_strings(long_members_d3, ["a", "cb", "abc", "bcab"])
 
-    def test_engine_and_certificate_read_no_member_strings(self, captured7, monkeypatch):
+    def test_engine_and_certificate_read_no_member_strings(self, captured7, monkeypatch,
+                                                           tmp_path):
         reference = FactorEngine(captured7)
         counts = [reference.count(n) for n in range(1, 17)]
         words = ["".join(w) for n in (1, 5, 9) for w in product("ab", repeat=n)]
         contained = [reference.contains(w) for w in words]
         expected = verify_recurrence_gaps(captured7).to_dict()
+        persist.save_system(captured7, tmp_path / "c7.json")
+
+        # Loading checks each capture target through one ref; members get none.
+        refs_made = []
+        post_init = WordRef.__post_init__
+
+        def counted(self):
+            refs_made.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(WordRef, "__post_init__", counted)
+        loaded = persist.load_system(tmp_path / "c7.json")
 
         def unexpandable(self, ref):
             raise AssertionError("member expanded")
@@ -462,6 +478,9 @@ class TestFold:
         assert [engine.count(n) for n in range(1, 17)] == counts
         assert [engine.contains(w) for w in words] == contained
         assert verify_recurrence_gaps(captured7).to_dict() == expected
+        assert [FactorEngine(loaded).count(n) for n in range(1, 17)] == counts
+        assert verify_recurrence_gaps(loaded).to_dict() == expected
+        assert len(refs_made) <= len(captured7.capture_log)
 
 
 class TestAperiodicity:

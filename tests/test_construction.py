@@ -2,9 +2,13 @@ import sys
 from math import prod
 from random import Random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from growthforge.errors import CapacityExceeded, HorizonTooSmall, InsufficientWords
+from growthforge.errors import (
+    BudgetExceeded, CapacityExceeded, HorizonTooSmall, InsufficientWords,
+)
 from growthforge.growth import exp_power, geometric, poly_geometric, table_spec
 from growthforge.construction import (
     WordRef,
@@ -19,9 +23,14 @@ from growthforge.construction import (
 TOY = table_spec({1: 2, 2: 4, 4: 8, 8: 16})
 
 
+def member_refs(cs):
+    """A choice set's members as refs, one per choice row."""
+    return [WordRef(cs.level, tuple(row)) for row in cs.choices.tolist()]
+
+
 def member_words(system):
-    """Each level's member words, expanded from the member refs."""
-    return [[system.expand(ref) for ref in cs.members] for cs in system.csets]
+    """Each level's member words, expanded from the choice rows."""
+    return [[system.expand(ref) for ref in member_refs(cs)] for cs in system.csets]
 
 
 class TestInit:
@@ -42,13 +51,13 @@ class TestChooseCset:
         system = init_system(TOY)
         system.choose_cset(0)
         cs = system.choose_cset(1)
-        assert [system.expand(ref) for ref in cs.members] == ["aa", "ab"]
+        assert [system.expand(ref) for ref in member_refs(cs)] == ["aa", "ab"]
 
     def test_toy_fixed_suffix(self):
         system = init_system(TOY)
         system.choose_cset(0)
         cs = system.choose_cset(1, suffix="a")
-        assert [system.expand(ref) for ref in cs.members] == ["aa", "ba"]
+        assert [system.expand(ref) for ref in member_refs(cs)] == ["aa", "ba"]
 
     def test_insufficient_words_pigeonhole(self):
         # ratio(0) = ceil(8/2) = 4 > |W(1)| = 2.
@@ -56,6 +65,15 @@ class TestChooseCset:
         with pytest.raises(InsufficientWords) as err:
             system.choose_cset(0)
         assert err.value.deficit == 2
+
+    def test_choice_budget(self, monkeypatch):
+        # r_1 = 2 members of 2 choices each: 4 entries against a budget of 3.
+        monkeypatch.setenv("GROWTHFORGE_BUDGET", "3")
+        system = init_system(TOY)
+        system.choose_cset(0)
+        with pytest.raises(BudgetExceeded, match="level 1 choice set") as err:
+            system.choose_cset(1)
+        assert err.value.deficit == 1 and system.depth == 1
 
     def test_seeded_chooser_is_deterministic(self):
         def build():
@@ -89,8 +107,8 @@ class TestExpand:
         word = toy_system.expand(ref)
         assert word == "abab"
         # Each choice fills the window of its level: [0, 2), [2, 3), then the letter.
-        assert word[0:2] == toy_system.expand(toy_system.csets[1].members[1])
-        assert word[2:3] == toy_system.expand(toy_system.csets[0].members[0])
+        assert word[0:2] == toy_system.expand(member_refs(toy_system.csets[1])[1])
+        assert word[2:3] == toy_system.expand(member_refs(toy_system.csets[0])[0])
         assert word[3:] == "b"
 
     def test_level_zero(self, toy_system):
@@ -99,10 +117,10 @@ class TestExpand:
     def test_roundtrip_all_members(self, captured4):
         # A member's word is its head member's word followed by its tail's.
         for cs in captured4.csets:
-            for ref in cs.members:
+            for ref in member_refs(cs):
                 s = captured4.expand(ref)
                 if cs.level:
-                    head = captured4.csets[cs.level - 1].members[ref.choices[0]]
+                    head = member_refs(captured4.csets[cs.level - 1])[ref.choices[0]]
                     tail = WordRef(cs.level - 1, ref.choices[1:])
                     assert s == captured4.expand(head) + captured4.expand(tail)
                 assert len(s) == 1 << cs.level
@@ -256,3 +274,77 @@ class TestSampling:
             ranks = _sample_ranks(Random(1), total, k)
             assert len(set(ranks)) == k and all(0 <= r < total for r in ranks)
         assert _sample_ranks(Random(1), 2 ** 70, 50) == _sample_ranks(Random(1), 2 ** 70, 50)
+
+
+def sequential_choose(system, level, suffix, include, rng):
+    """The member rows of C(2^level) by the per-rank algorithm, or None if too few exist.
+
+    One divmod chain per rank and a `seen` set, as choose_cset once worked;
+    rng is a copy of the build RNG.
+    """
+    radices, tails = system._admissible(level, suffix)
+    available = prod(radices) * len(tails)
+    chosen, seen = [], set()
+    for ref in include:
+        if ref.choices not in seen:
+            seen.add(ref.choices)
+            chosen.append(ref.choices)
+    overlap = sum(system.expand(WordRef(level, c)).endswith(suffix) for c in chosen)
+    fill = system.spec.ratio(level) - len(chosen)
+    if available - overlap < fill:
+        return None
+    ranks = range(available)
+    if system.chooser == "seeded" and fill:
+        ranks = _sample_ranks(rng, available, fill + overlap)
+    for rank in ranks:
+        if fill == 0:
+            break
+        rank, t = divmod(rank, len(tails))
+        digits = []
+        for r in reversed(radices):
+            rank, digit = divmod(rank, r)
+            digits.append(digit)
+        choices = tuple(reversed(digits)) + tails[t]
+        if choices not in seen:
+            seen.add(choices)
+            chosen.append(choices)
+            fill -= 1
+    return [list(c) for c in chosen]
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_choose_cset_matches_sequential_reference(data):
+    # table_spec systems over d = 2 or 3 letters, depth 2-6, both choosers.
+    # Some levels take a lower-level element as the common suffix of their
+    # members, as a capture does; some get must_include refs, drawn from all
+    # of W(2^level) with repeats, so they may or may not end with the suffix.
+    d = data.draw(st.sampled_from([2, 3]))
+    depth = data.draw(st.integers(2, 6))
+    values, v, capacity = {1: d}, d, d
+    for i in range(depth):
+        r = min(data.draw(st.integers(1, 3)), capacity)
+        v, capacity = v * r, capacity * r
+        values[1 << (i + 1)] = v
+    system = init_system(table_spec(values), data.draw(st.sampled_from(["lex", "seeded"])),
+                         seed=data.draw(st.integers(0, 2 ** 16)))
+    for level in range(depth):
+        suffix = ""
+        if level and data.draw(st.booleans()):
+            t = data.draw(st.integers(0, level - 1))
+            suffix = system.expand(system.ref_from_rank(
+                t, data.draw(st.integers(0, system.level_word_count(t) - 1))))
+        ranks = data.draw(st.lists(st.integers(0, system.level_word_count(level) - 1),
+                                   max_size=system.spec.ratio(level)))
+        include = [system.ref_from_rank(level, rank) for rank in ranks]
+        rng = Random()
+        rng.setstate(system._rng.getstate())
+        expected = sequential_choose(system, level, suffix, include, rng)
+        if expected is None:
+            with pytest.raises(InsufficientWords):
+                system.choose_cset(level, suffix=suffix, must_include=include)
+            return
+        cs = system.choose_cset(level, suffix=suffix, must_include=include)
+        assert cs.choices.dtype == np.int64 and cs.choices.flags.c_contiguous
+        assert cs.choices.tolist() == expected
+        assert system._rng.getstate() == rng.getstate()

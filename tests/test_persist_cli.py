@@ -7,13 +7,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from growthforge import persist
 from growthforge.cli import RunConfig, main
 from growthforge.errors import SystemFileError
-from growthforge.construction import build_free_power_system, build_uniformly_recurrent
+from growthforge.construction import (
+    LevelSystem, WordRef, build_free_power_system, build_uniformly_recurrent,
+)
 from growthforge.growth import poly_geometric
 
 
 def member_words(system):
-    """Each level's member words, expanded from the member refs."""
-    return [[system.expand(ref) for ref in cs.members] for cs in system.csets]
+    """Each level's member words, expanded from the choice rows."""
+    return [[system.expand(WordRef(cs.level, tuple(row))) for row in cs.choices.tolist()]
+            for cs in system.csets]
 
 
 def tamper(path, **fields):
@@ -154,6 +157,25 @@ class TestCli:
                      "--out", str(tmp_path / "x.json")])
         assert code == 1
 
+    def test_build_refuses_choice_set_over_budget(self, tmp_path, capsys, monkeypatch):
+        # poly_geometric(1/10) needs r_8 = 78,987,323,181 members of 9 choices
+        # at depth 9: refused with the exact deficit before any set is built.
+        monkeypatch.delenv("GROWTHFORGE_BUDGET", raising=False)
+
+        def unbuildable(self, *args, **kwargs):
+            raise AssertionError("choice set built")
+
+        monkeypatch.setattr(LevelSystem, "choose_cset", unbuildable)
+        entries = poly_geometric("1/10").ratio(8) * 9
+        assert entries == 710_885_908_629
+        sys_path = tmp_path / "big.json"
+        assert main(["build", "--family", "poly_geometric", "--epsilon", "1/10",
+                     "--mode", "recurrent", "--depth", "9", "--out", str(sys_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"level 8 choice set needs {entries} choice entries" in err
+        assert f"deficit {entries - 5_000_000}" in err
+        assert not sys_path.exists()
+
     def test_build_plain_toy_table(self, tmp_path):
         sys_path = tmp_path / "toy.json"
         assert main(["build", "--family", "table", "--table-values", "2,4,8,16",
@@ -199,9 +221,15 @@ class TestCli:
         (lambda doc: doc["csets"][2].__setitem__(2, doc["csets"][2][0]), "duplicate"),
         # Members are not expanded on load, so nothing else would index with it.
         (lambda doc: doc["csets"][2][0].__setitem__(0, 1.0), "out of range"),
+        # In range as 1; an int64 array would take it without complaint.
+        (lambda doc: doc["csets"][2][0].__setitem__(0, True), "malformed"),
+        # Wider than int64: conversion to an array would overflow.
+        (lambda doc: doc["csets"][2][0].__setitem__(0, 2 ** 64), "out of range"),
+        (lambda doc: doc["csets"][2][0].append(0), "malformed"),
     ], ids=["no-chooser", "csets-int", "string-choice", "capture-no-gap-bound",
             "capture-negative-choice", "capture-huge-gap-bound", "capture-string-gap-bound",
-            "capture-at-depth", "duplicate-member", "float-choice"])
+            "capture-at-depth", "duplicate-member", "float-choice", "bool-choice",
+            "huge-choice", "ragged-member"])
     def test_analyze_malformed_exits_2(self, tmp_path, captured4, capsys, mutate, message):
         # Each document carries a recomputed digest, so only the shape is wrong.
         doc = persist.system_to_document(captured4)
@@ -362,7 +390,7 @@ REMOVE = object()
 
 
 @given(which=st.integers(0, 1), data=st.data(),
-       value=st.sampled_from([None, -1, 10 ** 6, "0", [], {}, REMOVE]))
+       value=st.sampled_from([None, -1, 10 ** 6, "0", [], {}, True, 2 ** 64, 1.5, REMOVE]))
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_hostile_documents_never_raise(fuzz_documents, which, data, value):
