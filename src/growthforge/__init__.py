@@ -26,7 +26,6 @@ from .construction import (
     LevelSystem,
     CaptureEntry,
     FreeParams,
-    init_system,
     build_plain,
     build_uniformly_recurrent,
     build_free_power_system,
@@ -59,8 +58,8 @@ __all__ = [
     "table_spec", "check_basic", "check_rapid_growth", "check_capture_conditions",
     "compute_mu", "verify_hypotheses",
     "Alphabet", "WordRef", "CSet", "LevelSystem", "CaptureEntry", "FreeParams",
-    "init_system", "build_plain", "build_uniformly_recurrent",
-    "build_free_power_system", "capture_target",
+    "build_plain", "build_uniformly_recurrent", "build_free_power_system",
+    "capture_target",
     "FactorSet", "factor_set_bruteforce", "factor_set_structural", "dim_series",
     "check_growth_sandwich", "verify_recurrence_gaps", "check_nonperiodicity",
     "minimal_forbidden_words", "entropy_partial",

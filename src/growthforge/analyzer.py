@@ -316,15 +316,6 @@ class DimensionReport:
     depth: int
     digits: int
 
-    def dim(self, n: int) -> int:
-        return self.rows[n - 1].dim
-
-    def cumulative(self, n: int) -> int:
-        return self.rows[n - 1].cumulative
-
-    def entropy(self, n: int) -> Fraction:
-        return self.rows[n - 1].entropy_partial
-
     def submultiplicative_violations(self, n_max: int | None = None) -> list[tuple[int, int]]:
         """Pairs (n, m) with dim_(n+m) > dim_n * dim_m; empty on factorial languages."""
         top = n_max if n_max is not None else len(self.rows)

@@ -11,6 +11,14 @@ expanding rows. Choosing a set unranks all its candidate ranks in one
 mixed-radix pass over a rank array, and per-member values (codes, occurrence
 summaries) are folded up the levels by gathering from these arrays.
 
+Captures never match letters. The last 2^t letters of a W(2^level) element
+are the expansion of its last t+1 choices (the blocks of levels t-1, ..., 0
+and the letter), and distinct W(2^t) tuples expand to distinct words, so an
+element ends with a W(2^t) element w exactly when its last t+1 choices are
+w's choices. The elements ending with w are therefore free top choices
+c_(level-1), ..., c_t followed by w's choices, in tuple-lex order when the
+free part is read as a mixed-radix number.
+
 Three builders are provided:
 
   * plain: every choice set filled by the chooser with no constraints;
@@ -54,9 +62,6 @@ class Alphabet:
     @property
     def size(self) -> int:
         return len(self.letters)
-
-    def index(self, ch: str) -> int:
-        return self.letters.index(ch)
 
 
 @dataclass(frozen=True)
@@ -184,103 +189,77 @@ class LevelSystem:
         """m: levels 0..m have choice sets; -1 before any are built."""
         return len(self.csets) - 1
 
-    def level_word_count(self, level: int) -> int:
-        """|W(2^level)| = d * prod of lower choice-set sizes."""
+    def radices(self, level: int, suffix: WordRef | None = None) -> list[int]:
+        """The radices of the free choices of the W(2^level) elements ending with suffix.
+
+        The bound vector of a level is (|C_(level-1)|, ..., |C_0|, d): choice
+        i of an element lies below entry i. An element ends with a W(2^t)
+        element w exactly when its last t+1 choices are w's choices (its last
+        2^t letters expand from them, and distinct tuples give distinct
+        words), so only the first level+1-len(suffix.choices) choices are
+        free; without a suffix all of them are.
+        """
         if level > self.depth:
             raise ValueError(f"level {level} beyond depth {self.depth}")
-        n = self.alphabet.size
-        for j in range(level):
-            n *= len(self.csets[j])
-        return n
+        bounds = [len(cs) for cs in reversed(self.csets[:level])] + [self.alphabet.size]
+        return bounds if suffix is None else bounds[:level + 1 - len(suffix.choices)]
+
+    def level_word_count(self, level: int) -> int:
+        """|W(2^level)| = d * prod of lower choice-set sizes."""
+        return prod(self.radices(level))
 
     def ref_from_rank(self, level: int, rank: int) -> WordRef:
         """The rank-th element of W(2^level) in tuple-lex order (mixed radix)."""
-        row = _unrank(level, *self._admissible(level, ""), [rank])[0]
+        row = _unrank(self.radices(level), (), [rank])[0]
         return WordRef(level, tuple(row.tolist()))
 
     def iter_refs(self, level: int):
         """All of W(2^level) in tuple-lex order."""
-        radices, tails = self._admissible(level, "")
+        radices = self.radices(level)
         total = prod(radices)
         for start in range(0, total, _RANK_BLOCK):
             ranks = np.arange(start, min(start + _RANK_BLOCK, total))
-            for row in _unrank(level, radices, tails, ranks).tolist():
+            for row in _unrank(radices, (), ranks).tolist():
                 yield WordRef(level, tuple(row))
 
     # -- expansion -------------------------------------------------------------
 
     def expand(self, ref: WordRef) -> str:
-        """The 2^level-letter word a reference denotes, by recursion on member rows."""
-        member = self._member_word()
-        j = ref.level
-        return "".join([member(j - 1 - i, c) for i, c in enumerate(ref.choices[:-1])]
-                       ) + self.alphabet.letters[ref.choices[-1]]
+        """The 2^level-letter word a reference denotes, by recursion on member rows.
 
-    def _member_word(self):
-        """A function (j, c) -> the word of member c of C_j.
-
-        It keeps the words it has made, so a member met twice is expanded once.
+        Member words are kept while it runs, so a member met twice is expanded once.
         """
         csets, letters = self.csets, self.alphabet.letters
         words: dict[tuple[int, int], str] = {}
 
+        def word(level: int, choices) -> str:
+            return "".join([member(level - 1 - i, c) for i, c in enumerate(choices[:-1])]
+                           ) + letters[choices[-1]]
+
         def member(j: int, c: int) -> str:
             w = words.get((j, c))
             if w is None:
-                row = csets[j].choices[c].tolist()
-                w = words[j, c] = "".join(
-                    [member(j - 1 - i, x) for i, x in enumerate(row[:-1])]) + letters[row[-1]]
+                w = words[j, c] = word(j, csets[j].choices[c].tolist())
             return w
 
-        return member
-
-    # -- admissible-word combinatorics ----------------------------------------
-
-    def _admissible(self, level: int, suffix: str) -> tuple[list[int], list[tuple[int, ...]]]:
-        """The W(2^level) elements ending with suffix, as radices and tails.
-
-        An element is one free choice per radix (the top levels, most
-        significant first, and the letter when suffix is empty) followed by
-        one of the fixed tails, which list the low-level choices in tuple-lex
-        order. There are prod(radices) * len(tails) of them, and mixed-radix
-        rank order over (radices, tail index) is tuple-lex order. Suffixes
-        are matched against the expanded members of the one level they
-        split at, and the recursion finds the lower part's one tail.
-        """
-        if len(suffix) > 1 << level:
-            return [], []
-        radices = []
-        while level > 0 and len(suffix) <= 1 << (level - 1):
-            level -= 1
-            radices.append(len(self.csets[level]))
-        if not suffix:
-            return radices + [self.alphabet.size], [()]
-        if level == 0:
-            found = suffix in self.alphabet.letters
-            return radices, [(self.alphabet.index(suffix),)] if found else []
-        half = 1 << (level - 1)
-        head = suffix[:-half]
-        member = self._member_word()
-        holders = [c for c in range(len(self.csets[level - 1]))
-                   if member(level - 1, c).endswith(head)]
-        return radices, [(c,) + tail for tail in self._admissible(level - 1, suffix[-half:])[1]
-                         for c in holders]
+        return word(ref.level, ref.choices)
 
     # -- choice-set construction ----------------------------------------------
 
     def choose_cset(
         self,
         level: int,
-        suffix: str = "",
+        suffix: WordRef | None = None,
         must_include: list[WordRef] | None = None,
     ) -> CSet:
         """Define C(2^level) deterministically and append it to the system.
 
         The set gets exactly r_level members: must_include refs first (in the
-        given order), then admissible elements of W(2^level) whose expansion
-        ends with `suffix`; the lex chooser takes the smallest choice tuples,
+        given order), then elements of W(2^level) ending with the lower-level
+        element `suffix`; the lex chooser takes the smallest choice tuples,
         the seeded chooser draws without replacement from the build RNG.
-        A set of more than GROWTHFORGE_BUDGET choice entries is refused first.
+        A set of more than GROWTHFORGE_BUDGET choice entries is refused first,
+        and refs off their level or out of range raise ValueError.
         """
         if level != self.depth:
             raise ValueError(f"levels must be defined in order; next is {self.depth}")
@@ -289,25 +268,29 @@ class LevelSystem:
         include = list(must_include or [])
         if len(include) > required:
             raise CapacityExceeded(level, len(include), required)
-        radices, tails = self._admissible(level, suffix)
-        available = prod(radices) * len(tails)
+        if any(ref.level != level for ref in include):
+            raise ValueError("must_include ref at wrong level")
+        if suffix is not None and not 0 <= suffix.level < level:
+            raise ValueError(f"suffix at level {suffix.level} must sit below level {level}")
+        bounds = self.radices(level)
+        for ref in include + ([] if suffix is None else [suffix]):
+            ref_bounds = bounds[level - ref.level:]     # the bound vector of ref.level
+            if not all(0 <= c < b for c, b in zip(ref.choices, ref_bounds)):
+                raise ValueError(f"choices {ref.choices} out of range of bounds {ref_bounds}")
+        radices = self.radices(level, suffix)
+        tail = () if suffix is None else suffix.choices
+        available = prod(radices)
 
-        # The included refs in order without repeats, and the admissible
-        # ranks they take: a ref is admissible iff its tail is one of `tails`.
-        chosen: dict[tuple[int, ...], None] = {}
-        for ref in include:
-            if ref.level != level:
-                raise ValueError("must_include ref at wrong level")
-            chosen[ref.choices] = None
-        tail_index = {tail: i for i, tail in enumerate(tails)}
+        # The included refs in order without repeats, and the ranks of those
+        # that end with the suffix.
+        chosen = dict.fromkeys(ref.choices for ref in include)
         taken = []
         for choices in chosen:
-            i = tail_index.get(choices[len(radices):])
-            if i is not None:
+            if choices[len(radices):] == tail:
                 rank = 0
                 for c, r in zip(choices, radices):
                     rank = rank * r + c
-                taken.append(rank * len(tails) + i)
+                taken.append(rank)
         fill = required - len(chosen)
         if available - len(taken) < fill:
             raise InsufficientWords(level, fill, available - len(taken))
@@ -321,7 +304,7 @@ class LevelSystem:
         if taken:
             ranks = ranks[~np.isin(ranks, taken)]
         rows = np.array(list(chosen), dtype=np.int64).reshape(len(chosen), level + 1)
-        cs = CSet(level, np.concatenate([rows, _unrank(level, radices, tails, ranks[:fill])]))
+        cs = CSet(level, np.concatenate([rows, _unrank(radices, tail, ranks[:fill])]))
         self.csets.append(cs)
         return cs
 
@@ -356,23 +339,19 @@ def _sample_ranks(rng: Random, total: int, k: int) -> list[int]:
     return list(picked)
 
 
-def _unrank(level: int, radices: list[int], tails: list[tuple[int, ...]], ranks) -> np.ndarray:
-    """The choice rows of the ranked refs that `LevelSystem._admissible` describes.
+def _unrank(radices: list[int], tail: tuple[int, ...], ranks) -> np.ndarray:
+    """One choice row per rank: its mixed-radix digits over `radices`, then `tail`.
 
-    One mixed-radix pass over the whole rank array: digit by digit, least
-    significant first, with int64 ranks while they fit and Python ints
-    beyond; the rows are int64 either way.
+    One pass over the whole rank array: digit by digit, least significant
+    first, with int64 ranks while they fit and Python ints beyond; the rows
+    are int64 either way.
     """
-    available = prod(radices) * len(tails)
+    available = prod(radices)
     ranks = np.asarray(ranks, dtype=_rank_dtype(available))
     if ((ranks < 0) | (ranks >= available)).any():
         raise ValueError("rank out of range")
-    rows = np.empty((ranks.size, level + 1), dtype=np.int64)
-    if not ranks.size:
-        return rows
-    tail_rows = np.array(tails, dtype=np.int64).reshape(len(tails), level + 1 - len(radices))
-    rows[:, len(radices):] = tail_rows[(ranks % len(tails)).astype(np.int64)]
-    ranks = ranks // len(tails)
+    rows = np.empty((ranks.size, len(radices) + len(tail)), dtype=np.int64)
+    rows[:, len(radices):] = tail
     for i in reversed(range(len(radices))):
         rows[:, i] = ranks % radices[i]
         ranks = ranks // radices[i]
@@ -401,17 +380,6 @@ def _fold_members(system: LevelSystem, leaves: np.ndarray, join) -> list[np.ndar
 # -- whole-system builders -----------------------------------------------------
 
 
-def init_system(
-    spec: GrowthSpec,
-    chooser: str = "lex",
-    seed: int = 0,
-    letters: str | None = None,
-    mode: str = "plain",
-) -> LevelSystem:
-    """Depth-0 system: alphabet of f(1) letters, no choice sets yet."""
-    return LevelSystem(spec, chooser=chooser, seed=seed, letters=letters, mode=mode)
-
-
 def build_plain(
     spec: GrowthSpec,
     chooser: str = "lex",
@@ -423,7 +391,7 @@ def build_plain(
     if depth < 1:
         raise ValueError("depth must be >= 1")
     _require_choice_budget(spec, range(depth))
-    system = init_system(spec, chooser=chooser, seed=seed, letters=letters, mode="plain")
+    system = LevelSystem(spec, chooser=chooser, seed=seed, letters=letters, mode="plain")
     for level in range(depth):
         system.choose_cset(level)
     return system
@@ -461,13 +429,11 @@ def capture_target(
         while system.depth < t_prime:
             filled.append(system.depth)
             system.choose_cset(system.depth)
-        required = system.spec.ratio(t_prime)
-        radices, tails = system._admissible(t_prime, word)
-        if prod(radices) * len(tails) >= required:
+        if prod(system.radices(t_prime, target)) >= system.spec.ratio(t_prime):
             break
         retries.append(t_prime)
         t_prime += 1
-    system.choose_cset(t_prime, suffix=word)
+    system.choose_cset(t_prime, suffix=target)
     entry = CaptureEntry(
         target_level=t,
         target_choices=target.choices,
@@ -508,7 +474,7 @@ def build_uniformly_recurrent(
     if not basic.submultiplicative_ok:
         raise ValueError(f"growth fails submultiplicativity: {basic.submultiplicative_violation}")
     _require_choice_budget(spec, range(depth))
-    system = init_system(spec, chooser=chooser, seed=seed, letters=letters, mode="recurrent")
+    system = LevelSystem(spec, chooser=chooser, seed=seed, letters=letters, mode="recurrent")
     system.mu_offset = mu_offset
     system.horizon = horizon
     done = 0
@@ -589,7 +555,7 @@ def build_free_power_system(
             raise CapacityExceeded(i, required, spec.ratio(i))
     _require_choice_budget(spec, range(depth))
 
-    system = init_system(spec, chooser=chooser, seed=seed, letters="xy", mode="free")
+    system = LevelSystem(spec, chooser=chooser, seed=seed, letters="xy", mode="free")
     for level in range(depth):
         # The forced members come first, in bit order, so member k of the
         # previous level's set is its product with binary expansion k (the

@@ -183,19 +183,14 @@ class BasicReport:
     submultiplicative_ok: bool
     submultiplicative_violation: tuple[int, int, int, int] | None  # (n, m, f(n+m), f(n)f(m))
 
-    @property
-    def ok(self) -> bool:
-        # Plateaus are warnings by design: the construction consumes f only
-        # through the dyadic ratios, and r_i >= 1 regardless.
-        return self.monotone_ok and self.submultiplicative_ok
-
 
 def check_basic(spec: GrowthSpec, horizon: int) -> BasicReport:
     """Check f(n) < f(n+1) and f(n+m) <= f(n) f(m) for arguments <= horizon.
 
     For table specs only covered arguments participate. Equality plateaus
-    (common for ceiled families at small n) are recorded as warnings; an
-    actual decrease is a hard violation.
+    (common for ceiled families at small n) are recorded as warnings, since
+    the construction consumes f only through the dyadic ratios and r_i >= 1
+    regardless; an actual decrease is a hard violation.
     """
     if horizon < 2:
         raise ValueError("horizon must be >= 2")

@@ -36,12 +36,22 @@ def canonical_json(doc: dict) -> str:
 
 
 def document_digest(doc: dict) -> str:
-    body = {k: v for k, v in doc.items() if k != "digest"}
-    return "sha256:" + hashlib.sha256(canonical_json(body).encode()).hexdigest()
+    return _text_digest(canonical_json({k: v for k, v in doc.items() if k != "digest"}))
+
+
+def _text_digest(body: str) -> str:
+    return "sha256:" + hashlib.sha256(body.encode()).hexdigest()
 
 
 def system_to_document(system: LevelSystem) -> dict:
-    doc = {
+    doc = _document_body(system)
+    doc["digest"] = document_digest(doc)
+    return doc
+
+
+def _document_body(system: LevelSystem) -> dict:
+    """The document without its digest."""
+    return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "growth": system.spec.describe(),
@@ -56,15 +66,21 @@ def system_to_document(system: LevelSystem) -> dict:
         "capture_log": [e.to_dict() for e in system.capture_log],
         "free_params": system.free_params.to_dict() if system.free_params else None,
     }
-    doc["digest"] = document_digest(doc)
-    return doc
 
 
 def save_system(system: LevelSystem, path: str | Path) -> str:
-    """Write the system file; returns its digest."""
-    doc = system_to_document(system)
-    Path(path).write_text(canonical_json(doc) + "\n")
-    return doc["digest"]
+    """Write the system file; returns its digest.
+
+    The body is encoded once and hashed, and the digest member is spliced in
+    where sorted keys put it: just before "format", the first key after it.
+    No string before that key can hold the text ',"format":', since a quote
+    inside a string is escaped and no earlier object has a key "format".
+    """
+    body = canonical_json(_document_body(system))
+    digest = _text_digest(body)
+    head, tail = body.split(',"format":', 1)
+    Path(path).write_text(f'{head},"digest":"{digest}","format":{tail}\n')
+    return digest
 
 
 def load_system(path: str | Path) -> LevelSystem:
@@ -104,18 +120,16 @@ def _system_from_document(doc: dict, path: str | Path) -> LevelSystem:
     )
     system.mu_offset = doc["mu_offset"]
     system.horizon = doc["horizon"]
-    bounds = [system.alphabet.size]   # |C_(level-1)|, ..., |C_0|, d
     for level, tuples in enumerate(doc["csets"]):
         required = spec.ratio(level)
         if len(tuples) != required:
             raise SystemFileError(
                 f"{path}: level {level} holds {len(tuples)} members, ratio demands {required}")
-        rows = _choice_rows(tuples, bounds, path, f"level {level} members")
+        rows = _choice_rows(tuples, system.radices(level), path, f"level {level} members")
         ordered = rows[np.lexsort(rows.T)]
         if (ordered[1:] == ordered[:-1]).all(axis=1).any():
             raise SystemFileError(f"{path}: duplicate member choice tuples at level {level}")
         system.csets.append(CSet(level, rows))
-        bounds.insert(0, required)
     system.capture_log = [CaptureEntry.from_dict(e) for e in doc["capture_log"]]
     for entry in system.capture_log:
         # The recurrence certificate trusts the capture level and gap bound.
@@ -126,8 +140,8 @@ def _system_from_document(doc: dict, path: str | Path) -> LevelSystem:
                 f"{entry.target_level}, capture level {entry.capture_level}, gap bound "
                 f"{entry.gap_bound!r}; need target < capture < depth {system.depth} and "
                 f"gap bound 2^(capture level + 1)")
-        _choice_rows([list(entry.target_choices)], bounds[system.depth - entry.target_level:],
-                     path, "capture target")
+        _choice_rows([list(entry.target_choices)], system.radices(entry.target_level), path,
+                     "capture target")
         if system.expand(WordRef(entry.target_level, entry.target_choices)) != entry.target_word:
             raise SystemFileError(
                 f"{path}: capture target {entry.target_word!r} does not match its reference")

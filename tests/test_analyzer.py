@@ -25,7 +25,6 @@ from growthforge.analyzer import (
 )
 from growthforge.construction import (
     CaptureEntry, LevelSystem, WordRef, _fold_members, build_plain, build_uniformly_recurrent,
-    init_system,
 )
 from growthforge.growth import exp_power, poly_geometric, table_spec
 
@@ -419,20 +418,18 @@ def fold_systems(draw):
     target; one arbitrary word of 1-4 letters is always a target.
     """
     depth = draw(st.integers(2, 6))
-    system = init_system(draw_table(draw, depth), draw(st.sampled_from(["lex", "seeded"])),
+    system = LevelSystem(draw_table(draw, depth), draw(st.sampled_from(["lex", "seeded"])),
                          seed=draw(st.integers(0, 2 ** 16)))
     captures = draw(st.booleans())
     targets = [draw(st.text(alphabet=system.alphabet.letters, min_size=1, max_size=4))]
     for level in range(depth):
-        suffix = ""
+        suffix = None
         if captures and level:
             t = draw(st.integers(0, level - 1))
-            word = system.expand(system.ref_from_rank(
-                t, draw(st.integers(0, system.level_word_count(t) - 1))))
-            radices, tails = system._admissible(level, word)
-            if prod(radices) * len(tails) >= system.spec.ratio(level):
-                suffix = word
-                targets.append(word)
+            ref = system.ref_from_rank(t, draw(st.integers(0, system.level_word_count(t) - 1)))
+            if prod(system.radices(level, ref)) >= system.spec.ratio(level):
+                suffix = ref
+                targets.append(system.expand(ref))
         system.choose_cset(level, suffix=suffix)
     return system, targets
 

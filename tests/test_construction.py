@@ -1,4 +1,5 @@
 import sys
+from itertools import product
 from math import prod
 from random import Random
 
@@ -11,13 +12,13 @@ from growthforge.errors import (
 )
 from growthforge.growth import exp_power, geometric, poly_geometric, table_spec
 from growthforge.construction import (
+    LevelSystem,
     WordRef,
     _sample_ranks,
     build_free_power_system,
     build_plain,
     build_uniformly_recurrent,
     capture_target,
-    init_system,
 )
 
 TOY = table_spec({1: 2, 2: 4, 4: 8, 8: 16})
@@ -35,33 +36,57 @@ def member_words(system):
 
 class TestInit:
     def test_alphabet_sizes(self):
-        assert init_system(geometric(1)).alphabet.letters == "ab"
-        assert init_system(geometric("1/2")).alphabet.letters == "ab"  # d = ceil(1.5) = 2
-        assert init_system(table_spec({1: 5, 2: 10})).alphabet.size == 5
+        assert LevelSystem(geometric(1)).alphabet.letters == "ab"
+        assert LevelSystem(geometric("1/2")).alphabet.letters == "ab"  # d = ceil(1.5) = 2
+        assert LevelSystem(table_spec({1: 5, 2: 10})).alphabet.size == 5
 
     def test_letter_override(self):
-        system = init_system(geometric(1), letters="xy")
+        system = LevelSystem(geometric(1), letters="xy")
         assert system.alphabet.letters == "xy"
         with pytest.raises(ValueError):
-            init_system(geometric(1), letters="xyz")
+            LevelSystem(geometric(1), letters="xyz")
 
 
 class TestChooseCset:
     def test_toy_lex_unconstrained(self):
-        system = init_system(TOY)
+        system = LevelSystem(TOY)
         system.choose_cset(0)
         cs = system.choose_cset(1)
         assert [system.expand(ref) for ref in member_refs(cs)] == ["aa", "ab"]
 
     def test_toy_fixed_suffix(self):
-        system = init_system(TOY)
+        system = LevelSystem(TOY)
         system.choose_cset(0)
-        cs = system.choose_cset(1, suffix="a")
+        cs = system.choose_cset(1, suffix=WordRef(0, (0,)))
         assert [system.expand(ref) for ref in member_refs(cs)] == ["aa", "ba"]
+
+    def test_must_include_out_of_range_refused(self):
+        # C_0 has two members, so choice 7 at level 1 names none of them.
+        system = LevelSystem(TOY)
+        system.choose_cset(0)
+        for choices in ((7, 0), (0, -1), (0, 2)):
+            with pytest.raises(ValueError, match="out of range"):
+                system.choose_cset(1, must_include=[WordRef(1, choices)])
+        assert system.depth == 1
+
+    def test_suffix_out_of_range_refused(self):
+        system = LevelSystem(TOY)
+        system.choose_cset(0)
+        system.choose_cset(1)
+        with pytest.raises(ValueError, match="out of range"):
+            system.choose_cset(2, suffix=WordRef(1, (2, 0)))
+        assert system.depth == 2
+
+    def test_suffix_not_below_level_refused(self):
+        system = LevelSystem(TOY)
+        system.choose_cset(0)
+        with pytest.raises(ValueError, match="must sit below level 1"):
+            system.choose_cset(1, suffix=WordRef(1, (0, 0)))
+        assert system.depth == 1
 
     def test_insufficient_words_pigeonhole(self):
         # ratio(0) = ceil(8/2) = 4 > |W(1)| = 2.
-        system = init_system(table_spec({1: 2, 2: 8, 4: 16}))
+        system = LevelSystem(table_spec({1: 2, 2: 8, 4: 16}))
         with pytest.raises(InsufficientWords) as err:
             system.choose_cset(0)
         assert err.value.deficit == 2
@@ -69,7 +94,7 @@ class TestChooseCset:
     def test_choice_budget(self, monkeypatch):
         # r_1 = 2 members of 2 choices each: 4 entries against a budget of 3.
         monkeypatch.setenv("GROWTHFORGE_BUDGET", "3")
-        system = init_system(TOY)
+        system = LevelSystem(TOY)
         system.choose_cset(0)
         with pytest.raises(BudgetExceeded, match="level 1 choice set") as err:
             system.choose_cset(1)
@@ -129,7 +154,7 @@ class TestExpand:
 class TestCapture:
     def test_capture_letter_a(self):
         poly = poly_geometric("1/10")
-        system = init_system(poly)
+        system = LevelSystem(poly)
         entry = capture_target(system, WordRef(0, (0,)), 0, 12)
         assert entry.capture_level == 1 and entry.gap_bound == 4
         assert member_words(system)[1] == ["aa", "ba"]
@@ -156,7 +181,7 @@ class TestCapture:
                 assert s.endswith(e.target_word)
 
     def test_geometric_eps1_capture_impossible(self):
-        system = init_system(geometric(1))
+        system = LevelSystem(geometric(1))
         with pytest.raises(HorizonTooSmall):
             capture_target(system, WordRef(0, (0,)), 0, 12)
 
@@ -169,8 +194,8 @@ class TestCapture:
         word = system.expand(target)
         entry = capture_target(system, target, 0, 12)
         assert entry.capture_level == 4
-        radices, tails = system._admissible(4, word)
-        assert prod(radices) * len(tails) == 15
+        assert system.radices(4, target) == [5, 3]
+        assert sum(system.expand(ref).endswith(word) for ref in system.iter_refs(4)) == 15
         assert len(system.csets[4]) == 10
         for s in member_words(system)[4]:
             assert s.endswith(word)
@@ -279,17 +304,22 @@ class TestSampling:
 def sequential_choose(system, level, suffix, include, rng):
     """The member rows of C(2^level) by the per-rank algorithm, or None if too few exist.
 
-    One divmod chain per rank and a `seen` set, as choose_cset once worked;
-    rng is a copy of the build RNG.
+    The candidates are every choice tuple of W(2^level) whose expansion ends
+    with the suffix element's word, in tuple-lex order; rank k is the k-th
+    of them. A `seen` set skips the included tuples, as choose_cset once
+    worked; rng is a copy of the build RNG.
     """
-    radices, tails = system._admissible(level, suffix)
-    available = prod(radices) * len(tails)
+    word = "" if suffix is None else system.expand(suffix)
+    ranges = [range(len(system.csets[j])) for j in reversed(range(level))]
+    ranges.append(range(system.alphabet.size))
+    admissible = [c for c in product(*ranges) if system.expand(WordRef(level, c)).endswith(word)]
+    available = len(admissible)
     chosen, seen = [], set()
     for ref in include:
         if ref.choices not in seen:
             seen.add(ref.choices)
             chosen.append(ref.choices)
-    overlap = sum(system.expand(WordRef(level, c)).endswith(suffix) for c in chosen)
+    overlap = sum(system.expand(WordRef(level, c)).endswith(word) for c in chosen)
     fill = system.spec.ratio(level) - len(chosen)
     if available - overlap < fill:
         return None
@@ -299,12 +329,7 @@ def sequential_choose(system, level, suffix, include, rng):
     for rank in ranks:
         if fill == 0:
             break
-        rank, t = divmod(rank, len(tails))
-        digits = []
-        for r in reversed(radices):
-            rank, digit = divmod(rank, r)
-            digits.append(digit)
-        choices = tuple(reversed(digits)) + tails[t]
+        choices = admissible[rank]
         if choices not in seen:
             seen.add(choices)
             chosen.append(choices)
@@ -326,14 +351,14 @@ def test_choose_cset_matches_sequential_reference(data):
         r = min(data.draw(st.integers(1, 3)), capacity)
         v, capacity = v * r, capacity * r
         values[1 << (i + 1)] = v
-    system = init_system(table_spec(values), data.draw(st.sampled_from(["lex", "seeded"])),
+    system = LevelSystem(table_spec(values), data.draw(st.sampled_from(["lex", "seeded"])),
                          seed=data.draw(st.integers(0, 2 ** 16)))
     for level in range(depth):
-        suffix = ""
+        suffix = None
         if level and data.draw(st.booleans()):
             t = data.draw(st.integers(0, level - 1))
-            suffix = system.expand(system.ref_from_rank(
-                t, data.draw(st.integers(0, system.level_word_count(t) - 1))))
+            suffix = system.ref_from_rank(
+                t, data.draw(st.integers(0, system.level_word_count(t) - 1)))
         ranks = data.draw(st.lists(st.integers(0, system.level_word_count(level) - 1),
                                    max_size=system.spec.ratio(level)))
         include = [system.ref_from_rank(level, rank) for rank in ranks]

@@ -96,7 +96,7 @@ class TestBasic:
 
     def test_geometric_eps1_all_ok(self):
         rep = check_basic(geometric(1), 32)
-        assert rep.ok and not rep.strictness_warnings
+        assert rep.monotone_ok and rep.submultiplicative_ok and not rep.strictness_warnings
 
     def test_decreasing_table_hard_violation(self):
         rep = check_basic(table_spec({1: 4, 2: 2, 4: 8}), 4)

@@ -88,6 +88,18 @@ class TestPersist:
         assert persist.system_to_document(system)["digest"] == (
             "sha256:686b2d65439e6a92d86e84a61c77bdf27b22d1a92286ec3f258507acfdadd7be")
 
+    def test_capture_digests_pinned(self):
+        # Level-1 capture targets, and captures under the seeded chooser.
+        system = build_uniformly_recurrent(poly_geometric("1/12"), depth=8, capture_budget=6,
+                                           horizon=12)
+        assert [e.target_level for e in system.capture_log] == [0, 0, 1, 1, 1, 1]
+        assert persist.system_to_document(system)["digest"] == (
+            "sha256:148f6a7b1e1c9069ebad7f8e0a5a9571f3b9d8cbe6152fb1e3690e42c1407496")
+        system = build_uniformly_recurrent(poly_geometric("1/10"), depth=6, capture_budget=4,
+                                           chooser="seeded", seed=5, horizon=12)
+        assert persist.system_to_document(system)["digest"] == (
+            "sha256:f2ad6ef264b8badbf50904b2cd003f03901a87718821379eee8488f9e7ca590e")
+
     def test_same_build_same_bytes(self, tmp_path):
         poly = poly_geometric("1/10")
         for name in ("a.json", "b.json"):
@@ -211,6 +223,9 @@ class TestCli:
         (lambda doc: doc["capture_log"][0].pop("gap_bound"), "malformed"),
         # A negative index would wrap around to the last letter, still "b".
         (lambda doc: doc["capture_log"][1].update(target_choices=[-1]), "out of range"),
+        # d = 2, so letter index 2 is one past the bound.
+        (lambda doc: doc["capture_log"][1].update(target_choices=[2]),
+         "in capture target malformed or out of range 0..1"),
         # The certificate would pass and state c = 10^6.
         (lambda doc: doc["capture_log"][0].update(gap_bound=10 ** 6), "malformed capture"),
         (lambda doc: doc["capture_log"][0].update(gap_bound="0"), "malformed capture"),
@@ -226,10 +241,13 @@ class TestCli:
         # Wider than int64: conversion to an array would overflow.
         (lambda doc: doc["csets"][2][0].__setitem__(0, 2 ** 64), "out of range"),
         (lambda doc: doc["csets"][2][0].append(0), "malformed"),
+        # Level 2 has three members, so a level-3 choice of 3 is one past the bound.
+        (lambda doc: doc["csets"][3][0].__setitem__(0, 3),
+         "in level 3 members malformed or out of range 0..2"),
     ], ids=["no-chooser", "csets-int", "string-choice", "capture-no-gap-bound",
-            "capture-negative-choice", "capture-huge-gap-bound", "capture-string-gap-bound",
-            "capture-at-depth", "duplicate-member", "float-choice", "bool-choice",
-            "huge-choice", "ragged-member"])
+            "capture-negative-choice", "capture-choice-at-bound", "capture-huge-gap-bound",
+            "capture-string-gap-bound", "capture-at-depth", "duplicate-member", "float-choice",
+            "bool-choice", "huge-choice", "ragged-member", "choice-at-bound"])
     def test_analyze_malformed_exits_2(self, tmp_path, captured4, capsys, mutate, message):
         # Each document carries a recomputed digest, so only the shape is wrong.
         doc = persist.system_to_document(captured4)

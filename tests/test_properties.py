@@ -55,16 +55,16 @@ def test_unrank_lists_suffix_refs_in_lex_order(table_depth, chooser, seed, data)
     ranges = [range(len(system.csets[j])) for j in range(level - 1, -1, -1)]
     ranges.append(range(system.alphabet.size))
     words = {c: system.expand(WordRef(level, c)) for c in product(*ranges)}
-    # Every suffix of one element, the empty one included, and one word that
-    # may be absent and may be one letter longer than the elements.
-    word = data.draw(st.sampled_from(sorted(words.values())))
-    other = data.draw(st.text(alphabet=system.alphabet.letters,
-                              min_size=1, max_size=(1 << level) + 1))
-    for suffix in [word[k:] for k in range(len(word) + 1)] + [other]:
-        expected = [WordRef(level, c) for c, w in words.items() if w.endswith(suffix)]
-        radices, tails = system._admissible(level, suffix)
-        count = prod(radices) * len(tails)
-        rows = _unrank(level, radices, tails, range(count))
+    # No suffix, and one element of every level t <= level as the suffix.
+    suffixes = [None] + [
+        system.ref_from_rank(t, data.draw(st.integers(0, system.level_word_count(t) - 1)))
+        for t in range(level + 1)]
+    for suffix in suffixes:
+        word = "" if suffix is None else system.expand(suffix)
+        expected = [WordRef(level, c) for c, w in words.items() if w.endswith(word)]
+        radices = system.radices(level, suffix)
+        count = prod(radices)
+        rows = _unrank(radices, () if suffix is None else suffix.choices, range(count))
         assert rows.dtype == np.int64 and rows.shape == (count, level + 1)
         assert [WordRef(level, tuple(row)) for row in rows.tolist()] == expected
 
