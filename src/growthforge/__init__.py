@@ -32,9 +32,7 @@ from .construction import (
     capture_target,
 )
 from .analyzer import (
-    FactorSet,
     factor_set_bruteforce,
-    factor_set_structural,
     dim_series,
     check_growth_sandwich,
     verify_recurrence_gaps,
@@ -60,9 +58,9 @@ __all__ = [
     "Alphabet", "WordRef", "CSet", "LevelSystem", "CaptureEntry", "FreeParams",
     "build_plain", "build_uniformly_recurrent", "build_free_power_system",
     "capture_target",
-    "FactorSet", "factor_set_bruteforce", "factor_set_structural", "dim_series",
-    "check_growth_sandwich", "verify_recurrence_gaps", "check_nonperiodicity",
-    "minimal_forbidden_words", "entropy_partial",
+    "factor_set_bruteforce", "dim_series", "check_growth_sandwich",
+    "verify_recurrence_gaps", "check_nonperiodicity", "minimal_forbidden_words",
+    "entropy_partial",
     "compute_t", "degree_lower_bound", "optimality_report", "verify_free_generators",
     "save_system", "load_system", "errors",
 ]

@@ -24,12 +24,12 @@ member_code div d^(len-m).
 Prefix and suffix tables are sorted code arrays, one per (level, length),
 held as uint64 when d^length <= 2^64 and as Python ints beyond. |F(n)|
 comes from concatenating the straddle products into one array of the same
-dtype rule, sorting it in place and counting adjacent differences; F(n) as
-strings decodes the distinct entries of that array. Counts are memoized per
-engine, so every report that needs dim_n shares one computation. Membership
-of a single word never builds F(n): w is a factor exactly when, for some
-straddle (j, a), w[:a] is a suffix table entry and w[a:] a prefix table
-entry, both found by binary search.
+dtype rule, sorting it in place and counting adjacent differences; F(n)
+itself leaves the engine only as the distinct entries of that array. Counts
+are memoized per engine, so every report that needs dim_n shares one
+computation. Membership of a single word never builds F(n): w is a factor
+exactly when, for some straddle (j, a), w[:a] is a suffix table entry and
+w[a:] a prefix table entry, both found by binary search.
 
 Dimensions dim_n = |F(n)| feed the growth report (cumulative sums, entropy
 partials g(n)^(1/n) via exact integer roots), the dyadic growth sandwich,
@@ -64,19 +64,6 @@ from .exactmath import ceil_log2, nth_root_floor_scaled, sqrt_bracket, decimal_s
 ENTROPY_DIGITS = 6
 
 
-@dataclass(frozen=True)
-class FactorSet:
-    """Distinct length-n factors at a build depth."""
-
-    n: int
-    members: frozenset[str]
-    depth: int
-    method: str
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
 def _sorted_unique(codes: np.ndarray) -> np.ndarray:
     """Distinct codes in ascending order; sorts `codes` in place."""
     codes.sort()
@@ -85,11 +72,14 @@ def _sorted_unique(codes: np.ndarray) -> np.ndarray:
     return codes[keep]
 
 
-def _holds(table: np.ndarray, code: int) -> bool:
-    """Binary search for code in a sorted table."""
-    probe = np.uint64(code) if table.dtype == np.uint64 else code
-    i = int(table.searchsorted(probe))
-    return i < table.size and table[i] == probe
+def _holds(table: np.ndarray, codes) -> np.ndarray:
+    """Which of the codes (an array, or one code) a nonempty sorted table holds.
+
+    A code is held when the last entry <= it equals it. A code below every
+    entry gets index -1, the largest entry, which cannot equal it.
+    """
+    codes = np.asarray(codes, dtype=table.dtype)
+    return table[table.searchsorted(codes, side="right") - 1] == codes
 
 
 class FactorEngine:
@@ -141,7 +131,7 @@ class FactorEngine:
     def _table(self, codes, length: int) -> np.ndarray:
         return np.asarray(codes, dtype=self._dtype(length))
 
-    def _distinct(self, codes: np.ndarray, length: int) -> np.ndarray:
+    def _unique(self, codes: np.ndarray, length: int) -> np.ndarray:
         return _sorted_unique(self._table(codes, length))
 
     def prefixes(self, j: int, m: int) -> np.ndarray:
@@ -158,7 +148,7 @@ class FactorEngine:
             half = 1 << (j - 1)
             members = self._members[j - 1]
             if m <= half:
-                out = self._distinct(members // self.d ** (half - m), m)
+                out = self._unique(members // self.d ** (half - m), m)
             else:
                 # c ++ p is injective and ascending in (c, p): no dedupe needed.
                 sub = self.prefixes(j - 1, m - half)
@@ -177,7 +167,7 @@ class FactorEngine:
         if not 1 <= a <= length:
             raise ValueError(f"suffix length {a} invalid at level {j}")
         members = self._members[j]
-        out = members if a == length else self._distinct(members % self.d ** a, a)
+        out = members if a == length else self._unique(members % self.d ** a, a)
         self._suffix[key] = out
         return out
 
@@ -244,16 +234,10 @@ class FactorEngine:
                     return True
         return False
 
-    def factors(self, n: int) -> frozenset[str]:
-        """F(n) as strings; intended for desk-scale n."""
+    def distinct(self, n: int) -> np.ndarray:
+        """F(n) as its sorted distinct window codes."""
         self._check_depth(n)
-        return frozenset(self.decode(c, n) for c in _sorted_unique(self._windows(n)).tolist())
-
-
-def factor_set_structural(system: LevelSystem, n: int) -> FactorSet:
-    """F(n) without materializing W; exact equal to the brute-force route."""
-    engine = _engine_for(system)
-    return FactorSet(n, engine.factors(n), system.depth, "structural")
+        return _sorted_unique(self._windows(n))
 
 
 def is_factor(system: LevelSystem, word: str) -> bool:
@@ -261,7 +245,7 @@ def is_factor(system: LevelSystem, word: str) -> bool:
     return _engine_for(system).contains(word)
 
 
-def factor_set_bruteforce(system: LevelSystem, n: int, budget: int | None = None) -> FactorSet:
+def factor_set_bruteforce(system: LevelSystem, n: int, budget: int | None = None) -> frozenset[str]:
     """F(n) by full expansion of every level; the independent oracle."""
     budget = budget if budget is not None else size_budget()
     total = sum(system.level_word_count(j) << j for j in range(system.depth + 1))
@@ -283,7 +267,7 @@ def factor_set_bruteforce(system: LevelSystem, n: int, budget: int | None = None
             word = "".join([block[c] for block, c in zip(blocks, ref.choices)])
             for i in range(len(word) - n + 1):
                 seen.add(word[i:i + n])
-    return FactorSet(n, frozenset(seen), system.depth, "bruteforce")
+    return frozenset(seen)
 
 
 def _engine_for(system: LevelSystem) -> FactorEngine:
@@ -336,9 +320,8 @@ class DimensionReport:
 
 def dim_series(system: LevelSystem, n_max: int, digits: int = ENTROPY_DIGITS) -> DimensionReport:
     """Exact dims for n = 1..n_max with cumulative sums and entropy partials."""
-    if n_max > 1 << (system.depth - 1):
-        raise DepthTooShallow(n_max, 1 << (system.depth - 1))
     engine = _engine_for(system)
+    engine._check_depth(n_max)
     rows: list[DimensionRow] = []
     g = 0
     for n in range(1, n_max + 1):
@@ -383,9 +366,8 @@ class SandwichReport:
 
 def check_growth_sandwich(system: LevelSystem, n: int) -> SandwichReport:
     """Hard: prod r_i <= dim_(2^n) <= 2^(2n+3) f(2^(n+1)). Soft: f(2^n) <= dim."""
-    if (1 << n) > (1 << (system.depth - 1)):
-        raise DepthTooShallow(1 << n, 1 << (system.depth - 1))
     engine = _engine_for(system)
+    engine._check_depth(1 << n)
     dim = engine.count(1 << n)
     hard_lower = 1
     for i in range(n):
@@ -606,27 +588,27 @@ def check_nonperiodicity(system: LevelSystem, n_max: int) -> AperiodicityReport:
 def minimal_forbidden_words(system: LevelSystem, max_len: int) -> tuple[list[str], int]:
     """Words absent from the language whose proper factors are all present.
 
-    A word w qualifies when w is not a factor but both one-letter truncations
-    are; enumeration extends known factors one letter to the right. Labeled
-    with the build depth: a deeper build can revive a word, so "forbidden at
-    depth D" is part of the contract.
+    A word uz (z a letter) qualifies when it is not a factor but u and its
+    one-letter truncation on the left, u[1:]z, are (Crochemore, Mignosi and
+    Restivo): every candidate is a length-(n-1) factor code times d plus z,
+    tested against F(n) and its last n-1 letters against F(n-1), all by
+    binary search in sorted code arrays; only the words kept are decoded.
+    Labeled with the build depth: a deeper build can revive a word, so
+    "forbidden at depth D" is part of the contract.
     """
-    if max_len > 1 << (system.depth - 1):
-        raise DepthTooShallow(max_len, 1 << (system.depth - 1))
     engine = _engine_for(system)
-    letters = system.alphabet.letters
+    engine._check_depth(max_len)
+    d = engine.d
     out: list[str] = []
-    prev: frozenset[str] = frozenset([""])
-    for length in range(1, max_len + 1):
-        cur = engine.factors(length)
-        for w in prev:
-            for z in letters:
-                cand = w + z
-                if cand in cur:
-                    continue
-                if length == 1 or (w[1:] + z) in prev:
-                    out.append(cand)
+    prev = np.zeros(1, dtype=np.uint64)     # F(0): the empty word
+    for n in range(1, max_len + 1):
+        cur = engine.distinct(n)
+        cand = ((engine._table(prev, n) * d)[:, None]
+                + engine._table(np.arange(d), n)[None, :]).ravel()
+        keep = ~_holds(cur, cand) & _holds(prev, cand % d ** (n - 1))
+        out.extend(engine.decode(c, n) for c in cand[keep].tolist())
         prev = cur
+    # Code order is letter-index order, which is not string order beyond 26 letters.
     return sorted(out, key=lambda w: (len(w), w)), system.depth
 
 

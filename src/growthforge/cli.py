@@ -13,9 +13,10 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from . import analyzer, freesub, persist
@@ -70,10 +71,6 @@ class RunConfig:
         "free": ("free_epsilon", "products_len", "free_depth"),
         "output": ("out", "csv"),
     }
-    # Flags that set the field of the same name.
-    _flags = ("family", "epsilon", "power", "table_values", "horizon", "depth", "captures",
-              "mu_offset", "chooser", "seed", "mode", "nmax", "forbidden_max", "products_len",
-              "out", "csv")
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -94,7 +91,8 @@ class RunConfig:
         return cfg
 
     def apply_flags(self, args: argparse.Namespace) -> None:
-        for attr in self._flags:
+        # A flag sets the field of the same name; fields without a flag are absent from args.
+        for attr in chain.from_iterable(self._sections.values()):
             value = getattr(args, attr, None)
             if value is not None:
                 setattr(self, attr, value)

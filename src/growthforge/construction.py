@@ -55,7 +55,11 @@ LETTER_POOL = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
 
 @dataclass(frozen=True)
 class Alphabet:
-    """d = f(1) letters with fixed single-character names, index order = lex order."""
+    """d = f(1) letters with fixed single-character names, taken from LETTER_POOL.
+
+    Index order is Python string order only up to 26 letters: beyond "z" the
+    pool goes on with "A".."Z" and "0".."9", which sort before "a".
+    """
 
     letters: str
 
@@ -511,6 +515,15 @@ class FreeParams:
     y_word: str
     r_max: int             # deepest product-exponent level built (levels t+1..t+r_max)
 
+    @classmethod
+    def of(cls, eps, depth: int) -> "FreeParams":
+        """The parameters that epsilon in (0, 1] and the build depth determine."""
+        from .freesub import compute_t
+
+        eps = Fraction(eps)
+        t = compute_t(eps)
+        return cls(eps, t, 1 << t, "x" * (1 << t), "y" * (1 << t), depth - 1 - t)
+
     def to_dict(self) -> dict:
         return {
             "epsilon": str(self.epsilon),
@@ -537,15 +550,11 @@ def build_free_power_system(
     reports the deficit. eps = 1 is accepted (degenerate boundary where the
     system is the full binary language).
     """
-    from .freesub import compute_t
-
-    eps = Fraction(eps)
-    if not 0 < eps <= 1:
-        raise ValueError("epsilon must be in (0, 1]")
-    spec = geometric(eps)
+    params = FreeParams.of(eps, depth)   # refuses epsilon outside (0, 1]
+    spec = geometric(params.epsilon)
     if spec.value(1) != 2:
         raise AssertionError("geometric(eps<=1) must have two letters")
-    t = compute_t(eps)
+    t = params.t
     if depth < t + 1:
         raise ValueError(f"depth must be >= t+1 = {t + 1}")
     # Exact capacity and size prechecks before any work.
@@ -572,13 +581,5 @@ def build_free_power_system(
             prev = system.csets[level - 1].choices
             rows = np.column_stack([k >> half, prev[k & ((1 << half) - 1)]])
         system.choose_cset(level, must_include=[WordRef(level, tuple(r)) for r in rows.tolist()])
-    params = FreeParams(
-        epsilon=eps,
-        t=t,
-        degree=1 << t,
-        x_word="x" * (1 << t),
-        y_word="y" * (1 << t),
-        r_max=depth - 1 - t,
-    )
     system.free_params = params
     return system, params

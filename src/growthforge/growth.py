@@ -31,7 +31,7 @@ from .exactmath import ceil_frac, ceil_div, pow2_of_root_ceil
 FAMILIES = ("geometric", "poly_geometric", "sharp_paper", "exp_power", "table")
 
 
-@dataclass(eq=False)
+@dataclass
 class GrowthSpec:
     """An evaluable growth function from the family registry.
 
@@ -67,12 +67,6 @@ class GrowthSpec:
                     raise ValueError(f"table entries must be positive, got f({n})={v}")
             if 1 not in self.table:
                 raise ValueError("table must define f(1)")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GrowthSpec):
-            return NotImplemented
-        return (self.family, self.epsilon, self.power, self.table) == (
-            other.family, other.epsilon, other.power, other.table)
 
     # -- evaluation --------------------------------------------------------
 

@@ -24,7 +24,6 @@ import numpy as np
 from .construction import CaptureEntry, CSet, FreeParams, LevelSystem, WordRef
 from .errors import SystemFileError
 from .exactmath import parse_rational
-from .freesub import compute_t
 from .growth import geometric, spec_from_dict
 
 FORMAT_NAME = "growthforge-system"
@@ -44,12 +43,6 @@ def _text_digest(body: str) -> str:
 
 
 def system_to_document(system: LevelSystem) -> dict:
-    doc = _document_body(system)
-    doc["digest"] = document_digest(doc)
-    return doc
-
-
-def _document_body(system: LevelSystem) -> dict:
     """The document without its digest."""
     return {
         "format": FORMAT_NAME,
@@ -76,7 +69,7 @@ def save_system(system: LevelSystem, path: str | Path) -> str:
     No string before that key can hold the text ',"format":', since a quote
     inside a string is escaped and no earlier object has a key "format".
     """
-    body = canonical_json(_document_body(system))
+    body = canonical_json(system_to_document(system))
     digest = _text_digest(body)
     head, tail = body.split(',"format":', 1)
     Path(path).write_text(f'{head},"digest":"{digest}","format":{tail}\n')
@@ -147,18 +140,10 @@ def _system_from_document(doc: dict, path: str | Path) -> LevelSystem:
                 f"{path}: capture target {entry.target_word!r} does not match its reference")
     if doc["free_params"]:
         fp = doc["free_params"]
-        params = FreeParams(
-            epsilon=parse_rational(fp["epsilon"]),
-            t=fp["t"],
-            degree=fp["degree"],
-            x_word=fp["x_word"],
-            y_word=fp["y_word"],
-            r_max=fp["r_max"],
-        )
-        t = compute_t(params.epsilon)
-        if (params.t, params.degree, params.x_word, params.y_word, params.r_max, spec) != (
-                t, 1 << t, "x" * (1 << t), "y" * (1 << t), system.depth - 1 - t,
-                geometric(params.epsilon)):
+        params = FreeParams(parse_rational(fp["epsilon"]), fp["t"], fp["degree"], fp["x_word"],
+                            fp["y_word"], fp["r_max"])
+        if params != FreeParams.of(params.epsilon, system.depth) or spec != geometric(
+                params.epsilon):
             raise SystemFileError(
                 f"{path}: malformed free_params: t, degree, x_word, y_word, r_max and the "
                 f"geometric growth must follow from epsilon {params.epsilon} and depth "

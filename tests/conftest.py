@@ -11,6 +11,11 @@ from growthforge import analyzer
 TOY_TABLE = {1: 2, 2: 4, 4: 8, 8: 16}
 
 
+def factor_words(engine: analyzer.FactorEngine, n: int) -> frozenset[str]:
+    """F(n) from the structural route, decoded for comparison with the string oracle."""
+    return frozenset(engine.decode(c, n) for c in engine.distinct(n).tolist())
+
+
 @pytest.fixture(scope="session")
 def toy_system():
     return build_plain(table_spec(TOY_TABLE), "lex", 3)

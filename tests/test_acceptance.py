@@ -17,7 +17,6 @@ from growthforge.analyzer import (
     check_growth_sandwich,
     check_nonperiodicity,
     factor_set_bruteforce,
-    factor_set_structural,
     verify_recurrence_gaps,
 )
 from growthforge.cli import main
@@ -31,6 +30,8 @@ from growthforge.freesub import (
 )
 from growthforge.growth import compute_mu, geometric, poly_geometric, table_spec
 
+from conftest import factor_words
+
 
 def _verdict(num: int, title: str, ok: bool) -> None:
     print(f"{'PASS' if ok else 'FAIL'} criterion {num}: {title}")
@@ -42,12 +43,11 @@ def _verdict(num: int, title: str, ok: bool) -> None:
 
 def test_criterion_1_oracle_equivalence(toy_system, poly_plain5):
     ok = True
+    toy, poly = FactorEngine(toy_system), FactorEngine(poly_plain5)
     for n in range(1, 5):
-        ok &= (factor_set_structural(toy_system, n).members
-               == factor_set_bruteforce(toy_system, n).members)
+        ok &= factor_words(toy, n) == factor_set_bruteforce(toy_system, n)
     for n in range(1, 17):
-        ok &= (factor_set_structural(poly_plain5, n).members
-               == factor_set_bruteforce(poly_plain5, n).members)
+        ok &= factor_words(poly, n) == factor_set_bruteforce(poly_plain5, n)
     _verdict(1, "structural factor sets equal brute force (toy depth 3, poly depth 5)", ok)
 
 
@@ -225,7 +225,7 @@ def test_criterion_10_invariant_suite(toy_system, captured4):
     for system in (toy_system, captured4):
         engine = FactorEngine(system)
         n_top = 1 << (system.depth - 1)
-        sets = {n: engine.factors(n) for n in range(1, n_top + 1)}
+        sets = {n: factor_words(engine, n) for n in range(1, n_top + 1)}
         # Factorial closedness.
         for n in range(2, n_top + 1):
             for w in sets[n]:
@@ -242,8 +242,7 @@ def test_criterion_10_invariant_suite(toy_system, captured4):
     cap_deeper = build_uniformly_recurrent(
         poly_geometric("1/10"), depth=5, capture_budget=2, mu_offset=0, horizon=12)
     for shallow, deeper in ((toy_system, toy_deeper), (captured4, cap_deeper)):
+        shallow, deeper = FactorEngine(shallow), FactorEngine(deeper)
         for n in range(1, (1 << (shallow.depth - 1)) + 1):
-            shallow_set = factor_set_structural(shallow, n).members
-            deeper_set = factor_set_structural(deeper, n).members
-            ok &= shallow_set <= deeper_set
+            ok &= factor_words(shallow, n) <= factor_words(deeper, n)
     _verdict(10, "factorial closedness, submultiplicativity, depth monotonicity, chunk property", ok)

@@ -16,7 +16,6 @@ from growthforge.analyzer import (
     dim_series,
     entropy_partial,
     factor_set_bruteforce,
-    factor_set_structural,
     minimal_forbidden_words,
     scan_occurrences,
     verify_recurrence_gaps,
@@ -27,6 +26,8 @@ from growthforge.construction import (
     CaptureEntry, LevelSystem, WordRef, _fold_members, build_plain, build_uniformly_recurrent,
 )
 from growthforge.growth import exp_power, poly_geometric, table_spec
+
+from conftest import factor_words
 
 
 @pytest.fixture(scope="module")
@@ -39,22 +40,22 @@ def long_members_d3():
 
 class TestFactorSets:
     def test_toy_small_n(self, toy_system):
-        assert factor_set_bruteforce(toy_system, 1).members == frozenset("ab")
-        assert factor_set_structural(toy_system, 1).members == frozenset("ab")
+        assert factor_set_bruteforce(toy_system, 1) == frozenset("ab")
+        assert factor_words(FactorEngine(toy_system), 1) == frozenset("ab")
         f2 = factor_set_bruteforce(toy_system, 2)
-        assert f2.members == frozenset({"aa", "ab", "ba", "bb"})
+        assert f2 == frozenset({"aa", "ab", "ba", "bb"})
         f3 = factor_set_bruteforce(toy_system, 3)
-        assert len(f3.members) == 8
+        assert len(f3) == 8
 
     def test_structural_equals_bruteforce_toy(self, toy_system):
+        engine = FactorEngine(toy_system)
         for n in range(1, 5):
-            assert (factor_set_structural(toy_system, n).members
-                    == factor_set_bruteforce(toy_system, n).members)
+            assert factor_words(engine, n) == factor_set_bruteforce(toy_system, n)
 
     def test_structural_equals_bruteforce_captured(self, captured4):
+        engine = FactorEngine(captured4)
         for n in range(1, 9):
-            assert (factor_set_structural(captured4, n).members
-                    == factor_set_bruteforce(captured4, n).members)
+            assert factor_words(engine, n) == factor_set_bruteforce(captured4, n)
 
     def test_structural_equals_bruteforce_seeded_and_exp_power(self):
         from growthforge.construction import build_uniformly_recurrent
@@ -65,23 +66,23 @@ class TestFactorSets:
         rooted = build_uniformly_recurrent(exp_power("1/2"), depth=5,
                                            capture_budget=2, horizon=12)
         for system, top in ((seeded, 8), (rooted, 16)):
+            engine = FactorEngine(system)
             for n in range(1, top + 1):
-                assert (factor_set_structural(system, n).members
-                        == factor_set_bruteforce(system, n).members)
+                assert factor_words(engine, n) == factor_set_bruteforce(system, n)
             assert verify_recurrence_gaps(system).passed
 
     def test_python_and_numpy_paths_agree(self, captured4):
-        # count() and factors() read the same sorted uint64 window codes
+        # count() and distinct() read the same sorted uint64 window codes
         # here (d^n <= 2^64); both must match the brute-force oracle.
         engine = FactorEngine(captured4)
         for n in range(1, 9):
-            oracle = factor_set_bruteforce(captured4, n).members
+            oracle = factor_set_bruteforce(captured4, n)
             assert engine.count(n) == len(oracle)
-            assert engine.factors(n) == oracle
+            assert factor_words(engine, n) == oracle
 
     def test_depth_cap(self, toy_system):
         with pytest.raises(DepthTooShallow):
-            factor_set_structural(toy_system, 5)  # > 2^(D-1) = 4
+            FactorEngine(toy_system).distinct(5)  # > 2^(D-1) = 4
 
     def test_budget(self, captured7):
         with pytest.raises(BudgetExceeded):
@@ -92,7 +93,7 @@ class TestFactorSets:
         with pytest.raises(BudgetExceeded):
             factor_set_bruteforce(toy_system, 2)
         monkeypatch.setenv("GROWTHFORGE_BUDGET", "100000")
-        assert len(factor_set_bruteforce(toy_system, 2).members) == 4
+        assert len(factor_set_bruteforce(toy_system, 2)) == 4
 
     @pytest.mark.parametrize("raw", ["abc", "1e6", "0", "-5"])
     def test_budget_env_var_rejects_bad_values(self, toy_system, monkeypatch, raw):
@@ -114,9 +115,9 @@ class TestFactorSets:
         engine = FactorEngine(system)
         for n in lengths:
             assert system.alphabet.size ** n > 1 << 64
-            oracle = factor_set_bruteforce(system, n).members
+            oracle = factor_set_bruteforce(system, n)
             assert engine.count(n) == len(oracle)
-            assert engine.factors(n) == oracle
+            assert factor_words(engine, n) == oracle
             assert all(engine.contains(w) for w in oracle)
 
     def test_long_members_d3(self, long_members_d3):
@@ -126,9 +127,9 @@ class TestFactorSets:
         assert len(system.expand(WordRef(13, tuple(system.csets[13].choices[0].tolist())))) == 8192
         engine = FactorEngine(system)
         for n in (5, 64):
-            oracle = factor_set_bruteforce(system, n).members
+            oracle = factor_set_bruteforce(system, n)
             assert engine.count(n) == len(oracle)
-            assert engine.factors(n) == oracle
+            assert factor_words(engine, n) == oracle
         words = [system.expand(ref) for j in (13, 14) for ref in system.iter_refs(j)]
         letters = system.alphabet.letters
         rejected = 0
@@ -162,8 +163,8 @@ class TestContains:
         assert all(engine.contains(z) for z in letters)
         rejected = 0
         for n in lengths:
-            prev = factor_set_bruteforce(system, n - 1).members
-            cur = factor_set_bruteforce(system, n).members
+            prev = factor_set_bruteforce(system, n - 1)
+            cur = factor_set_bruteforce(system, n)
             assert all(engine.contains(w) for w in cur)
             for w in prev:
                 for z in letters:
@@ -188,7 +189,8 @@ class TestConsecutiveDims:
         engine = FactorEngine(system)
         letters = system.alphabet.letters
         for n in range(1, n_top + 1):
-            extensions = sum(engine.contains(w + z) for w in engine.factors(n) for z in letters)
+            extensions = sum(engine.contains(w + z) for w in factor_words(engine, n)
+                             for z in letters)
             assert engine.count(n + 1) == extensions
 
 
@@ -204,9 +206,10 @@ class TestDimSeries:
         assert rep.submultiplicative_violations() == []
 
     def test_factorial_closedness(self, captured4):
-        prev = factor_set_structural(captured4, 1).members
+        engine = FactorEngine(captured4)
+        prev = factor_words(engine, 1)
         for n in range(2, 9):
-            cur = factor_set_structural(captured4, n).members
+            cur = factor_words(engine, n)
             for w in cur:
                 assert w[:-1] in prev and w[1:] in prev
             prev = cur
@@ -509,12 +512,45 @@ class TestMinimalForbidden:
 
     def test_one_letter_truncations_present(self, captured4):
         words, _ = minimal_forbidden_words(captured4, 6)
+        engine = FactorEngine(captured4)
         for w in words:
             n = len(w)
-            fset = factor_set_structural(captured4, n).members
-            prev = factor_set_structural(captured4, n - 1).members if n > 1 else {""}
+            fset = factor_words(engine, n)
+            prev = factor_words(engine, n - 1) if n > 1 else {""}
             assert w not in fset
             assert w[1:] in prev and w[:-1] in prev
+
+    @pytest.mark.parametrize("values, depth, top", [
+        # The seeded wide systems of test_wide_codes_match_bruteforce: codes
+        # of the longest words are wider than 64 bits.
+        ({1: 2, 2: 4, 4: 8, 8: 8, 16: 16, 32: 16, 64: 16, 128: 32, 256: 32}, 8, 66),
+        ({1: 3, 2: 6, 4: 12, 8: 12, 16: 24, 32: 24, 64: 24, 128: 48}, 7, 42),
+    ])
+    def test_matches_bruteforce_both_ways(self, values, depth, top):
+        system = build_plain(table_spec(values), "seeded", depth, seed=5)
+        words, _ = minimal_forbidden_words(system, top)
+        oracle = {n: factor_set_bruteforce(system, n) for n in range(1, top + 1)}
+        oracle[0] = {""}
+        # Every listed word is minimal forbidden ...
+        for w in words:
+            n = len(w)
+            assert w not in oracle[n] and w[:-1] in oracle[n - 1] and w[1:] in oracle[n - 1]
+        # ... and every minimal forbidden word, which extends a factor, is listed.
+        expected = [u + z for n in range(1, top + 1) for u in oracle[n - 1]
+                    for z in system.alphabet.letters
+                    if u + z not in oracle[n] and (u + z)[1:] in oracle[n - 1]]
+        assert words == sorted(expected, key=lambda w: (len(w), w))
+
+    def test_string_order_beyond_26_letters(self):
+        # Letters past "z" are "A".."D", which sort before "a" as strings but
+        # after "z" as codes; the report lists words in string order.
+        system = build_plain(table_spec({1: 30, 2: 60, 4: 120, 8: 240}), "lex", 3)
+        words, _ = minimal_forbidden_words(system, 4)
+        two = [w for w in words if len(w) == 2]
+        assert len(two) == 30 * 30 - 60
+        assert two == sorted(two) and two[0] == "AA"
+        assert set(two) == {u + z for u in system.alphabet.letters
+                            for z in system.alphabet.letters} - factor_set_bruteforce(system, 2)
 
 
 class TestEntropy:
@@ -549,8 +585,9 @@ class TestRightExtensions:
     def test_captured_targets_extend(self, captured4):
         # Captured targets sit inside choice-set members followed by the next
         # block, so they always extend right.
+        engine = FactorEngine(captured4)
         for entry in captured4.capture_log:
             n = len(entry.target_word)
-            nxt = factor_set_structural(captured4, n + 1).members
+            nxt = factor_words(engine, n + 1)
             letters = captured4.alphabet.letters
             assert any(entry.target_word + z in nxt for z in letters)

@@ -32,7 +32,7 @@ class TestPersist:
         digest = persist.save_system(toy_system, path)
         loaded = persist.load_system(path)
         assert member_words(loaded) == member_words(toy_system)
-        assert persist.system_to_document(loaded)["digest"] == digest
+        assert persist.document_digest(persist.system_to_document(loaded)) == digest
 
     def test_roundtrip_captured(self, captured4, tmp_path):
         path = tmp_path / "cap.json"
@@ -66,13 +66,14 @@ class TestPersist:
         digest = persist.save_system(captured4, path)
         path.write_text(json.dumps(json.loads(path.read_text()), sort_keys=True, indent=1) + "\n")
         loaded = persist.load_system(path)
-        assert persist.system_to_document(loaded)["digest"] == digest
+        assert persist.document_digest(persist.system_to_document(loaded)) == digest
         assert member_words(loaded) == member_words(captured4)
 
     def test_file_is_canonical_json(self, toy_system, tmp_path):
         path = tmp_path / "toy.json"
         persist.save_system(toy_system, path)
         doc = persist.system_to_document(toy_system)
+        doc["digest"] = persist.document_digest(doc)
         assert path.read_text() == persist.canonical_json(doc) + "\n"
 
     def test_missing_file(self, tmp_path):
@@ -82,10 +83,10 @@ class TestPersist:
     def test_lex_digests_pinned(self, captured7):
         # Digests of lex builds, fixed so that a rewrite of the chooser is
         # checked against earlier output and not only against itself.
-        assert persist.system_to_document(captured7)["digest"] == (
+        assert persist.document_digest(persist.system_to_document(captured7)) == (
             "sha256:700e40222a68f8d2f9778a74464f8ad928a3c80964f930695696f2df7fdeae69")
         system, _ = build_free_power_system(1, 5)
-        assert persist.system_to_document(system)["digest"] == (
+        assert persist.document_digest(persist.system_to_document(system)) == (
             "sha256:686b2d65439e6a92d86e84a61c77bdf27b22d1a92286ec3f258507acfdadd7be")
 
     def test_capture_digests_pinned(self):
@@ -93,11 +94,11 @@ class TestPersist:
         system = build_uniformly_recurrent(poly_geometric("1/12"), depth=8, capture_budget=6,
                                            horizon=12)
         assert [e.target_level for e in system.capture_log] == [0, 0, 1, 1, 1, 1]
-        assert persist.system_to_document(system)["digest"] == (
+        assert persist.document_digest(persist.system_to_document(system)) == (
             "sha256:148f6a7b1e1c9069ebad7f8e0a5a9571f3b9d8cbe6152fb1e3690e42c1407496")
         system = build_uniformly_recurrent(poly_geometric("1/10"), depth=6, capture_budget=4,
                                            chooser="seeded", seed=5, horizon=12)
-        assert persist.system_to_document(system)["digest"] == (
+        assert persist.document_digest(persist.system_to_document(system)) == (
             "sha256:f2ad6ef264b8badbf50904b2cd003f03901a87718821379eee8488f9e7ca590e")
 
     def test_same_build_same_bytes(self, tmp_path):
@@ -398,7 +399,7 @@ def fuzz_documents(tmp_path_factory):
     free, _ = build_free_power_system(1, 4)
     docs = [persist.system_to_document(captured), persist.system_to_document(free)]
     # Choice indices are most of the leaves, so the rest get a pool of their own.
-    leaves = [[p for p in _leaf_paths(doc) if p != ("digest",)] for doc in docs]
+    leaves = [list(_leaf_paths(doc)) for doc in docs]
     pools = [(st.sampled_from(every) | st.sampled_from([p for p in every if p[0] != "csets"]))
              for every in leaves]
     return docs, pools, tmp_path_factory.mktemp("fuzz")

@@ -8,9 +8,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from growthforge import analyzer, persist
-from growthforge.analyzer import FactorEngine, factor_set_bruteforce, factor_set_structural
+from growthforge.analyzer import FactorEngine, factor_set_bruteforce
 from growthforge.construction import WordRef, _unrank, build_plain
 from growthforge.growth import GrowthSpec, geometric, poly_geometric, table_spec
+
+from conftest import factor_words
 
 
 @st.composite
@@ -39,9 +41,9 @@ small_eps = st.fractions(min_value=Fraction(1, 20), max_value=Fraction(1), max_d
 def test_structural_matches_bruteforce_on_random_systems(table_depth, chooser, seed):
     values, depth = table_depth
     system = build_plain(table_spec(values), chooser, depth, seed=seed)
+    engine = FactorEngine(system)
     for n in range(1, (1 << (depth - 1)) + 1):
-        assert (factor_set_structural(system, n).members
-                == factor_set_bruteforce(system, n).members)
+        assert factor_words(engine, n) == factor_set_bruteforce(system, n)
 
 
 @given(feasible_tables(), st.sampled_from(["lex", "seeded"]), st.integers(0, 2 ** 16),
@@ -109,9 +111,9 @@ def test_factorial_closedness_random(table_depth, seed):
     values, depth = table_depth
     system = build_plain(table_spec(values), "seeded", depth, seed=seed)
     engine = FactorEngine(system)
-    prev = engine.factors(1)
+    prev = factor_words(engine, 1)
     for n in range(2, (1 << (depth - 1)) + 1):
-        cur = engine.factors(n)
+        cur = factor_words(engine, n)
         for w in cur:
             assert w[1:] in prev and w[:-1] in prev
         prev = cur
@@ -179,7 +181,8 @@ def test_consecutive_dims_count_right_extensions(table_depth, chooser, seed):
     engine = FactorEngine(system)
     letters = system.alphabet.letters
     for n in range(1, 1 << (depth - 1)):
-        extensions = sum(engine.contains(w + z) for w in engine.factors(n) for z in letters)
+        extensions = sum(engine.contains(w + z) for w in factor_words(engine, n)
+                         for z in letters)
         assert engine.count(n + 1) == extensions
 
 
