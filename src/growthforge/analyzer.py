@@ -15,21 +15,23 @@ the union of the W(2^j), j <= depth. Two independent routes compute it:
 
     with prefix sets computed by the same halving recursion.
 
-Words are base-d integer codes, an injective encoding, so counts are exact.
-A member of C_j is a member of C_(j-1) followed by a shorter element, so
-member codes are folded up the levels from the choice arrays, one gather
-and one multiply-add per level step; no member string is encoded. Every
-suffix code is then member_code mod d^a and every short prefix code
-member_code div d^(len-m).
-Prefix and suffix tables are sorted code arrays, one per (level, length),
-held as uint64 when d^length <= 2^64 and as Python ints beyond. |F(n)|
-comes from concatenating the straddle products into one array of the same
-dtype rule, sorting it in place and counting adjacent differences; F(n)
-itself leaves the engine only as the distinct entries of that array. Counts
-are memoized per engine, so every report that needs dim_n shares one
-computation. Membership of a single word never builds F(n): w is a factor
-exactly when, for some straddle (j, a), w[:a] is a suffix table entry and
-w[a:] a prefix table entry, both found by binary search.
+Words are bit-packed integer codes in uint64 limbs (see `codes`), an
+injective encoding that keeps the lex order of equal-length words, so
+counts are exact. A member of C_j is a member of C_(j-1) followed by a
+shorter element, so member codes are folded up the levels from the choice
+arrays, one gather and one shift-and-OR per level step; no member string is
+encoded. Every suffix and every short prefix code is then a bit field of a
+member code.
+Prefix and suffix tables are sorted code arrays, one per (level, length).
+|F(n)| comes from concatenating the straddle products into one array,
+whose size is checked against the size budget first, sorting it and
+counting the rows that differ from their predecessor; F(n) itself leaves
+the engine only as the distinct rows of that array, and words only through
+`decode`, one array pass. Counts are memoized per engine, so every report
+that needs dim_n shares one computation. Membership of a single word never
+builds F(n): w is a factor exactly when, for some straddle (j, a), w[:a]
+is a suffix table entry and w[a:] a prefix table entry, both found by
+binary search.
 
 Dimensions dim_n = |F(n)| feed the growth report (cumulative sums, entropy
 partials g(n)^(1/n) via exact integer roots), the dyadic growth sandwich,
@@ -57,29 +59,15 @@ from operator import sub
 
 import numpy as np
 
+from .codes import (
+    field, holds, letter_bits, limb_count, search_key, shifted, sort_marked, sorted_unique,
+    unpack,
+)
 from .construction import LevelSystem, _fold_members
 from .errors import BudgetExceeded, DepthTooShallow, size_budget
 from .exactmath import ceil_log2, nth_root_floor_scaled, sqrt_bracket, decimal_string
 
 ENTROPY_DIGITS = 6
-
-
-def _sorted_unique(codes: np.ndarray) -> np.ndarray:
-    """Distinct codes in ascending order; sorts `codes` in place."""
-    codes.sort()
-    keep = np.ones(codes.size, dtype=bool)
-    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
-    return codes[keep]
-
-
-def _holds(table: np.ndarray, codes) -> np.ndarray:
-    """Which of the codes (an array, or one code) a nonempty sorted table holds.
-
-    A code is held when the last entry <= it equals it. A code below every
-    entry gets index -1, the largest entry, which cannot equal it.
-    """
-    codes = np.asarray(codes, dtype=table.dtype)
-    return table[table.searchsorted(codes, side="right") - 1] == codes
 
 
 class FactorEngine:
@@ -92,47 +80,39 @@ class FactorEngine:
     def __init__(self, system: LevelSystem):
         self.system = system
         self.d = system.alphabet.size
+        self.bits = letter_bits(self.d)
         self.depth = system.depth
         self._digit = {ch: i for i, ch in enumerate(system.alphabet.letters)}
         self._prefix: dict[tuple[int, int], np.ndarray] = {}
         self._suffix: dict[tuple[int, int], np.ndarray] = {}
         self._counts: dict[int, int] = {}
-        codes = _fold_members(system, np.arange(self.d, dtype=np.uint64), self._join)
-        self._members = [np.sort(level) for level in codes]
+        codes = _fold_members(system, self._letters(), self._join)
+        self._members = [sort_marked(level)[0] for level in codes]   # members are distinct
+
+    def _letters(self) -> np.ndarray:
+        return np.arange(self.d, dtype=np.uint64)
 
     def encode(self, word: str) -> int:
         code = 0
-        d = self.d
-        digit = self._digit
         for ch in word:
-            code = code * d + digit[ch]
+            code = code << self.bits | self._digit[ch]
         return code
 
-    def decode(self, code: int, n: int) -> str:
-        letters = self.system.alphabet.letters
-        out = []
-        for _ in range(n):
-            code, rem = divmod(code, self.d)
-            out.append(letters[rem])
-        return "".join(reversed(out))
+    def _tail_key(self, code: int, length: int):
+        """The last `length` letters of an int code, as a search key for that length's tables."""
+        return search_key(code & ((1 << self.bits * length) - 1), limb_count(length, self.bits))
+
+    def decode(self, codes: np.ndarray, n: int) -> list[str]:
+        """The length-n words of a code array, in order, from one gather of letters."""
+        letters = np.array(list(self.system.alphabet.letters))[unpack(codes, n, self.bits)]
+        return np.ascontiguousarray(letters).view(f"U{n}").reshape(-1).tolist()
 
     # -- prefix and suffix code tables --------------------------------------
 
-    def _dtype(self, length: int):
-        """uint64 when every length-`length` code fits in 64 bits, else Python ints."""
-        return np.uint64 if self.d ** length <= 1 << 64 else object
-
     def _join(self, head: np.ndarray, tail: np.ndarray, l: int) -> np.ndarray:
         """Codes of 2^l-letter words: each head shifted past the 2^(l-1) tail letters."""
-        dtype = self._dtype(1 << l)
-        return (head.astype(dtype, copy=False) * self.d ** (1 << (l - 1))
-                + tail.astype(dtype, copy=False))
-
-    def _table(self, codes, length: int) -> np.ndarray:
-        return np.asarray(codes, dtype=self._dtype(length))
-
-    def _unique(self, codes: np.ndarray, length: int) -> np.ndarray:
-        return _sorted_unique(self._table(codes, length))
+        k = limb_count(1 << l, self.bits)
+        return shifted(head, self.bits << (l - 1), k) | shifted(tail, 0, k)
 
     def prefixes(self, j: int, m: int) -> np.ndarray:
         """Sorted codes of the distinct length-m prefixes of W(2^j) elements."""
@@ -143,19 +123,30 @@ class FactorEngine:
         if not 1 <= m <= (1 << j):
             raise ValueError(f"prefix length {m} invalid at level {j}")
         if j == 0:
-            out = np.arange(self.d, dtype=np.uint64)
+            out = self._letters()
         else:
             half = 1 << (j - 1)
             members = self._members[j - 1]
             if m <= half:
-                out = self._unique(members // self.d ** (half - m), m)
+                out = sorted_unique(field(members, self.bits * (half - m), self.bits * m))
             else:
                 # c ++ p is injective and ascending in (c, p): no dedupe needed.
-                sub = self.prefixes(j - 1, m - half)
-                heads = self._table(members, m) * self.d ** (m - half)
-                out = (heads[:, None] + self._table(sub, m)[None, :]).ravel()
+                k = limb_count(m, self.bits)
+                sub = shifted(self.prefixes(j - 1, m - half), 0, k)
+                heads = shifted(members, self.bits * (m - half), k)
+                out = (heads[:, None] | sub[None]).reshape(-1, *heads.shape[1:])
         self._prefix[key] = out
         return out
+
+    def _prefix_count(self, j: int, m: int) -> int:
+        """|prefixes(j, m)|, without building it when it is a product table."""
+        hit = self._prefix.get((j, m))
+        if hit is not None:
+            return len(hit)
+        half = 1 << j >> 1
+        if j == 0 or m <= half:
+            return len(self.prefixes(j, m))
+        return len(self._members[j - 1]) * self._prefix_count(j - 1, m - half)
 
     def suffixes(self, j: int, a: int) -> np.ndarray:
         """Sorted codes of the distinct length-a suffixes of C(2^j) members."""
@@ -167,7 +158,7 @@ class FactorEngine:
         if not 1 <= a <= length:
             raise ValueError(f"suffix length {a} invalid at level {j}")
         members = self._members[j]
-        out = members if a == length else self._unique(members % self.d ** a, a)
+        out = members if a == length else sorted_unique(field(members, 0, self.bits * a))
         self._suffix[key] = out
         return out
 
@@ -187,30 +178,39 @@ class FactorEngine:
             raise DepthTooShallow(n, 1 << (self.depth - 1))
 
     def _windows(self, n: int) -> np.ndarray:
-        """Every straddle window code of length n, unsorted, with repeats."""
+        """Every straddle window code of length n, unsorted, with repeats.
+
+        The raw count is known from the table sizes before anything is
+        combined, and is checked in limbs against the size budget.
+        """
         if n == 1:
-            return np.arange(self.d, dtype=np.uint64)
-        pairs = [(self.suffixes(j, a), self.prefixes(j, n - a), self.d ** (n - a))
+            return self._letters()
+        k = limb_count(n, self.bits)
+        pairs = [(self.suffixes(j, a), j, n - a)
                  for j, a_min, a_max in self._straddle_ranges(n)
                  for a in range(a_min, a_max + 1)]
-        window = np.empty(sum(s.size * p.size for s, p, _ in pairs), dtype=self._dtype(n))
+        total = sum(len(sfx) * self._prefix_count(j, m) for sfx, j, m in pairs)
+        budget = size_budget()
+        if total * k > budget:
+            raise BudgetExceeded(total * k, budget, f"factor length {n} ({total} window codes)",
+                                 "uint64 limbs")
+        window = np.empty((total,) if k == 1 else (total, k), dtype=np.uint64)
         pos = 0
-        for sfx, pref, mult in pairs:
-            size = sfx.size * pref.size
-            block = window[pos:pos + size].reshape(sfx.size, pref.size)
-            np.add((self._table(sfx, n) * mult)[:, None], self._table(pref, n)[None, :], out=block)
+        for sfx, j, m in pairs:
+            pref = self.prefixes(j, m)
+            size = len(sfx) * len(pref)
+            block = window[pos:pos + size].reshape(len(sfx), len(pref), *window.shape[1:])
+            np.bitwise_or(shifted(sfx, self.bits * m, k)[:, None], shifted(pref, 0, k)[None],
+                          out=block)
             pos += size
         return window
 
     def count(self, n: int) -> int:
-        """|F(n)|, memoized: sort the window codes, count adjacent differences."""
+        """|F(n)|, memoized: sort the window codes, count the rows that differ from the last."""
         self._check_depth(n)
         hit = self._counts.get(n)
         if hit is None:
-            window = self._windows(n)
-            window.sort()
-            hit = 1 + int(np.count_nonzero(window[1:] != window[:-1]))
-            self._counts[n] = hit
+            hit = self._counts[n] = int(np.count_nonzero(sort_marked(self._windows(n))[1]))
         return hit
 
     def contains(self, word: str) -> bool:
@@ -221,23 +221,22 @@ class FactorEngine:
             return False
         if n <= 1:
             return True
-        # The head code w[:a] grows one letter per a; the tail code is taken
-        # from the whole code only once the head is a suffix table entry.
+        # The tail code w[a:] is cut from the whole code only once the head
+        # w[:a] is a suffix table entry.
         code = self.encode(word)
         ranges = list(self._straddle_ranges(n))
-        head = 0
         for a in range(1, n):
-            head = head * self.d + self._digit[word[a - 1]]
+            head = self._tail_key(code >> self.bits * (n - a), a)
             for j, a_min, a_max in ranges:
-                if (a_min <= a <= a_max and _holds(self.suffixes(j, a), head)
-                        and _holds(self.prefixes(j, n - a), code % self.d ** (n - a))):
+                if (a_min <= a <= a_max and holds(self.suffixes(j, a), head)
+                        and holds(self.prefixes(j, n - a), self._tail_key(code, n - a))):
                     return True
         return False
 
     def distinct(self, n: int) -> np.ndarray:
         """F(n) as its sorted distinct window codes."""
         self._check_depth(n)
-        return _sorted_unique(self._windows(n))
+        return sorted_unique(self._windows(n))
 
 
 def is_factor(system: LevelSystem, word: str) -> bool:
@@ -590,23 +589,25 @@ def minimal_forbidden_words(system: LevelSystem, max_len: int) -> tuple[list[str
 
     A word uz (z a letter) qualifies when it is not a factor but u and its
     one-letter truncation on the left, u[1:]z, are (Crochemore, Mignosi and
-    Restivo): every candidate is a length-(n-1) factor code times d plus z,
-    tested against F(n) and its last n-1 letters against F(n-1), all by
-    binary search in sorted code arrays; only the words kept are decoded.
+    Restivo): every candidate is a length-(n-1) factor code shifted one
+    letter left, OR z, tested against F(n) and its last n-1 letters against
+    F(n-1), all by binary search in sorted code arrays; only the words kept
+    are decoded.
     Labeled with the build depth: a deeper build can revive a word, so
     "forbidden at depth D" is part of the contract.
     """
     engine = _engine_for(system)
     engine._check_depth(max_len)
-    d = engine.d
+    letters = engine._letters()
     out: list[str] = []
     prev = np.zeros(1, dtype=np.uint64)     # F(0): the empty word
     for n in range(1, max_len + 1):
         cur = engine.distinct(n)
-        cand = ((engine._table(prev, n) * d)[:, None]
-                + engine._table(np.arange(d), n)[None, :]).ravel()
-        keep = ~_holds(cur, cand) & _holds(prev, cand % d ** (n - 1))
-        out.extend(engine.decode(c, n) for c in cand[keep].tolist())
+        k = limb_count(n, engine.bits)
+        cand = shifted(prev, engine.bits, k)[:, None] | shifted(letters, 0, k)[None]
+        cand = cand.reshape(-1, *cand.shape[2:])
+        keep = ~holds(cur, cand) & holds(prev, field(cand, 0, engine.bits * (n - 1)))
+        out.extend(engine.decode(cand[keep], n))
         prev = cur
     # Code order is letter-index order, which is not string order beyond 26 letters.
     return sorted(out, key=lambda w: (len(w), w)), system.depth

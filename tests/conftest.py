@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from growthforge.growth import poly_geometric, table_spec
@@ -13,7 +14,21 @@ TOY_TABLE = {1: 2, 2: 4, 4: 8, 8: 16}
 
 def factor_words(engine: analyzer.FactorEngine, n: int) -> frozenset[str]:
     """F(n) from the structural route, decoded for comparison with the string oracle."""
-    return frozenset(engine.decode(c, n) for c in engine.distinct(n).tolist())
+    return frozenset(engine.decode(engine.distinct(n), n))
+
+
+def encoded(engine: analyzer.FactorEngine, words: list[str]) -> np.ndarray:
+    """Equal-length words as one code array of the engine's layout."""
+    k = max(1, -(-len(words[0]) * engine.bits // 64))
+    data = b"".join(engine.encode(w).to_bytes(8 * k, "big") for w in words)
+    rows = np.frombuffer(data, dtype=">u8").astype(np.uint64).reshape(len(words), k)
+    return rows.reshape(-1) if k == 1 else rows
+
+
+def code_ints(rows) -> list[int]:
+    """Each row of a code array as one int: its uint64 limbs, most significant first."""
+    rows = rows if rows.ndim == 2 else rows[:, None]
+    return [int.from_bytes(row.astype(">u8").tobytes(), "big") for row in rows]
 
 
 @pytest.fixture(scope="session")

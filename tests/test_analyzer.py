@@ -27,7 +27,7 @@ from growthforge.construction import (
 )
 from growthforge.growth import exp_power, poly_geometric, table_spec
 
-from conftest import factor_words
+from conftest import code_ints, encoded, factor_words
 
 
 @pytest.fixture(scope="module")
@@ -145,7 +145,56 @@ class TestFactorSets:
     def test_encode_decode_roundtrip(self, captured4):
         eng = FactorEngine(captured4)
         for word in ("a", "ab", "abba", "babbab"):
-            assert eng.decode(eng.encode(word), len(word)) == word
+            assert eng.decode(encoded(eng, [word]), len(word)) == [word]
+
+
+@st.composite
+def limb_boundary_systems(draw):
+    """A seeded table_spec system over d = 2, 3 or 5 letters (1, 2 or 3 bits each).
+
+    Its depth certifies lengths just past 128/bits; the ratios are 1 or 2,
+    with at most eight-fold growth in all, so the oracle stays small.
+    """
+    d = draw(st.sampled_from([2, 3, 5]))
+    bits = (d - 1).bit_length()
+    depth = (128 // bits).bit_length() + 1
+    values, v = {1: d}, d
+    for i in range(depth):
+        v *= draw(st.integers(1, 2)) if v < 8 * d else 1
+        values[1 << (i + 1)] = v
+    system = build_plain(table_spec(values), "seeded", depth, seed=draw(st.integers(0, 2 ** 16)))
+    return system, bits
+
+
+@given(limb_boundary_systems())
+@settings(max_examples=12, deadline=None)
+def test_limb_boundaries_match_bruteforce(system_bits):
+    # n on both sides of 64/bits and 128/bits letters: one, two and three limbs.
+    system, bits = system_bits
+    engine = FactorEngine(system)
+    letters = system.alphabet.letters
+    for n in (64 // bits, 64 // bits + 1, 128 // bits, 128 // bits + 1):
+        oracle = sorted(factor_set_bruteforce(system, n))
+        assert engine.count(n) == len(oracle)
+        assert engine.decode(engine.distinct(n), n) == oracle   # code order is string order
+        sample = oracle[::max(1, len(oracle) // 8)]
+        assert all(engine.contains(w) for w in sample)
+        absent = {w[1:] + z for w in sample for z in letters} - set(oracle)
+        assert not any(engine.contains(w) for w in absent)
+
+
+@pytest.mark.parametrize("name, n", [("captured7", 64), ("long_members_d3", 64)])
+def test_code_arrays_are_uint64(request, name, n):
+    # Wide codes are uint64 limb rows: no table, member or window array
+    # holds Python ints.
+    engine = FactorEngine(request.getfixturevalue(name))
+    for m in range(n - 2, n + 1):
+        engine.count(m)
+    arrays = [*engine._members, *engine._prefix.values(), *engine._suffix.values(),
+              engine._windows(n)]
+    assert all(a.dtype == np.uint64 for a in arrays)
+    if name == "long_members_d3":
+        assert engine._windows(n).shape[1] == 2 and engine._members[13].shape[1] == 256
 
 
 class TestContains:
@@ -395,16 +444,17 @@ def assert_folds_match_strings(system, words):
     """Member codes and occurrence summaries folded from choice rows equal the strings' ones."""
     d = system.alphabet.size
     engine = FactorEngine(system)
+    bits = engine.bits
     strings = [[system.expand(WordRef(cs.level, tuple(row))) for row in cs.choices.tolist()]
                for cs in system.csets]
     # Distinct members, hence distinct elements: what choose_cset relies on.
     assert all(len(set(level)) == len(level) for level in strings)
     codes = [[engine.encode(s) for s in level] for level in strings]
     folded = _fold_members(system, np.arange(d, dtype=object),
-                           lambda head, tail, l: head * d ** (1 << (l - 1)) + tail)
+                           lambda head, tail, l: head << (bits << (l - 1)) | tail)
     assert [level.tolist() for level in folded] == codes
     # The engine's whole-member tables come from its own fold.
-    assert [engine.suffixes(j, 1 << j).tolist() for j in range(system.depth)] == [
+    assert [code_ints(engine.suffixes(j, 1 << j)) for j in range(system.depth)] == [
         sorted(level) for level in codes]
     for w in words:
         table, ids = _member_summaries(system, w)

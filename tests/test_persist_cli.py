@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from growthforge import persist
+from growthforge import analyzer, persist
 from growthforge.cli import RunConfig, main
 from growthforge.errors import SystemFileError
 from growthforge.construction import (
@@ -188,6 +188,36 @@ class TestCli:
         assert f"level 8 choice set needs {entries} choice entries" in err
         assert f"deficit {entries - 5_000_000}" in err
         assert not sys_path.exists()
+
+    def test_analyze_refuses_window_array_over_budget(self, tmp_path, capsys, monkeypatch):
+        # The build-d8 system: n = 71 has 2,605,730 raw window codes of two
+        # limbs each, known from the table sizes before the array exists.
+        monkeypatch.delenv("GROWTHFORGE_BUDGET", raising=False)
+        sys_path, report = tmp_path / "d8.json", tmp_path / "report.json"
+        assert main(["build", "--family", "poly_geometric", "--epsilon", "1/13",
+                     "--mode", "recurrent", "--depth", "8", "--captures", "2",
+                     "--out", str(sys_path)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(sys_path), "--nmax", "128", "--out", str(report)]) == 1
+        assert capsys.readouterr().err == (
+            "failure: factor length 71 (2605730 window codes) needs 5211460 uint64 limbs,"
+            " budget is 5000000 (deficit 211460)\n")
+        assert not report.exists()
+
+    def test_wide_workload_pinned(self, tmp_path):
+        # The analyze-wide benchmark system: d = 2, so n = 65 is the first
+        # length whose codes take two limbs.
+        sys_path = tmp_path / "wide.json"
+        assert main(["build", "--family", "poly_geometric", "--epsilon", "1/20",
+                     "--mode", "recurrent", "--depth", "8", "--captures", "2",
+                     "--out", str(sys_path)]) == 0
+        system = persist.load_system(sys_path)
+        assert system.digest == (
+            "sha256:8d43d5713b74ea53c73871a4449a3fc645ddceecf958202d80553933640ed41a")
+        engine = analyzer.FactorEngine(system)
+        assert (engine.count(64), engine.count(65)) == (99355, 120396)
+        assert analyzer.minimal_forbidden_words(system, 6) == (
+            ["bbbb", "ababb", "babab", "babbb", "aaabab", "babbab"], 8)
 
     def test_build_plain_toy_table(self, tmp_path):
         sys_path = tmp_path / "toy.json"

@@ -12,7 +12,7 @@ from growthforge.analyzer import FactorEngine, factor_set_bruteforce
 from growthforge.construction import WordRef, _unrank, build_plain
 from growthforge.growth import GrowthSpec, geometric, poly_geometric, table_spec
 
-from conftest import factor_words
+from conftest import encoded, factor_words
 
 
 @st.composite
@@ -205,4 +205,4 @@ def test_encode_decode_bijective(d, words):
     letters = system.alphabet.letters
     for word in words:
         word = "".join(letters[(ord(c) - ord("a")) % d] for c in word)
-        assert engine.decode(engine.encode(word), len(word)) == word
+        assert engine.decode(encoded(engine, [word]), len(word)) == [word]
