@@ -24,20 +24,22 @@ encoded. Every suffix and every short prefix code is then a bit field of a
 member code.
 Prefix and suffix tables are sorted code arrays, one per (level, length).
 |F(n)| comes from concatenating the straddle products into one array,
-whose size is checked against the size budget first, sorting it and
-counting the rows that differ from their predecessor; F(n) itself leaves
-the engine only as the distinct rows of that array, and words only through
-`decode`, one array pass. Counts are memoized per engine, so every report
-that needs dim_n shares one computation. Membership of a single word never
-builds F(n): w is a factor exactly when, for some straddle (j, a), w[:a]
-is a suffix table entry and w[a:] a prefix table entry, both found by
-binary search.
+whose size, known from the table sizes, is checked against the size budget
+first (`check_window_budget` does so for every n up to a bound), sorting it
+and counting the rows that differ from their predecessor; F(n) itself
+leaves the engine only as the distinct rows of that array, and words only
+through `decode`, one array pass. Counts are memoized per engine, and
+building F(n) records |F(n)|, so each n is windowed once. Membership of a
+single word never builds F(n): w is a factor exactly when, for some straddle
+(j, a), w[:a] is a suffix table entry and w[a:] a prefix table entry, both
+found by binary search.
 
 Dimensions dim_n = |F(n)| feed the growth report (cumulative sums, entropy
 partials g(n)^(1/n) via exact integer roots), the dyadic growth sandwich,
 the Morse-Hedlund aperiodicity test and minimal forbidden words. All results
 carry the build depth: they are exact for the truncation and lower
-approximations of the limit object.
+approximations of the limit object. A report's `to_dict` is its fields as
+JSON values plus its verdicts.
 
 The recurrence certificate covers every element of every level and expands
 none of them. For a captured target w, an occurrence summary records a
@@ -63,7 +65,7 @@ from .codes import (
     field, holds, letter_bits, limb_count, search_key, shifted, sort_marked, sorted_unique,
     unpack,
 )
-from .construction import LevelSystem, _fold_members
+from .construction import LevelSystem, _fold_members, _json_fields
 from .errors import BudgetExceeded, DepthTooShallow, size_budget
 from .exactmath import ceil_log2, nth_root_floor_scaled, sqrt_bracket, decimal_string
 
@@ -164,39 +166,39 @@ class FactorEngine:
 
     # -- factor sets --------------------------------------------------------
 
-    def _straddle_ranges(self, n: int):
-        """(j, a) pairs whose boundary windows together exhaust F(n)."""
-        j0 = ceil_log2(n)
-        for j in range(max(j0 - 1, 0), self.depth):
-            a_min = max(1, n - (1 << j))
-            a_max = min(n - 1, 1 << j)
-            if a_min <= a_max:
-                yield j, a_min, a_max
+    def _straddles(self, n: int):
+        """(j, a) pairs whose windows suffix_a(C_j) ++ prefix_(n-a)(W(2^j)) exhaust F(n)."""
+        for j in range(max(ceil_log2(n) - 1, 0), self.depth):
+            for a in range(max(1, n - (1 << j)), min(n - 1, 1 << j) + 1):
+                yield j, a
 
     def _check_depth(self, n: int) -> None:
         if n > 1 << (self.depth - 1):
             raise DepthTooShallow(n, 1 << (self.depth - 1))
 
-    def _windows(self, n: int) -> np.ndarray:
-        """Every straddle window code of length n, unsorted, with repeats.
+    def _window_total(self, n: int) -> int:
+        """The raw count of length-n window codes, refused if its uint64 limbs exceed the budget.
 
-        The raw count is known from the table sizes before anything is
-        combined, and is checked in limbs against the size budget.
+        The count is known from the table sizes before anything is combined.
         """
+        total = sum(len(self.suffixes(j, a)) * self._prefix_count(j, n - a)
+                    for j, a in self._straddles(n))
+        limbs, budget = total * limb_count(n, self.bits), size_budget()
+        if limbs > budget:
+            raise BudgetExceeded(limbs, budget, f"factor length {n} ({total} window codes)",
+                                 "uint64 limbs")
+        return total
+
+    def _windows(self, n: int) -> np.ndarray:
+        """Every straddle window code of length n, unsorted, with repeats."""
         if n == 1:
             return self._letters()
         k = limb_count(n, self.bits)
-        pairs = [(self.suffixes(j, a), j, n - a)
-                 for j, a_min, a_max in self._straddle_ranges(n)
-                 for a in range(a_min, a_max + 1)]
-        total = sum(len(sfx) * self._prefix_count(j, m) for sfx, j, m in pairs)
-        budget = size_budget()
-        if total * k > budget:
-            raise BudgetExceeded(total * k, budget, f"factor length {n} ({total} window codes)",
-                                 "uint64 limbs")
+        total = self._window_total(n)
         window = np.empty((total,) if k == 1 else (total, k), dtype=np.uint64)
         pos = 0
-        for sfx, j, m in pairs:
+        for j, a in self._straddles(n):
+            sfx, m = self.suffixes(j, a), n - a
             pref = self.prefixes(j, m)
             size = len(sfx) * len(pref)
             block = window[pos:pos + size].reshape(len(sfx), len(pref), *window.shape[1:])
@@ -224,19 +226,24 @@ class FactorEngine:
         # The tail code w[a:] is cut from the whole code only once the head
         # w[:a] is a suffix table entry.
         code = self.encode(word)
-        ranges = list(self._straddle_ranges(n))
-        for a in range(1, n):
-            head = self._tail_key(code >> self.bits * (n - a), a)
-            for j, a_min, a_max in ranges:
-                if (a_min <= a <= a_max and holds(self.suffixes(j, a), head)
-                        and holds(self.prefixes(j, n - a), self._tail_key(code, n - a))):
-                    return True
-        return False
+        return any(holds(self.suffixes(j, a), self._tail_key(code >> self.bits * (n - a), a))
+                   and holds(self.prefixes(j, n - a), self._tail_key(code, n - a))
+                   for j, a in self._straddles(n))
 
     def distinct(self, n: int) -> np.ndarray:
-        """F(n) as its sorted distinct window codes."""
+        """F(n) as its sorted distinct window codes; |F(n)| is memoized with the counts."""
         self._check_depth(n)
-        return sorted_unique(self._windows(n))
+        codes = sorted_unique(self._windows(n))
+        self._counts[n] = len(codes)
+        return codes
+
+
+def check_window_budget(system: LevelSystem, n_max: int) -> None:
+    """Refuse the first n <= n_max whose window codes exceed the budget, before building any."""
+    engine = _engine_for(system)
+    engine._check_depth(n_max)
+    for n in range(1, n_max + 1):
+        engine._window_total(n)
 
 
 def is_factor(system: LevelSystem, word: str) -> bool:
@@ -299,16 +306,11 @@ class DimensionReport:
     depth: int
     digits: int
 
-    def submultiplicative_violations(self, n_max: int | None = None) -> list[tuple[int, int]]:
+    def submultiplicative_violations(self) -> list[tuple[int, int]]:
         """Pairs (n, m) with dim_(n+m) > dim_n * dim_m; empty on factorial languages."""
-        top = n_max if n_max is not None else len(self.rows)
-        dims = {row.n: row.dim for row in self.rows}
-        bad = []
-        for n in range(1, top + 1):
-            for m in range(1, top - n + 1):
-                if dims[n + m] > dims[n] * dims[m]:
-                    bad.append((n, m))
-        return bad
+        dims, top = {row.n: row.dim for row in self.rows}, len(self.rows)
+        return [(n, m) for n in range(1, top + 1) for m in range(1, top - n + 1)
+                if dims[n + m] > dims[n] * dims[m]]
 
     def to_csv(self) -> str:
         lines = ["n,dim,cumulative,entropy_partial,depth"]
@@ -317,7 +319,7 @@ class DimensionReport:
         return "\n".join(lines) + "\n"
 
 
-def dim_series(system: LevelSystem, n_max: int, digits: int = ENTROPY_DIGITS) -> DimensionReport:
+def dim_series(system: LevelSystem, n_max: int) -> DimensionReport:
     """Exact dims for n = 1..n_max with cumulative sums and entropy partials."""
     engine = _engine_for(system)
     engine._check_depth(n_max)
@@ -326,9 +328,9 @@ def dim_series(system: LevelSystem, n_max: int, digits: int = ENTROPY_DIGITS) ->
     for n in range(1, n_max + 1):
         dim = engine.count(n)
         g += dim
-        h = nth_root_floor_scaled(g, n, digits)
-        rows.append(DimensionRow(n, dim, g, h, decimal_string(h, digits)))
-    return DimensionReport(rows, system.depth, digits)
+        h = nth_root_floor_scaled(g, n, ENTROPY_DIGITS)
+        rows.append(DimensionRow(n, dim, g, h, decimal_string(h, ENTROPY_DIGITS)))
+    return DimensionReport(rows, system.depth, ENTROPY_DIGITS)
 
 
 # -- growth sandwich -----------------------------------------------------------
@@ -354,13 +356,7 @@ class SandwichReport:
         return self.dim >= self.soft_lower
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n, "dim": self.dim,
-            "hard_lower": self.hard_lower, "hard_upper": self.hard_upper,
-            "soft_lower": self.soft_lower,
-            "hard_ok": self.hard_ok, "soft_ok": self.soft_ok,
-            "depth": self.depth,
-        }
+        return _json_fields(self, hard_ok=self.hard_ok, soft_ok=self.soft_ok)
 
 
 def check_growth_sandwich(system: LevelSystem, n: int) -> SandwichReport:
@@ -399,17 +395,7 @@ class RecurrenceEntry:
         return self.violations == 0
 
     def to_dict(self) -> dict:
-        return {
-            "target_word": self.target_word,
-            "capture_level": self.capture_level,
-            "gap_bound": self.gap_bound,
-            "max_gap": self.max_gap,
-            "max_first_occurrence": self.max_first_occurrence,
-            "max_tail": self.max_tail,
-            "elements_scanned": self.elements_scanned,
-            "violations": self.violations,
-            "passed": self.passed,
-        }
+        return _json_fields(self, passed=self.passed)
 
 
 @dataclass
@@ -427,11 +413,7 @@ class RecurrenceReport:
                      "capture level < m <= depth, contains w")
 
     def to_dict(self) -> dict:
-        return {
-            "entries": [e.to_dict() for e in self.entries],
-            "depth": self.depth, "passed": self.passed,
-            "certification": self.certification,
-        }
+        return _json_fields(self, passed=self.passed, certification=self.certification)
 
 
 def scan_occurrences(text: str, word: str) -> list[int]:
@@ -556,11 +538,7 @@ class AperiodicityReport:
         return self.first_stall is None
 
     def to_dict(self) -> dict:
-        return {
-            "n_max": self.n_max, "dims": self.dims,
-            "first_stall": self.first_stall,
-            "passed": self.passed, "depth": self.depth,
-        }
+        return _json_fields(self, passed=self.passed)
 
 
 def check_nonperiodicity(system: LevelSystem, n_max: int) -> AperiodicityReport:
@@ -625,18 +603,10 @@ class EntropyReport:
     depth: int
 
     def to_dict(self) -> dict:
-        return {
-            "partials": [[n, str(h), s] for n, h, s in self.partials],
-            "power_band": [str(self.power_band[0]), str(self.power_band[1])]
-            if self.power_band else None,
-            "linear_band": [str(self.linear_band[0]), str(self.linear_band[1])]
-            if self.linear_band else None,
-            "digits": self.digits,
-            "depth": self.depth,
-        }
+        return _json_fields(self)
 
 
-def entropy_partial(system: LevelSystem, n_max: int, digits: int = ENTROPY_DIGITS) -> EntropyReport:
+def entropy_partial(system: LevelSystem, n_max: int) -> EntropyReport:
     """h(n) = g(n)^(1/n) with exact g and stated decimal resolution.
 
     For the (1+eps)-driven families the report also carries the two
@@ -644,7 +614,7 @@ def entropy_partial(system: LevelSystem, n_max: int, digits: int = ENTROPY_DIGIT
     [sqrt(1+eps), (1+eps)^2] and, for eps < 1, its linear relaxation
     [1 + eps/3, 1 + 3 eps]. Band proximity at finite depth is informational.
     """
-    report = dim_series(system, n_max, digits=digits)
+    report = dim_series(system, n_max)
     partials = [(row.n, row.entropy_partial, row.entropy_str) for row in report.rows]
     power_band = linear_band = None
     eps = system.spec.epsilon
@@ -652,4 +622,4 @@ def entropy_partial(system: LevelSystem, n_max: int, digits: int = ENTROPY_DIGIT
         lo, _ = sqrt_bracket(1 + eps)
         power_band = (lo, (1 + eps) ** 2)
         linear_band = (1 + eps / 3, 1 + 3 * eps)
-    return EntropyReport(partials, power_band, linear_band, digits, system.depth)
+    return EntropyReport(partials, power_band, linear_band, ENTROPY_DIGITS, system.depth)

@@ -247,6 +247,9 @@ def cmd_analyze(cfg: RunConfig, system_path: str) -> int:
     system = persist.load_system(system_path)
     digest = system.digest
     n_max = min(cfg.nmax, 1 << (system.depth - 1))
+    analyzer.check_window_budget(system, n_max)
+    # Forbidden words come first: F(n) for n <= forbidden_max leaves its count behind.
+    forbidden, forb_depth = analyzer.minimal_forbidden_words(system, min(cfg.forbidden_max, n_max))
     dims = analyzer.dim_series(system, n_max)
     sandwich = []
     n = 1
@@ -257,10 +260,6 @@ def cmd_analyze(cfg: RunConfig, system_path: str) -> int:
     aperiodicity = None
     if system.depth >= 2:
         aperiodicity = analyzer.check_nonperiodicity(system, max(2, n_max))
-    forbidden, forb_depth = ([], system.depth)
-    if cfg.forbidden_max > 0:
-        forbidden, forb_depth = analyzer.minimal_forbidden_words(
-            system, min(cfg.forbidden_max, n_max))
     entropy = analyzer.entropy_partial(system, n_max)
     submult = dims.submultiplicative_violations()
 

@@ -34,11 +34,16 @@ Three builders are provided:
 
 Builds are strictly sequential and deterministic; a finished LevelSystem is
 treated as immutable by all analysis code.
+
+Records (capture entries, free parameters and the reports built on them) are
+dataclasses that serialize from their fields: `_json_fields` writes them as
+JSON values plus the derived properties a record passes in, and
+`_from_fields` reads one back by its field names.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import prod
 from random import Random
@@ -51,6 +56,29 @@ from .errors import (
 from .growth import GrowthSpec, compute_mu, check_basic, geometric
 
 LETTER_POOL = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
+
+
+def _json_fields(record, **extra) -> dict:
+    """A dataclass record's fields as JSON values, then `extra` (its derived properties)."""
+    return {f.name: _json_value(getattr(record, f.name)) for f in fields(record)} | extra
+
+
+def _json_value(value):
+    """Fractions as exact strings, tuples and lists as lists, nested records by their to_dict."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, (tuple, list)):
+        return [_json_value(v) for v in value]
+    return value.to_dict() if hasattr(value, "to_dict") else value
+
+
+def _from_fields(cls, d: dict, **converted):
+    """A cls record from the entries of d named by its fields; `converted` supplies some values.
+
+    A missing entry is a KeyError and an entry no field names is ignored.
+    """
+    return cls(**{f.name: converted[f.name] if f.name in converted else d[f.name]
+                  for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -119,29 +147,13 @@ class CaptureEntry:
     retries: list[int]           # capture levels that lacked capacity and were skipped
 
     def to_dict(self) -> dict:
-        return {
-            "target_level": self.target_level,
-            "target_choices": list(self.target_choices),
-            "target_word": self.target_word,
-            "capture_level": self.capture_level,
-            "gap_bound": self.gap_bound,
-            "m_before": self.m_before,
-            "filled_levels": list(self.filled_levels),
-            "retries": list(self.retries),
-        }
+        return _json_fields(self)
 
     @staticmethod
     def from_dict(d: dict) -> "CaptureEntry":
-        return CaptureEntry(
-            target_level=d["target_level"],
-            target_choices=tuple(d["target_choices"]),
-            target_word=d["target_word"],
-            capture_level=d["capture_level"],
-            gap_bound=d["gap_bound"],
-            m_before=d["m_before"],
-            filled_levels=list(d["filled_levels"]),
-            retries=list(d["retries"]),
-        )
+        # The conversions refuse a scalar or null where the log holds a sequence.
+        return _from_fields(CaptureEntry, d, target_choices=tuple(d["target_choices"]),
+                            filled_levels=list(d["filled_levels"]), retries=list(d["retries"]))
 
 
 class LevelSystem:
@@ -389,13 +401,12 @@ def build_plain(
     chooser: str = "lex",
     depth: int = 1,
     seed: int = 0,
-    letters: str | None = None,
 ) -> LevelSystem:
     """Choice sets 0..depth-1 with no constraints."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     _require_choice_budget(spec, range(depth))
-    system = LevelSystem(spec, chooser=chooser, seed=seed, letters=letters, mode="plain")
+    system = LevelSystem(spec, chooser=chooser, seed=seed, mode="plain")
     for level in range(depth):
         system.choose_cset(level)
     return system
@@ -460,7 +471,6 @@ def build_uniformly_recurrent(
     chooser: str = "lex",
     seed: int = 0,
     horizon: int | None = None,
-    letters: str | None = None,
 ) -> LevelSystem:
     """Capture targets fairly until the budget or the depth runs out.
 
@@ -478,7 +488,7 @@ def build_uniformly_recurrent(
     if not basic.submultiplicative_ok:
         raise ValueError(f"growth fails submultiplicativity: {basic.submultiplicative_violation}")
     _require_choice_budget(spec, range(depth))
-    system = LevelSystem(spec, chooser=chooser, seed=seed, letters=letters, mode="recurrent")
+    system = LevelSystem(spec, chooser=chooser, seed=seed, mode="recurrent")
     system.mu_offset = mu_offset
     system.horizon = horizon
     done = 0
@@ -525,14 +535,7 @@ class FreeParams:
         return cls(eps, t, 1 << t, "x" * (1 << t), "y" * (1 << t), depth - 1 - t)
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon": str(self.epsilon),
-            "t": self.t,
-            "degree": self.degree,
-            "x_word": self.x_word,
-            "y_word": self.y_word,
-            "r_max": self.r_max,
-        }
+        return _json_fields(self)
 
 
 def build_free_power_system(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 
-from .construction import FreeParams, LevelSystem
+from .construction import FreeParams, LevelSystem, _json_fields
 from .exactmath import log2_bracket
 from . import analyzer
 
@@ -126,15 +126,7 @@ class FreenessReport:
         return not self.missing and self.capacity_ok
 
     def to_dict(self) -> dict:
-        return {
-            "params": self.params.to_dict(),
-            "max_products_len": self.max_products_len,
-            "products_checked": self.products_checked,
-            "missing": list(self.missing),
-            "capacity_checks": [list(c) for c in self.capacity_checks],
-            "depth": self.depth,
-            "passed": self.passed,
-        }
+        return _json_fields(self, passed=self.passed)
 
 
 def verify_free_generators(

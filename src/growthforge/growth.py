@@ -427,20 +427,15 @@ def verify_hypotheses(
     mu_t_max: int = 3,
     mu_offset: int = 0,
     alpha_max: int = 16,
-    arg_horizon: int | None = None,
 ) -> HypothesisReport:
     """Run every checker and collect one report (the validate command).
 
-    `horizon` counts dyadic levels (conditions on f(2^n)); `arg_horizon`
-    bounds the plain-argument checks (monotonicity, submultiplicativity,
-    rapid growth) and defaults to 64 or the table support, whichever is
-    smaller.
+    `horizon` counts dyadic levels (conditions on f(2^n)); the plain-argument
+    checks (monotonicity, submultiplicativity, rapid growth) run up to 64 or
+    the table support, whichever is smaller.
     """
     betas = betas if betas is not None else [Fraction(2), Fraction(10), Fraction(100)]
-    if arg_horizon is None:
-        arg_horizon = 64
-        if spec.family == "table":
-            arg_horizon = min(arg_horizon, max(n for n in spec.table))
+    arg_horizon = min(64, max(spec.table)) if spec.family == "table" else 64
     basic = check_basic(spec, arg_horizon)
     rapid = check_rapid_growth(spec, max(arg_horizon, 4), alpha_max=alpha_max)
     capture = check_capture_conditions(spec, betas, horizon)

@@ -8,8 +8,9 @@ therefore produce byte-identical files. Loading expands no member: it
 re-validates the digest, set sizes, choice types, then each level's choice
 array at once (ranges by one comparison against the level's bound vector,
 distinct rows by sorting them), the capture levels, gap bounds and targets,
-and the free parameters before handing the system to analysis code. The
-system keeps the digest it was checked against.
+and the free parameters, both read by field name (a key no field names is
+ignored), before handing the system to analysis code. The system keeps the
+digest it was checked against.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .construction import CaptureEntry, CSet, FreeParams, LevelSystem, WordRef
+from .construction import CaptureEntry, CSet, FreeParams, LevelSystem, WordRef, _from_fields
 from .errors import SystemFileError
 from .exactmath import parse_rational
 from .growth import geometric, spec_from_dict
@@ -140,8 +141,7 @@ def _system_from_document(doc: dict, path: str | Path) -> LevelSystem:
                 f"{path}: capture target {entry.target_word!r} does not match its reference")
     if doc["free_params"]:
         fp = doc["free_params"]
-        params = FreeParams(parse_rational(fp["epsilon"]), fp["t"], fp["degree"], fp["x_word"],
-                            fp["y_word"], fp["r_max"])
+        params = _from_fields(FreeParams, fp, epsilon=parse_rational(fp["epsilon"]))
         if params != FreeParams.of(params.epsilon, system.depth) or spec != geometric(
                 params.epsilon):
             raise SystemFileError(

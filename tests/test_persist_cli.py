@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -7,6 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from growthforge import analyzer, persist
 from growthforge.cli import RunConfig, main
 from growthforge.errors import SystemFileError
+from growthforge.freesub import verify_free_generators
 from growthforge.construction import (
     LevelSystem, WordRef, build_free_power_system, build_uniformly_recurrent,
 )
@@ -100,6 +102,35 @@ class TestPersist:
                                            chooser="seeded", seed=5, horizon=12)
         assert persist.document_digest(persist.system_to_document(system)) == (
             "sha256:f2ad6ef264b8badbf50904b2cd003f03901a87718821379eee8488f9e7ca590e")
+
+    def test_record_json_pinned(self, captured4, free_system_eps1, toy_system):
+        # Key names, value types and nesting of every record that serializes
+        # from its dataclass fields, as sha256 of the canonical JSON text.
+        system, params = free_system_eps1
+        records = {
+            "sandwich": [analyzer.check_growth_sandwich(captured4, n).to_dict() for n in (1, 2, 3)],
+            "recurrence": analyzer.verify_recurrence_gaps(captured4).to_dict(),
+            "aperiodicity": analyzer.check_nonperiodicity(captured4, 8).to_dict(),
+            "entropy": analyzer.entropy_partial(captured4, 8).to_dict(),
+            "entropy_no_bands": analyzer.entropy_partial(toy_system, 4).to_dict(),
+            "capture_log": [e.to_dict() for e in captured4.capture_log],
+            "free_params": params.to_dict(),
+            "freeness": verify_free_generators(system, params, 4).to_dict(),
+        }
+        digests = {name: hashlib.sha256(persist.canonical_json(doc).encode()).hexdigest()[:16]
+                   for name, doc in records.items()}
+        assert digests == {
+            "sandwich": "e249ff20b9fced82",
+            "recurrence": "2baee518215f0253",
+            "aperiodicity": "9d649ac2817e1bd3",
+            "entropy": "37900a21a9b2c043",
+            "entropy_no_bands": "a17c85ccd0ae0117",
+            "capture_log": "79bae3a88125eb2d",
+            "free_params": "5f59746add24af6c",
+            "freeness": "9dc7590d31852ee3",
+        }
+        assert persist.canonical_json(records["free_params"]) == (
+            '{"degree":2,"epsilon":"1","r_max":2,"t":1,"x_word":"xx","y_word":"yy"}')
 
     def test_same_build_same_bytes(self, tmp_path):
         poly = poly_geometric("1/10")
@@ -204,6 +235,40 @@ class TestCli:
             " budget is 5000000 (deficit 211460)\n")
         assert not report.exists()
 
+    def test_analyze_refuses_before_counting(self, tmp_path, capsys, monkeypatch):
+        # The analyze-wide system: n = 116 is the first length over the
+        # budget, and every n up to --nmax is checked before any is counted.
+        monkeypatch.delenv("GROWTHFORGE_BUDGET", raising=False)
+        windowed, systems = [], []
+        windows, load = analyzer.FactorEngine._windows, persist.load_system
+        monkeypatch.setattr(analyzer.FactorEngine, "_windows",
+                            lambda self, n: windowed.append(n) or windows(self, n))
+        monkeypatch.setattr(persist, "load_system",
+                            lambda path: systems.append(load(path)) or systems[-1])
+        sys_path, report = tmp_path / "wide.json", tmp_path / "report.json"
+        assert main(["build", "--family", "poly_geometric", "--epsilon", "1/20",
+                     "--mode", "recurrent", "--depth", "8", "--captures", "2",
+                     "--out", str(sys_path)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(sys_path), "--nmax", "128", "--out", str(report)]) == 1
+        assert capsys.readouterr().err == (
+            "failure: factor length 116 (2688618 window codes) needs 5377236 uint64 limbs,"
+            " budget is 5000000 (deficit 377236)\n")
+        assert windowed == [] and analyzer._engine_for(systems[0])._counts == {}
+        assert not report.exists()
+
+    def test_analyze_windows_each_n_once(self, tmp_path, captured4, monkeypatch):
+        # Minimal forbidden words leave |F(n)| behind for the dimension series.
+        windowed = []
+        windows = analyzer.FactorEngine._windows
+        monkeypatch.setattr(analyzer.FactorEngine, "_windows",
+                            lambda self, n: windowed.append(n) or windows(self, n))
+        sys_path = tmp_path / "cap.json"
+        persist.save_system(captured4, sys_path)
+        assert main(["analyze", str(sys_path), "--nmax", "8", "--forbidden-max", "6",
+                     "--out", str(tmp_path / "r.json")]) == 0
+        assert sorted(windowed) == list(range(1, 9))
+
     def test_wide_workload_pinned(self, tmp_path):
         # The analyze-wide benchmark system: d = 2, so n = 65 is the first
         # length whose codes take two limbs.
@@ -275,10 +340,15 @@ class TestCli:
         # Level 2 has three members, so a level-3 choice of 3 is one past the bound.
         (lambda doc: doc["csets"][3][0].__setitem__(0, 3),
          "in level 3 members malformed or out of range 0..2"),
+        # The capture log's sequences must be sequences, not scalars or null.
+        (lambda doc: doc["capture_log"][0].update(retries=5), "malformed"),
+        (lambda doc: doc["capture_log"][0].update(filled_levels=None), "malformed"),
+        (lambda doc: doc["capture_log"][1].update(target_choices=7), "malformed"),
     ], ids=["no-chooser", "csets-int", "string-choice", "capture-no-gap-bound",
             "capture-negative-choice", "capture-choice-at-bound", "capture-huge-gap-bound",
             "capture-string-gap-bound", "capture-at-depth", "duplicate-member", "float-choice",
-            "bool-choice", "huge-choice", "ragged-member", "choice-at-bound"])
+            "bool-choice", "huge-choice", "ragged-member", "choice-at-bound", "capture-int-retries",
+            "capture-null-filled-levels", "capture-int-target-choices"])
     def test_analyze_malformed_exits_2(self, tmp_path, captured4, capsys, mutate, message):
         # Each document carries a recomputed digest, so only the shape is wrong.
         doc = persist.system_to_document(captured4)
@@ -291,6 +361,18 @@ class TestCli:
         assert str(sys_path) in err and "Traceback" not in err
         # The path holds the test's name, so look for the message without it.
         assert message in err.replace(str(sys_path), "")
+
+    def test_capture_entry_extra_key_loads(self, tmp_path, captured4):
+        # A key no CaptureEntry field names is ignored, as it always was.
+        doc = persist.system_to_document(captured4)
+        doc["capture_log"][0]["note"] = "extra"
+        doc["digest"] = persist.document_digest(doc)
+        sys_path = tmp_path / "extra.json"
+        sys_path.write_text(json.dumps(doc))
+        loaded = persist.load_system(sys_path)
+        assert [e.to_dict() for e in loaded.capture_log] == [
+            e.to_dict() for e in captured4.capture_log]
+        assert main(["analyze", str(sys_path), "--out", str(tmp_path / "r.json")]) == 0
 
     @pytest.mark.parametrize("argv, config, flag", [
         (["analyze", "{system}", "--nmax", "0"], "", "--nmax"),
