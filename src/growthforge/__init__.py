@@ -29,7 +29,6 @@ from .construction import (
     build_plain,
     build_uniformly_recurrent,
     build_free_power_system,
-    capture_target,
 )
 from .analyzer import (
     factor_set_bruteforce,
@@ -57,7 +56,6 @@ __all__ = [
     "compute_mu", "verify_hypotheses",
     "Alphabet", "WordRef", "CSet", "LevelSystem", "CaptureEntry", "FreeParams",
     "build_plain", "build_uniformly_recurrent", "build_free_power_system",
-    "capture_target",
     "factor_set_bruteforce", "dim_series", "check_growth_sandwich",
     "verify_recurrence_gaps", "check_nonperiodicity", "minimal_forbidden_words",
     "entropy_partial",

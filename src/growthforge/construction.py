@@ -24,16 +24,17 @@ Three builders are provided:
   * plain: every choice set filled by the chooser with no constraints;
   * uniformly recurrent: a deterministic scheduler walks target words
     (whole W(2^t)-elements, t ascending, tuple-lex ascending) and captures
-    each one by fixing it as the common suffix of a fresh choice set at
-    level t' = max(mu(t), m+1), so the target reoccurs in every long word
-    with gaps at most 2^(t'+1);
+    each one by fixing it as the common suffix of the choice set at level
+    t' = max(mu(t), m+1), m the previous capture level, so the target
+    reoccurs in every long word with gaps at most 2^(t'+1);
   * free power system: with f(n) = ceil((1+eps)^n) and letters x, y, the
     choice sets are forced to contain x^(2^i), y^(2^i) up to level t and all
     2^(2^r) products of the two power words at level t+r, which certifies a
     free subalgebra on the two power monomials.
 
-Builds are strictly sequential and deterministic; a finished LevelSystem is
-treated as immutable by all analysis code.
+The capture schedule depends on the set sizes r_i alone, so it is fixed
+before any set is chosen, and every builder defines levels 0..depth-1 in
+order. Builds are deterministic; analysis treats a LevelSystem as immutable.
 
 Records (capture entries, free parameters and the reports built on them) are
 dataclasses that serialize from their fields: `_json_fields` writes them as
@@ -142,9 +143,9 @@ class CaptureEntry:
     target_word: str
     capture_level: int           # n_w: the level whose choice set was suffix-fixed
     gap_bound: int               # c_w = 2^(n_w + 1)
-    m_before: int                # highest defined level before this capture (-1 if none)
+    m_before: int                # the previous capture level (-1 for the first capture)
     filled_levels: list[int]     # levels defined unconstrained to reach the capture level
-    retries: list[int]           # capture levels that lacked capacity and were skipped
+    retries: list[int]           # filled levels that lacked capacity for the capture
 
     def to_dict(self) -> dict:
         return _json_fields(self)
@@ -200,28 +201,22 @@ class LevelSystem:
         """D: W(2^D) is the deepest implicitly defined word set."""
         return len(self.csets)
 
-    @property
-    def highest_defined_level(self) -> int:
-        """m: levels 0..m have choice sets; -1 before any are built."""
-        return len(self.csets) - 1
-
     def radices(self, level: int, suffix: WordRef | None = None) -> list[int]:
         """The radices of the free choices of the W(2^level) elements ending with suffix.
 
-        The bound vector of a level is (|C_(level-1)|, ..., |C_0|, d): choice
+        The bound vector of a level is (r_(level-1), ..., r_0, d), since C_j
+        has exactly r_j members, so levels not built yet have one too: choice
         i of an element lies below entry i. An element ends with a W(2^t)
         element w exactly when its last t+1 choices are w's choices (its last
         2^t letters expand from them, and distinct tuples give distinct
         words), so only the first level+1-len(suffix.choices) choices are
         free; without a suffix all of them are.
         """
-        if level > self.depth:
-            raise ValueError(f"level {level} beyond depth {self.depth}")
-        bounds = [len(cs) for cs in reversed(self.csets[:level])] + [self.alphabet.size]
+        bounds = [self.spec.ratio(i) for i in reversed(range(level))] + [self.alphabet.size]
         return bounds if suffix is None else bounds[:level + 1 - len(suffix.choices)]
 
     def level_word_count(self, level: int) -> int:
-        """|W(2^level)| = d * prod of lower choice-set sizes."""
+        """|W(2^level)| = d * r_0 * ... * r_(level-1)."""
         return prod(self.radices(level))
 
     def ref_from_rank(self, level: int, rank: int) -> WordRef:
@@ -412,55 +407,25 @@ def build_plain(
     return system
 
 
-def capture_target(
-    system: LevelSystem,
-    target: WordRef,
-    mu_offset: int,
-    horizon: int,
-    max_level: int | None = None,
-) -> CaptureEntry:
-    """Fix the target word as the common suffix of a fresh choice set.
+def _capture_level(system: LevelSystem, target: WordRef, m: int, mu_offset: int, horizon: int,
+                   cap: int) -> tuple[int, list[int]]:
+    """The level that captures target after capture level m, and the levels retried first.
 
-    Levels below the capture level that are still undefined are filled
-    unconstrained first. The capture level is t' = max(mu(t), m+1) with m the
-    highest level already defined, which the dominance inequality makes large
-    enough for the suffix-fixed set; if a ceiling edge still leaves it short,
-    the builder retries one level higher (each retry is logged).
+    t' = max(mu(t), m+1) has room by the dominance inequality, except at a
+    ceiling edge: a level with fewer than r_level elements ending with
+    target is retried one higher. A t' beyond cap is returned as it is; a
+    retry beyond cap raises HorizonTooSmall.
     """
-    t = target.level
-    if t > system.depth:
-        raise ValueError(f"target level {t} not yet constructible (depth {system.depth})")
-    mu = compute_mu(system.spec, t, mu_offset, horizon)
-    m = system.highest_defined_level
-    t_prime = max(mu, m + 1)
-    word = system.expand(target)
-    filled: list[int] = []
+    level = max(compute_mu(system.spec, target.level, mu_offset, horizon), m + 1)
     retries: list[int] = []
-    while True:
-        if max_level is not None and t_prime > max_level:
-            raise HorizonTooSmall(
-                f"capture of {word!r} needs level {t_prime} beyond cap {max_level}",
-                t, horizon)
-        while system.depth < t_prime:
-            filled.append(system.depth)
-            system.choose_cset(system.depth)
-        if prod(system.radices(t_prime, target)) >= system.spec.ratio(t_prime):
-            break
-        retries.append(t_prime)
-        t_prime += 1
-    system.choose_cset(t_prime, suffix=target)
-    entry = CaptureEntry(
-        target_level=t,
-        target_choices=target.choices,
-        target_word=word,
-        capture_level=t_prime,
-        gap_bound=1 << (t_prime + 1),
-        m_before=m,
-        filled_levels=filled,
-        retries=retries,
-    )
-    system.capture_log.append(entry)
-    return entry
+    while level <= cap and prod(system.radices(level, target)) < system.spec.ratio(level):
+        retries.append(level)
+        level += 1
+    if retries and level > cap:
+        raise HorizonTooSmall(
+            f"capture of the W(2^{target.level}) element with choices {target.choices} "
+            f"needs level {level} beyond cap {cap}", target.level, horizon)
+    return level, retries
 
 
 def build_uniformly_recurrent(
@@ -474,11 +439,12 @@ def build_uniformly_recurrent(
 ) -> LevelSystem:
     """Capture targets fairly until the budget or the depth runs out.
 
-    The scheduler enumerates targets as whole W(2^t)-elements, t ascending
-    and choice tuples lex ascending, and captures each in turn. Captures stop
-    as soon as the next capture level would not fit below `depth`; remaining
-    levels are filled unconstrained. Uniform recurrence is certified only for
-    the captured targets.
+    The schedule is planned from the set sizes first: targets are whole
+    W(2^t)-elements, t ascending and choice tuples lex ascending, each at the
+    level `_capture_level` gives after the previous capture, until the next
+    would not fit below `depth`. Levels 0..depth-1 are then defined in order,
+    with the target as common suffix at a capture level. Uniform recurrence
+    is certified only for the captured targets.
     """
     if depth < 2:
         raise ValueError("depth must be >= 2")
@@ -491,26 +457,23 @@ def build_uniformly_recurrent(
     system = LevelSystem(spec, chooser=chooser, seed=seed, mode="recurrent")
     system.mu_offset = mu_offset
     system.horizon = horizon
-    done = 0
-    t = 0
-    rank = 0
-    while done < capture_budget:
-        if t > system.highest_defined_level + 1 or t >= depth:
+    log = system.capture_log
+    targets = (system.ref_from_rank(t, rank)
+               for t in range(depth) for rank in range(system.level_word_count(t)))
+    for target in targets:
+        if len(log) >= capture_budget:
             break
-        if rank >= system.level_word_count(t):
-            t += 1
-            rank = 0
-            continue
-        target = system.ref_from_rank(t, rank)
-        rank += 1
-        mu = compute_mu(spec, t, mu_offset, horizon)
-        t_prime = max(mu, system.highest_defined_level + 1)
-        if t_prime > depth - 1:
+        m = log[-1].capture_level if log else -1
+        level, retries = _capture_level(system, target, m, mu_offset, horizon, depth - 1)
+        if level >= depth:
             break
-        capture_target(system, target, mu_offset, horizon, max_level=depth - 1)
-        done += 1
-    while system.depth < depth:
-        system.choose_cset(system.depth)
+        log.append(CaptureEntry(target.level, target.choices, "", level, 1 << (level + 1), m,
+                                list(range(m + 1, level)), retries))
+    planned = {e.capture_level: WordRef(e.target_level, e.target_choices) for e in log}
+    for level in range(depth):
+        system.choose_cset(level, suffix=planned.get(level))
+    for e in log:
+        e.target_word = system.expand(WordRef(e.target_level, e.target_choices))
     return system
 
 

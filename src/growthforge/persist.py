@@ -7,10 +7,11 @@ the same canonical text without the digest. Identical configurations
 therefore produce byte-identical files. Loading expands no member: it
 re-validates the digest, set sizes, choice types, then each level's choice
 array at once (ranges by one comparison against the level's bound vector,
-distinct rows by sorting them), the capture levels, gap bounds and targets,
-and the free parameters, both read by field name (a key no field names is
-ignored), before handing the system to analysis code. The system keeps the
-digest it was checked against.
+distinct rows by sorting them), the capture entries (levels, gap bounds,
+targets, the scheduler's bookkeeping, and that every member of a capture
+level ends with its target) and the free parameters, both read by field
+name (a key no field names is ignored), before handing the system to
+analysis code. The system keeps the digest it was checked against.
 """
 
 from __future__ import annotations
@@ -125,6 +126,7 @@ def _system_from_document(doc: dict, path: str | Path) -> LevelSystem:
             raise SystemFileError(f"{path}: duplicate member choice tuples at level {level}")
         system.csets.append(CSet(level, rows))
     system.capture_log = [CaptureEntry.from_dict(e) for e in doc["capture_log"]]
+    m = -1    # the previous capture level
     for entry in system.capture_log:
         # The recurrence certificate trusts the capture level and gap bound.
         if not (0 <= entry.target_level < entry.capture_level < system.depth
@@ -139,6 +141,20 @@ def _system_from_document(doc: dict, path: str | Path) -> LevelSystem:
         if system.expand(WordRef(entry.target_level, entry.target_choices)) != entry.target_word:
             raise SystemFileError(
                 f"{path}: capture target {entry.target_word!r} does not match its reference")
+        # The scheduler's bookkeeping: levels m+1.. were filled in order, some as retries.
+        level, filled, retries = entry.capture_level, entry.filled_levels, entry.retries
+        levels = [entry.m_before, *filled, level]
+        if (set(map(type, [entry.target_level, *levels, *retries])) - {int}
+                or levels != list(range(m, level + 1))
+                or retries != sorted(set(retries) & set(filled))):
+            raise SystemFileError(
+                f"{path}: malformed capture bookkeeping for {entry.target_word!r}: need m_before "
+                f"{m}, filled_levels {m + 1}..{level - 1} and retries increasing among them")
+        tails = system.csets[level].choices[:, level - entry.target_level:]
+        if (tails != entry.target_choices).any():
+            raise SystemFileError(f"{path}: a level {level} member does not end with capture "
+                                  f"target {entry.target_word!r}")
+        m = level
     if doc["free_params"]:
         fp = doc["free_params"]
         params = _from_fields(FreeParams, fp, epsilon=parse_rational(fp["epsilon"]))

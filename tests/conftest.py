@@ -3,6 +3,7 @@ import pytest
 
 from growthforge.growth import poly_geometric, table_spec
 from growthforge.construction import (
+    WordRef,
     build_free_power_system,
     build_plain,
     build_uniformly_recurrent,
@@ -23,6 +24,12 @@ def encoded(engine: analyzer.FactorEngine, words: list[str]) -> np.ndarray:
     data = b"".join(engine.encode(w).to_bytes(8 * k, "big") for w in words)
     rows = np.frombuffer(data, dtype=">u8").astype(np.uint64).reshape(len(words), k)
     return rows.reshape(-1) if k == 1 else rows
+
+
+def member_words(system) -> list[list[str]]:
+    """Each level's member words, expanded from the choice rows."""
+    return [[system.expand(WordRef(cs.level, tuple(row))) for row in cs.choices.tolist()]
+            for cs in system.csets]
 
 
 def code_ints(rows) -> list[int]:

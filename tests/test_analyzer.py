@@ -27,7 +27,7 @@ from growthforge.construction import (
 )
 from growthforge.growth import exp_power, poly_geometric, table_spec
 
-from conftest import code_ints, encoded, factor_words
+from conftest import code_ints, encoded, factor_words, member_words
 
 
 @pytest.fixture(scope="module")
@@ -445,8 +445,7 @@ def assert_folds_match_strings(system, words):
     d = system.alphabet.size
     engine = FactorEngine(system)
     bits = engine.bits
-    strings = [[system.expand(WordRef(cs.level, tuple(row))) for row in cs.choices.tolist()]
-               for cs in system.csets]
+    strings = member_words(system)
     # Distinct members, hence distinct elements: what choose_cset relies on.
     assert all(len(set(level)) == len(level) for level in strings)
     codes = [[engine.encode(s) for s in level] for level in strings]

@@ -10,16 +10,19 @@ from hypothesis import given, settings, strategies as st
 from growthforge.errors import (
     BudgetExceeded, CapacityExceeded, HorizonTooSmall, InsufficientWords,
 )
+from growthforge import persist
 from growthforge.growth import exp_power, geometric, poly_geometric, table_spec
 from growthforge.construction import (
     LevelSystem,
     WordRef,
+    _capture_level,
     _sample_ranks,
     build_free_power_system,
     build_plain,
     build_uniformly_recurrent,
-    capture_target,
 )
+
+from conftest import member_words
 
 TOY = table_spec({1: 2, 2: 4, 4: 8, 8: 16})
 
@@ -27,11 +30,6 @@ TOY = table_spec({1: 2, 2: 4, 4: 8, 8: 16})
 def member_refs(cs):
     """A choice set's members as refs, one per choice row."""
     return [WordRef(cs.level, tuple(row)) for row in cs.choices.tolist()]
-
-
-def member_words(system):
-    """Each level's member words, expanded from the choice rows."""
-    return [[system.expand(ref) for ref in member_refs(cs)] for cs in system.csets]
 
 
 class TestInit:
@@ -154,8 +152,8 @@ class TestExpand:
 class TestCapture:
     def test_capture_letter_a(self):
         poly = poly_geometric("1/10")
-        system = LevelSystem(poly)
-        entry = capture_target(system, WordRef(0, (0,)), 0, 12)
+        system = build_uniformly_recurrent(poly, depth=2, capture_budget=1, horizon=12)
+        (entry,) = system.capture_log
         assert entry.capture_level == 1 and entry.gap_bound == 4
         assert member_words(system)[1] == ["aa", "ba"]
         assert entry.filled_levels == [0]
@@ -181,19 +179,18 @@ class TestCapture:
                 assert s.endswith(e.target_word)
 
     def test_geometric_eps1_capture_impossible(self):
-        system = LevelSystem(geometric(1))
         with pytest.raises(HorizonTooSmall):
-            capture_target(system, WordRef(0, (0,)), 0, 12)
+            build_uniformly_recurrent(geometric(1), depth=4, capture_budget=1, horizon=12)
 
     def test_w4_capture_capacity(self):
-        # Capture a W(4)-element after levels 0..3 exist: t' = max(mu(2), 4) = 4,
+        # Capture a W(4)-element with levels 0..3 taken (m = 3): t' = max(mu(2), 4) = 4,
         # free-choice capacity r_3 * r_2 = 15 >= r_4 = 10.
         poly = poly_geometric("1/10")
         system = build_plain(poly, "lex", 4)
         target = system.ref_from_rank(2, 0)
         word = system.expand(target)
-        entry = capture_target(system, target, 0, 12)
-        assert entry.capture_level == 4
+        assert _capture_level(system, target, 3, 0, 12, 4) == (4, [])
+        system.choose_cset(4, suffix=target)
         assert system.radices(4, target) == [5, 3]
         assert sum(system.expand(ref).endswith(word) for ref in system.iter_refs(4)) == 15
         assert len(system.csets[4]) == 10
@@ -202,6 +199,42 @@ class TestCapture:
 
 
 class TestScheduler:
+    def test_retry_pinned(self, tmp_path):
+        # r = (2, 1, 6, 3) over d = 3 letters. After "a" at level 1, "b" first
+        # tries level 2, where only r_1 * r_0 = 2 elements end with it, fewer
+        # than r_2 = 6, so level 2 is filled and "b" is captured at level 3.
+        spec = table_spec({1: 3, 2: 6, 4: 6, 8: 36, 16: 108, 32: 324})
+        system = build_uniformly_recurrent(spec, depth=4, capture_budget=2, horizon=1)
+        assert [(e.target_word, e.capture_level, e.filled_levels, e.retries)
+                for e in system.capture_log] == [("a", 1, [0], []), ("b", 3, [2], [2])]
+        assert persist.document_digest(persist.system_to_document(system)) == (
+            "sha256:116782f71ad7c5f6b9c59031094131660e0d28c9cbefa41ddece4d494054714e")
+        for e in system.capture_log:
+            assert all(s.endswith(e.target_word) for s in member_words(system)[e.capture_level])
+        # The loader accepts the retry's bookkeeping and re-saves the same bytes.
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        persist.save_system(system, first)
+        persist.save_system(persist.load_system(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_retry_past_cap_raises(self):
+        # r = (3, 1, 6) at depth 3: after "a" at level 1, "b" retries level 2
+        # (3 * 1 < 6) and would need level 3, beyond the last level 2.
+        spec = table_spec({1: 3, 2: 9, 4: 9, 8: 54, 16: 270})
+        with pytest.raises(HorizonTooSmall, match="needs level 3 beyond cap 2"):
+            build_uniformly_recurrent(spec, depth=3, capture_budget=3, horizon=1)
+
+    @pytest.mark.parametrize("spec", [poly_geometric("1/10"), poly_geometric("1/12"),
+                                      exp_power("1/2")], ids=["pg10", "pg12", "exp_half"])
+    def test_builds_resave_byte_for_byte(self, spec, tmp_path):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        for depth, budget, chooser in product(range(3, 8), range(7), ("lex", "seeded")):
+            system = build_uniformly_recurrent(spec, depth=depth, capture_budget=budget,
+                                               chooser=chooser, seed=5)
+            persist.save_system(system, first)
+            persist.save_system(persist.load_system(first), second)
+            assert first.read_bytes() == second.read_bytes()
+
     def test_zero_budget_equals_plain(self):
         poly = poly_geometric("1/10")
         recurrent = build_uniformly_recurrent(poly, depth=5, capture_budget=0, horizon=12)

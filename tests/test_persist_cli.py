@@ -10,15 +10,11 @@ from growthforge.cli import RunConfig, main
 from growthforge.errors import SystemFileError
 from growthforge.freesub import verify_free_generators
 from growthforge.construction import (
-    LevelSystem, WordRef, build_free_power_system, build_uniformly_recurrent,
+    LevelSystem, build_free_power_system, build_uniformly_recurrent,
 )
 from growthforge.growth import poly_geometric
 
-
-def member_words(system):
-    """Each level's member words, expanded from the choice rows."""
-    return [[system.expand(WordRef(cs.level, tuple(row))) for row in cs.choices.tolist()]
-            for cs in system.csets]
+from conftest import member_words
 
 
 def tamper(path, **fields):
@@ -344,11 +340,31 @@ class TestCli:
         (lambda doc: doc["capture_log"][0].update(retries=5), "malformed"),
         (lambda doc: doc["capture_log"][0].update(filled_levels=None), "malformed"),
         (lambda doc: doc["capture_log"][1].update(target_choices=7), "malformed"),
+        # The bookkeeping must be the scheduler's: entry 0 has m_before -1,
+        # filled_levels [0] and retries []; entry 1 has 1, [] and [].
+        (lambda doc: doc["capture_log"][0].update(m_before="x", filled_levels=[99],
+                                                  retries=["a", None]),
+         "malformed capture bookkeeping"),
+        # Equal to 1 in Python, but not a JSON int.
+        (lambda doc: doc["capture_log"][1].update(m_before=True), "malformed capture bookkeeping"),
+        (lambda doc: doc["capture_log"][0].update(m_before=0), "need m_before -1"),
+        (lambda doc: doc["capture_log"][0].update(filled_levels=[]), "filled_levels 0..0"),
+        (lambda doc: doc["capture_log"][0].update(retries=[0, 0]), "malformed capture bookkeeping"),
+        (lambda doc: doc["capture_log"][1].update(retries=[1]), "malformed capture bookkeeping"),
+        # The same capture twice: levels must rise from one entry to the next.
+        (lambda doc: doc["capture_log"].append(dict(doc["capture_log"][1], m_before=2)),
+         "malformed capture bookkeeping"),
+        # Member "aaab" of level 2 becomes "aaaa": no longer ends with target "b".
+        (lambda doc: doc["csets"][2][0].__setitem__(2, 0),
+         "a level 2 member does not end with capture target 'b'"),
     ], ids=["no-chooser", "csets-int", "string-choice", "capture-no-gap-bound",
             "capture-negative-choice", "capture-choice-at-bound", "capture-huge-gap-bound",
             "capture-string-gap-bound", "capture-at-depth", "duplicate-member", "float-choice",
             "bool-choice", "huge-choice", "ragged-member", "choice-at-bound", "capture-int-retries",
-            "capture-null-filled-levels", "capture-int-target-choices"])
+            "capture-null-filled-levels", "capture-int-target-choices", "capture-bad-bookkeeping",
+            "capture-bool-m-before", "capture-wrong-m-before", "capture-missing-filled-level",
+            "capture-repeated-retry", "capture-retry-not-filled", "capture-level-repeated",
+            "capture-member-tail"])
     def test_analyze_malformed_exits_2(self, tmp_path, captured4, capsys, mutate, message):
         # Each document carries a recomputed digest, so only the shape is wrong.
         doc = persist.system_to_document(captured4)

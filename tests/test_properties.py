@@ -12,7 +12,7 @@ from growthforge.analyzer import FactorEngine, factor_set_bruteforce
 from growthforge.construction import WordRef, _unrank, build_plain
 from growthforge.growth import GrowthSpec, geometric, poly_geometric, table_spec
 
-from conftest import encoded, factor_words
+from conftest import encoded, factor_words, member_words
 
 
 @st.composite
@@ -94,11 +94,7 @@ def test_persist_roundtrip_random(tmp_path_factory, table_depth, seed):
     path = tmp_path_factory.mktemp("systems") / "s.json"
     persist.save_system(system, path)
     loaded = persist.load_system(path)
-    def words(s):
-        return [[s.expand(WordRef(cs.level, tuple(row))) for row in cs.choices.tolist()]
-                for cs in s.csets]
-
-    assert words(loaded) == words(system)
+    assert member_words(loaded) == member_words(system)
     # Byte stability: saving the reloaded system reproduces the file.
     path2 = tmp_path_factory.mktemp("systems") / "s2.json"
     persist.save_system(loaded, path2)
