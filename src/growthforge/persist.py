@@ -2,16 +2,16 @@
 
 The file is canonical JSON (sorted keys, compact separators, no timestamps)
 holding the growth parameters, chooser, seed, per-level member choice tuples
-(indices, never strings), the capture log, and a sha256 content digest over
-the same canonical text without the digest. Identical configurations
-therefore produce byte-identical files. Loading expands no member: it
-re-validates the digest, set sizes, choice types, then each level's choice
-array at once (ranges by one comparison against the level's bound vector,
-distinct rows by sorting them), the capture entries (levels, gap bounds,
-targets, the scheduler's bookkeeping, and that every member of a capture
-level ends with its target) and the free parameters, both read by field
-name (a key no field names is ignored), before handing the system to
-analysis code. The system keeps the digest it was checked against.
+(indices, never strings, encoded once per save straight from the int64 arrays),
+the capture log, and a sha256 content digest over the same canonical text without
+the digest. Identical configurations therefore produce byte-identical files.
+Loading expands no member: it re-validates set sizes, choice types, then each
+level's choice array at once (ranges by one comparison against the level's bound
+vector, distinct rows by sorting them), the capture entries (levels, gap bounds,
+targets, the scheduler's bookkeeping, and that every member of a capture level ends
+with its target) and the free parameters, both read by field name (a key no field
+names is ignored). Only then does it check the digest, with the choice rows encoded
+from the validated arrays. The system keeps that digest.
 """
 
 from __future__ import annotations
@@ -37,15 +37,45 @@ def canonical_json(doc: dict) -> str:
 
 
 def document_digest(doc: dict) -> str:
-    return _text_digest(canonical_json({k: v for k, v in doc.items() if k != "digest"}))
+    """sha256 of the canonical text of doc without its digest; csets holds the arrays."""
+    rest = {k: v for k, v in doc.items() if k != "digest"}
+    return _text_digest(_canonical_text(rest, _csets_json(doc["csets"])))
 
 
 def _text_digest(body: str) -> str:
     return "sha256:" + hashlib.sha256(body.encode()).hexdigest()
 
 
+def _canonical_text(doc: dict, csets: str) -> str:
+    """canonical_json(doc), with csets as the text of the "csets" value."""
+    return "{" + ",".join(
+        json.dumps(key) + ":" + (csets if key == "csets" else canonical_json(value))
+        for key, value in sorted(doc.items())) + "}"
+
+
+def _csets_json(arrays: list[np.ndarray]) -> str:
+    """json.dumps([a.tolist() for a in arrays], separators=(",", ":")), from the arrays.
+
+    Each nonnegative choice becomes k + 3 bytes, "[" or NUL, k digits (NUL for leading
+    zeros), "]" or NUL and ","; deleting the NULs leaves the text. Digits are computed,
+    not looked up by value, so memory is k + 3 bytes a choice however large the values.
+    """
+    levels = []
+    for a in arrays:
+        top = int(a.max(initial=0))
+        k, v = len(str(top)), a.astype(np.min_scalar_type(top))
+        text = np.zeros(a.shape + (k + 3,), np.uint8)
+        text[:, 0, 0], text[:, -1, -2], text[..., -1] = ord("["), ord("]"), ord(",")
+        for i in range(k):
+            place = 10 ** (k - 1 - i)
+            digit = (v // place % 10).astype(np.uint8) + ord("0")
+            text[..., 1 + i] = digit * (v >= place) if place > 1 else digit
+        levels.append("[" + text.tobytes().translate(None, b"\0").decode()[:-1] + "]")
+    return "[" + ",".join(levels) + "]"
+
+
 def system_to_document(system: LevelSystem) -> dict:
-    """The document without its digest."""
+    """The document without its digest; csets holds the choice arrays themselves."""
     return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -57,29 +87,23 @@ def system_to_document(system: LevelSystem) -> dict:
         "depth": system.depth,
         "mu_offset": system.mu_offset,
         "horizon": system.horizon,
-        "csets": [cs.choices.tolist() for cs in system.csets],
+        "csets": [cs.choices for cs in system.csets],
         "capture_log": [e.to_dict() for e in system.capture_log],
         "free_params": system.free_params.to_dict() if system.free_params else None,
     }
 
 
 def save_system(system: LevelSystem, path: str | Path) -> str:
-    """Write the system file; returns its digest.
-
-    The body is encoded once and hashed, and the digest member is spliced in
-    where sorted keys put it: just before "format", the first key after it.
-    No string before that key can hold the text ',"format":', since a quote
-    inside a string is escaped and no earlier object has a key "format".
-    """
-    body = canonical_json(system_to_document(system))
-    digest = _text_digest(body)
-    head, tail = body.split(',"format":', 1)
-    Path(path).write_text(f'{head},"digest":"{digest}","format":{tail}\n')
+    """Write the system file; returns its digest. The choice rows are encoded once."""
+    doc = system_to_document(system)
+    csets = _csets_json(doc["csets"])
+    digest = _text_digest(_canonical_text(doc, csets))
+    Path(path).write_text(_canonical_text({**doc, "digest": digest}, csets) + "\n")
     return digest
 
 
 def load_system(path: str | Path) -> LevelSystem:
-    """Read, digest-check and re-validate; members are checked, never expanded.
+    """Read, re-validate and digest-check; members are checked, never expanded.
 
     The returned system's `digest` is the digest the file was checked against.
     """
@@ -91,15 +115,16 @@ def load_system(path: str | Path) -> LevelSystem:
         raise SystemFileError(f"{path}: not a {FORMAT_NAME} file")
     if doc.get("version") != FORMAT_VERSION:
         raise SystemFileError(f"{path}: unsupported version {doc.get('version')}")
-    if doc.get("digest") != document_digest(doc):
-        raise SystemFileError(f"{path}: digest mismatch, file was modified")
-    # The digest proves integrity, not a well-formed document: a missing key
-    # or a value of the wrong type is a bad file, not a failed computation.
+    # A missing key or a value of the wrong type is a bad file, not a failed
+    # computation; the digest is checked after, over the validated arrays.
     try:
         system = _system_from_document(doc, path)
     except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
         raise SystemFileError(
             f"{path}: malformed system file ({type(exc).__name__}: {exc})") from exc
+    doc["csets"] = [cs.choices for cs in system.csets]    # frees the parsed rows before encoding
+    if doc.get("digest") != document_digest(doc):
+        raise SystemFileError(f"{path}: digest mismatch, file was modified")
     system.digest = doc["digest"]
     return system
 

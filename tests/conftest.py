@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,14 @@ def member_words(system) -> list[list[str]]:
     """Each level's member words, expanded from the choice rows."""
     return [[system.expand(WordRef(cs.level, tuple(row))) for row in cs.choices.tolist()]
             for cs in system.csets]
+
+
+def oracle_digest(doc: dict) -> str:
+    """The system-file digest by its definition, independent of the array encoder:
+    sha256 of the sorted, compact JSON of the document without its digest."""
+    body = json.dumps({k: v for k, v in doc.items() if k != "digest"}, sort_keys=True,
+                      separators=(",", ":"), default=np.ndarray.tolist)
+    return "sha256:" + hashlib.sha256(body.encode()).hexdigest()
 
 
 def code_ints(rows) -> list[int]:

@@ -1,20 +1,23 @@
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays as int_arrays
 
 from growthforge import analyzer, persist
 from growthforge.cli import RunConfig, main
 from growthforge.errors import SystemFileError
 from growthforge.freesub import verify_free_generators
 from growthforge.construction import (
-    LevelSystem, build_free_power_system, build_uniformly_recurrent,
+    LevelSystem, build_free_power_system, build_plain, build_uniformly_recurrent,
 )
 from growthforge.growth import poly_geometric
 
-from conftest import member_words
+from conftest import member_words, oracle_digest
 
 
 def tamper(path, **fields):
@@ -22,6 +25,11 @@ def tamper(path, **fields):
     doc = json.loads(path.read_text())
     doc.update(fields)
     path.write_text(json.dumps(doc))
+
+
+def plain_document(system) -> dict:
+    """The system's document with lists for its choice arrays, as hand edits need."""
+    return json.loads(json.dumps(persist.system_to_document(system), default=np.ndarray.tolist))
 
 
 class TestPersist:
@@ -71,8 +79,46 @@ class TestPersist:
         path = tmp_path / "toy.json"
         persist.save_system(toy_system, path)
         doc = persist.system_to_document(toy_system)
-        doc["digest"] = persist.document_digest(doc)
-        assert path.read_text() == persist.canonical_json(doc) + "\n"
+        doc["digest"] = oracle_digest(doc)
+        assert path.read_text() == json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                                              default=np.ndarray.tolist) + "\n"
+
+    @given(st.lists(int_arrays(np.int64, st.tuples(st.integers(1, 50), st.integers(1, 10)),
+                               elements=st.integers(0, 10 ** 7)), min_size=1, max_size=4))
+    @example([np.zeros((3, 1), np.int64), np.zeros((2, 4), np.int64)])
+    @example([np.array([[10 ** 7], [9], [10]]), np.array([[0, 9, 10, 99, 100, 10 ** 7 - 1]])])
+    def test_encoder_matches_json(self, levels):
+        # All-zero levels, one-column rows and multi-digit values.
+        assert persist._csets_json(levels) == json.dumps([a.tolist() for a in levels],
+                                                         separators=(",", ":"))
+
+    def test_digest_matches_oracle(self, toy_system, poly_spec, captured4, captured7,
+                                   free_system_eps1, tmp_path):
+        systems = [
+            toy_system,
+            build_plain(poly_spec, "lex", 6),
+            build_plain(poly_spec, "seeded", 6, seed=2),
+            captured4,
+            captured7,
+            build_uniformly_recurrent(poly_geometric("1/12"), depth=7, capture_budget=4,
+                                      chooser="seeded", seed=3, horizon=12),
+            free_system_eps1[0],
+            build_free_power_system(Fraction(1, 2), 5)[0],
+        ]
+        for i, system in enumerate(systems):
+            doc = persist.system_to_document(system)
+            assert persist.document_digest(doc) == oracle_digest(doc)
+            path = tmp_path / f"{i}.json"
+            assert persist.save_system(system, path) == oracle_digest(doc)
+            assert persist.load_system(path).digest == oracle_digest(doc)
+
+    def test_bench_build_digest_pinned(self, tmp_path):
+        # The build-d8 benchmark config: poly_geometric 1/13, depth 8, two captures.
+        system = build_uniformly_recurrent(poly_geometric("1/13"), depth=8, capture_budget=2,
+                                           horizon=12)
+        pinned = "sha256:a50267a5b9b444d5de8bd25af7e3bd19ac8b4d082f6bdd1f56fa3631690804f9"
+        assert persist.save_system(system, tmp_path / "d8.json") == pinned
+        assert persist.load_system(tmp_path / "d8.json").digest == pinned
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(SystemFileError):
@@ -296,11 +342,42 @@ class TestCli:
         assert sys_path.read_bytes() != before
         assert main(["analyze", str(sys_path), "--out", str(tmp_path / "r.json")]) == 2
 
+    @pytest.mark.parametrize("edit", [
+        # Row 0 of level 4 is (0, 0, 0, 0, 0); every lex row there starts with 0.
+        lambda doc: doc["csets"][4][0].__setitem__(0, 4),
+        lambda doc: doc["csets"][4].insert(1, doc["csets"][4].pop(0)),
+        lambda doc: doc.update(note="extra"),
+    ], ids=["choice-changed", "rows-swapped", "unknown-key"])
+    def test_stale_digest_exits_2(self, tmp_path, poly_plain5, capsys, edit):
+        sys_path = tmp_path / "stale.json"
+        digest = persist.save_system(poly_plain5, sys_path)
+        doc = json.loads(sys_path.read_text())
+        edit(doc)
+        # Well-formed: with a recomputed digest the edited document loads.
+        doc["digest"] = oracle_digest(doc)
+        sys_path.write_text(json.dumps(doc))
+        persist.load_system(sys_path)
+        doc["digest"] = digest
+        sys_path.write_text(json.dumps(doc))
+        assert main(["analyze", str(sys_path), "--out", str(tmp_path / "r.json")]) == 2
+        assert "digest" in capsys.readouterr().err.replace(str(sys_path), "")
+
+    def test_stale_and_malformed_exits_2(self, tmp_path, poly_plain5, capsys):
+        # The document is validated before its digest is checked.
+        sys_path = tmp_path / "bad.json"
+        persist.save_system(poly_plain5, sys_path)
+        doc = json.loads(sys_path.read_text())
+        doc["csets"][4][0][0] = "0"
+        sys_path.write_text(json.dumps(doc))
+        assert main(["analyze", str(sys_path), "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err.replace(str(sys_path), "")
+        assert "malformed" in err and "Traceback" not in err
+
     def test_analyze_depth_zero_exits_2(self, tmp_path, toy_system, capsys):
-        # A depth-0 document with a recomputed digest passes the digest check.
-        doc = persist.system_to_document(toy_system)
+        # A depth-0 document with a recomputed digest: only the depth is wrong.
+        doc = plain_document(toy_system)
         doc.update(depth=0, csets=[], capture_log=[])
-        doc["digest"] = persist.document_digest(doc)
+        doc["digest"] = oracle_digest(doc)
         sys_path = tmp_path / "d0.json"
         sys_path.write_text(json.dumps(doc))
         assert main(["analyze", str(sys_path), "--out", str(tmp_path / "r.json")]) == 2
@@ -367,9 +444,9 @@ class TestCli:
             "capture-member-tail"])
     def test_analyze_malformed_exits_2(self, tmp_path, captured4, capsys, mutate, message):
         # Each document carries a recomputed digest, so only the shape is wrong.
-        doc = persist.system_to_document(captured4)
+        doc = plain_document(captured4)
         mutate(doc)
-        doc["digest"] = persist.document_digest(doc)
+        doc["digest"] = oracle_digest(doc)
         sys_path = tmp_path / "bad.json"
         sys_path.write_text(json.dumps(doc))
         assert main(["analyze", str(sys_path), "--out", str(tmp_path / "r.json")]) == 2
@@ -380,9 +457,9 @@ class TestCli:
 
     def test_capture_entry_extra_key_loads(self, tmp_path, captured4):
         # A key no CaptureEntry field names is ignored, as it always was.
-        doc = persist.system_to_document(captured4)
+        doc = plain_document(captured4)
         doc["capture_log"][0]["note"] = "extra"
-        doc["digest"] = persist.document_digest(doc)
+        doc["digest"] = oracle_digest(doc)
         sys_path = tmp_path / "extra.json"
         sys_path.write_text(json.dumps(doc))
         loaded = persist.load_system(sys_path)
@@ -432,9 +509,9 @@ class TestCli:
             "1": 2, "2": 4, "4": 16, "8": 256, "16": 65536}}),
     ], ids=["one-letter-words", "y-word-list", "degree-list", "table-growth"])
     def test_free_malformed_exits_2(self, tmp_path, free_system_eps1, capsys, mutate):
-        doc = persist.system_to_document(free_system_eps1[0])
+        doc = plain_document(free_system_eps1[0])
         mutate(doc)
-        doc["digest"] = persist.document_digest(doc)
+        doc["digest"] = oracle_digest(doc)
         sys_path = tmp_path / "bad.json"
         sys_path.write_text(json.dumps(doc))
         assert main(["free", str(sys_path), "--out", str(tmp_path / "r.json")]) == 2
@@ -525,7 +602,7 @@ def fuzz_documents(tmp_path_factory):
     captured = build_uniformly_recurrent(poly_geometric("1/10"), depth=4, capture_budget=2,
                                          horizon=12)
     free, _ = build_free_power_system(1, 4)
-    docs = [persist.system_to_document(captured), persist.system_to_document(free)]
+    docs = [plain_document(captured), plain_document(free)]
     # Choice indices are most of the leaves, so the rest get a pool of their own.
     leaves = [list(_leaf_paths(doc)) for doc in docs]
     pools = [(st.sampled_from(every) | st.sampled_from([p for p in every if p[0] != "csets"]))
@@ -553,7 +630,7 @@ def test_hostile_documents_never_raise(fuzz_documents, which, data, value):
         del parent[path[-1]]
     else:
         parent[path[-1]] = value
-    doc["digest"] = persist.document_digest(doc)
+    doc["digest"] = oracle_digest(doc)
     sys_path = work / "fuzz.json"
     sys_path.write_text(json.dumps(doc))
     out = str(work / "report.json")
