@@ -75,8 +75,9 @@ ENTROPY_DIGITS = 6
 class FactorEngine:
     """Structural factor computation with per-system caches.
 
-    Caches sorted prefix and suffix code tables and the counts |F(n)|; safe
-    to reuse across many n because the system is immutable once built.
+    Caches sorted prefix and suffix code tables, the raw window totals and the
+    counts |F(n)|; safe to reuse across many n because the system is immutable
+    once built.
     """
 
     def __init__(self, system: LevelSystem):
@@ -88,6 +89,7 @@ class FactorEngine:
         self._prefix: dict[tuple[int, int], np.ndarray] = {}
         self._suffix: dict[tuple[int, int], np.ndarray] = {}
         self._counts: dict[int, int] = {}
+        self._totals: dict[int, int] = {}
         codes = _fold_members(system, self._letters(), self._join)
         self._members = [sort_marked(level)[0] for level in codes]   # members are distinct
 
@@ -179,10 +181,13 @@ class FactorEngine:
     def _window_total(self, n: int) -> int:
         """The raw count of length-n window codes, refused if its uint64 limbs exceed the budget.
 
-        The count is known from the table sizes before anything is combined.
+        The count is known from the table sizes before anything is combined,
+        and is memoized: the straddles of each n are summed once.
         """
-        total = sum(len(self.suffixes(j, a)) * self._prefix_count(j, n - a)
-                    for j, a in self._straddles(n))
+        total = self._totals.get(n)
+        if total is None:
+            total = self._totals[n] = sum(len(self.suffixes(j, a)) * self._prefix_count(j, n - a)
+                                          for j, a in self._straddles(n))
         limbs, budget = total * limb_count(n, self.bits), size_budget()
         if limbs > budget:
             raise BudgetExceeded(limbs, budget, f"factor length {n} ({total} window codes)",

@@ -215,6 +215,11 @@ class LevelSystem:
         bounds = [self.spec.ratio(i) for i in reversed(range(level))] + [self.alphabet.size]
         return bounds if suffix is None else bounds[:level + 1 - len(suffix.choices)]
 
+    def suffix(self, level: int) -> WordRef | None:
+        """The capture target the log fixes as the common suffix of C(2^level), if any."""
+        return next((WordRef(e.target_level, e.target_choices) for e in self.capture_log
+                     if e.capture_level == level), None)
+
     def level_word_count(self, level: int) -> int:
         """|W(2^level)| = d * r_0 * ... * r_(level-1)."""
         return prod(self.radices(level))
@@ -469,9 +474,8 @@ def build_uniformly_recurrent(
             break
         log.append(CaptureEntry(target.level, target.choices, "", level, 1 << (level + 1), m,
                                 list(range(m + 1, level)), retries))
-    planned = {e.capture_level: WordRef(e.target_level, e.target_choices) for e in log}
     for level in range(depth):
-        system.choose_cset(level, suffix=planned.get(level))
+        system.choose_cset(level, suffix=system.suffix(level))
     for e in log:
         e.target_word = system.expand(WordRef(e.target_level, e.target_choices))
     return system

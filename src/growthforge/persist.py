@@ -1,17 +1,19 @@
 """Versioned persistence for built systems.
 
-The file is canonical JSON (sorted keys, compact separators, no timestamps)
-holding the growth parameters, chooser, seed, per-level member choice tuples
-(indices, never strings, encoded once per save straight from the int64 arrays),
-the capture log, and a sha256 content digest over the same canonical text without
-the digest. Identical configurations therefore produce byte-identical files.
-Loading expands no member: it re-validates set sizes, choice types, then each
-level's choice array at once (ranges by one comparison against the level's bound
-vector, distinct rows by sorting them), the capture entries (levels, gap bounds,
-targets, the scheduler's bookkeeping, and that every member of a capture level ends
-with its target) and the free parameters, both read by field name (a key no field
-names is ignored). Only then does it check the digest, with the choice rows encoded
-from the validated arrays. The system keeps that digest.
+The file (format 2) is canonical JSON (sorted keys, compact separators, no
+timestamps) holding the growth parameters, chooser, seed, the capture log and
+each level's members as [start, stop) ranges of mixed-radix ranks over
+`LevelSystem.radices(level, suffix)`, in member order: a lex level is one range.
+The sha256 content digest names the system, not its encoding: it hashes the
+canonical version-1 row document (version 1, choice rows in place of ranges,
+every other key included). Format-1 files, which stored the rows, are refused.
+
+Loading checks the capture log, the budget, then each level's ranges (JSON
+ints, nonempty, in range, pairwise disjoint, r_level ranks in all), and only
+then unranks each level in one pass: the rows are distinct, in range and end
+with any capture target by construction. Target words and free parameters
+(read by field name; a key no field names is ignored) come next, and the
+digest last, over the row text of the arrays. The system keeps that digest.
 """
 
 from __future__ import annotations
@@ -19,38 +21,35 @@ from __future__ import annotations
 import hashlib
 import json
 from itertools import chain
+from math import prod
 from pathlib import Path
 
 import numpy as np
 
-from .construction import CaptureEntry, CSet, FreeParams, LevelSystem, WordRef, _from_fields
+from .construction import (
+    CaptureEntry, CSet, FreeParams, LevelSystem, WordRef, _from_fields, _rank_dtype,
+    _require_choice_budget, _unrank,
+)
 from .errors import SystemFileError
 from .exactmath import parse_rational
 from .growth import geometric, spec_from_dict
 
 FORMAT_NAME = "growthforge-system"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def document_digest(doc: dict) -> str:
-    """sha256 of the canonical text of doc without its digest; csets holds the arrays."""
-    rest = {k: v for k, v in doc.items() if k != "digest"}
-    return _text_digest(_canonical_text(rest, _csets_json(doc["csets"])))
-
-
-def _text_digest(body: str) -> str:
-    return "sha256:" + hashlib.sha256(body.encode()).hexdigest()
-
-
-def _canonical_text(doc: dict, csets: str) -> str:
-    """canonical_json(doc), with csets as the text of the "csets" value."""
-    return "{" + ",".join(
-        json.dumps(key) + ":" + (csets if key == "csets" else canonical_json(value))
-        for key, value in sorted(doc.items())) + "}"
+def document_digest(doc: dict, choices: list[np.ndarray]) -> str:
+    """sha256 of the canonical version-1 row text: canonical_json of doc without its
+    digest, with version 1 and the choice rows of `choices` as csets."""
+    rest = {k: v for k, v in doc.items() if k != "digest"} | {"version": 1}
+    text = "{" + ",".join(
+        json.dumps(key) + ":" + (_csets_json(choices) if key == "csets" else canonical_json(value))
+        for key, value in sorted(rest.items())) + "}"
+    return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
 
 
 def _csets_json(arrays: list[np.ndarray]) -> str:
@@ -75,7 +74,7 @@ def _csets_json(arrays: list[np.ndarray]) -> str:
 
 
 def system_to_document(system: LevelSystem) -> dict:
-    """The document without its digest; csets holds the choice arrays themselves."""
+    """The file's document without its digest; csets holds each level's rank ranges."""
     return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -87,85 +86,101 @@ def system_to_document(system: LevelSystem) -> dict:
         "depth": system.depth,
         "mu_offset": system.mu_offset,
         "horizon": system.horizon,
-        "csets": [cs.choices for cs in system.csets],
+        "csets": [_rank_ranges(system, cs.level) for cs in system.csets],
         "capture_log": [e.to_dict() for e in system.capture_log],
         "free_params": system.free_params.to_dict() if system.free_params else None,
     }
 
 
+def _rank_ranges(system: LevelSystem, level: int) -> list[list[int]]:
+    """C(2^level)'s members as [start, stop) runs of consecutive ranks, in member order.
+
+    A member's rank is its free choices read as a mixed-radix number over
+    radices(level, suffix), the inverse of `_unrank`; Python ints where the
+    level has 2^63 elements or more.
+    """
+    suffix = system.suffix(level)
+    radices, choices = system.radices(level, suffix), system.csets[level].choices
+    if suffix is not None and (choices[:, len(radices):] != suffix.choices).any():
+        raise ValueError(f"a level {level} member does not end with its capture target")
+    dtype = _rank_dtype(prod(radices))
+    places = np.array([prod(radices[i + 1:]) for i in range(len(radices))], dtype)
+    ranks = choices[:, :len(radices)].astype(dtype) @ places
+    cuts = np.flatnonzero(ranks[1:] != ranks[:-1] + 1) + 1
+    first, last = np.r_[0, cuts], np.r_[cuts, len(ranks)] - 1
+    return np.column_stack([ranks[first], ranks[last] + 1]).tolist()
+
+
 def save_system(system: LevelSystem, path: str | Path) -> str:
-    """Write the system file; returns its digest. The choice rows are encoded once."""
+    """Write the system file; returns its digest."""
     doc = system_to_document(system)
-    csets = _csets_json(doc["csets"])
-    digest = _text_digest(_canonical_text(doc, csets))
-    Path(path).write_text(_canonical_text({**doc, "digest": digest}, csets) + "\n")
-    return digest
+    doc["digest"] = document_digest(doc, [cs.choices for cs in system.csets])
+    Path(path).write_text(canonical_json(doc) + "\n")
+    return doc["digest"]
 
 
 def load_system(path: str | Path) -> LevelSystem:
-    """Read, re-validate and digest-check; members are checked, never expanded.
+    """Read, re-validate, unrank and digest-check.
 
     The returned system's `digest` is the digest the file was checked against.
     """
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise SystemFileError(f"cannot read system file {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise SystemFileError(f"{path}: not a {FORMAT_NAME} file")
     if doc.get("version") != FORMAT_VERSION:
-        raise SystemFileError(f"{path}: unsupported version {doc.get('version')}")
+        raise SystemFileError(f"{path}: unsupported version {doc.get('version')!r}, need "
+                              f"{FORMAT_VERSION}; rebuild the system with `growthforge build`")
     # A missing key or a value of the wrong type is a bad file, not a failed
-    # computation; the digest is checked after, over the validated arrays.
+    # computation, and so is nesting too deep to decode or encode; the digest
+    # is checked after, over the row text of the validated arrays.
     try:
         system = _system_from_document(doc, path)
-    except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
+        digest = document_digest(doc, [cs.choices for cs in system.csets])
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError, RecursionError) as exc:
         raise SystemFileError(
             f"{path}: malformed system file ({type(exc).__name__}: {exc})") from exc
-    doc["csets"] = [cs.choices for cs in system.csets]    # frees the parsed rows before encoding
-    if doc.get("digest") != document_digest(doc):
+    if doc.get("digest") != digest:
         raise SystemFileError(f"{path}: digest mismatch, file was modified")
-    system.digest = doc["digest"]
+    system.digest = digest
     return system
 
 
 def _system_from_document(doc: dict, path: str | Path) -> LevelSystem:
     spec = spec_from_dict(doc["growth"])
-    system = LevelSystem(
-        spec,
-        chooser=doc["chooser"],
-        seed=doc["seed"],
-        letters=doc["letters"],
-        mode=doc["mode"],
-    )
+    system = LevelSystem(spec, chooser=doc["chooser"], seed=doc["seed"], letters=doc["letters"],
+                         mode=doc["mode"])
     system.mu_offset = doc["mu_offset"]
     system.horizon = doc["horizon"]
-    for level, tuples in enumerate(doc["csets"]):
-        required = spec.ratio(level)
-        if len(tuples) != required:
-            raise SystemFileError(
-                f"{path}: level {level} holds {len(tuples)} members, ratio demands {required}")
-        rows = _choice_rows(tuples, system.radices(level), path, f"level {level} members")
-        ordered = rows[np.lexsort(rows.T)]
-        if (ordered[1:] == ordered[:-1]).all(axis=1).any():
-            raise SystemFileError(f"{path}: duplicate member choice tuples at level {level}")
-        system.csets.append(CSet(level, rows))
+    csets = doc["csets"]
+    if type(csets) is not list:
+        raise SystemFileError(f"{path}: malformed csets: need a list of levels")
+    depth = len(csets)
+    if depth != doc["depth"]:
+        raise SystemFileError(f"{path}: depth field {doc['depth']!r} != {depth} levels")
+    if depth < 1:
+        raise SystemFileError(f"{path}: depth {depth} has no choice set, need depth >= 1")
+    _require_choice_budget(spec, range(depth))
     system.capture_log = [CaptureEntry.from_dict(e) for e in doc["capture_log"]]
+    suffixes: dict[int, WordRef] = {}     # capture level -> its checked target
     m = -1    # the previous capture level
     for entry in system.capture_log:
         # The recurrence certificate trusts the capture level and gap bound.
-        if not (0 <= entry.target_level < entry.capture_level < system.depth
+        if not (0 <= entry.target_level < entry.capture_level < depth
                 and entry.gap_bound == 1 << (entry.capture_level + 1)):
             raise SystemFileError(
                 f"{path}: malformed capture entry for {entry.target_word!r}: target level "
                 f"{entry.target_level}, capture level {entry.capture_level}, gap bound "
-                f"{entry.gap_bound!r}; need target < capture < depth {system.depth} and "
+                f"{entry.gap_bound!r}; need target < capture < depth {depth} and "
                 f"gap bound 2^(capture level + 1)")
-        _choice_rows([list(entry.target_choices)], system.radices(entry.target_level), path,
-                     "capture target")
-        if system.expand(WordRef(entry.target_level, entry.target_choices)) != entry.target_word:
-            raise SystemFileError(
-                f"{path}: capture target {entry.target_word!r} does not match its reference")
+        target = WordRef(entry.target_level, entry.target_choices)
+        for c, bound in zip(target.choices, system.radices(target.level)):
+            if type(c) is not int or not 0 <= c < bound:
+                raise SystemFileError(
+                    f"{path}: choice {c!r} of {list(target.choices)} in capture target "
+                    f"malformed or out of range 0..{bound - 1}")
         # The scheduler's bookkeeping: levels m+1.. were filled in order, some as retries.
         level, filled, retries = entry.capture_level, entry.filled_levels, entry.retries
         levels = [entry.m_before, *filled, level]
@@ -175,11 +190,19 @@ def _system_from_document(doc: dict, path: str | Path) -> LevelSystem:
             raise SystemFileError(
                 f"{path}: malformed capture bookkeeping for {entry.target_word!r}: need m_before "
                 f"{m}, filled_levels {m + 1}..{level - 1} and retries increasing among them")
-        tails = system.csets[level].choices[:, level - entry.target_level:]
-        if (tails != entry.target_choices).any():
-            raise SystemFileError(f"{path}: a level {level} member does not end with capture "
-                                  f"target {entry.target_word!r}")
+        suffixes[level] = target
         m = level
+    # A capture level's ranks run over its free choices, so its rows end with the target.
+    for level, ranges in enumerate(csets):
+        suffix = suffixes.get(level)
+        radices = system.radices(level, suffix)
+        ranks = _member_ranks(ranges, prod(radices), spec.ratio(level), path, level)
+        tail = () if suffix is None else suffix.choices
+        system.csets.append(CSet(level, _unrank(radices, tail, ranks)))
+    for entry in system.capture_log:
+        if system.expand(suffixes[entry.capture_level]) != entry.target_word:
+            raise SystemFileError(
+                f"{path}: capture target {entry.target_word!r} does not match its reference")
     if doc["free_params"]:
         fp = doc["free_params"]
         params = _from_fields(FreeParams, fp, epsilon=parse_rational(fp["epsilon"]))
@@ -190,35 +213,40 @@ def _system_from_document(doc: dict, path: str | Path) -> LevelSystem:
                 f"geometric growth must follow from epsilon {params.epsilon} and depth "
                 f"{system.depth}")
         system.free_params = params
-    if system.depth != doc["depth"]:
-        raise SystemFileError(f"{path}: depth field {doc['depth']} != {system.depth} levels")
-    if system.depth < 1:
-        raise SystemFileError(f"{path}: depth {system.depth} has no choice set, need depth >= 1")
     return system
 
 
-def _choice_rows(raw, bounds: list[int], path: str | Path, what: str) -> np.ndarray:
-    """raw as an int64 array of rows with one int per bound, each below its bound.
+def _member_ranks(ranges, available: int, required: int, path: str | Path,
+                  level: int) -> np.ndarray:
+    """The ranks of a level's [start, stop) ranges, in order, once the ranges are checked.
 
-    The bounds are |C_(level-1)|, ..., |C_0|, d. Types are checked before
-    numpy sees the values, which would turn True into 1 and refuse 2**64
-    with an OverflowError; a bad file is then scanned for its first bad choice.
+    Bounds must be JSON ints (numpy would take True as 1), 0 <= start < stop <=
+    available, the ranges pairwise disjoint and `required` ranks in all. A bound
+    too wide for int64 is out of range of an int64 level, and is checked as a Python int.
     """
-    width = len(bounds)
-    if type(raw) is not list or set(map(type, raw)) - {list} or set(map(len, raw)) - {width}:
-        raise SystemFileError(f"{path}: {what} malformed: need lists of {width} choices")
-    rows = None
-    if not set(map(type, chain.from_iterable(raw))) - {int}:
-        try:
-            rows = np.fromiter(chain.from_iterable(raw), dtype=np.int64,
-                               count=len(raw) * width).reshape(len(raw), width)
-        except OverflowError:
-            pass
-    if rows is None or ((rows < 0) | (rows >= bounds)).any():
-        for row in raw:
-            for c, bound in zip(row, bounds):
-                if type(c) is not int or not 0 <= c < bound:
-                    raise SystemFileError(
-                        f"{path}: choice {c!r} of {row} in {what} malformed or out of range "
-                        f"0..{bound - 1}")
-    return rows
+    if (type(ranges) is not list or set(map(type, ranges)) - {list}
+            or set(map(len, ranges)) - {2} or set(map(type, chain.from_iterable(ranges))) - {int}):
+        raise SystemFileError(
+            f"{path}: level {level} members malformed: need a list of [start, stop) int pairs")
+    try:
+        spans = np.array(ranges, dtype=_rank_dtype(available)).reshape(-1, 2)
+    except OverflowError:
+        spans = np.array(ranges, dtype=object).reshape(-1, 2)
+    starts, stops = spans.T
+    bad = (starts < 0) | (starts >= stops) | (stops > available)
+    if bad.any():
+        start, stop = ranges[int(np.argmax(bad))]
+        raise SystemFileError(f"{path}: level {level} rank range [{start}, {stop}) is empty "
+                              f"or out of range 0..{available}")
+    order = np.argsort(starts)
+    overlaps = stops[order[:-1]] > starts[order[1:]]
+    if overlaps.any():
+        raise SystemFileError(f"{path}: level {level} rank ranges overlap at rank "
+                              f"{starts[order[1:]][np.argmax(overlaps)]}")
+    lengths = stops - starts
+    total = int(lengths.sum())
+    if total != required:
+        raise SystemFileError(
+            f"{path}: level {level} holds {total} members, ratio demands {required}")
+    lengths = lengths.astype(np.int64)
+    return np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(total)

@@ -11,7 +11,7 @@ from growthforge.construction import (
     build_plain,
     build_uniformly_recurrent,
 )
-from growthforge import analyzer
+from growthforge import analyzer, persist
 
 TOY_TABLE = {1: 2, 2: 4, 4: 8, 8: 16}
 
@@ -35,12 +35,45 @@ def member_words(system) -> list[list[str]]:
             for cs in system.csets]
 
 
+def oracle_rows(doc: dict) -> list[list[list[int]]]:
+    """Each level's choice rows, unranked from its [start, stop) ranges in pure Python.
+
+    Level j holds r_j members, so the bound vector of a level is read off the
+    range totals of the levels below it and the letter count; a capture
+    level's ranks run over its free choices and end with the target's.
+    """
+    sizes = [sum(stop - start for start, stop in ranges) for ranges in doc["csets"]]
+    tails = {e["capture_level"]: list(e["target_choices"]) for e in doc["capture_log"]}
+    levels = []
+    for level, ranges in enumerate(doc["csets"]):
+        tail = tails.get(level, [])
+        radices = [*reversed(sizes[:level]), len(doc["letters"])][:level + 1 - len(tail)]
+        rows = []
+        for start, stop in ranges:
+            for rank in range(start, stop):
+                digits = []
+                for radix in reversed(radices):
+                    rank, digit = divmod(rank, radix)
+                    digits.append(digit)
+                rows.append(digits[::-1] + tail)
+        levels.append(rows)
+    return levels
+
+
 def oracle_digest(doc: dict) -> str:
     """The system-file digest by its definition, independent of the array encoder:
-    sha256 of the sorted, compact JSON of the document without its digest."""
-    body = json.dumps({k: v for k, v in doc.items() if k != "digest"}, sort_keys=True,
-                      separators=(",", ":"), default=np.ndarray.tolist)
+    sha256 of the sorted, compact JSON of the version-1 row document, that is the
+    file's document without its digest, with version 1 and its ranges unranked."""
+    version_1 = {k: v for k, v in doc.items() if k != "digest"} | {"version": 1,
+                                                                    "csets": oracle_rows(doc)}
+    body = json.dumps(version_1, sort_keys=True, separators=(",", ":"))
     return "sha256:" + hashlib.sha256(body.encode()).hexdigest()
+
+
+def system_digest(system) -> str:
+    """The digest persist gives a built or loaded system, without writing a file."""
+    return persist.document_digest(persist.system_to_document(system),
+                                   [cs.choices for cs in system.csets])
 
 
 def code_ints(rows) -> list[int]:

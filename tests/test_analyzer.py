@@ -39,6 +39,21 @@ def long_members_d3():
 
 
 class TestFactorSets:
+    def test_window_totals_summed_once(self, poly_spec, monkeypatch):
+        # The budget check and the window arrays share one sum over each n's
+        # straddles; _windows walks them once more to fill its blocks.
+        summed = []
+        straddles = FactorEngine._straddles
+        monkeypatch.setattr(FactorEngine, "_straddles",
+                            lambda self, n: summed.append(n) or straddles(self, n))
+        system = build_uniformly_recurrent(poly_spec, depth=5, capture_budget=2, horizon=12)
+        analyzer.check_window_budget(system, 16)
+        engine = analyzer._engine_for(system)
+        assert sorted(summed) == list(range(1, 17))
+        assert [len(engine._windows(n)) for n in range(2, 17)] == [
+            engine._window_total(n) for n in range(2, 17)]
+        assert sorted(summed) == sorted([*range(1, 17), *range(2, 17)])
+
     def test_toy_small_n(self, toy_system):
         assert factor_set_bruteforce(toy_system, 1) == frozenset("ab")
         assert factor_words(FactorEngine(toy_system), 1) == frozenset("ab")

@@ -22,7 +22,7 @@ from growthforge.construction import (
     build_uniformly_recurrent,
 )
 
-from conftest import member_words
+from conftest import member_words, system_digest
 
 TOY = table_spec({1: 2, 2: 4, 4: 8, 8: 16})
 
@@ -207,7 +207,7 @@ class TestScheduler:
         system = build_uniformly_recurrent(spec, depth=4, capture_budget=2, horizon=1)
         assert [(e.target_word, e.capture_level, e.filled_levels, e.retries)
                 for e in system.capture_log] == [("a", 1, [0], []), ("b", 3, [2], [2])]
-        assert persist.document_digest(persist.system_to_document(system)) == (
+        assert system_digest(system) == (
             "sha256:116782f71ad7c5f6b9c59031094131660e0d28c9cbefa41ddece4d494054714e")
         for e in system.capture_log:
             assert all(s.endswith(e.target_word) for s in member_words(system)[e.capture_level])

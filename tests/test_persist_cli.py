@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,9 +16,9 @@ from growthforge.freesub import verify_free_generators
 from growthforge.construction import (
     LevelSystem, build_free_power_system, build_plain, build_uniformly_recurrent,
 )
-from growthforge.growth import poly_geometric
+from growthforge.growth import poly_geometric, table_spec
 
-from conftest import member_words, oracle_digest
+from conftest import member_words, oracle_digest, oracle_rows, system_digest
 
 
 def tamper(path, **fields):
@@ -28,8 +29,26 @@ def tamper(path, **fields):
 
 
 def plain_document(system) -> dict:
-    """The system's document with lists for its choice arrays, as hand edits need."""
-    return json.loads(json.dumps(persist.system_to_document(system), default=np.ndarray.tolist))
+    """A fresh copy of the system's file document without its digest, for hand edits."""
+    return json.loads(json.dumps(persist.system_to_document(system)))
+
+
+def redigest(doc: dict) -> None:
+    """Give an edited document the digest of its content where the oracle can expand it.
+
+    A document whose ranges the oracle cannot expand, or that would expand to
+    more rows than a test should unrank, is malformed, and the loader refuses
+    it before it reads the digest.
+    """
+    try:
+        if sum(stop - start for ranges in doc["csets"] for start, stop in ranges) <= 10 ** 5:
+            doc["digest"] = oracle_digest(doc)
+    except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError):
+        pass
+
+
+def rows_of(system) -> list:
+    return [cs.choices.tolist() for cs in system.csets]
 
 
 class TestPersist:
@@ -38,7 +57,7 @@ class TestPersist:
         digest = persist.save_system(toy_system, path)
         loaded = persist.load_system(path)
         assert member_words(loaded) == member_words(toy_system)
-        assert persist.document_digest(persist.system_to_document(loaded)) == digest
+        assert system_digest(loaded) == digest
 
     def test_roundtrip_captured(self, captured4, tmp_path):
         path = tmp_path / "cap.json"
@@ -66,13 +85,13 @@ class TestPersist:
             persist.load_system(path)
 
     def test_indented_file_loads(self, captured4, tmp_path):
-        # Files were once written with indent=1; the digest covers the
-        # canonical text of the parsed document, so they still load.
+        # A re-indented format-2 file: the digest covers the canonical row
+        # text of the parsed document, not the file's bytes, so it loads.
         path = tmp_path / "old.json"
         digest = persist.save_system(captured4, path)
         path.write_text(json.dumps(json.loads(path.read_text()), sort_keys=True, indent=1) + "\n")
         loaded = persist.load_system(path)
-        assert persist.document_digest(persist.system_to_document(loaded)) == digest
+        assert system_digest(loaded) == digest
         assert member_words(loaded) == member_words(captured4)
 
     def test_file_is_canonical_json(self, toy_system, tmp_path):
@@ -80,8 +99,9 @@ class TestPersist:
         persist.save_system(toy_system, path)
         doc = persist.system_to_document(toy_system)
         doc["digest"] = oracle_digest(doc)
-        assert path.read_text() == json.dumps(doc, sort_keys=True, separators=(",", ":"),
-                                              default=np.ndarray.tolist) + "\n"
+        assert path.read_text() == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        # A lex level is one rank range from rank 0; the toy levels have r = 2.
+        assert doc["version"] == 2 and doc["csets"] == [[[0, 2]]] * 3
 
     @given(st.lists(int_arrays(np.int64, st.tuples(st.integers(1, 50), st.integers(1, 10)),
                                elements=st.integers(0, 10 ** 7)), min_size=1, max_size=4))
@@ -106,11 +126,12 @@ class TestPersist:
             build_free_power_system(Fraction(1, 2), 5)[0],
         ]
         for i, system in enumerate(systems):
-            doc = persist.system_to_document(system)
-            assert persist.document_digest(doc) == oracle_digest(doc)
             path = tmp_path / f"{i}.json"
-            assert persist.save_system(system, path) == oracle_digest(doc)
-            assert persist.load_system(path).digest == oracle_digest(doc)
+            digest = persist.save_system(system, path)
+            doc = json.loads(path.read_text())
+            assert digest == doc["digest"] == oracle_digest(doc) == system_digest(system)
+            assert oracle_rows(doc) == rows_of(system)
+            assert persist.load_system(path).digest == digest
 
     def test_bench_build_digest_pinned(self, tmp_path):
         # The build-d8 benchmark config: poly_geometric 1/13, depth 8, two captures.
@@ -124,13 +145,98 @@ class TestPersist:
         with pytest.raises(SystemFileError):
             persist.load_system(tmp_path / "nope.json")
 
+    @given(mode=st.sampled_from(["plain", "recurrent", "free"]),
+           chooser=st.sampled_from(["lex", "seeded"]), depth=st.integers(2, 6),
+           captures=st.integers(0, 4), seed=st.integers(0, 2 ** 16),
+           eps=st.sampled_from([Fraction(1), Fraction(1, 2)]))
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_roundtrip_rows_and_digest(self, tmp_path, mode, chooser, depth, captures, seed,
+                                       eps):
+        # Lex, seeded, free and captured systems come back with the same rows,
+        # in the same member order, under the same digest.
+        if mode == "plain":
+            system = build_plain(poly_geometric("1/10"), chooser, depth, seed=seed)
+        elif mode == "recurrent":
+            system = build_uniformly_recurrent(poly_geometric("1/12"), depth, captures,
+                                               chooser=chooser, seed=seed, horizon=12)
+        else:
+            # t = 1 for epsilon 1 and 2 for 1/2; deeper free systems are large.
+            depth = min(max(depth, 3), 4 if eps == 1 else 5)
+            system, _ = build_free_power_system(eps, depth, chooser=chooser, seed=seed)
+        path = tmp_path / "s.json"
+        digest = persist.save_system(system, path)
+        loaded = persist.load_system(path)
+        assert rows_of(loaded) == rows_of(system)
+        assert loaded.digest == digest == system_digest(system)
+        assert digest == oracle_digest(json.loads(path.read_text()))
+        persist.save_system(loaded, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("chooser", ["lex", "seeded"])
+    def test_roundtrip_level_past_int64(self, tmp_path, chooser):
+        # 62 letters and r = (62, 3844, 1000, 1000, 1000, 1000, 3): level 6 has
+        # 62^2 * 3844 * 1000^4 > 2^63 elements, so its ranks are Python ints.
+        values, v = {1: 62}, 62
+        for i, r in enumerate([62, 3844, 1000, 1000, 1000, 1000, 3]):
+            v *= r
+            values[2 << i] = v
+        system = build_plain(table_spec(values), chooser, 7, seed=1)
+        assert system.level_word_count(6) >= 1 << 63
+        path = tmp_path / "big.json"
+        digest = persist.save_system(system, path)
+        doc = json.loads(path.read_text())
+        if chooser == "lex":
+            assert doc["csets"][6] == [[0, 3]]
+        else:
+            assert max(stop for _, stop in doc["csets"][6]) > 1 << 63
+        loaded = persist.load_system(path)
+        assert rows_of(loaded) == rows_of(system)
+        assert loaded.digest == digest == oracle_digest(doc)
+
+    def test_format_1_file_refused(self, toy_system, tmp_path, capsys):
+        # The version-1 row document, which format 1 wrote with its digest.
+        doc = persist.system_to_document(toy_system) | {"version": 1,
+                                                         "csets": rows_of(toy_system)}
+        doc["digest"] = system_digest(toy_system)
+        path = tmp_path / "v1.json"
+        path.write_text(persist.canonical_json(doc) + "\n")
+        with pytest.raises(SystemFileError, match="unsupported version 1.*rebuild"):
+            persist.load_system(path)
+        assert main(["analyze", str(path), "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert "version 1" in err and "Traceback" not in err
+
+    def test_deeply_nested_file_refused(self, toy_system, tmp_path, capsys):
+        # An unknown key holding k nested empty lists, under a valid digest:
+        # near the recursion limit the file decodes but its digest text cannot
+        # be encoded, and deeper it cannot be decoded. Either way it is refused
+        # as a bad file, never with a RecursionError.
+        doc = persist.system_to_document(toy_system) | {"note": "NOTE"}
+        rows = doc | {"version": 1, "csets": rows_of(toy_system)}
+        body = persist.canonical_json(rows)
+        path = tmp_path / "deep.json"
+        limit = sys.getrecursionlimit()
+        for k in [*range(limit - 300, limit + 10), 100 * limit]:
+            nested = "[" * k + "]" * k
+            digest = "sha256:" + hashlib.sha256(
+                body.replace('"NOTE"', nested).encode()).hexdigest()
+            text = persist.canonical_json(doc | {"digest": digest})
+            path.write_text(text.replace('"NOTE"', nested))
+            try:
+                assert persist.load_system(path).digest == digest
+            except SystemFileError:
+                pass
+        assert main(["analyze", str(path), "--out", str(tmp_path / "r.json")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_lex_digests_pinned(self, captured7):
         # Digests of lex builds, fixed so that a rewrite of the chooser is
         # checked against earlier output and not only against itself.
-        assert persist.document_digest(persist.system_to_document(captured7)) == (
+        assert system_digest(captured7) == (
             "sha256:700e40222a68f8d2f9778a74464f8ad928a3c80964f930695696f2df7fdeae69")
         system, _ = build_free_power_system(1, 5)
-        assert persist.document_digest(persist.system_to_document(system)) == (
+        assert system_digest(system) == (
             "sha256:686b2d65439e6a92d86e84a61c77bdf27b22d1a92286ec3f258507acfdadd7be")
 
     def test_capture_digests_pinned(self):
@@ -138,11 +244,11 @@ class TestPersist:
         system = build_uniformly_recurrent(poly_geometric("1/12"), depth=8, capture_budget=6,
                                            horizon=12)
         assert [e.target_level for e in system.capture_log] == [0, 0, 1, 1, 1, 1]
-        assert persist.document_digest(persist.system_to_document(system)) == (
+        assert system_digest(system) == (
             "sha256:148f6a7b1e1c9069ebad7f8e0a5a9571f3b9d8cbe6152fb1e3690e42c1407496")
         system = build_uniformly_recurrent(poly_geometric("1/10"), depth=6, capture_budget=4,
                                            chooser="seeded", seed=5, horizon=12)
-        assert persist.document_digest(persist.system_to_document(system)) == (
+        assert system_digest(system) == (
             "sha256:f2ad6ef264b8badbf50904b2cd003f03901a87718821379eee8488f9e7ca590e")
 
     def test_record_json_pinned(self, captured4, free_system_eps1, toy_system):
@@ -343,15 +449,18 @@ class TestCli:
         assert main(["analyze", str(sys_path), "--out", str(tmp_path / "r.json")]) == 2
 
     @pytest.mark.parametrize("edit", [
-        # Row 0 of level 4 is (0, 0, 0, 0, 0); every lex row there starts with 0.
-        lambda doc: doc["csets"][4][0].__setitem__(0, 4),
-        lambda doc: doc["csets"][4].insert(1, doc["csets"][4].pop(0)),
+        # Level 4 is the lex range [0, 10) of 120 ranks: shifted by one, member
+        # 0 gives way to rank 10.
+        lambda doc: doc["csets"].__setitem__(4, [[1, 11]]),
+        # The same members, member 0 moved last.
+        lambda doc: doc["csets"].__setitem__(4, [[1, 10], [0, 1]]),
         lambda doc: doc.update(note="extra"),
     ], ids=["choice-changed", "rows-swapped", "unknown-key"])
     def test_stale_digest_exits_2(self, tmp_path, poly_plain5, capsys, edit):
         sys_path = tmp_path / "stale.json"
         digest = persist.save_system(poly_plain5, sys_path)
         doc = json.loads(sys_path.read_text())
+        assert doc["csets"][4] == [[0, 10]] and poly_plain5.level_word_count(4) == 120
         edit(doc)
         # Well-formed: with a recomputed digest the edited document loads.
         doc["digest"] = oracle_digest(doc)
@@ -373,6 +482,28 @@ class TestCli:
         err = capsys.readouterr().err.replace(str(sys_path), "")
         assert "malformed" in err and "Traceback" not in err
 
+    def test_load_refuses_choice_sets_over_budget(self, tmp_path, poly_plain5, capsys,
+                                                  monkeypatch):
+        # A few bytes of ranges can ask for poly_geometric(1/10) at depth 9,
+        # whose r_8 = 78,987,323,181 members of 9 choices are refused with the
+        # builders' deficit before any level is unranked.
+        monkeypatch.delenv("GROWTHFORGE_BUDGET", raising=False)
+
+        def unrankable(*args):
+            raise AssertionError("level unranked")
+
+        monkeypatch.setattr(persist, "_unrank", unrankable)
+        doc = plain_document(poly_plain5)
+        spec = poly_plain5.spec
+        doc.update(depth=9, csets=[[[0, spec.ratio(level)]] for level in range(9)])
+        sys_path = tmp_path / "big.json"
+        sys_path.write_text(json.dumps(doc))
+        assert main(["analyze", str(sys_path), "--out", str(tmp_path / "r.json")]) == 1
+        entries = spec.ratio(8) * 9
+        assert capsys.readouterr().err == (
+            f"failure: level 8 choice set needs {entries} choice entries, budget is 5000000"
+            f" (deficit {entries - 5_000_000})\n")
+
     def test_analyze_depth_zero_exits_2(self, tmp_path, toy_system, capsys):
         # A depth-0 document with a recomputed digest: only the depth is wrong.
         doc = plain_document(toy_system)
@@ -385,6 +516,8 @@ class TestCli:
         assert "depth 0" in err and str(sys_path) in err
         assert "negative shift count" not in err
 
+    # captured4's levels are the rank ranges [0, 2), [0, 2), [0, 3) and [0, 5),
+    # out of 2, 2, 4 and 24 ranks: levels 1 and 2 capture "a" and "b".
     @pytest.mark.parametrize("mutate, message", [
         (lambda doc: doc.pop("chooser"), "malformed"),
         (lambda doc: doc.update(csets=5), "malformed"),
@@ -402,17 +535,17 @@ class TestCli:
         (lambda doc: doc["capture_log"][1].update(capture_level=4, gap_bound=32),
          "malformed capture"),
         # Level 2 has three members; the third repeats the first.
-        (lambda doc: doc["csets"][2].__setitem__(2, doc["csets"][2][0]), "duplicate"),
-        # Members are not expanded on load, so nothing else would index with it.
-        (lambda doc: doc["csets"][2][0].__setitem__(0, 1.0), "out of range"),
-        # In range as 1; an int64 array would take it without complaint.
+        (lambda doc: doc["csets"].__setitem__(2, [[0, 2], [0, 1]]),
+         "level 2 rank ranges overlap at rank 0"),
+        (lambda doc: doc["csets"][2][0].__setitem__(1, 3.0), "malformed"),
+        # 1 as a rank; an int64 array would take it without complaint.
         (lambda doc: doc["csets"][2][0].__setitem__(0, True), "malformed"),
         # Wider than int64: conversion to an array would overflow.
-        (lambda doc: doc["csets"][2][0].__setitem__(0, 2 ** 64), "out of range"),
+        (lambda doc: doc["csets"][2][0].__setitem__(1, 2 ** 64), "out of range"),
         (lambda doc: doc["csets"][2][0].append(0), "malformed"),
-        # Level 2 has three members, so a level-3 choice of 3 is one past the bound.
-        (lambda doc: doc["csets"][3][0].__setitem__(0, 3),
-         "in level 3 members malformed or out of range 0..2"),
+        # Level 3 has 24 elements, so rank 24 is one past the last.
+        (lambda doc: doc["csets"].__setitem__(3, [[20, 25]]),
+         "level 3 rank range [20, 25) is empty or out of range 0..24"),
         # The capture log's sequences must be sequences, not scalars or null.
         (lambda doc: doc["capture_log"][0].update(retries=5), "malformed"),
         (lambda doc: doc["capture_log"][0].update(filled_levels=None), "malformed"),
@@ -431,9 +564,25 @@ class TestCli:
         # The same capture twice: levels must rise from one entry to the next.
         (lambda doc: doc["capture_log"].append(dict(doc["capture_log"][1], m_before=2)),
          "malformed capture bookkeeping"),
-        # Member "aaab" of level 2 becomes "aaaa": no longer ends with target "b".
-        (lambda doc: doc["csets"][2][0].__setitem__(2, 0),
-         "a level 2 member does not end with capture target 'b'"),
+        # Level 2's members end with "a" now, by the ranks; the logged word is "b".
+        (lambda doc: doc["capture_log"][1].update(target_choices=[0]),
+         "capture target 'b' does not match its reference"),
+        (lambda doc: doc["csets"].__setitem__(3, [[0, 5], [7, 7]]),
+         "level 3 rank range [7, 7) is empty"),
+        (lambda doc: doc["csets"].__setitem__(3, [[3, 1], [0, 5]]),
+         "level 3 rank range [3, 1) is empty"),
+        (lambda doc: doc["csets"].__setitem__(3, [[0, 4]]),
+         "level 3 holds 4 members, ratio demands 5"),
+        (lambda doc: doc["csets"].__setitem__(3, [[0, 3], [10, 13]]),
+         "level 3 holds 6 members, ratio demands 5"),
+        (lambda doc: doc["csets"].__setitem__(3, [[0, 3], [2, 4]]),
+         "level 3 rank ranges overlap at rank 2"),
+        (lambda doc: doc["csets"].__setitem__(3, []), "level 3 holds 0 members"),
+        (lambda doc: doc["csets"].__setitem__(3, [0, 5]), "level 3 members malformed"),
+        (lambda doc: doc["csets"].__setitem__(3, [[-1, 4]]), "out of range"),
+        (lambda doc: doc["csets"].__setitem__(3, [[0, False], [1, 5]]), "malformed"),
+        (lambda doc: doc["csets"].__setitem__(3, [[None, 5]]), "malformed"),
+        (lambda doc: doc["csets"].__setitem__(3, [[0, 5], {}]), "malformed"),
     ], ids=["no-chooser", "csets-int", "string-choice", "capture-no-gap-bound",
             "capture-negative-choice", "capture-choice-at-bound", "capture-huge-gap-bound",
             "capture-string-gap-bound", "capture-at-depth", "duplicate-member", "float-choice",
@@ -441,12 +590,15 @@ class TestCli:
             "capture-null-filled-levels", "capture-int-target-choices", "capture-bad-bookkeeping",
             "capture-bool-m-before", "capture-wrong-m-before", "capture-missing-filled-level",
             "capture-repeated-retry", "capture-retry-not-filled", "capture-level-repeated",
-            "capture-member-tail"])
+            "capture-member-tail", "empty-range", "reversed-range", "short-total", "long-total",
+            "overlapping-ranges", "no-ranges", "range-not-list", "negative-start",
+            "bool-stop", "null-start", "range-dict"])
     def test_analyze_malformed_exits_2(self, tmp_path, captured4, capsys, mutate, message):
-        # Each document carries a recomputed digest, so only the shape is wrong.
+        # Each document carries a recomputed digest where it still has one, so
+        # only the shape is wrong.
         doc = plain_document(captured4)
         mutate(doc)
-        doc["digest"] = oracle_digest(doc)
+        redigest(doc)
         sys_path = tmp_path / "bad.json"
         sys_path.write_text(json.dumps(doc))
         assert main(["analyze", str(sys_path), "--out", str(tmp_path / "r.json")]) == 2
@@ -459,7 +611,7 @@ class TestCli:
         # A key no CaptureEntry field names is ignored, as it always was.
         doc = plain_document(captured4)
         doc["capture_log"][0]["note"] = "extra"
-        doc["digest"] = oracle_digest(doc)
+        redigest(doc)
         sys_path = tmp_path / "extra.json"
         sys_path.write_text(json.dumps(doc))
         loaded = persist.load_system(sys_path)
@@ -603,9 +755,9 @@ def fuzz_documents(tmp_path_factory):
                                          horizon=12)
     free, _ = build_free_power_system(1, 4)
     docs = [plain_document(captured), plain_document(free)]
-    # Choice indices are most of the leaves, so the rest get a pool of their own.
+    # Range bounds are few of the leaves, so they get a pool of their own.
     leaves = [list(_leaf_paths(doc)) for doc in docs]
-    pools = [(st.sampled_from(every) | st.sampled_from([p for p in every if p[0] != "csets"]))
+    pools = [(st.sampled_from(every) | st.sampled_from([p for p in every if p[0] == "csets"]))
              for every in leaves]
     return docs, pools, tmp_path_factory.mktemp("fuzz")
 
@@ -614,12 +766,15 @@ REMOVE = object()
 
 
 @given(which=st.integers(0, 1), data=st.data(),
-       value=st.sampled_from([None, -1, 10 ** 6, "0", [], {}, True, 2 ** 64, 1.5, REMOVE]))
+       value=st.sampled_from([None, -1, 0, 1, 3, 10 ** 6, "0", [], {}, [0, 1], True, False,
+                              2 ** 64, 1.5, REMOVE]))
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_hostile_documents_never_raise(fuzz_documents, which, data, value):
     # One leaf of a valid captured or free document is replaced or removed and
     # the digest recomputed; every command must end with a documented exit code.
+    # Range bounds become bools, 2**64, floats, or ints that empty a range, make
+    # ranges overlap, pass the level's last rank or change the total.
     docs, pools, work = fuzz_documents
     doc = json.loads(json.dumps(docs[which]))
     path = data.draw(pools[which])
@@ -630,7 +785,7 @@ def test_hostile_documents_never_raise(fuzz_documents, which, data, value):
         del parent[path[-1]]
     else:
         parent[path[-1]] = value
-    doc["digest"] = oracle_digest(doc)
+    redigest(doc)
     sys_path = work / "fuzz.json"
     sys_path.write_text(json.dumps(doc))
     out = str(work / "report.json")
