@@ -21,7 +21,6 @@ from .growth import (
 )
 from .construction import (
     Alphabet,
-    WordRef,
     CSet,
     LevelSystem,
     CaptureEntry,
@@ -54,7 +53,7 @@ __all__ = [
     "GrowthSpec", "geometric", "poly_geometric", "sharp_paper", "exp_power",
     "table_spec", "check_basic", "check_rapid_growth", "check_capture_conditions",
     "compute_mu", "verify_hypotheses",
-    "Alphabet", "WordRef", "CSet", "LevelSystem", "CaptureEntry", "FreeParams",
+    "Alphabet", "CSet", "LevelSystem", "CaptureEntry", "FreeParams",
     "build_plain", "build_uniformly_recurrent", "build_free_power_system",
     "factor_set_bruteforce", "dim_series", "check_growth_sandwich",
     "verify_recurrence_gaps", "check_nonperiodicity", "minimal_forbidden_words",

@@ -274,8 +274,8 @@ def factor_set_bruteforce(system: LevelSystem, n: int, budget: int | None = None
         if (1 << j) < n:
             continue
         blocks = members[:j][::-1] + [system.alphabet.letters]   # one per choice
-        for ref in system.iter_refs(j):
-            word = "".join([block[c] for block, c in zip(blocks, ref.choices)])
+        for choices in system.iter_refs(j):
+            word = "".join([block[c] for block, c in zip(blocks, choices)])
             for i in range(len(word) - n + 1):
                 seen.add(word[i:i + n])
     return frozenset(seen)

@@ -22,10 +22,7 @@ from pathlib import Path
 from . import analyzer, freesub, persist
 from .errors import GrowthForgeError, SystemFileError
 from .exactmath import parse_rational
-from .growth import (
-    GrowthSpec, exp_power, geometric, poly_geometric, sharp_paper, table_spec,
-    verify_hypotheses,
-)
+from .growth import FAMILIES, GrowthSpec, spec_from_dict, verify_hypotheses
 from .construction import build_free_power_system, build_plain, build_uniformly_recurrent
 
 EXIT_OK = 0
@@ -96,23 +93,11 @@ class RunConfig:
             value = getattr(args, attr, None)
             if value is not None:
                 setattr(self, attr, value)
-        if getattr(args, "command", "") == "free" and getattr(args, "epsilon", None) is not None:
-            self.free_epsilon = args.epsilon
-        if getattr(args, "command", "") == "free" and getattr(args, "depth", None) is not None:
-            self.free_depth = args.depth
 
     def growth_spec(self) -> GrowthSpec:
-        if self.family == "geometric":
-            return geometric(parse_rational(self.epsilon))
-        if self.family == "poly_geometric":
-            return poly_geometric(parse_rational(self.epsilon))
-        if self.family == "sharp_paper":
-            return sharp_paper(parse_rational(self.epsilon))
-        if self.family == "exp_power":
-            return exp_power(parse_rational(self.power))
-        if self.family == "table":
-            return table_spec(self.parse_table())
-        raise ValueError(f"unknown family {self.family!r}")
+        table = self.parse_table() if self.family == "table" else None
+        return spec_from_dict({"family": self.family, "epsilon": self.epsilon,
+                               "power": self.power, "table": table})
 
     def parse_table(self) -> dict[int, int]:
         if not self.table_values.strip():
@@ -344,8 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, with_build: bool = False) -> None:
         p.add_argument("--config", help="INI config file; flags override it")
-        p.add_argument("--family", choices=("geometric", "poly_geometric", "sharp_paper",
-                                            "exp_power", "table"))
+        p.add_argument("--family", choices=FAMILIES)
         p.add_argument("--epsilon", help="exact rational, e.g. 1/10 or 0.1")
         p.add_argument("--power", help="exponent r for exp_power")
         p.add_argument("--table-values", dest="table_values",
@@ -379,8 +363,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_free = sub.add_parser("free", help="free-subalgebra certification")
     p_free.add_argument("system", nargs="?", help="free-mode system file (optional)")
     p_free.add_argument("--config")
-    p_free.add_argument("--epsilon", help="exact rational in (0, 1]")
-    p_free.add_argument("--depth", type=int, help="build depth for on-the-fly verification")
+    p_free.add_argument("--epsilon", dest="free_epsilon", help="exact rational in (0, 1]")
+    p_free.add_argument("--depth", dest="free_depth", type=int,
+                        help="build depth for on-the-fly verification")
     p_free.add_argument("--products-len", dest="products_len", type=int)
     p_free.add_argument("--out")
     return parser

@@ -3,13 +3,16 @@
 A level system over an alphabet of d = f(1) letters consists of word sets
 W(1) = alphabet and W(2^(i+1)) = C(2^i) W(2^i), where each choice set
 C(2^i) is a subset of W(2^i) of exactly r_i = ceil(f(2^(i+1))/f(2^i))
-elements. W(2^i) is never materialized: an element is a reference
-(c_(i-1), ..., c_0, letter) that picks one choice-set member per level plus
-a final letter. A choice set is one int64 array holding such a tuple per
-member, one row each, so a word's letters are a view derived on demand by
-expanding rows. Choosing a set unranks all its candidate ranks in one
-mixed-radix pass over a rank array, and per-member values (codes, occurrence
-summaries) are folded up the levels by gathering from these arrays.
+elements. W(2^i) is never materialized: an element is its choice tuple
+(c_(i-1), ..., c_0, letter), one choice-set member per level plus a final
+letter, so its level is the tuple's length less one. A choice set is one
+int64 array holding such a tuple per member, one row each, so a word's
+letters are a view derived on demand by expanding rows. An element's rank
+is its tuple read as a mixed-radix number: `_unrank` turns a whole rank
+array into rows in one pass, which is how a set is chosen, and `_rank`, its
+inverse, turns rows back into ranks for the included rows and the saved
+rank ranges. Per-member values (codes, occurrence summaries) are folded up
+the levels by gathering from these arrays.
 
 Captures never match letters. The last 2^t letters of a W(2^level) element
 are the expansion of its last t+1 choices (the blocks of levels t-1, ..., 0
@@ -97,24 +100,6 @@ class Alphabet:
         return len(self.letters)
 
 
-@dataclass(frozen=True)
-class WordRef:
-    """A W(2^level) element: one choice per level above 0 plus a letter.
-
-    choices = (c_(level-1), ..., c_0, letter_index); the expansion is
-    C_(level-1)[c_(level-1)] ++ ... ++ C_0[c_0] ++ letter and has length
-    2^level. Distinct tuples expand to distinct words because all blocks at
-    one level have equal length and choice-set members are pairwise distinct.
-    """
-
-    level: int
-    choices: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.choices) != self.level + 1:
-            raise ValueError("ref needs one choice per level plus a letter")
-
-
 @dataclass(eq=False)
 class CSet:
     """Choice set at one level: row i of `choices` is member i's choice tuple.
@@ -179,7 +164,7 @@ class LevelSystem:
             if d > len(LETTER_POOL):
                 raise ValueError(f"alphabet size {d} exceeds the {len(LETTER_POOL)}-symbol pool")
             letters = LETTER_POOL[:d]
-        if len(letters) != d or len(set(letters)) != d:
+        if type(letters) is not str or len(letters) != d or len(set(letters)) != d:
             raise ValueError(f"need {d} distinct letters, got {letters!r}")
         self.spec = spec
         self.alphabet = Alphabet(letters)
@@ -201,126 +186,121 @@ class LevelSystem:
         """D: W(2^D) is the deepest implicitly defined word set."""
         return len(self.csets)
 
-    def radices(self, level: int, suffix: WordRef | None = None) -> list[int]:
+    def radices(self, level: int, suffix: tuple[int, ...] | None = None) -> list[int]:
         """The radices of the free choices of the W(2^level) elements ending with suffix.
 
         The bound vector of a level is (r_(level-1), ..., r_0, d), since C_j
         has exactly r_j members, so levels not built yet have one too: choice
         i of an element lies below entry i. An element ends with a W(2^t)
-        element w exactly when its last t+1 choices are w's choices (its last
-        2^t letters expand from them, and distinct tuples give distinct
-        words), so only the first level+1-len(suffix.choices) choices are
-        free; without a suffix all of them are.
+        element w, the choice tuple `suffix`, exactly when its last t+1
+        choices are w's choices (its last 2^t letters expand from them, and
+        distinct tuples give distinct words), so only the first
+        level+1-len(suffix) choices are free; without a suffix all of them are.
         """
         bounds = [self.spec.ratio(i) for i in reversed(range(level))] + [self.alphabet.size]
-        return bounds if suffix is None else bounds[:level + 1 - len(suffix.choices)]
+        return bounds if suffix is None else bounds[:level + 1 - len(suffix)]
 
-    def suffix(self, level: int) -> WordRef | None:
+    def suffix(self, level: int) -> tuple[int, ...] | None:
         """The capture target the log fixes as the common suffix of C(2^level), if any."""
-        return next((WordRef(e.target_level, e.target_choices) for e in self.capture_log
-                     if e.capture_level == level), None)
+        return next((e.target_choices for e in self.capture_log if e.capture_level == level), None)
 
     def level_word_count(self, level: int) -> int:
         """|W(2^level)| = d * r_0 * ... * r_(level-1)."""
         return prod(self.radices(level))
 
-    def ref_from_rank(self, level: int, rank: int) -> WordRef:
-        """The rank-th element of W(2^level) in tuple-lex order (mixed radix)."""
-        row = _unrank(self.radices(level), (), [rank])[0]
-        return WordRef(level, tuple(row.tolist()))
+    def ref_from_rank(self, level: int, rank: int) -> tuple[int, ...]:
+        """The choice tuple of the rank-th element of W(2^level) in tuple-lex order."""
+        return tuple(_unrank(self.radices(level), (), [rank])[0].tolist())
 
     def iter_refs(self, level: int):
-        """All of W(2^level) in tuple-lex order."""
+        """The choice tuples of all of W(2^level) in tuple-lex order."""
         radices = self.radices(level)
         total = prod(radices)
         for start in range(0, total, _RANK_BLOCK):
             ranks = np.arange(start, min(start + _RANK_BLOCK, total))
-            for row in _unrank(radices, (), ranks).tolist():
-                yield WordRef(level, tuple(row))
+            yield from map(tuple, _unrank(radices, (), ranks).tolist())
 
     # -- expansion -------------------------------------------------------------
 
-    def expand(self, ref: WordRef) -> str:
-        """The 2^level-letter word a reference denotes, by recursion on member rows.
+    def expand(self, choices) -> str:
+        """The word of the W(2^level) element with these choices, level = len(choices) - 1.
 
-        Member words are kept while it runs, so a member met twice is expanded once.
+        The word is C_(level-1)[c_(level-1)] ++ ... ++ C_0[c_0] ++ letter, of
+        length 2^level, built by recursion on member rows. Member words are
+        kept while it runs, so a member met twice is expanded once.
         """
         csets, letters = self.csets, self.alphabet.letters
         words: dict[tuple[int, int], str] = {}
 
-        def word(level: int, choices) -> str:
-            return "".join([member(level - 1 - i, c) for i, c in enumerate(choices[:-1])]
+        def word(choices) -> str:
+            top = len(choices) - 2     # the level of the first choice's member
+            return "".join([member(top - i, c) for i, c in enumerate(choices[:-1])]
                            ) + letters[choices[-1]]
 
         def member(j: int, c: int) -> str:
             w = words.get((j, c))
             if w is None:
-                w = words[j, c] = word(j, csets[j].choices[c].tolist())
+                w = words[j, c] = word(csets[j].choices[c].tolist())
             return w
 
-        return word(ref.level, ref.choices)
+        return word(choices)
 
     # -- choice-set construction ----------------------------------------------
 
     def choose_cset(
         self,
         level: int,
-        suffix: WordRef | None = None,
-        must_include: list[WordRef] | None = None,
+        suffix: tuple[int, ...] | None = None,
+        must_include: np.ndarray | list[tuple[int, ...]] | None = None,
     ) -> CSet:
         """Define C(2^level) deterministically and append it to the system.
 
-        The set gets exactly r_level members: must_include refs first (in the
-        given order), then elements of W(2^level) ending with the lower-level
-        element `suffix`; the lex chooser takes the smallest choice tuples,
-        the seeded chooser draws without replacement from the build RNG.
-        A set of more than GROWTHFORGE_BUDGET choice entries is refused first,
-        and refs off their level or out of range raise ValueError.
+        The set gets exactly r_level members: the must_include rows first (W(2^level)
+        choice tuples, as an int64 row array or a sequence of tuples, in the given
+        order, repeats dropped), then elements of W(2^level) ending with the
+        lower-level element whose choice tuple is `suffix`; the lex chooser takes
+        the smallest choice tuples, the seeded chooser draws without replacement
+        from the build RNG. A set of more than GROWTHFORGE_BUDGET choice entries is
+        refused first, and rows of the wrong width or out of range raise ValueError.
         """
         if level != self.depth:
             raise ValueError(f"levels must be defined in order; next is {self.depth}")
         _require_choice_budget(self.spec, [level])
         required = self.spec.ratio(level)
-        include = list(must_include or [])
-        if len(include) > required:
-            raise CapacityExceeded(level, len(include), required)
-        if any(ref.level != level for ref in include):
-            raise ValueError("must_include ref at wrong level")
-        if suffix is not None and not 0 <= suffix.level < level:
-            raise ValueError(f"suffix at level {suffix.level} must sit below level {level}")
+        rows = [] if must_include is None else must_include
+        if len(rows) > required:
+            raise CapacityExceeded(level, len(rows), required)
+        include = list(map(tuple, rows.tolist() if isinstance(rows, np.ndarray) else rows))
+        if any(len(choices) != level + 1 for choices in include):
+            raise ValueError("must_include row at wrong level")
+        if suffix is not None and not 0 < len(suffix) <= level:
+            raise ValueError(f"suffix at level {len(suffix) - 1} must sit below level {level}")
         bounds = self.radices(level)
-        for ref in include + ([] if suffix is None else [suffix]):
-            ref_bounds = bounds[level - ref.level:]     # the bound vector of ref.level
-            if not all(0 <= c < b for c, b in zip(ref.choices, ref_bounds)):
-                raise ValueError(f"choices {ref.choices} out of range of bounds {ref_bounds}")
+        for choices in include + ([] if suffix is None else [suffix]):
+            choice_bounds = bounds[level + 1 - len(choices):]   # the bound vector of its level
+            if not all(0 <= c < b for c, b in zip(choices, choice_bounds)):
+                raise ValueError(f"choices {choices} out of range of bounds {choice_bounds}")
         radices = self.radices(level, suffix)
-        tail = () if suffix is None else suffix.choices
+        tail = suffix or ()
         available = prod(radices)
 
-        # The included refs in order without repeats, and the ranks of those
+        # The included rows in order without repeats, and the ranks of those
         # that end with the suffix.
-        chosen = dict.fromkeys(ref.choices for ref in include)
-        taken = []
-        for choices in chosen:
-            if choices[len(radices):] == tail:
-                rank = 0
-                for c, r in zip(choices, radices):
-                    rank = rank * r + c
-                taken.append(rank)
+        chosen = np.array(list(dict.fromkeys(include)), dtype=np.int64).reshape(-1, level + 1)
+        taken = _rank(radices, chosen[(chosen[:, len(radices):] == tail).all(axis=1)])
         fill = required - len(chosen)
         if available - len(taken) < fill:
             raise InsufficientWords(level, fill, available - len(taken))
         # Lex takes ranks 0, 1, ...; seeded draws enough distinct ranks that
-        # `fill` of them miss the included refs.
+        # `fill` of them miss the included rows.
         if self.chooser == "seeded" and fill:
             ranks = np.array(_sample_ranks(self._rng, available, fill + len(taken)),
                              dtype=_rank_dtype(available))
         else:
             ranks = np.arange(fill + len(taken))
-        if taken:
+        if len(taken):
             ranks = ranks[~np.isin(ranks, taken)]
-        rows = np.array(list(chosen), dtype=np.int64).reshape(len(chosen), level + 1)
-        cs = CSet(level, np.concatenate([rows, _unrank(radices, tail, ranks[:fill])]))
+        cs = CSet(level, np.concatenate([chosen, _unrank(radices, tail, ranks[:fill])]))
         self.csets.append(cs)
         return cs
 
@@ -374,6 +354,19 @@ def _unrank(radices: list[int], tail: tuple[int, ...], ranks) -> np.ndarray:
     return rows
 
 
+def _rank(radices: list[int], rows: np.ndarray) -> np.ndarray:
+    """Each row's rank: its first len(radices) choices read as a mixed-radix number.
+
+    The inverse of `_unrank`, digit by digit, most significant first, with
+    int64 ranks while every rank below prod(radices) fits and Python ints beyond.
+    """
+    digits = rows[:, :len(radices)].astype(_rank_dtype(prod(radices)))
+    ranks = np.zeros(len(rows), dtype=digits.dtype)
+    for i, radix in enumerate(radices):
+        ranks = ranks * radix + digits[:, i]
+    return ranks
+
+
 def _fold_members(system: LevelSystem, leaves: np.ndarray, join) -> list[np.ndarray]:
     """For each level j, one value per C_j member in member order, folded from its row.
 
@@ -412,8 +405,8 @@ def build_plain(
     return system
 
 
-def _capture_level(system: LevelSystem, target: WordRef, m: int, mu_offset: int, horizon: int,
-                   cap: int) -> tuple[int, list[int]]:
+def _capture_level(system: LevelSystem, target: tuple[int, ...], m: int, mu_offset: int,
+                   horizon: int, cap: int) -> tuple[int, list[int]]:
     """The level that captures target after capture level m, and the levels retried first.
 
     t' = max(mu(t), m+1) has room by the dominance inequality, except at a
@@ -421,15 +414,16 @@ def _capture_level(system: LevelSystem, target: WordRef, m: int, mu_offset: int,
     target is retried one higher. A t' beyond cap is returned as it is; a
     retry beyond cap raises HorizonTooSmall.
     """
-    level = max(compute_mu(system.spec, target.level, mu_offset, horizon), m + 1)
+    t = len(target) - 1
+    level = max(compute_mu(system.spec, t, mu_offset, horizon), m + 1)
     retries: list[int] = []
     while level <= cap and prod(system.radices(level, target)) < system.spec.ratio(level):
         retries.append(level)
         level += 1
     if retries and level > cap:
         raise HorizonTooSmall(
-            f"capture of the W(2^{target.level}) element with choices {target.choices} "
-            f"needs level {level} beyond cap {cap}", target.level, horizon)
+            f"capture of the W(2^{t}) element with choices {target} "
+            f"needs level {level} beyond cap {cap}", t, horizon)
     return level, retries
 
 
@@ -472,12 +466,12 @@ def build_uniformly_recurrent(
         level, retries = _capture_level(system, target, m, mu_offset, horizon, depth - 1)
         if level >= depth:
             break
-        log.append(CaptureEntry(target.level, target.choices, "", level, 1 << (level + 1), m,
+        log.append(CaptureEntry(len(target) - 1, target, "", level, 1 << (level + 1), m,
                                 list(range(m + 1, level)), retries))
     for level in range(depth):
         system.choose_cset(level, suffix=system.suffix(level))
     for e in log:
-        e.target_word = system.expand(WordRef(e.target_level, e.target_choices))
+        e.target_word = system.expand(e.target_choices)
     return system
 
 
@@ -550,6 +544,6 @@ def build_free_power_system(
             k = np.arange(1 << (2 * half))
             prev = system.csets[level - 1].choices
             rows = np.column_stack([k >> half, prev[k & ((1 << half) - 1)]])
-        system.choose_cset(level, must_include=[WordRef(level, tuple(r)) for r in rows.tolist()])
+        system.choose_cset(level, must_include=rows)
     system.free_params = params
     return system, params

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .construction import (
-    CaptureEntry, CSet, FreeParams, LevelSystem, WordRef, _from_fields, _rank_dtype,
+    CaptureEntry, CSet, FreeParams, LevelSystem, _from_fields, _rank, _rank_dtype,
     _require_choice_budget, _unrank,
 )
 from .errors import SystemFileError
@@ -96,16 +96,14 @@ def _rank_ranges(system: LevelSystem, level: int) -> list[list[int]]:
     """C(2^level)'s members as [start, stop) runs of consecutive ranks, in member order.
 
     A member's rank is its free choices read as a mixed-radix number over
-    radices(level, suffix), the inverse of `_unrank`; Python ints where the
-    level has 2^63 elements or more.
+    radices(level, suffix), by `_rank`; Python ints where the level has 2^63
+    elements or more.
     """
     suffix = system.suffix(level)
     radices, choices = system.radices(level, suffix), system.csets[level].choices
-    if suffix is not None and (choices[:, len(radices):] != suffix.choices).any():
+    if suffix is not None and (choices[:, len(radices):] != suffix).any():
         raise ValueError(f"a level {level} member does not end with its capture target")
-    dtype = _rank_dtype(prod(radices))
-    places = np.array([prod(radices[i + 1:]) for i in range(len(radices))], dtype)
-    ranks = choices[:, :len(radices)].astype(dtype) @ places
+    ranks = _rank(radices, choices)
     cuts = np.flatnonzero(ranks[1:] != ranks[:-1] + 1) + 1
     first, last = np.r_[0, cuts], np.r_[cuts, len(ranks)] - 1
     return np.column_stack([ranks[first], ranks[last] + 1]).tolist()
@@ -164,22 +162,22 @@ def _system_from_document(doc: dict, path: str | Path) -> LevelSystem:
         raise SystemFileError(f"{path}: depth {depth} has no choice set, need depth >= 1")
     _require_choice_budget(spec, range(depth))
     system.capture_log = [CaptureEntry.from_dict(e) for e in doc["capture_log"]]
-    suffixes: dict[int, WordRef] = {}     # capture level -> its checked target
     m = -1    # the previous capture level
     for entry in system.capture_log:
+        target = entry.target_choices
         # The recurrence certificate trusts the capture level and gap bound.
         if not (0 <= entry.target_level < entry.capture_level < depth
+                and len(target) == entry.target_level + 1
                 and entry.gap_bound == 1 << (entry.capture_level + 1)):
             raise SystemFileError(
                 f"{path}: malformed capture entry for {entry.target_word!r}: target level "
-                f"{entry.target_level}, capture level {entry.capture_level}, gap bound "
-                f"{entry.gap_bound!r}; need target < capture < depth {depth} and "
-                f"gap bound 2^(capture level + 1)")
-        target = WordRef(entry.target_level, entry.target_choices)
-        for c, bound in zip(target.choices, system.radices(target.level)):
+                f"{entry.target_level} with {len(target)} choices, capture level "
+                f"{entry.capture_level}, gap bound {entry.gap_bound!r}; need target < capture "
+                f"< depth {depth}, target level + 1 choices and gap bound 2^(capture level + 1)")
+        for c, bound in zip(target, system.radices(entry.target_level)):
             if type(c) is not int or not 0 <= c < bound:
                 raise SystemFileError(
-                    f"{path}: choice {c!r} of {list(target.choices)} in capture target "
+                    f"{path}: choice {c!r} of {list(target)} in capture target "
                     f"malformed or out of range 0..{bound - 1}")
         # The scheduler's bookkeeping: levels m+1.. were filled in order, some as retries.
         level, filled, retries = entry.capture_level, entry.filled_levels, entry.retries
@@ -190,17 +188,15 @@ def _system_from_document(doc: dict, path: str | Path) -> LevelSystem:
             raise SystemFileError(
                 f"{path}: malformed capture bookkeeping for {entry.target_word!r}: need m_before "
                 f"{m}, filled_levels {m + 1}..{level - 1} and retries increasing among them")
-        suffixes[level] = target
         m = level
     # A capture level's ranks run over its free choices, so its rows end with the target.
     for level, ranges in enumerate(csets):
-        suffix = suffixes.get(level)
+        suffix = system.suffix(level)
         radices = system.radices(level, suffix)
         ranks = _member_ranks(ranges, prod(radices), spec.ratio(level), path, level)
-        tail = () if suffix is None else suffix.choices
-        system.csets.append(CSet(level, _unrank(radices, tail, ranks)))
+        system.csets.append(CSet(level, _unrank(radices, suffix or (), ranks)))
     for entry in system.capture_log:
-        if system.expand(suffixes[entry.capture_level]) != entry.target_word:
+        if system.expand(entry.target_choices) != entry.target_word:
             raise SystemFileError(
                 f"{path}: capture target {entry.target_word!r} does not match its reference")
     if doc["free_params"]:

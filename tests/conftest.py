@@ -6,7 +6,6 @@ import pytest
 
 from growthforge.growth import poly_geometric, table_spec
 from growthforge.construction import (
-    WordRef,
     build_free_power_system,
     build_plain,
     build_uniformly_recurrent,
@@ -31,8 +30,7 @@ def encoded(engine: analyzer.FactorEngine, words: list[str]) -> np.ndarray:
 
 def member_words(system) -> list[list[str]]:
     """Each level's member words, expanded from the choice rows."""
-    return [[system.expand(WordRef(cs.level, tuple(row))) for row in cs.choices.tolist()]
-            for cs in system.csets]
+    return [[system.expand(row) for row in cs.choices.tolist()] for cs in system.csets]
 
 
 def oracle_rows(doc: dict) -> list[list[list[int]]]:

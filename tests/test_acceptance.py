@@ -20,7 +20,7 @@ from growthforge.analyzer import (
     verify_recurrence_gaps,
 )
 from growthforge.cli import main
-from growthforge.construction import WordRef, build_plain, build_uniformly_recurrent
+from growthforge.construction import build_plain, build_uniformly_recurrent
 from growthforge.errors import HorizonTooSmall
 from growthforge.freesub import (
     compute_t,
@@ -96,7 +96,7 @@ def test_criterion_4_capture_correctness(captured7):
     for entry in captured7.capture_log:
         cs = captured7.csets[entry.capture_level]
         for row in cs.choices.tolist():
-            ok &= entry.target_word in captured7.expand(WordRef(cs.level, tuple(row)))
+            ok &= entry.target_word in captured7.expand(row)
     report = verify_recurrence_gaps(captured7)
     ok &= report.passed
     for entry in report.entries:
@@ -210,8 +210,7 @@ def _chunk_property_holds(system) -> bool:
             for n in range(0, m):
                 size = 1 << n
                 blocks = [u[i:i + size] for i in range(0, len(u), size)]
-                c_strings = {system.expand(WordRef(n, tuple(row)))
-                             for row in system.csets[n].choices.tolist()}
+                c_strings = {system.expand(row) for row in system.csets[n].choices.tolist()}
                 for left, right in zip(blocks, blocks[1:]):
                     in_cw = left in c_strings and right in w_strings[n]
                     in_wc = left in w_strings[n] and right in c_strings

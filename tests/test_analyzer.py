@@ -23,7 +23,7 @@ from growthforge.analyzer import (
     _summary,
 )
 from growthforge.construction import (
-    CaptureEntry, LevelSystem, WordRef, _fold_members, build_plain, build_uniformly_recurrent,
+    CaptureEntry, LevelSystem, _fold_members, build_plain, build_uniformly_recurrent,
 )
 from growthforge.growth import exp_power, poly_geometric, table_spec
 
@@ -139,7 +139,7 @@ class TestFactorSets:
         # Level-13 members hold more base-3 digits than Python's
         # int-from-string limit of 4300.
         system = long_members_d3
-        assert len(system.expand(WordRef(13, tuple(system.csets[13].choices[0].tolist())))) == 8192
+        assert len(system.expand(system.csets[13].choices[0].tolist())) == 8192
         engine = FactorEngine(system)
         for n in (5, 64):
             oracle = factor_set_bruteforce(system, n)
@@ -523,18 +523,19 @@ class TestFold:
         expected = verify_recurrence_gaps(captured7).to_dict()
         persist.save_system(captured7, tmp_path / "c7.json")
 
-        # Loading checks each capture target through one ref; members get none.
-        refs_made = []
-        post_init = WordRef.__post_init__
+        # Loading expands each capture target once; members get no expansion.
+        expanded = []
+        expand = LevelSystem.expand
 
-        def counted(self):
-            refs_made.append(self)
-            post_init(self)
+        def counted(self, choices):
+            expanded.append(choices)
+            return expand(self, choices)
 
-        monkeypatch.setattr(WordRef, "__post_init__", counted)
+        monkeypatch.setattr(LevelSystem, "expand", counted)
         loaded = persist.load_system(tmp_path / "c7.json")
+        assert len(expanded) <= len(captured7.capture_log)
 
-        def unexpandable(self, ref):
+        def unexpandable(self, choices):
             raise AssertionError("member expanded")
 
         monkeypatch.setattr(LevelSystem, "expand", unexpandable)
@@ -544,7 +545,6 @@ class TestFold:
         assert verify_recurrence_gaps(captured7).to_dict() == expected
         assert [FactorEngine(loaded).count(n) for n in range(1, 17)] == counts
         assert verify_recurrence_gaps(loaded).to_dict() == expected
-        assert len(refs_made) <= len(captured7.capture_log)
 
 
 class TestAperiodicity:

@@ -14,7 +14,6 @@ from growthforge import persist
 from growthforge.growth import exp_power, geometric, poly_geometric, table_spec
 from growthforge.construction import (
     LevelSystem,
-    WordRef,
     _capture_level,
     _sample_ranks,
     build_free_power_system,
@@ -28,8 +27,8 @@ TOY = table_spec({1: 2, 2: 4, 4: 8, 8: 16})
 
 
 def member_refs(cs):
-    """A choice set's members as refs, one per choice row."""
-    return [WordRef(cs.level, tuple(row)) for row in cs.choices.tolist()]
+    """A choice set's members as choice tuples, one per row."""
+    return [tuple(row) for row in cs.choices.tolist()]
 
 
 class TestInit:
@@ -55,7 +54,7 @@ class TestChooseCset:
     def test_toy_fixed_suffix(self):
         system = LevelSystem(TOY)
         system.choose_cset(0)
-        cs = system.choose_cset(1, suffix=WordRef(0, (0,)))
+        cs = system.choose_cset(1, suffix=(0,))
         assert [system.expand(ref) for ref in member_refs(cs)] == ["aa", "ba"]
 
     def test_must_include_out_of_range_refused(self):
@@ -64,7 +63,15 @@ class TestChooseCset:
         system.choose_cset(0)
         for choices in ((7, 0), (0, -1), (0, 2)):
             with pytest.raises(ValueError, match="out of range"):
-                system.choose_cset(1, must_include=[WordRef(1, choices)])
+                system.choose_cset(1, must_include=[choices])
+        assert system.depth == 1
+
+    def test_must_include_wrong_width_refused(self):
+        system = LevelSystem(TOY)
+        system.choose_cset(0)
+        for rows in ([(0, 1, 0)], [(0,)], [(0, 1), (0,)], np.zeros((1, 3), dtype=np.int64)):
+            with pytest.raises(ValueError, match="wrong level"):
+                system.choose_cset(1, must_include=rows)
         assert system.depth == 1
 
     def test_suffix_out_of_range_refused(self):
@@ -72,14 +79,14 @@ class TestChooseCset:
         system.choose_cset(0)
         system.choose_cset(1)
         with pytest.raises(ValueError, match="out of range"):
-            system.choose_cset(2, suffix=WordRef(1, (2, 0)))
+            system.choose_cset(2, suffix=(2, 0))
         assert system.depth == 2
 
     def test_suffix_not_below_level_refused(self):
         system = LevelSystem(TOY)
         system.choose_cset(0)
         with pytest.raises(ValueError, match="must sit below level 1"):
-            system.choose_cset(1, suffix=WordRef(1, (0, 0)))
+            system.choose_cset(1, suffix=(0, 0))
         assert system.depth == 1
 
     def test_insufficient_words_pigeonhole(self):
@@ -126,7 +133,7 @@ class TestBuildPlain:
 
 class TestExpand:
     def test_expansion_and_window(self, toy_system):
-        ref = WordRef(2, (1, 0, 1))  # C(2)[1]=ab ++ C(1)[0]=a ++ letter b
+        ref = (1, 0, 1)  # C(2)[1]=ab ++ C(1)[0]=a ++ letter b
         word = toy_system.expand(ref)
         assert word == "abab"
         # Each choice fills the window of its level: [0, 2), [2, 3), then the letter.
@@ -135,7 +142,7 @@ class TestExpand:
         assert word[3:] == "b"
 
     def test_level_zero(self, toy_system):
-        assert toy_system.expand(WordRef(0, (0,))) == "a"
+        assert toy_system.expand((0,)) == "a"
 
     def test_roundtrip_all_members(self, captured4):
         # A member's word is its head member's word followed by its tail's.
@@ -143,8 +150,8 @@ class TestExpand:
             for ref in member_refs(cs):
                 s = captured4.expand(ref)
                 if cs.level:
-                    head = member_refs(captured4.csets[cs.level - 1])[ref.choices[0]]
-                    tail = WordRef(cs.level - 1, ref.choices[1:])
+                    head = member_refs(captured4.csets[cs.level - 1])[ref[0]]
+                    tail = ref[1:]
                     assert s == captured4.expand(head) + captured4.expand(tail)
                 assert len(s) == 1 << cs.level
 
@@ -345,14 +352,14 @@ def sequential_choose(system, level, suffix, include, rng):
     word = "" if suffix is None else system.expand(suffix)
     ranges = [range(len(system.csets[j])) for j in reversed(range(level))]
     ranges.append(range(system.alphabet.size))
-    admissible = [c for c in product(*ranges) if system.expand(WordRef(level, c)).endswith(word)]
+    admissible = [c for c in product(*ranges) if system.expand(c).endswith(word)]
     available = len(admissible)
     chosen, seen = [], set()
-    for ref in include:
-        if ref.choices not in seen:
-            seen.add(ref.choices)
-            chosen.append(ref.choices)
-    overlap = sum(system.expand(WordRef(level, c)).endswith(word) for c in chosen)
+    for choices in include:
+        if choices not in seen:
+            seen.add(choices)
+            chosen.append(choices)
+    overlap = sum(system.expand(c).endswith(word) for c in chosen)
     fill = system.spec.ratio(level) - len(chosen)
     if available - overlap < fill:
         return None
@@ -375,8 +382,9 @@ def sequential_choose(system, level, suffix, include, rng):
 def test_choose_cset_matches_sequential_reference(data):
     # table_spec systems over d = 2 or 3 letters, depth 2-6, both choosers.
     # Some levels take a lower-level element as the common suffix of their
-    # members, as a capture does; some get must_include refs, drawn from all
-    # of W(2^level) with repeats, so they may or may not end with the suffix.
+    # members, as a capture does; some get must_include rows, drawn from all
+    # of W(2^level) with repeats, so they may or may not end with the suffix,
+    # and passed as a list of tuples or as one int64 row array.
     d = data.draw(st.sampled_from([2, 3]))
     depth = data.draw(st.integers(2, 6))
     values, v, capacity = {1: d}, d, d
@@ -395,14 +403,17 @@ def test_choose_cset_matches_sequential_reference(data):
         ranks = data.draw(st.lists(st.integers(0, system.level_word_count(level) - 1),
                                    max_size=system.spec.ratio(level)))
         include = [system.ref_from_rank(level, rank) for rank in ranks]
+        rows = include
+        if data.draw(st.booleans()):
+            rows = np.array(include, dtype=np.int64).reshape(len(include), level + 1)
         rng = Random()
         rng.setstate(system._rng.getstate())
         expected = sequential_choose(system, level, suffix, include, rng)
         if expected is None:
             with pytest.raises(InsufficientWords):
-                system.choose_cset(level, suffix=suffix, must_include=include)
+                system.choose_cset(level, suffix=suffix, must_include=rows)
             return
-        cs = system.choose_cset(level, suffix=suffix, must_include=include)
+        cs = system.choose_cset(level, suffix=suffix, must_include=rows)
         assert cs.choices.dtype == np.int64 and cs.choices.flags.c_contiguous
         assert cs.choices.tolist() == expected
         assert system._rng.getstate() == rng.getstate()

@@ -47,6 +47,13 @@ def redigest(doc: dict) -> None:
         pass
 
 
+def letter_strings(doc: dict) -> None:
+    """Make a toy document's letters the list ["ab", "c"] and re-expand its level-0 targets."""
+    doc["letters"] = ["ab", "c"]
+    for entry in doc["capture_log"]:
+        entry["target_word"] = doc["letters"][entry["target_choices"][0]]
+
+
 def rows_of(system) -> list:
     return [cs.choices.tolist() for cs in system.csets]
 
@@ -308,6 +315,25 @@ class TestRunConfig:
         cfg.apply_flags(Args())
         assert cfg.depth == 4  # flag overrides file
         assert cfg.epsilon == "1/10"
+
+    def test_free_flags_override_free_section(self, tmp_path):
+        cfg_file = tmp_path / "run.ini"
+        cfg_file.write_text("[growth]\nepsilon = 1/10\n[build]\ndepth = 6\n"
+                            "[free]\nepsilon = 1/2\ndepth = 2\n")
+        out = tmp_path / "fr.json"
+        assert main(["free", "--config", str(cfg_file), "--epsilon", "1", "--depth", "4",
+                     "--products-len", "2", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["epsilon"] == "1" and doc["verification"]["passed"]
+        config = doc["config"]
+        assert (config["free"]["free_epsilon"], config["free"]["free_depth"]) == ("1", 4)
+        assert (config["growth"]["epsilon"], config["build"]["depth"]) == ("1/10", 6)
+
+    def test_unknown_family_in_config_exits_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.ini"
+        cfg_file.write_text("[growth]\nfamily = nope\n")
+        assert main(["validate", "--config", str(cfg_file)]) == 2
+        assert "unknown growth family 'nope'" in capsys.readouterr().err
 
     def test_table_parsing(self):
         cfg = RunConfig(family="table", table_values="2,4,8,16")
@@ -583,6 +609,13 @@ class TestCli:
         (lambda doc: doc["csets"].__setitem__(3, [[0, False], [1, 5]]), "malformed"),
         (lambda doc: doc["csets"].__setitem__(3, [[None, 5]]), "malformed"),
         (lambda doc: doc["csets"].__setitem__(3, [[0, 5], {}]), "malformed"),
+        # A W(2^t) target has t + 1 choices: entry 1 captures the letter "b".
+        (lambda doc: doc["capture_log"][1].update(target_level=1), "malformed capture entry"),
+        (lambda doc: doc["capture_log"][1].update(target_choices=[0, 1]),
+         "malformed capture entry"),
+        # Letters are one string of single characters, not a list of strings.
+        (letter_strings, "need 2 distinct letters"),
+        (lambda doc: doc.update(letters=["a", "b"]), "need 2 distinct letters"),
     ], ids=["no-chooser", "csets-int", "string-choice", "capture-no-gap-bound",
             "capture-negative-choice", "capture-choice-at-bound", "capture-huge-gap-bound",
             "capture-string-gap-bound", "capture-at-depth", "duplicate-member", "float-choice",
@@ -592,7 +625,8 @@ class TestCli:
             "capture-repeated-retry", "capture-retry-not-filled", "capture-level-repeated",
             "capture-member-tail", "empty-range", "reversed-range", "short-total", "long-total",
             "overlapping-ranges", "no-ranges", "range-not-list", "negative-start",
-            "bool-stop", "null-start", "range-dict"])
+            "bool-stop", "null-start", "range-dict", "capture-level-above-choices",
+            "capture-choices-above-level", "letters-string-list", "letters-char-list"])
     def test_analyze_malformed_exits_2(self, tmp_path, captured4, capsys, mutate, message):
         # Each document carries a recomputed digest where it still has one, so
         # only the shape is wrong.

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from growthforge import analyzer, persist
 from growthforge.analyzer import FactorEngine, factor_set_bruteforce
-from growthforge.construction import WordRef, _unrank, build_plain
+from growthforge.construction import _rank, _unrank, build_plain
 from growthforge.growth import GrowthSpec, geometric, poly_geometric, table_spec
 
 from conftest import encoded, factor_words, member_words
@@ -56,19 +56,24 @@ def test_unrank_lists_suffix_refs_in_lex_order(table_depth, chooser, seed, data)
     # The oracle: every choice tuple, in tuple-lex order, with its expansion.
     ranges = [range(len(system.csets[j])) for j in range(level - 1, -1, -1)]
     ranges.append(range(system.alphabet.size))
-    words = {c: system.expand(WordRef(level, c)) for c in product(*ranges)}
+    words = {c: system.expand(c) for c in product(*ranges)}
     # No suffix, and one element of every level t <= level as the suffix.
     suffixes = [None] + [
         system.ref_from_rank(t, data.draw(st.integers(0, system.level_word_count(t) - 1)))
         for t in range(level + 1)]
     for suffix in suffixes:
         word = "" if suffix is None else system.expand(suffix)
-        expected = [WordRef(level, c) for c, w in words.items() if w.endswith(word)]
+        expected = [c for c, w in words.items() if w.endswith(word)]
         radices = system.radices(level, suffix)
         count = prod(radices)
-        rows = _unrank(radices, () if suffix is None else suffix.choices, range(count))
+        rows = _unrank(radices, suffix or (), range(count))
         assert rows.dtype == np.int64 and rows.shape == (count, level + 1)
-        assert [WordRef(level, tuple(row)) for row in rows.tolist()] == expected
+        assert list(map(tuple, rows.tolist())) == expected
+        assert _rank(radices, rows).tolist() == list(range(count))
+    # Ranks of a level of 3 * 2^62 * 62 elements run past int64, into Python ints.
+    wide = [3, 1 << 62, 62]
+    ranks = data.draw(st.lists(st.integers(0, prod(wide) - 1), max_size=5))
+    assert _rank(wide, _unrank(wide, (), ranks)).tolist() == ranks
 
 
 @given(feasible_tables(), st.integers(0, 2 ** 16))
