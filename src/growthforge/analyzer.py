@@ -114,9 +114,15 @@ class FactorEngine:
     # -- prefix and suffix code tables --------------------------------------
 
     def _join(self, head: np.ndarray, tail: np.ndarray, l: int) -> np.ndarray:
-        """Codes of 2^l-letter words: each head shifted past the 2^(l-1) tail letters."""
+        """Codes of 2^l-letter words: each head shifted past the 2^(l-1) tail letters.
+
+        The head moves by at least one bit, so its shifted copy is a new array
+        and the tail is ORed into it in place.
+        """
         k = limb_count(1 << l, self.bits)
-        return shifted(head, self.bits << (l - 1), k) | shifted(tail, 0, k)
+        out = shifted(head, self.bits << (l - 1), k)
+        out |= shifted(tail, 0, k)
+        return out
 
     def prefixes(self, j: int, m: int) -> np.ndarray:
         """Sorted codes of the distinct length-m prefixes of W(2^j) elements."""
@@ -462,7 +468,10 @@ def _member_summaries(system: LevelSystem, word: str) -> tuple[list[tuple], list
     """Occurrence summaries of every member, interned: the table and per-level member ids.
 
     A fold step packs each (head id, rest id) pair into one int64 key, and
-    each distinct pair is concatenated once over the whole fold.
+    each distinct pair is concatenated once over the whole fold, in ascending
+    key order. When the width^2 possible keys are no more than the keys, a
+    dense presence table finds the distinct ones without np.unique's sort,
+    which costs several times the key array; otherwise np.unique does.
     """
     table: list[tuple] = []
     ids: dict[tuple, int] = {}
@@ -475,9 +484,7 @@ def _member_summaries(system: LevelSystem, word: str) -> tuple[list[tuple], list
             table.append(summary)
         return i
 
-    def join(head: np.ndarray, rest: np.ndarray, _level: int) -> np.ndarray:
-        width = len(table)
-        keys, inverse = np.unique(head * width + rest, return_inverse=True)
+    def pair_ids(keys: np.ndarray, width: int) -> np.ndarray:
         out = []
         for key in keys.tolist():
             pair = divmod(key, width)
@@ -485,7 +492,20 @@ def _member_summaries(system: LevelSystem, word: str) -> tuple[list[tuple], list
             if i is None:
                 i = joined[pair] = intern(_concat(table[pair[0]], table[pair[1]], word))
             out.append(i)
-        return np.array(out, dtype=np.int64)[inverse]
+        return np.array(out, dtype=np.int64)
+
+    def join(head: np.ndarray, rest: np.ndarray, _level: int) -> np.ndarray:
+        width = len(table)
+        keys = head * width + rest
+        if width * width > len(keys):
+            distinct, inverse = np.unique(keys, return_inverse=True)
+            return pair_ids(distinct, width)[inverse]
+        present = np.zeros(width * width, dtype=bool)
+        present[keys] = True
+        distinct = np.flatnonzero(present)
+        lookup = np.empty(width * width, dtype=np.int64)
+        lookup[distinct] = pair_ids(distinct, width)
+        return lookup[keys]
 
     leaves = np.array([intern(_summary(ch, word)) for ch in system.alphabet.letters],
                       dtype=np.int64)

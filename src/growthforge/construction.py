@@ -300,7 +300,10 @@ class LevelSystem:
             ranks = np.arange(fill + len(taken))
         if len(taken):
             ranks = ranks[~np.isin(ranks, taken)]
-        cs = CSet(level, np.concatenate([chosen, _unrank(radices, tail, ranks[:fill])]))
+        rows = np.empty((required, level + 1), dtype=np.int64)
+        rows[:len(chosen)] = chosen
+        _unrank(radices, tail, ranks[:fill], out=rows[len(chosen):])
+        cs = CSet(level, rows)
         self.csets.append(cs)
         return cs
 
@@ -335,35 +338,39 @@ def _sample_ranks(rng: Random, total: int, k: int) -> list[int]:
     return list(picked)
 
 
-def _unrank(radices: list[int], tail: tuple[int, ...], ranks) -> np.ndarray:
+def _unrank(radices: list[int], tail: tuple[int, ...], ranks,
+            out: np.ndarray | None = None) -> np.ndarray:
     """One choice row per rank: its mixed-radix digits over `radices`, then `tail`.
 
-    One pass over the whole rank array: digit by digit, least significant
-    first, with int64 ranks while they fit and Python ints beyond; the rows
-    are int64 either way.
+    One pass over the whole rank array, written into `out` when given: digit
+    by digit, least significant first, with int64 ranks while they fit and
+    Python ints beyond; the rows are int64 either way.
     """
     available = prod(radices)
     ranks = np.asarray(ranks, dtype=_rank_dtype(available))
     if ((ranks < 0) | (ranks >= available)).any():
         raise ValueError("rank out of range")
-    rows = np.empty((ranks.size, len(radices) + len(tail)), dtype=np.int64)
-    rows[:, len(radices):] = tail
+    if out is None:
+        out = np.empty((ranks.size, len(radices) + len(tail)), dtype=np.int64)
+    out[:, len(radices):] = tail
     for i in reversed(range(len(radices))):
-        rows[:, i] = ranks % radices[i]
+        out[:, i] = ranks % radices[i]
         ranks = ranks // radices[i]
-    return rows
+    return out
 
 
 def _rank(radices: list[int], rows: np.ndarray) -> np.ndarray:
     """Each row's rank: its first len(radices) choices read as a mixed-radix number.
 
     The inverse of `_unrank`, digit by digit, most significant first, with
-    int64 ranks while every rank below prod(radices) fits and Python ints beyond.
+    int64 ranks while every rank below prod(radices) fits and Python ints
+    beyond, one column converted at a time.
     """
-    digits = rows[:, :len(radices)].astype(_rank_dtype(prod(radices)))
-    ranks = np.zeros(len(rows), dtype=digits.dtype)
+    dtype = _rank_dtype(prod(radices))
+    ranks = np.zeros(len(rows), dtype=dtype)
     for i, radix in enumerate(radices):
-        ranks = ranks * radix + digits[:, i]
+        ranks *= radix
+        ranks += rows[:, i].astype(dtype, copy=False)
     return ranks
 
 

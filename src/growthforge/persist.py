@@ -14,6 +14,8 @@ then unranks each level in one pass: the rows are distinct, in range and end
 with any capture target by construction. Target words and free parameters
 (read by field name; a key no field names is ignored) come next, and the
 digest last, over the row text of the arrays. The system keeps that digest.
+The row text is streamed into the hash a fixed number of rows at a time; it
+is never built, so no copy of a whole level is made to digest it.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .growth import geometric, spec_from_dict
 
 FORMAT_NAME = "growthforge-system"
 FORMAT_VERSION = 2
+DIGEST_CHUNK_ROWS = 4096   # choice rows encoded at a time for the digest
 
 
 def canonical_json(doc: dict) -> str:
@@ -44,33 +47,49 @@ def canonical_json(doc: dict) -> str:
 
 def document_digest(doc: dict, choices: list[np.ndarray]) -> str:
     """sha256 of the canonical version-1 row text: canonical_json of doc without its
-    digest, with version 1 and the choice rows of `choices` as csets."""
+    digest, with version 1 and the choice rows of `choices` as csets.
+
+    The text is fed to the hash piece by piece, the rows DIGEST_CHUNK_ROWS at a
+    time by `_feed_csets`; it is never built whole.
+    """
     rest = {k: v for k, v in doc.items() if k != "digest"} | {"version": 1}
-    text = "{" + ",".join(
-        json.dumps(key) + ":" + (_csets_json(choices) if key == "csets" else canonical_json(value))
-        for key, value in sorted(rest.items())) + "}"
-    return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+    h = hashlib.sha256(b"{")
+    for i, (key, value) in enumerate(sorted(rest.items())):
+        h.update(("," * (i > 0) + json.dumps(key) + ":").encode())
+        if key == "csets":
+            _feed_csets(choices, h.update)
+        else:
+            h.update(canonical_json(value).encode())
+    h.update(b"}")
+    return "sha256:" + h.hexdigest()
 
 
-def _csets_json(arrays: list[np.ndarray]) -> str:
-    """json.dumps([a.tolist() for a in arrays], separators=(",", ":")), from the arrays.
+def _feed_csets(arrays: list[np.ndarray], feed) -> None:
+    """Feed json.dumps([a.tolist() for a in arrays], separators=(",", ":")) to `feed`,
+    as bytes, from the arrays, DIGEST_CHUNK_ROWS rows at a time.
 
     Each nonnegative choice becomes k + 3 bytes, "[" or NUL, k digits (NUL for leading
     zeros), "]" or NUL and ","; deleting the NULs leaves the text. Digits are computed,
-    not looked up by value, so memory is k + 3 bytes a choice however large the values.
+    not looked up by value, so memory is k + 3 bytes a choice of one chunk however
+    large the values.
     """
-    levels = []
-    for a in arrays:
+    feed(b"[")
+    for n, a in enumerate(arrays):
+        feed(b",[" if n else b"[")
         top = int(a.max(initial=0))
-        k, v = len(str(top)), a.astype(np.min_scalar_type(top))
-        text = np.zeros(a.shape + (k + 3,), np.uint8)
-        text[:, 0, 0], text[:, -1, -2], text[..., -1] = ord("["), ord("]"), ord(",")
-        for i in range(k):
-            place = 10 ** (k - 1 - i)
-            digit = (v // place % 10).astype(np.uint8) + ord("0")
-            text[..., 1 + i] = digit * (v >= place) if place > 1 else digit
-        levels.append("[" + text.tobytes().translate(None, b"\0").decode()[:-1] + "]")
-    return "[" + ",".join(levels) + "]"
+        k, dtype = len(str(top)), np.min_scalar_type(top)
+        for start in range(0, len(a), DIGEST_CHUNK_ROWS):
+            v = a[start:start + DIGEST_CHUNK_ROWS].astype(dtype)
+            text = np.zeros(v.shape + (k + 3,), np.uint8)
+            text[:, 0, 0], text[:, -1, -2], text[..., -1] = ord("["), ord("]"), ord(",")
+            for i in range(k):
+                place = 10 ** (k - 1 - i)
+                digit = (v // place % 10).astype(np.uint8) + ord("0")
+                text[..., 1 + i] = digit * (v >= place) if place > 1 else digit
+            text = text.tobytes().translate(None, b"\0")
+            feed(text if start + DIGEST_CHUNK_ROWS < len(a) else text[:-1])
+        feed(b"]")
+    feed(b"]")
 
 
 def system_to_document(system: LevelSystem) -> dict:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,17 @@ def system_digest(system) -> str:
     """The digest persist gives a built or loaded system, without writing a file."""
     return persist.document_digest(persist.system_to_document(system),
                                    [cs.choices for cs in system.csets])
+
+
+def traced_peak(call) -> int:
+    """The peak bytes traced by tracemalloc (numpy buffers included) while call() runs."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def code_ints(rows) -> list[int]:

@@ -19,6 +19,7 @@ from growthforge.analyzer import (
     minimal_forbidden_words,
     scan_occurrences,
     verify_recurrence_gaps,
+    _concat,
     _member_summaries,
     _summary,
 )
@@ -507,7 +508,52 @@ def test_fold_matches_member_strings(system_targets):
     assert_folds_match_strings(*system_targets)
 
 
+def unique_member_summaries(system, word):
+    """The summary fold with every step deduped by np.unique: the table, the
+    per-level ids and each step's (table width, key count)."""
+    table, ids, joined, steps = [], {}, {}, []
+
+    def intern(summary):
+        if summary not in ids:
+            ids[summary] = len(table)
+            table.append(summary)
+        return ids[summary]
+
+    def join(head, rest, _level):
+        width = len(table)
+        steps.append((width, len(head)))
+        keys, inverse = np.unique(head * width + rest, return_inverse=True)
+        out = []
+        for key in keys.tolist():
+            pair = divmod(key, width)
+            if pair not in joined:
+                joined[pair] = intern(_concat(table[pair[0]], table[pair[1]], word))
+            out.append(joined[pair])
+        return np.array(out, dtype=np.int64)[inverse]
+
+    leaves = np.array([intern(_summary(ch, word)) for ch in system.alphabet.letters])
+    return table, _fold_members(system, leaves, join), steps
+
+
 class TestFold:
+    def test_dense_and_unique_dedupe_agree(self):
+        # The d8 system's 26,344-member top level. Its fold steps take the dense
+        # pair table while width^2 <= 26,344; the multi-letter "abba" widens the
+        # table past that in the last two. The small levels take np.unique.
+        system = build_uniformly_recurrent(poly_geometric("1/13"), depth=8, capture_budget=2,
+                                           horizon=12)
+        top = len(system.csets[-1])
+        dense = {}
+        for word in ["a", "b", "bab", "abba"]:
+            table, ids = _member_summaries(system, word)
+            expected_table, expected_ids, steps = unique_member_summaries(system, word)
+            assert table == expected_table
+            assert [level.tolist() for level in ids] == [level.tolist() for level in expected_ids]
+            assert any(width * width > keys for width, keys in steps if keys < top)
+            dense[word] = [width * width <= keys for width, keys in steps if keys == top]
+        assert dense == {"a": [True] * 7, "b": [True] * 7, "bab": [True] * 7,
+                         "abba": [True] * 5 + [False] * 2}
+
     def test_free_eps1(self, free_system_eps1):
         assert_folds_match_strings(free_system_eps1[0], ["x", "yx", "xyy", "yxxy"])
 

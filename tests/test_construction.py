@@ -15,13 +15,14 @@ from growthforge.growth import exp_power, geometric, poly_geometric, table_spec
 from growthforge.construction import (
     LevelSystem,
     _capture_level,
+    _rank,
     _sample_ranks,
     build_free_power_system,
     build_plain,
     build_uniformly_recurrent,
 )
 
-from conftest import member_words, system_digest
+from conftest import member_words, system_digest, traced_peak
 
 TOY = table_spec({1: 2, 2: 4, 4: 8, 8: 16})
 
@@ -111,6 +112,22 @@ class TestChooseCset:
         assert build() == build()
         other = member_words(build_plain(TOY, "seeded", 3, seed=43))
         assert build() != other  # different seed, different sets (overwhelmingly)
+
+
+class TestMemory:
+    def test_lex_fill_unranks_in_place(self):
+        # The d8 top level: 26,344 members of 8 choices, unranked into the set's own array.
+        system = build_plain(poly_geometric("1/13"), "lex", 7)
+        peak = traced_peak(lambda: system.choose_cset(7))
+        assert len(system.csets[7]) == 26_344
+        assert peak < 1.5 * system.csets[7].choices.nbytes
+
+    @pytest.mark.parametrize("columns, bound", [(12, 0.25), (24, 0.5)])
+    def test_rank_reads_one_column_at_a_time(self, columns, bound):
+        # Ranks below 10^12 are int64, ranks below 10^24 Python ints.
+        rows = np.random.default_rng(0).integers(0, 10, size=(20_000, columns))
+        peak = traced_peak(lambda: _rank([10] * columns, rows))
+        assert peak < bound * rows.nbytes
 
 
 class TestBuildPlain:

@@ -18,7 +18,7 @@ from growthforge.construction import (
 )
 from growthforge.growth import poly_geometric, table_spec
 
-from conftest import member_words, oracle_digest, oracle_rows, system_digest
+from conftest import member_words, oracle_digest, oracle_rows, system_digest, traced_peak
 
 
 def tamper(path, **fields):
@@ -114,10 +114,23 @@ class TestPersist:
                                elements=st.integers(0, 10 ** 7)), min_size=1, max_size=4))
     @example([np.zeros((3, 1), np.int64), np.zeros((2, 4), np.int64)])
     @example([np.array([[10 ** 7], [9], [10]]), np.array([[0, 9, 10, 99, 100, 10 ** 7 - 1]])])
+    @example([np.arange(6 * persist.DIGEST_CHUNK_ROWS + 15).reshape(-1, 3),
+              np.ones((2, 1), np.int64)])
     def test_encoder_matches_json(self, levels):
-        # All-zero levels, one-column rows and multi-digit values.
-        assert persist._csets_json(levels) == json.dumps([a.tolist() for a in levels],
-                                                         separators=(",", ":"))
+        # All-zero levels, one-column rows, multi-digit values and levels of several chunks.
+        fed = []
+        persist._feed_csets(levels, fed.append)
+        assert b"".join(fed).decode() == json.dumps([a.tolist() for a in levels],
+                                                    separators=(",", ":"))
+
+    def test_digest_memory_does_not_grow_with_members(self):
+        # The row text is streamed into the hash, never built whole.
+        def peak(members):
+            rows = np.arange(members * 8, dtype=np.int64).reshape(members, 8) % 1000
+            doc = {"format": persist.FORMAT_NAME, "csets": None}
+            return traced_peak(lambda: persist.document_digest(doc, [rows[:2], rows]))
+
+        assert peak(4 * 20_000) < 1.25 * peak(20_000)
 
     def test_digest_matches_oracle(self, toy_system, poly_spec, captured4, captured7,
                                    free_system_eps1, tmp_path):
