@@ -21,18 +21,30 @@ counts are exact. A member of C_j is a member of C_(j-1) followed by a
 shorter element, so member codes are folded up the levels from the choice
 arrays, one gather and one shift-and-OR per level step; no member string is
 encoded. Every suffix and every short prefix code is then a bit field of a
-member code.
-Prefix and suffix tables are sorted code arrays, one per (level, length).
-|F(n)| comes from concatenating the straddle products into one array,
-whose size, known from the table sizes, is checked against the size budget
-first (`check_window_budget` does so for every n up to a bound), sorting it
-and counting the rows that differ from their predecessor; F(n) itself
-leaves the engine only as the distinct rows of that array, and words only
-through `decode`, one array pass. Counts are memoized per engine, and
-building F(n) records |F(n)|, so each n is windowed once. Membership of a
-single word never builds F(n): w is a factor exactly when, for some straddle
-(j, a), w[:a] is a suffix table entry and w[a:] a prefix table entry, both
-found by binary search.
+member code, and its table is the sorted distinct fields (a cut table). A
+longer prefix is a whole member followed by a shorter prefix, so a prefix
+set is a sorted product of cut tables, built whole only while it is small.
+Each straddle block suffix_a(C_j) x prefix_(n-a)(W(2^j)) is then a sorted
+virtual product (see `codes`): its codes below a threshold are counted by
+binary search in its tables, and any rank range of it is written from the
+tables directly.
+|F(n)| is counted over disjoint code-range parts. When the window codes of
+n do not fit one part, every stride-th code of each block is sampled, and
+the parts are cut at samples chosen by counting samples and then by their
+exact ranks summed over the blocks, so no part's sort (codes, plus the lexsort index and sorted copy for codes
+of two limbs or more) exceeds about 2 MiB. Each part is written once into
+one array from each block's rank range, sorted, and its rows that differ
+from their predecessor are counted; an n that fits one part is one such
+part. `GROWTHFORGE_BUDGET` bounds the largest part and the samples, in
+8-byte words of their sort, and `check_window_budget` checks every n up to
+a bound before any is counted. F(n) itself leaves the engine only as the
+parts' distinct codes in order, and words only through `decode`, one array
+pass. Counts are memoized per engine, and building F(n) records |F(n)|, so
+each n is counted once. Membership of a single word never builds F(n): w
+is a factor exactly when, for some straddle (j, a), w[:a] ends a C_j member
+and w[a:] is a prefix, field by field; a field of one limb is found by
+binary search in its cut table, and a wider one, which a long word would
+use once, is compared with the member codes directly.
 
 Dimensions dim_n = |F(n)| feed the growth report (cumulative sums, entropy
 partials g(n)^(1/n) via exact integer roots), the dyadic growth sandwich,
@@ -62,22 +74,24 @@ from operator import sub
 import numpy as np
 
 from .codes import (
-    field, holds, letter_bits, limb_count, search_key, shifted, sort_marked, sorted_unique,
+    field, holds, letter_bits, limb_count, occurs, part_edges, part_plan, product_codes,
+    product_size, search_key, shifted, sort_marked, sort_words, sorted_parts, sorted_unique,
     unpack,
 )
 from .construction import LevelSystem, _fold_members, _json_fields
-from .errors import BudgetExceeded, DepthTooShallow, size_budget
+from .errors import BudgetExceeded, DepthTooShallow, require_budget, size_budget
 from .exactmath import ceil_log2, nth_root_floor_scaled, sqrt_bracket, decimal_string
 
 ENTROPY_DIGITS = 6
+_TABLE_BYTES = 256 << 10   # the largest product of prefix factors built whole
 
 
 class FactorEngine:
     """Structural factor computation with per-system caches.
 
-    Caches sorted prefix and suffix code tables, the raw window totals and the
-    counts |F(n)|; safe to reuse across many n because the system is immutable
-    once built.
+    Caches sorted cut tables of the member codes, prefix factors, each n's
+    part plan and the counts |F(n)|; safe to reuse across many n because the
+    system is immutable once built.
     """
 
     def __init__(self, system: LevelSystem):
@@ -86,15 +100,14 @@ class FactorEngine:
         self.bits = letter_bits(self.d)
         self.depth = system.depth
         self._digit = {ch: i for i, ch in enumerate(system.alphabet.letters)}
-        self._prefix: dict[tuple[int, int], np.ndarray] = {}
-        self._suffix: dict[tuple[int, int], np.ndarray] = {}
         self._counts: dict[int, int] = {}
-        self._totals: dict[int, int] = {}
-        codes = _fold_members(system, self._letters(), self._join)
+        self._plans: dict[int, tuple[int, int, int, int]] = {}
+        self._letters = np.arange(self.d, dtype=np.uint64)   # the codes of W(1)
+        codes = _fold_members(system, self._letters, self._join)
         self._members = [sort_marked(level)[0] for level in codes]   # members are distinct
-
-    def _letters(self) -> np.ndarray:
-        return np.arange(self.d, dtype=np.uint64)
+        # Cut tables by (level, lo, bits); a whole member code cuts its level's members.
+        self._tables = {(j, 0, self.bits << j): m for j, m in enumerate(self._members)}
+        self._prefixes: dict[tuple[int, int], list[tuple[np.ndarray, int, int]]] = {}
 
     def encode(self, word: str) -> int:
         code = 0
@@ -102,16 +115,12 @@ class FactorEngine:
             code = code << self.bits | self._digit[ch]
         return code
 
-    def _tail_key(self, code: int, length: int):
-        """The last `length` letters of an int code, as a search key for that length's tables."""
-        return search_key(code & ((1 << self.bits * length) - 1), limb_count(length, self.bits))
-
     def decode(self, codes: np.ndarray, n: int) -> list[str]:
         """The length-n words of a code array, in order, from one gather of letters."""
         letters = np.array(list(self.system.alphabet.letters))[unpack(codes, n, self.bits)]
         return np.ascontiguousarray(letters).view(f"U{n}").reshape(-1).tolist()
 
-    # -- prefix and suffix code tables --------------------------------------
+    # -- cut tables and straddle blocks -------------------------------------
 
     def _join(self, head: np.ndarray, tail: np.ndarray, l: int) -> np.ndarray:
         """Codes of 2^l-letter words: each head shifted past the 2^(l-1) tail letters.
@@ -124,55 +133,54 @@ class FactorEngine:
         out |= shifted(tail, 0, k)
         return out
 
-    def prefixes(self, j: int, m: int) -> np.ndarray:
-        """Sorted codes of the distinct length-m prefixes of W(2^j) elements."""
-        key = (j, m)
-        hit = self._prefix.get(key)
+    def _table(self, level: int, lo: int, bits: int) -> np.ndarray:
+        """Sorted distinct bits lo .. lo+bits-1 of the C_level member codes."""
+        key = (level, lo, bits)
+        hit = self._tables.get(key)
+        if hit is None:
+            hit = self._tables[key] = sorted_unique(field(self._members[level], lo, bits))
+        return hit
+
+    def _prefix_factors(self, j: int, m: int) -> list[tuple[np.ndarray, int, int]]:
+        """The length-m prefixes of W(2^j) as the factors (table, at, bits) of a sorted product.
+
+        A prefix longer than a member of C_(j-1) is a whole member followed
+        by a shorter prefix of W(2^(j-1)); c ++ p is injective and ascending
+        in (c, p). Such a product is built whole only when its size, known
+        beforehand, is at most _TABLE_BYTES; a larger one stays the member
+        array followed by the shorter prefixes' factors. Memoized per (j, m).
+        """
+        hit = self._prefixes.get((j, m))
         if hit is not None:
             return hit
+        half, b = 1 << j >> 1, self.bits
+        if j == 0 or m <= half:
+            hit = [(self._table(j - 1, b * (half - m), b * m) if j else self._letters, 0, b * m)]
+        else:
+            hit = [(self._members[j - 1], b * (m - half), b * half),
+                   *self._prefix_factors(j - 1, m - half)]
+            k = limb_count(m, b)
+            if 8 * k * product_size(hit) <= _TABLE_BYTES:
+                hit = [(product_codes(hit, k), 0, b * m)]
+        self._prefixes[j, m] = hit
+        return hit
+
+    def prefixes(self, j: int, m: int) -> np.ndarray:
+        """Sorted codes of the distinct length-m prefixes of W(2^j) elements.
+
+        Counting reads a large product through its factors; it is built
+        whole only here, and not cached.
+        """
         if not 1 <= m <= (1 << j):
             raise ValueError(f"prefix length {m} invalid at level {j}")
-        if j == 0:
-            out = self._letters()
-        else:
-            half = 1 << (j - 1)
-            members = self._members[j - 1]
-            if m <= half:
-                out = sorted_unique(field(members, self.bits * (half - m), self.bits * m))
-            else:
-                # c ++ p is injective and ascending in (c, p): no dedupe needed.
-                k = limb_count(m, self.bits)
-                sub = shifted(self.prefixes(j - 1, m - half), 0, k)
-                heads = shifted(members, self.bits * (m - half), k)
-                out = (heads[:, None] | sub[None]).reshape(-1, *heads.shape[1:])
-        self._prefix[key] = out
-        return out
-
-    def _prefix_count(self, j: int, m: int) -> int:
-        """|prefixes(j, m)|, without building it when it is a product table."""
-        hit = self._prefix.get((j, m))
-        if hit is not None:
-            return len(hit)
-        half = 1 << j >> 1
-        if j == 0 or m <= half:
-            return len(self.prefixes(j, m))
-        return len(self._members[j - 1]) * self._prefix_count(j - 1, m - half)
+        factors = self._prefix_factors(j, m)
+        return factors[0][0] if len(factors) == 1 else product_codes(factors, limb_count(m, self.bits))
 
     def suffixes(self, j: int, a: int) -> np.ndarray:
         """Sorted codes of the distinct length-a suffixes of C(2^j) members."""
-        key = (j, a)
-        hit = self._suffix.get(key)
-        if hit is not None:
-            return hit
-        length = 1 << j
-        if not 1 <= a <= length:
+        if not 1 <= a <= 1 << j:
             raise ValueError(f"suffix length {a} invalid at level {j}")
-        members = self._members[j]
-        out = members if a == length else sorted_unique(field(members, 0, self.bits * a))
-        self._suffix[key] = out
-        return out
-
-    # -- factor sets --------------------------------------------------------
+        return self._table(j, 0, self.bits * a)
 
     def _straddles(self, n: int):
         """(j, a) pairs whose windows suffix_a(C_j) ++ prefix_(n-a)(W(2^j)) exhaust F(n)."""
@@ -180,51 +188,83 @@ class FactorEngine:
             for a in range(max(1, n - (1 << j)), min(n - 1, 1 << j) + 1):
                 yield j, a
 
+    def _blocks(self, n: int) -> list[list[tuple[np.ndarray, int, int]]]:
+        """The window codes of length n as blocks, each the factors of a sorted product.
+
+        A straddle's block is its suffix table, then its prefix factors;
+        n = 1 is the one block of the letters.
+        """
+        if n == 1:
+            return [self._prefix_factors(0, 1)]
+        return [[(self._table(j, 0, self.bits * a), self.bits * (n - a), self.bits * a),
+                 *self._prefix_factors(j, n - a)] for j, a in self._straddles(n)]
+
     def _check_depth(self, n: int) -> None:
         if n > 1 << (self.depth - 1):
             raise DepthTooShallow(n, 1 << (self.depth - 1))
 
-    def _window_total(self, n: int) -> int:
-        """The raw count of length-n window codes, refused if its uint64 limbs exceed the budget.
+    # -- factor sets --------------------------------------------------------
 
-        The count is known from the table sizes before anything is combined,
-        and is memoized: the straddles of each n are summed once.
+    def _plan(self, n: int) -> tuple[int, int]:
+        """(part capacity, sample stride) of length n (`codes.part_plan`); refused over the budget.
+
+        The block sizes are known from the table sizes before anything is
+        combined, and the plan is memoized: the straddles of each n are
+        summed once. The largest part and the samples must each fit the
+        budget, in 8-byte words of their sort (`codes.sort_words`); the
+        samples' sort also bounds the block ranks at the candidate cuts.
         """
-        total = self._totals.get(n)
-        if total is None:
-            total = self._totals[n] = sum(len(self.suffixes(j, a)) * self._prefix_count(j, n - a)
-                                          for j, a in self._straddles(n))
-        limbs, budget = total * limb_count(n, self.bits), size_budget()
-        if limbs > budget:
-            raise BudgetExceeded(limbs, budget, f"factor length {n} ({total} window codes)",
-                                 "uint64 limbs")
-        return total
-
-    def _windows(self, n: int) -> np.ndarray:
-        """Every straddle window code of length n, unsorted, with repeats."""
-        if n == 1:
-            return self._letters()
         k = limb_count(n, self.bits)
-        total = self._window_total(n)
-        window = np.empty((total,) if k == 1 else (total, k), dtype=np.uint64)
-        pos = 0
-        for j, a in self._straddles(n):
-            sfx, m = self.suffixes(j, a), n - a
-            pref = self.prefixes(j, m)
-            size = len(sfx) * len(pref)
-            block = window[pos:pos + size].reshape(len(sfx), len(pref), *window.shape[1:])
-            np.bitwise_or(shifted(sfx, self.bits * m, k)[:, None], shifted(pref, 0, k)[None],
-                          out=block)
-            pos += size
-        return window
+        plan = self._plans.get(n)
+        if plan is None:
+            plan = self._plans[n] = part_plan(list(map(product_size, self._blocks(n))), k)
+        for what, count in zip(("part", "samples"), plan[2:]):
+            require_budget(count * sort_words(k), f"factor length {n} {what} ({count} window codes)",
+                           "8-byte sort words")
+        return plan[:2]
+
+    def _parts(self, n: int, take) -> list:
+        """take(codes, new) of each sorted part of the window codes of length n, in code order."""
+        capacity, stride = self._plan(n)
+        k = limb_count(n, self.bits)
+        blocks = self._blocks(n)
+        edges = part_edges(blocks, list(map(product_size, blocks)), capacity, stride, k)
+        return sorted_parts(blocks, edges, k, take)
 
     def count(self, n: int) -> int:
-        """|F(n)|, memoized: sort the window codes, count the rows that differ from the last."""
+        """|F(n)|, memoized: the codes that differ from their predecessor, summed over the parts."""
         self._check_depth(n)
         hit = self._counts.get(n)
         if hit is None:
-            hit = self._counts[n] = int(np.count_nonzero(sort_marked(self._windows(n))[1]))
+            hit = self._counts[n] = sum(self._parts(n, lambda _, new: int(np.count_nonzero(new))))
         return hit
+
+    def _holds_field(self, level: int, lo: int, bits: int, code: int) -> bool:
+        """Whether the low `bits` bits of an int code are bits lo .. of a C_level member code.
+
+        A field of one limb, or one whose table exists, is looked up in its
+        sorted table. A wider one, which a long word would use once, builds
+        no table: its 64 bits at the end of the field that is lo (or, if lo
+        is not 0, the other) are looked up first in the table of those member
+        bits, which every field ending there shares, and only then is the
+        field compared with the member codes directly.
+        """
+        code &= (1 << bits) - 1
+        if bits > 64 and (level, lo, bits) not in self._tables:
+            edge = lo if lo == 0 else lo + bits - 64
+            return (self._holds_field(level, edge, 64, code >> edge - lo)
+                    and occurs(field(self._members[level], lo, bits), code))
+        return bool(holds(self._table(level, lo, bits), search_key(code, limb_count(bits, 1))))
+
+    def _is_prefix(self, j: int, m: int, code: int) -> bool:
+        """Whether the low m letters of an int code are a prefix of a W(2^j) element."""
+        half, b = 1 << j >> 1, self.bits
+        if j == 0:
+            return True
+        if m <= half:
+            return self._holds_field(j - 1, b * (half - m), b * m, code)
+        return (self._holds_field(j - 1, 0, b * half, code >> b * (m - half))
+                and self._is_prefix(j - 1, m - half, code))
 
     def contains(self, word: str) -> bool:
         """Whether word is in F(len(word)), without building F(n)."""
@@ -234,27 +274,25 @@ class FactorEngine:
             return False
         if n <= 1:
             return True
-        # The tail code w[a:] is cut from the whole code only once the head
-        # w[:a] is a suffix table entry.
+        # A straddle's prefix w[a:] is tested only once its head w[:a] is a member suffix.
         code = self.encode(word)
-        return any(holds(self.suffixes(j, a), self._tail_key(code >> self.bits * (n - a), a))
-                   and holds(self.prefixes(j, n - a), self._tail_key(code, n - a))
-                   for j, a in self._straddles(n))
+        return any(self._holds_field(j, 0, self.bits * a, code >> self.bits * (n - a))
+                   and self._is_prefix(j, n - a, code) for j, a in self._straddles(n))
 
     def distinct(self, n: int) -> np.ndarray:
-        """F(n) as its sorted distinct window codes; |F(n)| is memoized with the counts."""
+        """F(n) as its sorted distinct window codes: the parts' in order; |F(n)| is memoized."""
         self._check_depth(n)
-        codes = sorted_unique(self._windows(n))
+        codes = np.concatenate(self._parts(n, lambda codes, new: codes[new]))
         self._counts[n] = len(codes)
         return codes
 
 
 def check_window_budget(system: LevelSystem, n_max: int) -> None:
-    """Refuse the first n <= n_max whose window codes exceed the budget, before building any."""
+    """Refuse the first n <= n_max whose parts or samples exceed the budget, before counting any."""
     engine = _engine_for(system)
     engine._check_depth(n_max)
     for n in range(1, n_max + 1):
-        engine._window_total(n)
+        engine._plan(n)
 
 
 def is_factor(system: LevelSystem, word: str) -> bool:
@@ -601,7 +639,7 @@ def minimal_forbidden_words(system: LevelSystem, max_len: int) -> tuple[list[str
     """
     engine = _engine_for(system)
     engine._check_depth(max_len)
-    letters = engine._letters()
+    letters = engine._letters
     out: list[str] = []
     prev = np.zeros(1, dtype=np.uint64)     # F(0): the empty word
     for n in range(1, max_len + 1):

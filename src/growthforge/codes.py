@@ -8,11 +8,21 @@ an N x k array beyond. Concatenation is a shift and an OR, with no carries
 between letters, and a subword is a bit field. One-limb arrays sort in
 place; wider ones sort with np.lexsort over the limbs and are searched
 through each row's big-endian bytes, which compare in the same order.
+
+A sorted product is a list of factors (table, at, bits), most significant
+first: each table a sorted array of distinct codes of `bits` bits, placed at
+bits at .. at+bits-1 of the product's codes. Its codes ascend with the
+factors' indices in lex order, so a code is known from its rank by mixed
+radix, and the codes below a threshold are counted factor by factor. Many
+sorted products (blocks) are sorted together in parts: disjoint code ranges
+cut at sampled codes, each written once into one array and sorted there.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+PART_BYTES = 2 << 20   # the sort working set of one part (see `part_plan`)
 
 
 def letter_bits(d: int) -> int:
@@ -42,6 +52,11 @@ def field(codes: np.ndarray, lo: int, bits: int) -> np.ndarray:
     k = max(1, -(-bits // 64))
     q, r = divmod(lo, 64)
     end = codes.shape[1] - q                 # limbs above the q dropped ones
+    if k == 1:                               # from the lowest limb left and the one above it
+        out = codes[:, end - 1] >> r
+        if r and end > 1:
+            out |= codes[:, end - 2] << (64 - r)
+        return out & ((1 << bits) - 1)
     take = min(k + 1, end)
     src = np.zeros((len(codes), k + 1), dtype=np.uint64)
     src[:, k + 1 - take:] = codes[:, end - take:end]
@@ -102,6 +117,12 @@ def _keys(codes):
     return np.ascontiguousarray(codes, dtype=">u8").view(f"V{8 * codes.shape[1]}").reshape(-1)
 
 
+def occurs(codes: np.ndarray, code: int) -> bool:
+    """Whether an unsorted array of k-limb codes holds one code, an int, by direct comparison."""
+    k = 1 if codes.ndim == 1 else codes.shape[1]
+    return bool(np.any(_keys(codes) == search_key(code, k)))
+
+
 def holds(table: np.ndarray, codes):
     """Which codes (an array, or one `search_key`) a nonempty sorted table of their width holds.
 
@@ -122,3 +143,161 @@ def unpack(codes: np.ndarray, n: int, bits: int) -> np.ndarray:
     if split.size:
         digits[:, split] |= rows[:, limb[split] - 1] << (64 - shift[split])
     return digits & ((1 << bits) - 1)
+
+
+def sort_words(k: int) -> int:
+    """8-byte words per k-limb code in a sort: the code, plus the lexsort index and sorted copy."""
+    return k if k == 1 else 2 * k + 1
+
+
+def product_size(factors: list) -> int:
+    size = 1
+    for table, _, _ in factors:
+        size *= len(table)
+    return size
+
+
+def product_below(factors: list, codes: np.ndarray) -> np.ndarray:
+    """How many codes of a sorted product lie below each of `codes` (an array of its width).
+
+    Each factor's field of a code is searched in the factor's table; the
+    codes below are the entries below it times the product of the later
+    tables, plus, when the field is an entry, the count for the later factors.
+    """
+    below = np.zeros(len(codes), dtype=np.int64)
+    alive = np.ones(len(codes), dtype=bool)     # every field so far is a table entry
+    weight = product_size(factors)
+    for table, at, bits in factors:
+        weight //= len(table)
+        table, keys = _keys(table), _keys(field(codes, at, bits))
+        index = table.searchsorted(keys)
+        below += alive * index * weight
+        alive &= table[np.minimum(index, len(table) - 1)] == keys
+    return below
+
+
+def product_at(factors: list, ranks: np.ndarray, k: int) -> np.ndarray:
+    """The codes of a sorted product at the given ranks, in k limbs."""
+    out = np.zeros((len(ranks),) if k == 1 else (len(ranks), k), dtype=np.uint64)
+    for table, at, _ in reversed(factors):
+        ranks, index = np.divmod(ranks, len(table))
+        out |= shifted(table[index], at, k)
+    return out
+
+
+def product_codes(factors: list, k: int) -> np.ndarray:
+    """Every code of a sorted product, in order, in k limbs."""
+    size = product_size(factors)
+    out = np.empty((size,) if k == 1 else (size, k), dtype=np.uint64)
+    product_fill(out, factors, 0)
+    return out
+
+
+def product_fill(out: np.ndarray, factors: list, start: int) -> None:
+    """Write the codes of ranks start .. start+len(out)-1 of a sorted product into `out`.
+
+    The ranks are a partial row of the first factor, whole rows, and a
+    partial row. Each run of rows is one OR of the first factor's codes
+    with the later factors' codes: a slice of the second table when there
+    are two factors, else the run's first row, written first by recursion.
+    """
+    k = 1 if out.ndim == 1 else out.shape[1]
+    (table, at, _), rest = factors[0], factors[1:]
+    if not rest:
+        out[...] = shifted(table[start:start + len(out)], at, k)
+        return
+    if len(rest) == 1 and start == 0 and len(out) == len(table) * len(rest[0][0]):   # whole
+        np.bitwise_or(shifted(table, at, k)[:, None], shifted(rest[0][0], rest[0][1], k),
+                      out=out.reshape(len(table), -1, *out.shape[1:]))
+        return
+    size = product_size(rest)
+    pos = 0
+    while pos < len(out):
+        i, r = divmod(start + pos, size)
+        take = min(size - r, len(out) - pos)
+        rows = (len(out) - pos) // size if take == size else 1
+        grid = out[pos:pos + rows * take].reshape(rows, take, *out.shape[1:])
+        if len(rest) == 1:
+            later = shifted(rest[0][0][r:r + take], rest[0][1], k)
+        else:
+            later = grid[0]
+            product_fill(later, rest, r)
+        np.bitwise_or(shifted(table[i:i + rows], at, k)[:, None], later, out=grid)
+        pos += rows * take
+
+
+def part_plan(sizes: list[int], k: int) -> tuple[int, int, int, int]:
+    """(capacity, stride, largest part, samples) for sorting blocks of these sizes in parts.
+
+    A part's sort holds PART_BYTES at most, or one code more than there are
+    blocks when that is more. When one part cannot hold every code, every
+    stride-th code of each block is sampled to cut the parts (`part_edges`).
+    """
+    capacity, total = PART_BYTES // (8 * sort_words(k)), sum(sizes)
+    stride = max(1, capacity // (2 * len(sizes)))
+    samples = 0 if total <= capacity else sum((size - 1) // stride for size in sizes)
+    return capacity, stride, min(total, max(capacity, len(sizes) + 1)), samples
+
+
+def _steps(marks: np.ndarray, limit: int, end: int) -> list[int]:
+    """Indices of ascending marks, from 0 to `end`, each the last within `limit` of the one before.
+
+    Where no mark is within `limit`, the next mark is taken.
+    """
+    chosen, done = [], 0
+    while end - done > limit:
+        i = int(marks.searchsorted(done + limit, side="right")) - 1
+        if i < 0 or marks[i] <= done:
+            i = int(marks.searchsorted(done, side="right"))
+            if i == len(marks):
+                break
+        chosen.append(i)
+        done = int(marks[i])
+    return chosen
+
+
+def part_edges(blocks: list, sizes: list[int], capacity: int, stride: int, k: int) -> np.ndarray:
+    """Each block's rank at each cut between parts of at most `capacity` codes.
+
+    One row per block: 0, its ranks at the cuts, its size. A block has at
+    most `stride` codes between two of its neighbouring samples, so between
+    two codes x < y it has at most stride * (m + 1), where m of its samples
+    lie in [x, y). Candidate cuts are samples at most capacity / stride -
+    (number of blocks) samples apart, so at most `capacity` codes apart,
+    found without a search in any block. Each cut is then the last
+    candidate whose exact rank, summed over the blocks, fits one more part.
+    """
+    total = sum(sizes)
+    below = np.empty((len(blocks), 0), dtype=np.int64)
+    if total > capacity:
+        samples, new = sort_marked(np.concatenate([
+            product_at(factors, np.arange(stride, size, stride), k)
+            for factors, size in zip(blocks, sizes)]))
+        firsts = np.flatnonzero(new)         # samples below each distinct sample
+        step = max(1, capacity // stride - len(blocks))
+        candidates = samples[firsts[_steps(firsts, step, len(samples))]]
+        below = np.array([product_below(factors, candidates) for factors in blocks])
+        below = below[:, _steps(below.sum(axis=0), capacity, total)]
+    return np.column_stack([np.zeros(len(blocks), dtype=np.int64), below, sizes])
+
+
+def sorted_parts(blocks: list, edges: np.ndarray, k: int, take) -> list:
+    """take(codes, new) of each part of the blocks' codes between the edges, in code order.
+
+    Each part is written once into one array, block by block from each
+    block's rank range, and sorted; `new` marks the codes that differ from
+    their predecessor. A part's sorted codes are gone before the next part
+    is sorted.
+    """
+    spans = np.diff(edges, axis=1)                # codes per block and part
+    rows = spans.sum(axis=0).tolist()
+    part = np.empty((max(rows),) if k == 1 else (max(rows), k), dtype=np.uint64)
+    out = []
+    for p, size in enumerate(rows):
+        pos = 0
+        for factors, start, count in zip(blocks, edges[:, p].tolist(), spans[:, p].tolist()):
+            if count:
+                product_fill(part[pos:pos + count], factors, start)
+                pos += count
+        out.append(take(*sort_marked(part[:size])))
+    return out

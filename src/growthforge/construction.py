@@ -54,9 +54,7 @@ from random import Random
 
 import numpy as np
 
-from .errors import (
-    BudgetExceeded, CapacityExceeded, HorizonTooSmall, InsufficientWords, size_budget,
-)
+from .errors import CapacityExceeded, HorizonTooSmall, InsufficientWords, require_budget
 from .growth import GrowthSpec, compute_mu, check_basic, geometric
 
 LETTER_POOL = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
@@ -318,11 +316,9 @@ def _rank_dtype(available: int):
 
 def _require_choice_budget(spec: GrowthSpec, levels) -> None:
     """Refuse a level whose r_level * (level + 1) choice entries exceed GROWTHFORGE_BUDGET."""
-    cap = size_budget()
     for level in levels:
-        entries = spec.ratio(level) * (level + 1)
-        if entries > cap:
-            raise BudgetExceeded(entries, cap, f"level {level} choice set", "choice entries")
+        require_budget(spec.ratio(level) * (level + 1), f"level {level} choice set",
+                       "choice entries")
 
 
 def _sample_ranks(rng: Random, total: int, k: int) -> list[int]:

@@ -99,6 +99,13 @@ class BudgetExceeded(GrowthForgeError):
         return self.needed - self.budget
 
 
+def require_budget(needed: int, what: str, unit: str) -> None:
+    """Refuse work of `needed` units over the budget, stating the exact deficit."""
+    budget = size_budget()
+    if needed > budget:
+        raise BudgetExceeded(needed, budget, what, unit)
+
+
 class DepthTooShallow(GrowthForgeError):
     """Requested factor length exceeds what the build depth certifies."""
 

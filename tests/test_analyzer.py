@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from growthforge.errors import BudgetExceeded, DepthTooShallow
-from growthforge import analyzer, persist
+from growthforge import analyzer, codes, persist
 from growthforge.analyzer import (
     FactorEngine,
     check_growth_sandwich,
@@ -39,21 +39,38 @@ def long_members_d3():
     return build_plain(table_spec(values), "seeded", 14, seed=5)
 
 
+WIDE_CASES = [
+    # d = 2, depth 8: n = 65..128 have codes wider than 64 bits.
+    ({1: 2, 2: 4, 4: 8, 8: 8, 16: 16, 32: 16, 64: 16, 128: 32, 256: 32}, 8,
+     (65, 66, 97, 128)),
+    # d = 3, depth 7: 3^41 > 2^64.
+    ({1: 3, 2: 6, 4: 12, 8: 12, 16: 24, 32: 24, 64: 24, 128: 48}, 7,
+     (41, 42, 64)),
+]
+
+
+def wide_system(values: dict, depth: int):
+    # Seeded, so that member codes are not the all-'a' words of lex.
+    return build_plain(table_spec(values), "seeded", depth, seed=5)
+
+
 class TestFactorSets:
     def test_window_totals_summed_once(self, poly_spec, monkeypatch):
-        # The budget check and the window arrays share one sum over each n's
-        # straddles; _windows walks them once more to fill its blocks.
-        summed = []
+        # The budget check and the counts share one sum over each n's
+        # straddles; counting walks them once more to fill its parts (n = 1
+        # has none: its one block is the letters).
+        walked = []
         straddles = FactorEngine._straddles
         monkeypatch.setattr(FactorEngine, "_straddles",
-                            lambda self, n: summed.append(n) or straddles(self, n))
+                            lambda self, n: walked.append(n) or straddles(self, n))
         system = build_uniformly_recurrent(poly_spec, depth=5, capture_budget=2, horizon=12)
         analyzer.check_window_budget(system, 16)
         engine = analyzer._engine_for(system)
-        assert sorted(summed) == list(range(1, 17))
-        assert [len(engine._windows(n)) for n in range(2, 17)] == [
-            engine._window_total(n) for n in range(2, 17)]
-        assert sorted(summed) == sorted([*range(1, 17), *range(2, 17)])
+        assert sorted(walked) == list(range(2, 17))
+        # Every n here fits one part, which the plan sizes as all its codes.
+        assert [sum(engine._parts(n, lambda codes, _: len(codes))) for n in range(2, 17)] == [
+            engine._plans[n][2] for n in range(2, 17)]
+        assert sorted(walked) == sorted([*range(2, 17), *range(2, 17)])
 
     def test_toy_small_n(self, toy_system):
         assert factor_set_bruteforce(toy_system, 1) == frozenset("ab")
@@ -117,17 +134,9 @@ class TestFactorSets:
         with pytest.raises(ValueError, match="GROWTHFORGE_BUDGET"):
             factor_set_bruteforce(toy_system, 2)
 
-    @pytest.mark.parametrize("values, depth, lengths", [
-        # d = 2, depth 8: n = 65..128 have codes wider than 64 bits.
-        ({1: 2, 2: 4, 4: 8, 8: 8, 16: 16, 32: 16, 64: 16, 128: 32, 256: 32}, 8,
-         (65, 66, 97, 128)),
-        # d = 3, depth 7: 3^41 > 2^64.
-        ({1: 3, 2: 6, 4: 12, 8: 12, 16: 24, 32: 24, 64: 24, 128: 48}, 7,
-         (41, 42, 64)),
-    ])
+    @pytest.mark.parametrize("values, depth, lengths", WIDE_CASES)
     def test_wide_codes_match_bruteforce(self, values, depth, lengths):
-        # Seeded, so that member codes are not the all-'a' words of lex.
-        system = build_plain(table_spec(values), "seeded", depth, seed=5)
+        system = wide_system(values, depth)
         engine = FactorEngine(system)
         for n in lengths:
             assert system.alphabet.size ** n > 1 << 64
@@ -162,6 +171,39 @@ class TestFactorSets:
         eng = FactorEngine(captured4)
         for word in ("a", "ab", "abba", "babbab"):
             assert eng.decode(encoded(eng, [word]), len(word)) == [word]
+
+
+PART_SYSTEMS = {
+    "wide_d2": lambda request: (wide_system(*WIDE_CASES[0][:2]), WIDE_CASES[0][2]),
+    "wide_d3": lambda request: (wide_system(*WIDE_CASES[1][:2]), WIDE_CASES[1][2]),
+    "captured4": lambda request: (request.getfixturevalue("captured4"), range(1, 9)),
+    "captured7": lambda request: (request.getfixturevalue("captured7"), (8, 16, 20)),
+    "seeded": lambda request: (build_uniformly_recurrent(
+        poly_geometric("1/10"), depth=4, capture_budget=2, chooser="seeded", seed=11,
+        horizon=12), range(1, 9)),
+    "exp_power": lambda request: (build_uniformly_recurrent(
+        exp_power("1/2"), depth=5, capture_budget=2, horizon=12), range(1, 17)),
+}
+
+
+@pytest.mark.parametrize("part_bytes, table_bytes", [(64, 0), (256, 256 << 10)])
+@pytest.mark.parametrize("name", sorted(PART_SYSTEMS))
+def test_parts_match_one_part(request, monkeypatch, name, part_bytes, table_bytes):
+    # Parts of one to a few dozen codes, cut at samples of every code or
+    # every few: the counts and the distinct codes must not depend on the
+    # cuts, nor on whether prefix products are built whole or kept as factors.
+    system, lengths = PART_SYSTEMS[name](request)
+    whole = FactorEngine(system)
+    expected = {n: (whole.count(n), code_ints(whole.distinct(n))) for n in lengths}
+    monkeypatch.setattr(codes, "PART_BYTES", part_bytes)
+    monkeypatch.setattr(analyzer, "_TABLE_BYTES", table_bytes)
+    engine = FactorEngine(system)
+    for n in lengths:
+        assert engine.count(n) == expected[n][0]
+        assert code_ints(engine.distinct(n)) == expected[n][1]
+        if name != "captured7":     # too large for the oracle
+            assert expected[n][0] == len(factor_set_bruteforce(system, n))
+    assert len(engine._parts(max(lengths), lambda codes, new: None)) > 1
 
 
 @st.composite
@@ -201,16 +243,17 @@ def test_limb_boundaries_match_bruteforce(system_bits):
 
 @pytest.mark.parametrize("name, n", [("captured7", 64), ("long_members_d3", 64)])
 def test_code_arrays_are_uint64(request, name, n):
-    # Wide codes are uint64 limb rows: no table, member or window array
+    # Wide codes are uint64 limb rows: no table, member or part array
     # holds Python ints.
     engine = FactorEngine(request.getfixturevalue(name))
     for m in range(n - 2, n + 1):
         engine.count(m)
-    arrays = [*engine._members, *engine._prefix.values(), *engine._suffix.values(),
-              engine._windows(n)]
+    parts = engine._parts(n, lambda codes, _: codes.copy())
+    arrays = [*engine._members, *engine._tables.values(),
+              *(table for factors in engine._prefixes.values() for table, _, _ in factors), *parts]
     assert all(a.dtype == np.uint64 for a in arrays)
     if name == "long_members_d3":
-        assert engine._windows(n).shape[1] == 2 and engine._members[13].shape[1] == 256
+        assert parts[0].shape[1] == 2 and engine._members[13].shape[1] == 256
 
 
 class TestContains:

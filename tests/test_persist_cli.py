@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays as int_arrays
 
-from growthforge import analyzer, persist
+from growthforge import analyzer, codes, persist
 from growthforge.cli import RunConfig, main
 from growthforge.errors import SystemFileError
 from growthforge.freesub import verify_free_generators
@@ -408,8 +408,10 @@ class TestCli:
         assert not sys_path.exists()
 
     def test_analyze_refuses_window_array_over_budget(self, tmp_path, capsys, monkeypatch):
-        # The build-d8 system: n = 71 has 2,605,730 raw window codes of two
-        # limbs each, known from the table sizes before the array exists.
+        # The build-d8 system: n = 127 has 212,516,224 raw window codes, so
+        # its parts are cut at 1,041,712 samples of two limbs each, whose sort
+        # needs 5 words a code. That is known from the table sizes before any
+        # sample exists.
         monkeypatch.delenv("GROWTHFORGE_BUDGET", raising=False)
         sys_path, report = tmp_path / "d8.json", tmp_path / "report.json"
         assert main(["build", "--family", "poly_geometric", "--epsilon", "1/13",
@@ -418,18 +420,20 @@ class TestCli:
         capsys.readouterr()
         assert main(["analyze", str(sys_path), "--nmax", "128", "--out", str(report)]) == 1
         assert capsys.readouterr().err == (
-            "failure: factor length 71 (2605730 window codes) needs 5211460 uint64 limbs,"
-            " budget is 5000000 (deficit 211460)\n")
+            "failure: factor length 127 samples (1041712 window codes) needs 5208560"
+            " 8-byte sort words, budget is 5000000 (deficit 208560)\n")
         assert not report.exists()
 
     def test_analyze_refuses_before_counting(self, tmp_path, capsys, monkeypatch):
-        # The analyze-wide system: n = 116 is the first length over the
-        # budget, and every n up to --nmax is checked before any is counted.
-        monkeypatch.delenv("GROWTHFORGE_BUDGET", raising=False)
-        windowed, systems = [], []
-        windows, load = analyzer.FactorEngine._windows, persist.load_system
-        monkeypatch.setattr(analyzer.FactorEngine, "_windows",
-                            lambda self, n: windowed.append(n) or windows(self, n))
+        # The analyze-wide system under a budget of 200,000 words: n = 65 is
+        # the first length whose part, 52,428 two-limb codes with the lexsort
+        # scratch, is over the budget, and every n up to --nmax is checked
+        # before any is counted.
+        monkeypatch.setenv("GROWTHFORGE_BUDGET", "200000")
+        counted, systems = [], []
+        parts, load = analyzer.FactorEngine._parts, persist.load_system
+        monkeypatch.setattr(analyzer.FactorEngine, "_parts",
+                            lambda self, n, take: counted.append(n) or parts(self, n, take))
         monkeypatch.setattr(persist, "load_system",
                             lambda path: systems.append(load(path)) or systems[-1])
         sys_path, report = tmp_path / "wide.json", tmp_path / "report.json"
@@ -439,22 +443,22 @@ class TestCli:
         capsys.readouterr()
         assert main(["analyze", str(sys_path), "--nmax", "128", "--out", str(report)]) == 1
         assert capsys.readouterr().err == (
-            "failure: factor length 116 (2688618 window codes) needs 5377236 uint64 limbs,"
-            " budget is 5000000 (deficit 377236)\n")
-        assert windowed == [] and analyzer._engine_for(systems[0])._counts == {}
+            "failure: factor length 65 part (52428 window codes) needs 262140"
+            " 8-byte sort words, budget is 200000 (deficit 62140)\n")
+        assert counted == [] and analyzer._engine_for(systems[0])._counts == {}
         assert not report.exists()
 
     def test_analyze_windows_each_n_once(self, tmp_path, captured4, monkeypatch):
         # Minimal forbidden words leave |F(n)| behind for the dimension series.
-        windowed = []
-        windows = analyzer.FactorEngine._windows
-        monkeypatch.setattr(analyzer.FactorEngine, "_windows",
-                            lambda self, n: windowed.append(n) or windows(self, n))
+        counted = []
+        parts = analyzer.FactorEngine._parts
+        monkeypatch.setattr(analyzer.FactorEngine, "_parts",
+                            lambda self, n, take: counted.append(n) or parts(self, n, take))
         sys_path = tmp_path / "cap.json"
         persist.save_system(captured4, sys_path)
         assert main(["analyze", str(sys_path), "--nmax", "8", "--forbidden-max", "6",
                      "--out", str(tmp_path / "r.json")]) == 0
-        assert sorted(windowed) == list(range(1, 9))
+        assert sorted(counted) == list(range(1, 9))
 
     def test_wide_workload_pinned(self, tmp_path):
         # The analyze-wide benchmark system: d = 2, so n = 65 is the first
@@ -470,6 +474,30 @@ class TestCli:
         assert (engine.count(64), engine.count(65)) == (99355, 120396)
         assert analyzer.minimal_forbidden_words(system, 6) == (
             ["bbbb", "ababb", "babab", "babbb", "aaabab", "babbab"], 8)
+
+    def test_wide_count_holds_one_part(self, tmp_path):
+        # count(65) on the analyze-wide system: 125,999 two-limb window codes
+        # would need 5.04 MB to sort in one array (40 bytes a code). In parts,
+        # its traced peak stays within one part's sort, the tables the call
+        # builds, and a slack of 512 KiB for the cuts, the block slices and the
+        # sort's new-code marks.
+        sys_path = tmp_path / "wide.json"
+        assert main(["build", "--family", "poly_geometric", "--epsilon", "1/20",
+                     "--mode", "recurrent", "--depth", "8", "--captures", "2",
+                     "--out", str(sys_path)]) == 0
+        engine = analyzer.FactorEngine(persist.load_system(sys_path))
+        for n in range(1, 65):
+            engine.count(n)
+
+        def table_bytes():
+            tables = {id(t): t for t in engine._tables.values()}
+            tables.update((id(t), t) for factors in engine._prefixes.values() for t, _, _ in factors)
+            return sum(t.nbytes for t in tables.values())
+
+        before = table_bytes()
+        peak = traced_peak(lambda: engine.count(65))
+        assert engine.count(65) == 120396
+        assert peak <= codes.PART_BYTES + table_bytes() - before + (512 << 10)
 
     def test_build_plain_toy_table(self, tmp_path):
         sys_path = tmp_path / "toy.json"
