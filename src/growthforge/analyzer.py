@@ -22,29 +22,33 @@ shorter element, so member codes are folded up the levels from the choice
 arrays, one gather and one shift-and-OR per level step; no member string is
 encoded. Every suffix and every short prefix code is then a bit field of a
 member code, and its table is the sorted distinct fields (a cut table). A
-longer prefix is a whole member followed by a shorter prefix, so a prefix
-set is a sorted product of cut tables, built whole only while it is small.
+longer prefix is a whole member followed by a shorter prefix, so its set is
+the sorted product of a member table and a shorter prefix set, built once.
 Each straddle block suffix_a(C_j) x prefix_(n-a)(W(2^j)) is then a sorted
-virtual product (see `codes`): its codes below a threshold are counted by
-binary search in its tables, and any rank range of it is written from the
-tables directly.
+virtual product of two tables (see `codes`): its codes below a threshold
+are counted by binary search in its tables, and any rank range of it is
+written from the tables directly.
 |F(n)| is counted over disjoint code-range parts. When the window codes of
 n do not fit one part, every stride-th code of each block is sampled, and
 the parts are cut at samples chosen by counting samples and then by their
-exact ranks summed over the blocks, so no part's sort (codes, plus the lexsort index and sorted copy for codes
-of two limbs or more) exceeds about 2 MiB. Each part is written once into
-one array from each block's rank range, sorted, and its rows that differ
-from their predecessor are counted; an n that fits one part is one such
-part. `GROWTHFORGE_BUDGET` bounds the largest part and the samples, in
-8-byte words of their sort, and `check_window_budget` checks every n up to
-a bound before any is counted. F(n) itself leaves the engine only as the
-parts' distinct codes in order, and words only through `decode`, one array
-pass. Counts are memoized per engine, and building F(n) records |F(n)|, so
-each n is counted once. Membership of a single word never builds F(n): w
-is a factor exactly when, for some straddle (j, a), w[:a] ends a C_j member
-and w[a:] is a prefix, field by field; a field of one limb is found by
-binary search in its cut table, and a wider one, which a long word would
-use once, is compared with the member codes directly.
+exact ranks summed over the blocks, so no part's sort (codes, plus the
+lexsort index and sorted copy for codes of two limbs or more) exceeds about
+2 MiB. Each part is written once into one array from each block's rank
+range, sorted, and its rows that differ from their predecessor are counted;
+an n that fits one part is one such part. `GROWTHFORGE_BUDGET` bounds, in
+8-byte words, the tables an engine holds (a cut table is checked once
+built, before it is kept; a prefix product before it is built, from its
+factors' sizes), and the largest part and the samples of each n with their
+sort scratch; `check_window_budget` builds the tables of every n up to a
+bound and checks its parts and samples before any n is counted. F(n) itself
+leaves the engine only as the parts' distinct codes in order, and words
+only through `decode`, one array pass. Counts are memoized per engine, and
+building F(n) records |F(n)|, so each n is counted once. Membership of a
+single word never builds F(n): w is a factor exactly when, for some
+straddle (j, a), w[:a] ends a C_j member and w[a:] is a prefix, field by
+field; a field of one limb is found by binary search in its cut table, and
+a wider one, which a long word would use once, is compared with the member
+codes directly.
 
 Dimensions dim_n = |F(n)| feed the growth report (cumulative sums, entropy
 partials g(n)^(1/n) via exact integer roots), the dyadic growth sandwich,
@@ -83,13 +87,12 @@ from .errors import BudgetExceeded, DepthTooShallow, require_budget, size_budget
 from .exactmath import ceil_log2, nth_root_floor_scaled, sqrt_bracket, decimal_string
 
 ENTROPY_DIGITS = 6
-_TABLE_BYTES = 256 << 10   # the largest product of prefix factors built whole
 
 
 class FactorEngine:
     """Structural factor computation with per-system caches.
 
-    Caches sorted cut tables of the member codes, prefix factors, each n's
+    Caches sorted cut tables of the member codes, prefix products, each n's
     part plan and the counts |F(n)|; safe to reuse across many n because the
     system is immutable once built.
     """
@@ -107,7 +110,8 @@ class FactorEngine:
         self._members = [sort_marked(level)[0] for level in codes]   # members are distinct
         # Cut tables by (level, lo, bits); a whole member code cuts its level's members.
         self._tables = {(j, 0, self.bits << j): m for j, m in enumerate(self._members)}
-        self._prefixes: dict[tuple[int, int], list[tuple[np.ndarray, int, int]]] = {}
+        self._prefixes: dict[tuple[int, int], np.ndarray] = {}   # prefix sets by (j, m)
+        self._held = 0   # 8-byte words of the cut tables and prefix products built
 
     def encode(self, word: str) -> int:
         code = 0
@@ -133,48 +137,48 @@ class FactorEngine:
         out |= shifted(tail, 0, k)
         return out
 
+    def _hold(self, words: int, what: str) -> None:
+        """Add a table of `words` 8-byte words to those held, refused over the budget."""
+        require_budget(self._held + words, f"{what} with the tables held", "8-byte words")
+        self._held += words
+
     def _table(self, level: int, lo: int, bits: int) -> np.ndarray:
-        """Sorted distinct bits lo .. lo+bits-1 of the C_level member codes."""
+        """Sorted distinct bits lo .. lo+bits-1 of the C_level member codes; held once built."""
         key = (level, lo, bits)
         hit = self._tables.get(key)
         if hit is None:
-            hit = self._tables[key] = sorted_unique(field(self._members[level], lo, bits))
+            hit = sorted_unique(field(self._members[level], lo, bits))
+            self._hold(hit.size, f"cut table {key}")
+            self._tables[key] = hit
         return hit
 
-    def _prefix_factors(self, j: int, m: int) -> list[tuple[np.ndarray, int, int]]:
-        """The length-m prefixes of W(2^j) as the factors (table, at, bits) of a sorted product.
+    def _prefix(self, j: int, m: int) -> np.ndarray:
+        """Sorted codes of the distinct length-m prefixes of W(2^j) elements.
 
-        A prefix longer than a member of C_(j-1) is a whole member followed
-        by a shorter prefix of W(2^(j-1)); c ++ p is injective and ascending
-        in (c, p). Such a product is built whole only when its size, known
-        beforehand, is at most _TABLE_BYTES; a larger one stays the member
-        array followed by the shorter prefixes' factors. Memoized per (j, m).
+        A short prefix is a cut table. A longer one is a whole member c
+        followed by a shorter prefix p; c ++ p is injective and ascending in
+        (c, p), so the set is the sorted product of the two tables, whose
+        size is known, and held, before it is built. Memoized.
         """
         hit = self._prefixes.get((j, m))
-        if hit is not None:
-            return hit
-        half, b = 1 << j >> 1, self.bits
-        if j == 0 or m <= half:
-            hit = [(self._table(j - 1, b * (half - m), b * m) if j else self._letters, 0, b * m)]
-        else:
-            hit = [(self._members[j - 1], b * (m - half), b * half),
-                   *self._prefix_factors(j - 1, m - half)]
-            k = limb_count(m, b)
-            if 8 * k * product_size(hit) <= _TABLE_BYTES:
-                hit = [(product_codes(hit, k), 0, b * m)]
-        self._prefixes[j, m] = hit
+        if hit is None:
+            half, b = 1 << j >> 1, self.bits
+            if j and m > half:
+                factors = [(self._members[j - 1], b * (m - half), b * half),
+                           (self._prefix(j - 1, m - half), 0, b * (m - half))]
+                k = limb_count(m, b)
+                self._hold(product_size(factors) * k, f"prefix product {(j, m)}")
+                hit = product_codes(factors, k)
+            else:
+                hit = self._table(j - 1, b * (half - m), b * m) if j else self._letters
+            self._prefixes[j, m] = hit
         return hit
 
     def prefixes(self, j: int, m: int) -> np.ndarray:
-        """Sorted codes of the distinct length-m prefixes of W(2^j) elements.
-
-        Counting reads a large product through its factors; it is built
-        whole only here, and not cached.
-        """
+        """Sorted codes of the distinct length-m prefixes of W(2^j) elements."""
         if not 1 <= m <= (1 << j):
             raise ValueError(f"prefix length {m} invalid at level {j}")
-        factors = self._prefix_factors(j, m)
-        return factors[0][0] if len(factors) == 1 else product_codes(factors, limb_count(m, self.bits))
+        return self._prefix(j, m)
 
     def suffixes(self, j: int, a: int) -> np.ndarray:
         """Sorted codes of the distinct length-a suffixes of C(2^j) members."""
@@ -191,13 +195,14 @@ class FactorEngine:
     def _blocks(self, n: int) -> list[list[tuple[np.ndarray, int, int]]]:
         """The window codes of length n as blocks, each the factors of a sorted product.
 
-        A straddle's block is its suffix table, then its prefix factors;
-        n = 1 is the one block of the letters.
+        A straddle's block is its suffix table, then its prefix set; n = 1
+        is the one block of the letters.
         """
+        b = self.bits
         if n == 1:
-            return [self._prefix_factors(0, 1)]
-        return [[(self._table(j, 0, self.bits * a), self.bits * (n - a), self.bits * a),
-                 *self._prefix_factors(j, n - a)] for j, a in self._straddles(n)]
+            return [[(self._letters, 0, b)]]
+        return [[(self._table(j, 0, b * a), b * (n - a), b * a), (self._prefix(j, n - a), 0, b * (n - a))]
+                for j, a in self._straddles(n)]
 
     def _check_depth(self, n: int) -> None:
         if n > 1 << (self.depth - 1):

@@ -65,7 +65,7 @@ def field(codes: np.ndarray, lo: int, bits: int) -> np.ndarray:
         out |= src[:, :-1] << (64 - r)
     if bits < 64 * k:
         out[:, 0] &= (1 << (bits - 64 * (k - 1))) - 1
-    return out.reshape(-1) if k == 1 else out
+    return out
 
 
 def shifted(codes: np.ndarray, bits: int, k: int) -> np.ndarray:
@@ -196,33 +196,24 @@ def product_codes(factors: list, k: int) -> np.ndarray:
 def product_fill(out: np.ndarray, factors: list, start: int) -> None:
     """Write the codes of ranks start .. start+len(out)-1 of a sorted product into `out`.
 
-    The ranks are a partial row of the first factor, whole rows, and a
-    partial row. Each run of rows is one OR of the first factor's codes
-    with the later factors' codes: a slice of the second table when there
-    are two factors, else the run's first row, written first by recursion.
+    The product has one factor or two. The ranks are then a partial row of
+    the first factor, whole rows, and a partial row, and each run of rows is
+    one OR of the first factor's codes with a slice of the second table.
     """
     k = 1 if out.ndim == 1 else out.shape[1]
-    (table, at, _), rest = factors[0], factors[1:]
-    if not rest:
+    table, at, _ = factors[0]
+    if len(factors) == 1:
         out[...] = shifted(table[start:start + len(out)], at, k)
         return
-    if len(rest) == 1 and start == 0 and len(out) == len(table) * len(rest[0][0]):   # whole
-        np.bitwise_or(shifted(table, at, k)[:, None], shifted(rest[0][0], rest[0][1], k),
-                      out=out.reshape(len(table), -1, *out.shape[1:]))
-        return
-    size = product_size(rest)
-    pos = 0
-    while pos < len(out):
+    second, second_at, _ = factors[1]
+    size, pos, end = len(second), 0, len(out)
+    while pos < end:
         i, r = divmod(start + pos, size)
-        take = min(size - r, len(out) - pos)
-        rows = (len(out) - pos) // size if take == size else 1
+        take = min(size - r, end - pos)
+        rows = (end - pos) // size if take == size else 1
         grid = out[pos:pos + rows * take].reshape(rows, take, *out.shape[1:])
-        if len(rest) == 1:
-            later = shifted(rest[0][0][r:r + take], rest[0][1], k)
-        else:
-            later = grid[0]
-            product_fill(later, rest, r)
-        np.bitwise_or(shifted(table[i:i + rows], at, k)[:, None], later, out=grid)
+        np.bitwise_or(shifted(table[i:i + rows], at, k)[:, None],
+                      shifted(second[r:r + take], second_at, k), out=grid)
         pos += rows * take
 
 

@@ -186,17 +186,15 @@ PART_SYSTEMS = {
 }
 
 
-@pytest.mark.parametrize("part_bytes, table_bytes", [(64, 0), (256, 256 << 10)])
+@pytest.mark.parametrize("part_bytes", [64, 256])
 @pytest.mark.parametrize("name", sorted(PART_SYSTEMS))
-def test_parts_match_one_part(request, monkeypatch, name, part_bytes, table_bytes):
+def test_parts_match_one_part(request, monkeypatch, name, part_bytes):
     # Parts of one to a few dozen codes, cut at samples of every code or
-    # every few: the counts and the distinct codes must not depend on the
-    # cuts, nor on whether prefix products are built whole or kept as factors.
+    # every few: the counts and the distinct codes must not depend on the cuts.
     system, lengths = PART_SYSTEMS[name](request)
     whole = FactorEngine(system)
     expected = {n: (whole.count(n), code_ints(whole.distinct(n))) for n in lengths}
     monkeypatch.setattr(codes, "PART_BYTES", part_bytes)
-    monkeypatch.setattr(analyzer, "_TABLE_BYTES", table_bytes)
     engine = FactorEngine(system)
     for n in lengths:
         assert engine.count(n) == expected[n][0]
@@ -204,6 +202,25 @@ def test_parts_match_one_part(request, monkeypatch, name, part_bytes, table_byte
         if name != "captured7":     # too large for the oracle
             assert expected[n][0] == len(factor_set_bruteforce(system, n))
     assert len(engine._parts(max(lengths), lambda codes, new: None)) > 1
+
+
+@pytest.mark.parametrize("budget, what, needed, unit", [
+    (560, "prefix product (6, 64) with the tables held", 572, "8-byte words"),
+    (640, "factor length 65 part (129 window codes)", 645, "8-byte sort words"),
+    (690, "factor length 65 samples (140 window codes)", 700, "8-byte sort words"),
+])
+def test_each_size_refused_over_budget(monkeypatch, budget, what, needed, unit):
+    # The d = 2 wide system with parts of 64 bytes: the tables held after
+    # n = 64 (556 words), then n = 65's tables, its largest part and its
+    # samples each pass the budget that refuses the next.
+    monkeypatch.setattr(codes, "PART_BYTES", 64)
+    monkeypatch.setenv("GROWTHFORGE_BUDGET", str(budget))
+    engine = FactorEngine(wide_system(*WIDE_CASES[0][:2]))
+    for n in range(1, 65):
+        engine._plan(n)
+    with pytest.raises(BudgetExceeded) as info:
+        engine._plan(65)
+    assert str(info.value) == f"{what} needs {needed} {unit}, budget is {budget} (deficit {needed - budget})"
 
 
 @st.composite
@@ -249,8 +266,7 @@ def test_code_arrays_are_uint64(request, name, n):
     for m in range(n - 2, n + 1):
         engine.count(m)
     parts = engine._parts(n, lambda codes, _: codes.copy())
-    arrays = [*engine._members, *engine._tables.values(),
-              *(table for factors in engine._prefixes.values() for table, _, _ in factors), *parts]
+    arrays = [*engine._members, *engine._tables.values(), *engine._prefixes.values(), *parts]
     assert all(a.dtype == np.uint64 for a in arrays)
     if name == "long_members_d3":
         assert parts[0].shape[1] == 2 and engine._members[13].shape[1] == 256

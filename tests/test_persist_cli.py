@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays as int_arrays
 
 from growthforge import analyzer, codes, persist
 from growthforge.cli import RunConfig, main
-from growthforge.errors import SystemFileError
+from growthforge.errors import BudgetExceeded, SystemFileError
 from growthforge.freesub import verify_free_generators
 from growthforge.construction import (
     LevelSystem, build_free_power_system, build_plain, build_uniformly_recurrent,
@@ -408,10 +408,9 @@ class TestCli:
         assert not sys_path.exists()
 
     def test_analyze_refuses_window_array_over_budget(self, tmp_path, capsys, monkeypatch):
-        # The build-d8 system: n = 127 has 212,516,224 raw window codes, so
-        # its parts are cut at 1,041,712 samples of two limbs each, whose sort
-        # needs 5 words a code. That is known from the table sizes before any
-        # sample exists.
+        # The build-d8 system: the tables of n <= 121 fit the default budget,
+        # and n = 122 reads the prefix product of the 121-letter prefixes of
+        # W(128), whose size is known from its two factors before it is built.
         monkeypatch.delenv("GROWTHFORGE_BUDGET", raising=False)
         sys_path, report = tmp_path / "d8.json", tmp_path / "report.json"
         assert main(["build", "--family", "poly_geometric", "--epsilon", "1/13",
@@ -420,9 +419,39 @@ class TestCli:
         capsys.readouterr()
         assert main(["analyze", str(sys_path), "--nmax", "128", "--out", str(report)]) == 1
         assert capsys.readouterr().err == (
-            "failure: factor length 127 samples (1041712 window codes) needs 5208560"
-            " 8-byte sort words, budget is 5000000 (deficit 208560)\n")
+            "failure: prefix product (7, 121) with the tables held needs 5148947"
+            " 8-byte words, budget is 5000000 (deficit 148947)\n")
         assert not report.exists()
+
+    def test_table_refusal_holds_the_budget(self, tmp_path, monkeypatch):
+        # The build-d8 system under a budget of 300,000 words: the suffix
+        # table of length 55 of its 26,344 top-level members is the first
+        # table over it. A table is checked once built and before it is kept,
+        # so the check holds at most the budget in tables, and its traced peak
+        # is that, one table's sort (5 words a two-limb field) and a slack of
+        # 512 KiB. Caching every table up to the first n whose samples are
+        # over the budget peaked at 16 MB.
+        budget = 300_000
+        monkeypatch.setenv("GROWTHFORGE_BUDGET", str(budget))
+        sys_path = tmp_path / "d8.json"
+        assert main(["build", "--family", "poly_geometric", "--epsilon", "1/13",
+                     "--mode", "recurrent", "--depth", "8", "--captures", "2",
+                     "--out", str(sys_path)]) == 0
+        system = persist.load_system(sys_path)
+        engine = analyzer._engine_for(system)
+        raised = []
+
+        def check():
+            with pytest.raises(BudgetExceeded) as info:
+                analyzer.check_window_budget(system, 128)
+            raised.append(str(info.value))
+
+        peak = traced_peak(check)
+        assert raised == ["cut table (7, 0, 55) with the tables held needs 300462 8-byte words,"
+                          " budget is 300000 (deficit 462)"]
+        assert (7, 0, 55) not in engine._tables and engine._held <= budget
+        assert peak <= 8 * budget + 26_344 * 5 * 8 + (512 << 10)
+        assert engine._counts == {}
 
     def test_analyze_refuses_before_counting(self, tmp_path, capsys, monkeypatch):
         # The analyze-wide system under a budget of 200,000 words: n = 65 is
@@ -490,8 +519,7 @@ class TestCli:
             engine.count(n)
 
         def table_bytes():
-            tables = {id(t): t for t in engine._tables.values()}
-            tables.update((id(t), t) for factors in engine._prefixes.values() for t, _, _ in factors)
+            tables = {id(t): t for t in (*engine._tables.values(), *engine._prefixes.values())}
             return sum(t.nbytes for t in tables.values())
 
         before = table_bytes()
