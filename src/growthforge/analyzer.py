@@ -61,7 +61,7 @@ The recurrence certificate covers every element of every level and expands
 none of them. For a captured target w, an occurrence summary records a
 word's length, its |w|-1 letters at each end, the first and last start of w
 and the largest gap between starts. The summary of uv follows from those of
-u and v, so member summaries are folded from the choice arrays the same way
+u and v, so member summaries are folded from the choice rows the same way
 as member codes, with no member string scanned: summaries are interned as
 ids, and each fold step concatenates each distinct (head id, rest id) pair
 once. Each level W(2^(j+1)) = C(2^j) W(2^j) is a Counter of distinct
@@ -87,6 +87,7 @@ from .errors import BudgetExceeded, DepthTooShallow, require_budget, size_budget
 from .exactmath import ceil_log2, nth_root_floor_scaled, sqrt_bracket, decimal_string
 
 ENTROPY_DIGITS = 6
+PAIR_SIDE = 256   # summaries a dense pair table of the summary fold covers: 512 KiB at most
 
 
 class FactorEngine:
@@ -317,7 +318,7 @@ def factor_set_bruteforce(system: LevelSystem, n: int, budget: int | None = None
     for cs in system.csets:
         blocks = members[::-1] + [system.alphabet.letters]   # one per choice
         members.append(["".join([block[c] for block, c in zip(blocks, row)])
-                        for row in cs.choices.tolist()])
+                        for _, rows in cs.chunks() for row in rows.tolist()])
     seen: set[str] = set()
     for j in range(system.depth + 1):
         if (1 << j) < n:
@@ -510,15 +511,18 @@ def _concat(left: tuple, right: tuple, word: str) -> tuple:
 def _member_summaries(system: LevelSystem, word: str) -> tuple[list[tuple], list[np.ndarray]]:
     """Occurrence summaries of every member, interned: the table and per-level member ids.
 
-    A fold step packs each (head id, rest id) pair into one int64 key, and
-    each distinct pair is concatenated once over the whole fold, in ascending
-    key order. When the width^2 possible keys are no more than the keys, a
-    dense presence table finds the distinct ones without np.unique's sort,
-    which costs several times the key array; otherwise np.unique does.
+    Each distinct (head id, rest id) pair is concatenated once over the whole
+    fold, and within a fold step in ascending (head, rest) order. While the
+    table has at most PAIR_SIDE summaries, a step reads its pairs' ids from a
+    dense (head, rest) table of them, kept across the steps and chunks of
+    the fold and grown by doubling, so a known pair costs one gather. Past
+    that, a step packs each pair into one int64 key, dedupes the keys with
+    np.unique and looks the distinct pairs up in a dict.
     """
     table: list[tuple] = []
     ids: dict[tuple, int] = {}
     joined: dict[tuple[int, int], int] = {}
+    pairs = np.empty((0, 0), dtype=np.int64)   # pair ids by (head, rest), -1 if not joined yet
 
     def intern(summary: tuple) -> int:
         i = ids.get(summary)
@@ -527,28 +531,34 @@ def _member_summaries(system: LevelSystem, word: str) -> tuple[list[tuple], list
             table.append(summary)
         return i
 
-    def pair_ids(keys: np.ndarray, width: int) -> np.ndarray:
-        out = []
-        for key in keys.tolist():
-            pair = divmod(key, width)
-            i = joined.get(pair)
-            if i is None:
-                i = joined[pair] = intern(_concat(table[pair[0]], table[pair[1]], word))
-            out.append(i)
-        return np.array(out, dtype=np.int64)
+    def pair_id(key: int, width: int) -> int:
+        pair = divmod(key, width)
+        i = joined.get(pair)
+        if i is None:
+            i = joined[pair] = intern(_concat(table[pair[0]], table[pair[1]], word))
+        return i
 
     def join(head: np.ndarray, rest: np.ndarray, _level: int) -> np.ndarray:
+        nonlocal pairs
         width = len(table)
-        keys = head * width + rest
-        if width * width > len(keys):
-            distinct, inverse = np.unique(keys, return_inverse=True)
-            return pair_ids(distinct, width)[inverse]
-        present = np.zeros(width * width, dtype=bool)
-        present[keys] = True
-        distinct = np.flatnonzero(present)
-        lookup = np.empty(width * width, dtype=np.int64)
-        lookup[distinct] = pair_ids(distinct, width)
-        return lookup[keys]
+        if width > PAIR_SIDE:
+            distinct, inverse = np.unique(head * width + rest, return_inverse=True)
+            return np.array([pair_id(key, width) for key in distinct.tolist()],
+                            dtype=np.int64)[inverse]
+        if len(pairs) < width:
+            side = min(max(2 * len(pairs), width), PAIR_SIDE)
+            grown = np.full((side, side), -1, dtype=np.int64)
+            grown[:len(pairs), :len(pairs)] = pairs
+            pairs = grown
+        flat = pairs.reshape(-1)
+        cells = head * len(pairs) + rest
+        out = flat[cells]
+        missing = out < 0
+        if missing.any():
+            for key in sorted_unique(head[missing] * width + rest[missing]).tolist():
+                pairs[divmod(key, width)] = pair_id(key, width)
+            out = flat[cells]
+        return out
 
     leaves = np.array([intern(_summary(ch, word)) for ch in system.alphabet.letters],
                       dtype=np.int64)

@@ -5,14 +5,16 @@ W(1) = alphabet and W(2^(i+1)) = C(2^i) W(2^i), where each choice set
 C(2^i) is a subset of W(2^i) of exactly r_i = ceil(f(2^(i+1))/f(2^i))
 elements. W(2^i) is never materialized: an element is its choice tuple
 (c_(i-1), ..., c_0, letter), one choice-set member per level plus a final
-letter, so its level is the tuple's length less one. A choice set is one
-int64 array holding such a tuple per member, one row each, so a word's
-letters are a view derived on demand by expanding rows. An element's rank
-is its tuple read as a mixed-radix number: `_unrank` turns a whole rank
-array into rows in one pass, which is how a set is chosen, and `_rank`, its
-inverse, turns rows back into ranks for the included rows and the saved
-rank ranges. Per-member values (codes, occurrence summaries) are folded up
-the levels by gathering from these arrays.
+letter, so its level is the tuple's length less one. An element's rank is
+its tuple read as a mixed-radix number: `_unrank` turns a rank array into
+rows in one pass and `_rank`, its inverse, turns rows back into ranks. A
+choice set is its members' ranks as [start, stop) ranges in member order,
+over the radices of the elements it is chosen from: a lex level is one
+range, a seeded member one range per draw. Its rows exist only on demand,
+CHUNK_ROWS members at a time, so no whole level of rows is ever held: the
+folds that carry per-member values (codes, occurrence summaries) up the
+levels gather from one chunk of rows at a time, and `expand` unranks only
+the members it reads.
 
 Captures never match letters. The last 2^t letters of a W(2^level) element
 are the expansion of its last t+1 choices (the blocks of levels t-1, ..., 0
@@ -98,23 +100,55 @@ class Alphabet:
         return len(self.letters)
 
 
+CHUNK_ROWS = 4096   # choice rows unranked, folded or encoded at a time
+
+
 @dataclass(eq=False)
 class CSet:
-    """Choice set at one level: row i of `choices` is member i's choice tuple.
+    """Choice set at one level: its members as [start, stop) rank ranges, in member order.
 
-    `choices` is a C-contiguous int64 array of shape |C| x (level + 1).
+    A member's choice tuple is the mixed-radix digits of its rank over
+    `radices` followed by `tail` (the capture target it ends with, or ()).
+    `ranges` is a k x 2 array, int64, or Python ints where the ranks reach
+    2^63; no two ranges overlap and none is empty. Rows are unranked on
+    demand by `rows`, a member slice at a time.
     """
 
     level: int
-    choices: np.ndarray
+    radices: list[int]
+    tail: tuple[int, ...]
+    ranges: np.ndarray
+
+    def __post_init__(self):
+        lengths = (self.ranges[:, 1] - self.ranges[:, 0]).astype(np.int64)
+        self._offsets = np.concatenate([[0], np.cumsum(lengths)])   # each range's first member
 
     def __len__(self) -> int:
-        return len(self.choices)
+        return int(self._offsets[-1])
 
     @property
-    def members(self) -> np.ndarray:
-        """The member rows, the same array as `choices`; bench/tracing.py counts them."""
-        return self.choices
+    def members(self) -> "CSet":
+        """The set itself, so that len(cs.members) counts members; bench/tracing.py does."""
+        return self
+
+    def row(self, i: int) -> tuple[int, ...]:
+        """Member i's choice tuple, unranked alone."""
+        offsets = self._offsets
+        if not 0 <= i < offsets[-1]:
+            raise IndexError(f"member {i} of a set of {len(self)}")
+        k = offsets.searchsorted(i, "right") - 1
+        return _digits(self.radices, self.tail, int(self.ranges[k, 0]) + i - int(offsets[k]))
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """The choice rows of members start..stop-1, unranked from the ranges they lie in."""
+        members = np.arange(start, stop)
+        k = self._offsets.searchsorted(members, "right") - 1   # each member's range
+        return _unrank(self.radices, self.tail, self.ranges[k, 0] - self._offsets[k] + members)
+
+    def chunks(self):
+        """(start, rows) for each run of CHUNK_ROWS members, in member order."""
+        for start in range(0, len(self), CHUNK_ROWS):
+            yield start, self.rows(start, min(start + CHUNK_ROWS, len(self)))
 
 
 @dataclass
@@ -208,14 +242,16 @@ class LevelSystem:
 
     def ref_from_rank(self, level: int, rank: int) -> tuple[int, ...]:
         """The choice tuple of the rank-th element of W(2^level) in tuple-lex order."""
-        return tuple(_unrank(self.radices(level), (), [rank])[0].tolist())
+        if not 0 <= rank < self.level_word_count(level):
+            raise ValueError("rank out of range")
+        return _digits(self.radices(level), (), rank)
 
     def iter_refs(self, level: int):
         """The choice tuples of all of W(2^level) in tuple-lex order."""
         radices = self.radices(level)
         total = prod(radices)
-        for start in range(0, total, _RANK_BLOCK):
-            ranks = np.arange(start, min(start + _RANK_BLOCK, total))
+        for start in range(0, total, CHUNK_ROWS):
+            ranks = np.arange(start, min(start + CHUNK_ROWS, total))
             yield from map(tuple, _unrank(radices, (), ranks).tolist())
 
     # -- expansion -------------------------------------------------------------
@@ -224,8 +260,8 @@ class LevelSystem:
         """The word of the W(2^level) element with these choices, level = len(choices) - 1.
 
         The word is C_(level-1)[c_(level-1)] ++ ... ++ C_0[c_0] ++ letter, of
-        length 2^level, built by recursion on member rows. Member words are
-        kept while it runs, so a member met twice is expanded once.
+        length 2^level, built by recursion on member rows, each unranked alone by `row`.
+        Member words are kept while it runs, so a member met twice is expanded once.
         """
         csets, letters = self.csets, self.alphabet.letters
         words: dict[tuple[int, int], str] = {}
@@ -238,7 +274,7 @@ class LevelSystem:
         def member(j: int, c: int) -> str:
             w = words.get((j, c))
             if w is None:
-                w = words[j, c] = word(csets[j].choices[c].tolist())
+                w = words[j, c] = word(csets[j].row(c))
             return w
 
         return word(choices)
@@ -253,13 +289,15 @@ class LevelSystem:
     ) -> CSet:
         """Define C(2^level) deterministically and append it to the system.
 
-        The set gets exactly r_level members: the must_include rows first (W(2^level)
-        choice tuples, as an int64 row array or a sequence of tuples, in the given
-        order, repeats dropped), then elements of W(2^level) ending with the
-        lower-level element whose choice tuple is `suffix`; the lex chooser takes
-        the smallest choice tuples, the seeded chooser draws without replacement
-        from the build RNG. A set of more than GROWTHFORGE_BUDGET choice entries is
-        refused first, and rows of the wrong width or out of range raise ValueError.
+        The set gets exactly r_level members, all elements of W(2^level) ending
+        with the lower-level element whose choice tuple is `suffix`: the
+        must_include rows first (W(2^level) choice tuples, as an int64 row array or
+        a sequence of tuples, in the given order, repeats dropped), then the fill;
+        the lex chooser takes the smallest choice tuples, the seeded chooser draws
+        without replacement from the build RNG. A set of more than
+        GROWTHFORGE_BUDGET choice entries is refused first, and rows of the wrong
+        width, out of range or not ending with the suffix raise ValueError. The
+        set is its rank ranges; no row of the fill is unranked.
         """
         if level != self.depth:
             raise ValueError(f"levels must be defined in order; next is {self.depth}")
@@ -268,50 +306,72 @@ class LevelSystem:
         rows = [] if must_include is None else must_include
         if len(rows) > required:
             raise CapacityExceeded(level, len(rows), required)
-        include = list(map(tuple, rows.tolist() if isinstance(rows, np.ndarray) else rows))
-        if any(len(choices) != level + 1 for choices in include):
+        if any(len(choices) != level + 1 for choices in rows):
             raise ValueError("must_include row at wrong level")
+        rows = np.array(rows, dtype=np.int64).reshape(-1, level + 1)
         if suffix is not None and not 0 < len(suffix) <= level:
             raise ValueError(f"suffix at level {len(suffix) - 1} must sit below level {level}")
         bounds = self.radices(level)
-        for choices in include + ([] if suffix is None else [suffix]):
-            choice_bounds = bounds[level + 1 - len(choices):]   # the bound vector of its level
-            if not all(0 <= c < b for c, b in zip(choices, choice_bounds)):
-                raise ValueError(f"choices {choices} out of range of bounds {choice_bounds}")
+        for choices in [rows] + ([] if suffix is None else [np.array([suffix])]):
+            choice_bounds = bounds[level + 1 - choices.shape[1]:]   # the bound vector of its level
+            outside = ((choices < 0) | (choices >= choice_bounds)).any(axis=1)
+            if outside.any():
+                raise ValueError(f"choices {tuple(choices[outside.argmax()].tolist())} out of "
+                                 f"range of bounds {choice_bounds}")
         radices = self.radices(level, suffix)
         tail = suffix or ()
+        off = (rows[:, len(radices):] != tail).any(axis=1)
+        if off.any():
+            raise ValueError(f"must_include row {tuple(rows[off.argmax()].tolist())} does not "
+                             f"end with the suffix {tuple(tail)}")
         available = prod(radices)
 
-        # The included rows in order without repeats, and the ranks of those
-        # that end with the suffix.
-        chosen = np.array(list(dict.fromkeys(include)), dtype=np.int64).reshape(-1, level + 1)
-        taken = _rank(radices, chosen[(chosen[:, len(radices):] == tail).all(axis=1)])
-        fill = required - len(chosen)
+        # The included rows' ranks in order without repeats.
+        ranks = _rank(radices, rows)
+        taken = ranks[np.sort(np.unique(ranks, return_index=True)[1])]
+        fill = required - len(taken)
         if available - len(taken) < fill:
             raise InsufficientWords(level, fill, available - len(taken))
         # Lex takes ranks 0, 1, ...; seeded draws enough distinct ranks that
-        # `fill` of them miss the included rows.
+        # `fill` of them miss the included rows, each one a range.
         if self.chooser == "seeded" and fill:
-            ranks = np.array(_sample_ranks(self._rng, available, fill + len(taken)),
-                             dtype=_rank_dtype(available))
+            skip = set(taken.tolist())
+            drawn = [r for r in _sample_ranks(self._rng, available, fill + len(taken))
+                     if r not in skip]
+            starts = np.array(drawn[:fill], dtype=_rank_dtype(available))
+            stops = starts + 1
         else:
-            ranks = np.arange(fill + len(taken))
-        if len(taken):
-            ranks = ranks[~np.isin(ranks, taken)]
-        rows = np.empty((required, level + 1), dtype=np.int64)
-        rows[:len(chosen)] = chosen
-        _unrank(radices, tail, ranks[:fill], out=rows[len(chosen):])
-        cs = CSet(level, rows)
+            starts, stops = _lex_fill(taken, fill)
+        cs = CSet(level, radices, tail, _merged(np.concatenate([taken, starts]),
+                                                np.concatenate([taken + 1, stops])))
         self.csets.append(cs)
         return cs
-
-
-_RANK_BLOCK = 1 << 16   # ranks iter_refs unranks at a time
 
 
 def _rank_dtype(available: int):
     """int64 while every rank below `available` fits, else Python ints."""
     return np.int64 if available < 1 << 63 else object
+
+
+def _lex_fill(taken: np.ndarray, fill: int) -> tuple[np.ndarray, np.ndarray]:
+    """The `fill` smallest ranks missing from the distinct ranks `taken`, as the starts
+    and stops of [start, stop) runs: the gaps of taken in [0, fill + len(taken)),
+    the last one cut off after `fill` ranks in all."""
+    end = fill + len(taken)
+    cuts = np.sort(taken[taken < end])
+    starts, stops = np.r_[0, cuts + 1], np.r_[cuts, end]
+    lengths = stops - starts
+    before = np.cumsum(lengths) - lengths          # the ranks in the runs before each
+    keep = (lengths > 0) & (before < fill)
+    starts = starts[keep]
+    return starts, np.minimum(stops[keep], starts + fill - before[keep])
+
+
+def _merged(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The [start, stop) ranges as a k x 2 array, each run of adjacent ones (a stop equal
+    to the next start) merged into one."""
+    cuts = np.flatnonzero(starts[1:] != stops[:-1]) + 1
+    return np.column_stack([starts[np.r_[0, cuts]], stops[np.r_[cuts, len(stops)] - 1]])
 
 
 def _require_choice_budget(spec: GrowthSpec, levels) -> None:
@@ -334,25 +394,36 @@ def _sample_ranks(rng: Random, total: int, k: int) -> list[int]:
     return list(picked)
 
 
-def _unrank(radices: list[int], tail: tuple[int, ...], ranks,
-            out: np.ndarray | None = None) -> np.ndarray:
+def _unrank(radices: list[int], tail: tuple[int, ...], ranks) -> np.ndarray:
     """One choice row per rank: its mixed-radix digits over `radices`, then `tail`.
 
-    One pass over the whole rank array, written into `out` when given: digit
-    by digit, least significant first, with int64 ranks while they fit and
-    Python ints beyond; the rows are int64 either way.
+    One pass over the whole rank array: digit by digit, least significant
+    first, in two rank buffers reused in place, with int64 ranks while they
+    fit and Python ints beyond; the rows are int64 either way.
     """
     available = prod(radices)
-    ranks = np.asarray(ranks, dtype=_rank_dtype(available))
-    if ((ranks < 0) | (ranks >= available)).any():
+    ranks = np.array(ranks, dtype=_rank_dtype(available))   # a copy, divided in place
+    if ranks.size and (ranks.min() < 0 or ranks.max() >= available):
         raise ValueError("rank out of range")
-    if out is None:
-        out = np.empty((ranks.size, len(radices) + len(tail)), dtype=np.int64)
+    out = np.empty((ranks.size, len(radices) + len(tail)), dtype=np.int64)
     out[:, len(radices):] = tail
+    quotient = np.empty_like(ranks)
     for i in reversed(range(len(radices))):
-        out[:, i] = ranks % radices[i]
-        ranks = ranks // radices[i]
+        # numpy divides by a scalar several times faster than it takes `%`
+        np.floor_divide(ranks, radices[i], out=quotient)
+        ranks -= quotient * radices[i]
+        out[:, i] = ranks
+        ranks, quotient = quotient, ranks
     return out
+
+
+def _digits(radices: list[int], tail: tuple[int, ...], rank: int) -> tuple[int, ...]:
+    """`_unrank` of one rank in Python ints: its mixed-radix digits over `radices`, then `tail`."""
+    digits = []
+    for radix in reversed(radices):
+        rank, digit = divmod(rank, radix)
+        digits.append(digit)
+    return (*reversed(digits), *tail)
 
 
 def _rank(radices: list[int], rows: np.ndarray) -> np.ndarray:
@@ -376,16 +447,20 @@ def _fold_members(system: LevelSystem, leaves: np.ndarray, join) -> list[np.ndar
     A member (c_(j-1), ..., c_0, letter) is C_(j-1)[c_(j-1)] followed by the
     element (c_(j-2), ..., letter), so its values are v = leaves[letter] and
     then v = join(values of C_(l-1) gathered at c_(l-1), v, l) for
-    l = 1..j, each step one array operation over the whole level. Member
-    strings are never read.
+    l = 1..j, each step one array operation over a chunk of CHUNK_ROWS rows,
+    gathered into one output per level. Member strings are never read.
     """
     values: list[np.ndarray] = []
     for j, cs in enumerate(system.csets):
-        choices = cs.choices
-        v = leaves[choices[:, j]]
-        for l in range(1, j + 1):
-            v = join(values[l - 1][choices[:, j - l]], v, l)
-        values.append(v)
+        out = None
+        for start, choices in cs.chunks():
+            v = leaves[choices[:, j]]
+            for l in range(1, j + 1):
+                v = join(values[l - 1][choices[:, j - l]], v, l)
+            if out is None:
+                out = np.empty((len(cs),) + v.shape[1:], dtype=v.dtype)
+            out[start:start + len(v)] = v
+        values.append(out)
     return values
 
 
@@ -539,13 +614,13 @@ def build_free_power_system(
         if level == 0:
             rows = np.array([[0], [1]])
         elif level <= t:
-            rows = np.column_stack([[0, 1], system.csets[level - 1].choices[:2]])
+            rows = np.column_stack([[0, 1], system.csets[level - 1].rows(0, 2)])
         else:
             # level = t + r: a product of 2^r power words is the product of its
             # first 2^(r-1) followed by the element made of its last 2^(r-1).
             half = 1 << (level - t - 1)
             k = np.arange(1 << (2 * half))
-            prev = system.csets[level - 1].choices
+            prev = system.csets[level - 1].rows(0, 1 << half)
             rows = np.column_stack([k >> half, prev[k & ((1 << half) - 1)]])
         system.choose_cset(level, must_include=rows)
     system.free_params = params

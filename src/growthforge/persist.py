@@ -4,18 +4,20 @@ The file (format 2) is canonical JSON (sorted keys, compact separators, no
 timestamps) holding the growth parameters, chooser, seed, the capture log and
 each level's members as [start, stop) ranges of mixed-radix ranks over
 `LevelSystem.radices(level, suffix)`, in member order: a lex level is one range.
+These are the ranges a `CSet` holds, so saving writes them as they are and
+loading keeps them; no level is unranked for either.
 The sha256 content digest names the system, not its encoding: it hashes the
 canonical version-1 row document (version 1, choice rows in place of ranges,
 every other key included). Format-1 files, which stored the rows, are refused.
 
 Loading checks the capture log, the budget, then each level's ranges (JSON
-ints, nonempty, in range, pairwise disjoint, r_level ranks in all), and only
-then unranks each level in one pass: the rows are distinct, in range and end
-with any capture target by construction. Target words and free parameters
-(read by field name; a key no field names is ignored) come next, and the
-digest last, over the row text of the arrays. The system keeps that digest.
-The row text is streamed into the hash a fixed number of rows at a time; it
-is never built, so no copy of a whole level is made to digest it.
+ints, nonempty, in range, pairwise disjoint, r_level ranks in all): the
+members they name are distinct, in range and end with any capture target by
+construction. Target words and free parameters (read by field name; a key no
+field names is ignored) come next, and the digest last, over the row text of
+the sets. The system keeps that digest. The row text is streamed into the
+hash from the rows of one chunk of members at a time; neither the text nor a
+whole level of rows is ever built.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from .construction import (
-    CaptureEntry, CSet, FreeParams, LevelSystem, _from_fields, _rank, _rank_dtype,
-    _require_choice_budget, _unrank,
+    CaptureEntry, CSet, FreeParams, LevelSystem, _from_fields, _rank_dtype,
+    _require_choice_budget,
 )
 from .errors import SystemFileError
 from .exactmath import parse_rational
@@ -38,48 +40,47 @@ from .growth import geometric, spec_from_dict
 
 FORMAT_NAME = "growthforge-system"
 FORMAT_VERSION = 2
-DIGEST_CHUNK_ROWS = 4096   # choice rows encoded at a time for the digest
 
 
 def canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def document_digest(doc: dict, choices: list[np.ndarray]) -> str:
+def document_digest(doc: dict, csets: list[CSet]) -> str:
     """sha256 of the canonical version-1 row text: canonical_json of doc without its
-    digest, with version 1 and the choice rows of `choices` as csets.
+    digest, with version 1 and the choice rows of `csets` as csets.
 
-    The text is fed to the hash piece by piece, the rows DIGEST_CHUNK_ROWS at a
-    time by `_feed_csets`; it is never built whole.
+    The text is fed to the hash piece by piece, one chunk of rows at a time by
+    `_feed_csets`; it is never built whole.
     """
     rest = {k: v for k, v in doc.items() if k != "digest"} | {"version": 1}
     h = hashlib.sha256(b"{")
     for i, (key, value) in enumerate(sorted(rest.items())):
         h.update(("," * (i > 0) + json.dumps(key) + ":").encode())
         if key == "csets":
-            _feed_csets(choices, h.update)
+            _feed_csets(csets, h.update)
         else:
             h.update(canonical_json(value).encode())
     h.update(b"}")
     return "sha256:" + h.hexdigest()
 
 
-def _feed_csets(arrays: list[np.ndarray], feed) -> None:
-    """Feed json.dumps([a.tolist() for a in arrays], separators=(",", ":")) to `feed`,
-    as bytes, from the arrays, DIGEST_CHUNK_ROWS rows at a time.
+def _feed_csets(csets: list[CSet], feed) -> None:
+    """Feed json.dumps([rows of each set], separators=(",", ":")) to `feed`, as bytes,
+    from the sets' row chunks.
 
     Each nonnegative choice becomes k + 3 bytes, "[" or NUL, k digits (NUL for leading
-    zeros), "]" or NUL and ","; deleting the NULs leaves the text. Digits are computed,
-    not looked up by value, so memory is k + 3 bytes a choice of one chunk however
-    large the values.
+    zeros), "]" or NUL and ","; deleting the NULs leaves the text. k covers the largest
+    choice the level's radices and tail allow. Digits are computed, not looked up by
+    value, so memory is k + 3 bytes a choice of one chunk however large the values.
     """
     feed(b"[")
-    for n, a in enumerate(arrays):
+    for n, cs in enumerate(csets):
         feed(b",[" if n else b"[")
-        top = int(a.max(initial=0))
+        top = max([max(cs.radices) - 1, *cs.tail])
         k, dtype = len(str(top)), np.min_scalar_type(top)
-        for start in range(0, len(a), DIGEST_CHUNK_ROWS):
-            v = a[start:start + DIGEST_CHUNK_ROWS].astype(dtype)
+        for start, rows in cs.chunks():
+            v = rows.astype(dtype)
             text = np.zeros(v.shape + (k + 3,), np.uint8)
             text[:, 0, 0], text[:, -1, -2], text[..., -1] = ord("["), ord("]"), ord(",")
             for i in range(k):
@@ -87,7 +88,7 @@ def _feed_csets(arrays: list[np.ndarray], feed) -> None:
                 digit = (v // place % 10).astype(np.uint8) + ord("0")
                 text[..., 1 + i] = digit * (v >= place) if place > 1 else digit
             text = text.tobytes().translate(None, b"\0")
-            feed(text if start + DIGEST_CHUNK_ROWS < len(a) else text[:-1])
+            feed(text if start + len(v) < len(cs) else text[:-1])
         feed(b"]")
     feed(b"]")
 
@@ -105,39 +106,31 @@ def system_to_document(system: LevelSystem) -> dict:
         "depth": system.depth,
         "mu_offset": system.mu_offset,
         "horizon": system.horizon,
-        "csets": [_rank_ranges(system, cs.level) for cs in system.csets],
+        "csets": [_ranges(system, cs) for cs in system.csets],
         "capture_log": [e.to_dict() for e in system.capture_log],
         "free_params": system.free_params.to_dict() if system.free_params else None,
     }
 
 
-def _rank_ranges(system: LevelSystem, level: int) -> list[list[int]]:
-    """C(2^level)'s members as [start, stop) runs of consecutive ranks, in member order.
-
-    A member's rank is its free choices read as a mixed-radix number over
-    radices(level, suffix), by `_rank`; Python ints where the level has 2^63
-    elements or more.
-    """
-    suffix = system.suffix(level)
-    radices, choices = system.radices(level, suffix), system.csets[level].choices
-    if suffix is not None and (choices[:, len(radices):] != suffix).any():
-        raise ValueError(f"a level {level} member does not end with its capture target")
-    ranks = _rank(radices, choices)
-    cuts = np.flatnonzero(ranks[1:] != ranks[:-1] + 1) + 1
-    first, last = np.r_[0, cuts], np.r_[cuts, len(ranks)] - 1
-    return np.column_stack([ranks[first], ranks[last] + 1]).tolist()
+def _ranges(system: LevelSystem, cs: CSet) -> list[list[int]]:
+    """The set's rank ranges, which the loader reads over radices(level, suffix(level))."""
+    suffix = system.suffix(cs.level)
+    if cs.tail != (suffix or ()):
+        raise ValueError(f"level {cs.level} members end with {cs.tail}, but the capture log "
+                         f"fixes {suffix}")
+    return cs.ranges.tolist()
 
 
 def save_system(system: LevelSystem, path: str | Path) -> str:
     """Write the system file; returns its digest."""
     doc = system_to_document(system)
-    doc["digest"] = document_digest(doc, [cs.choices for cs in system.csets])
+    doc["digest"] = document_digest(doc, system.csets)
     Path(path).write_text(canonical_json(doc) + "\n")
     return doc["digest"]
 
 
 def load_system(path: str | Path) -> LevelSystem:
-    """Read, re-validate, unrank and digest-check.
+    """Read, re-validate and digest-check.
 
     The returned system's `digest` is the digest the file was checked against.
     """
@@ -152,10 +145,10 @@ def load_system(path: str | Path) -> LevelSystem:
                               f"{FORMAT_VERSION}; rebuild the system with `growthforge build`")
     # A missing key or a value of the wrong type is a bad file, not a failed
     # computation, and so is nesting too deep to decode or encode; the digest
-    # is checked after, over the row text of the validated arrays.
+    # is checked after, over the row text of the validated sets.
     try:
         system = _system_from_document(doc, path)
-        digest = document_digest(doc, [cs.choices for cs in system.csets])
+        digest = document_digest(doc, system.csets)
     except (KeyError, TypeError, ValueError, AttributeError, IndexError, RecursionError) as exc:
         raise SystemFileError(
             f"{path}: malformed system file ({type(exc).__name__}: {exc})") from exc
@@ -212,8 +205,8 @@ def _system_from_document(doc: dict, path: str | Path) -> LevelSystem:
     for level, ranges in enumerate(csets):
         suffix = system.suffix(level)
         radices = system.radices(level, suffix)
-        ranks = _member_ranks(ranges, prod(radices), spec.ratio(level), path, level)
-        system.csets.append(CSet(level, _unrank(radices, suffix or (), ranks)))
+        spans = _member_ranges(ranges, prod(radices), spec.ratio(level), path, level)
+        system.csets.append(CSet(level, radices, suffix or (), spans))
     for entry in system.capture_log:
         if system.expand(entry.target_choices) != entry.target_word:
             raise SystemFileError(
@@ -231,9 +224,9 @@ def _system_from_document(doc: dict, path: str | Path) -> LevelSystem:
     return system
 
 
-def _member_ranks(ranges, available: int, required: int, path: str | Path,
-                  level: int) -> np.ndarray:
-    """The ranks of a level's [start, stop) ranges, in order, once the ranges are checked.
+def _member_ranges(ranges, available: int, required: int, path: str | Path,
+                   level: int) -> np.ndarray:
+    """A level's [start, stop) ranges as a k x 2 array, in order, once they are checked.
 
     Bounds must be JSON ints (numpy would take True as 1), 0 <= start < stop <=
     available, the ranges pairwise disjoint and `required` ranks in all. A bound
@@ -258,10 +251,8 @@ def _member_ranks(ranges, available: int, required: int, path: str | Path,
     if overlaps.any():
         raise SystemFileError(f"{path}: level {level} rank ranges overlap at rank "
                               f"{starts[order[1:]][np.argmax(overlaps)]}")
-    lengths = stops - starts
-    total = int(lengths.sum())
+    total = int((stops - starts).sum())
     if total != required:
         raise SystemFileError(
             f"{path}: level {level} holds {total} members, ratio demands {required}")
-    lengths = lengths.astype(np.int64)
-    return np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(total)
+    return spans

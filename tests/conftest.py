@@ -29,9 +29,14 @@ def encoded(engine: analyzer.FactorEngine, words: list[str]) -> np.ndarray:
     return rows.reshape(-1) if k == 1 else rows
 
 
+def member_rows(cs) -> list[list[int]]:
+    """A choice set's member rows, in member order, unranked whole."""
+    return cs.rows(0, len(cs)).tolist()
+
+
 def member_words(system) -> list[list[str]]:
     """Each level's member words, expanded from the choice rows."""
-    return [[system.expand(row) for row in cs.choices.tolist()] for cs in system.csets]
+    return [[system.expand(row) for row in member_rows(cs)] for cs in system.csets]
 
 
 def oracle_rows(doc: dict) -> list[list[list[int]]]:
@@ -71,8 +76,7 @@ def oracle_digest(doc: dict) -> str:
 
 def system_digest(system) -> str:
     """The digest persist gives a built or loaded system, without writing a file."""
-    return persist.document_digest(persist.system_to_document(system),
-                                   [cs.choices for cs in system.csets])
+    return persist.document_digest(persist.system_to_document(system), system.csets)
 
 
 def traced_peak(call) -> int:

@@ -10,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import member_rows
 
 from growthforge import analyzer, persist
 from growthforge.analyzer import (
@@ -95,7 +96,7 @@ def test_criterion_4_capture_correctness(captured7):
     ok = len(captured7.capture_log) >= 2
     for entry in captured7.capture_log:
         cs = captured7.csets[entry.capture_level]
-        for row in cs.choices.tolist():
+        for row in member_rows(cs):
             ok &= entry.target_word in captured7.expand(row)
     report = verify_recurrence_gaps(captured7)
     ok &= report.passed
@@ -210,7 +211,7 @@ def _chunk_property_holds(system) -> bool:
             for n in range(0, m):
                 size = 1 << n
                 blocks = [u[i:i + size] for i in range(0, len(u), size)]
-                c_strings = {system.expand(row) for row in system.csets[n].choices.tolist()}
+                c_strings = {system.expand(row) for row in member_rows(system.csets[n])}
                 for left, right in zip(blocks, blocks[1:]):
                     in_cw = left in c_strings and right in w_strings[n]
                     in_wc = left in w_strings[n] and right in c_strings

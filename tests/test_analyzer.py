@@ -17,6 +17,7 @@ from growthforge.analyzer import (
     entropy_partial,
     factor_set_bruteforce,
     minimal_forbidden_words,
+    PAIR_SIDE,
     scan_occurrences,
     verify_recurrence_gaps,
     _concat,
@@ -24,7 +25,8 @@ from growthforge.analyzer import (
     _summary,
 )
 from growthforge.construction import (
-    CaptureEntry, LevelSystem, _fold_members, build_plain, build_uniformly_recurrent,
+    CHUNK_ROWS, CaptureEntry, LevelSystem, _fold_members, build_plain,
+    build_uniformly_recurrent,
 )
 from growthforge.growth import exp_power, poly_geometric, table_spec
 
@@ -149,7 +151,7 @@ class TestFactorSets:
         # Level-13 members hold more base-3 digits than Python's
         # int-from-string limit of 4300.
         system = long_members_d3
-        assert len(system.expand(system.csets[13].choices[0].tolist())) == 8192
+        assert len(system.expand(system.csets[13].rows(0, 1)[0].tolist())) == 8192
         engine = FactorEngine(system)
         for n in (5, 64):
             oracle = factor_set_bruteforce(system, n)
@@ -596,22 +598,21 @@ def unique_member_summaries(system, word):
 
 class TestFold:
     def test_dense_and_unique_dedupe_agree(self):
-        # The d8 system's 26,344-member top level. Its fold steps take the dense
-        # pair table while width^2 <= 26,344; the multi-letter "abba" widens the
-        # table past that in the last two. The small levels take np.unique.
+        # The d8 system's 26,344-member top level folds in chunks of CHUNK_ROWS
+        # rows. While the summary table has at most PAIR_SIDE entries, a step
+        # reads the dense pair table kept across the fold; the multi-letter
+        # "abba" grows the table past that, and its later steps take np.unique.
         system = build_uniformly_recurrent(poly_geometric("1/13"), depth=8, capture_budget=2,
                                            horizon=12)
-        top = len(system.csets[-1])
         dense = {}
         for word in ["a", "b", "bab", "abba"]:
             table, ids = _member_summaries(system, word)
             expected_table, expected_ids, steps = unique_member_summaries(system, word)
             assert table == expected_table
             assert [level.tolist() for level in ids] == [level.tolist() for level in expected_ids]
-            assert any(width * width > keys for width, keys in steps if keys < top)
-            dense[word] = [width * width <= keys for width, keys in steps if keys == top]
-        assert dense == {"a": [True] * 7, "b": [True] * 7, "bab": [True] * 7,
-                         "abba": [True] * 5 + [False] * 2}
+            assert any(keys == CHUNK_ROWS for _, keys in steps)
+            dense[word] = {width <= PAIR_SIDE for width, _ in steps}
+        assert dense == {"a": {True}, "b": {True}, "bab": {True}, "abba": {True, False}}
 
     def test_free_eps1(self, free_system_eps1):
         assert_folds_match_strings(free_system_eps1[0], ["x", "yx", "xyy", "yxxy"])

@@ -12,24 +12,27 @@ from growthforge.errors import (
 )
 from growthforge import persist
 from growthforge.growth import exp_power, geometric, poly_geometric, table_spec
+from growthforge.analyzer import FactorEngine, verify_recurrence_gaps
 from growthforge.construction import (
+    CHUNK_ROWS,
     LevelSystem,
     _capture_level,
     _rank,
     _sample_ranks,
+    _unrank,
     build_free_power_system,
     build_plain,
     build_uniformly_recurrent,
 )
 
-from conftest import member_words, system_digest, traced_peak
+from conftest import member_rows, member_words, system_digest, traced_peak
 
 TOY = table_spec({1: 2, 2: 4, 4: 8, 8: 16})
 
 
 def member_refs(cs):
     """A choice set's members as choice tuples, one per row."""
-    return [tuple(row) for row in cs.choices.tolist()]
+    return [tuple(row) for row in member_rows(cs)]
 
 
 class TestInit:
@@ -75,6 +78,13 @@ class TestChooseCset:
                 system.choose_cset(1, must_include=rows)
         assert system.depth == 1
 
+    def test_must_include_off_suffix_refused(self):
+        # Ranks over the free choices cannot name a row with another tail.
+        system = build_plain(TOY, "lex", 2)
+        with pytest.raises(ValueError, match=r"row \(1, 0, 1\) does not end with the suffix"):
+            system.choose_cset(2, suffix=(0,), must_include=[(0, 1, 0), (1, 0, 1)])
+        assert system.depth == 2
+
     def test_suffix_out_of_range_refused(self):
         system = LevelSystem(TOY)
         system.choose_cset(0)
@@ -115,12 +125,36 @@ class TestChooseCset:
 
 
 class TestMemory:
-    def test_lex_fill_unranks_in_place(self):
-        # The d8 top level: 26,344 members of 8 choices, unranked into the set's own array.
+    def test_lex_fill_holds_no_rows(self):
+        # The d8 top level: 26,344 members of 8 choices (1.7 MB of rows) are one
+        # rank range, chosen without unranking.
         system = build_plain(poly_geometric("1/13"), "lex", 7)
         peak = traced_peak(lambda: system.choose_cset(7))
         assert len(system.csets[7]) == 26_344
-        assert peak < 1.5 * system.csets[7].choices.nbytes
+        assert system.csets[7].ranges.tolist() == [[0, 26_344]]
+        assert peak < 32 * 1024
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_free_power_system(1, 5)[0],
+        lambda: build_uniformly_recurrent(poly_geometric("1/13"), depth=8, capture_budget=2,
+                                          horizon=12)], ids=["free-e1-d5", "d8"])
+    def test_folds_hold_member_codes_and_chunks(self, build):
+        # The free e = 1 depth-5 top level has 65,536 members of 5 choices (16
+        # chunks of rows), the d8 one 26,344 of 8 (6.4 chunks). The engine's
+        # member codes and the recurrence summaries are gathered from a chunk
+        # of rows at a time, so the engine and the certificate beside it hold
+        # the codes, the summary ids and a few chunks' worth of rows and scratch.
+        system = build()
+        engines = []
+
+        def fold():
+            engines.append(FactorEngine(system))
+            verify_recurrence_gaps(system)
+
+        peak = traced_peak(fold)
+        codes = sum(m.nbytes for m in engines[0]._members)
+        chunk = CHUNK_ROWS * system.depth * 8   # one chunk of top-level rows
+        assert peak < codes + 5 * chunk
 
     @pytest.mark.parametrize("columns, bound", [(12, 0.25), (24, 0.5)])
     def test_rank_reads_one_column_at_a_time(self, columns, bound):
@@ -399,9 +433,9 @@ def sequential_choose(system, level, suffix, include, rng):
 def test_choose_cset_matches_sequential_reference(data):
     # table_spec systems over d = 2 or 3 letters, depth 2-6, both choosers.
     # Some levels take a lower-level element as the common suffix of their
-    # members, as a capture does; some get must_include rows, drawn from all
-    # of W(2^level) with repeats, so they may or may not end with the suffix,
-    # and passed as a list of tuples or as one int64 row array.
+    # members, as a capture does; some get must_include rows, drawn with
+    # repeats from the elements ending with the suffix, and passed as a list
+    # of tuples or as one int64 row array.
     d = data.draw(st.sampled_from([2, 3]))
     depth = data.draw(st.integers(2, 6))
     values, v, capacity = {1: d}, d, d
@@ -417,9 +451,10 @@ def test_choose_cset_matches_sequential_reference(data):
             t = data.draw(st.integers(0, level - 1))
             suffix = system.ref_from_rank(
                 t, data.draw(st.integers(0, system.level_word_count(t) - 1)))
-        ranks = data.draw(st.lists(st.integers(0, system.level_word_count(level) - 1),
+        radices = system.radices(level, suffix)
+        ranks = data.draw(st.lists(st.integers(0, prod(radices) - 1),
                                    max_size=system.spec.ratio(level)))
-        include = [system.ref_from_rank(level, rank) for rank in ranks]
+        include = list(map(tuple, _unrank(radices, suffix or (), ranks).tolist()))
         rows = include
         if data.draw(st.booleans()):
             rows = np.array(include, dtype=np.int64).reshape(len(include), level + 1)
@@ -431,6 +466,7 @@ def test_choose_cset_matches_sequential_reference(data):
                 system.choose_cset(level, suffix=suffix, must_include=rows)
             return
         cs = system.choose_cset(level, suffix=suffix, must_include=rows)
-        assert cs.choices.dtype == np.int64 and cs.choices.flags.c_contiguous
-        assert cs.choices.tolist() == expected
+        assert len(cs) == system.spec.ratio(level)
+        assert cs.rows(0, len(cs)).dtype == np.int64
+        assert member_rows(cs) == expected
         assert system._rng.getstate() == rng.getstate()

@@ -14,11 +14,14 @@ from growthforge.cli import RunConfig, main
 from growthforge.errors import BudgetExceeded, SystemFileError
 from growthforge.freesub import verify_free_generators
 from growthforge.construction import (
-    LevelSystem, build_free_power_system, build_plain, build_uniformly_recurrent,
+    CHUNK_ROWS, CSet, LevelSystem, _rank, build_free_power_system, build_plain,
+    build_uniformly_recurrent,
 )
 from growthforge.growth import poly_geometric, table_spec
 
-from conftest import member_words, oracle_digest, oracle_rows, system_digest, traced_peak
+from conftest import (
+    member_rows, member_words, oracle_digest, oracle_rows, system_digest, traced_peak,
+)
 
 
 def tamper(path, **fields):
@@ -54,8 +57,15 @@ def letter_strings(doc: dict) -> None:
         entry["target_word"] = doc["letters"][entry["target_choices"][0]]
 
 
+def cset_of(rows: np.ndarray) -> CSet:
+    """A set whose members are these rows, each its own rank over radices above every value."""
+    radices = [int(rows.max()) + 1] * rows.shape[1]
+    ranks = _rank(radices, rows)
+    return CSet(rows.shape[1] - 1, radices, (), np.column_stack([ranks, ranks + 1]))
+
+
 def rows_of(system) -> list:
-    return [cs.choices.tolist() for cs in system.csets]
+    return [member_rows(cs) for cs in system.csets]
 
 
 class TestPersist:
@@ -114,21 +124,22 @@ class TestPersist:
                                elements=st.integers(0, 10 ** 7)), min_size=1, max_size=4))
     @example([np.zeros((3, 1), np.int64), np.zeros((2, 4), np.int64)])
     @example([np.array([[10 ** 7], [9], [10]]), np.array([[0, 9, 10, 99, 100, 10 ** 7 - 1]])])
-    @example([np.arange(6 * persist.DIGEST_CHUNK_ROWS + 15).reshape(-1, 3),
-              np.ones((2, 1), np.int64)])
+    @example([np.arange(6 * CHUNK_ROWS + 15).reshape(-1, 3), np.ones((2, 1), np.int64)])
     def test_encoder_matches_json(self, levels):
-        # All-zero levels, one-column rows, multi-digit values and levels of several chunks.
+        # All-zero levels, one-column rows, multi-digit values, levels of several
+        # chunks, and ranks of 2^63 or more.
         fed = []
-        persist._feed_csets(levels, fed.append)
+        persist._feed_csets([cset_of(rows) for rows in levels], fed.append)
         assert b"".join(fed).decode() == json.dumps([a.tolist() for a in levels],
                                                     separators=(",", ":"))
 
     def test_digest_memory_does_not_grow_with_members(self):
-        # The row text is streamed into the hash, never built whole.
+        # The row text is streamed into the hash, never built whole, and the
+        # rows are unranked one chunk at a time.
         def peak(members):
-            rows = np.arange(members * 8, dtype=np.int64).reshape(members, 8) % 1000
+            sets = [CSet(7, [1000] * 8, (), np.array([[0, n]])) for n in (2, members)]
             doc = {"format": persist.FORMAT_NAME, "csets": None}
-            return traced_peak(lambda: persist.document_digest(doc, [rows[:2], rows]))
+            return traced_peak(lambda: persist.document_digest(doc, sets))
 
         assert peak(4 * 20_000) < 1.25 * peak(20_000)
 
@@ -161,6 +172,15 @@ class TestPersist:
         assert persist.save_system(system, tmp_path / "d8.json") == pinned
         assert persist.load_system(tmp_path / "d8.json").digest == pinned
 
+    def test_save_refuses_set_off_its_capture_log(self, tmp_path):
+        # Level 1's ranks run over the choices before the suffix (0,), but no
+        # capture fixes it, so the loader would read them over all choices.
+        system = LevelSystem(table_spec({1: 2, 2: 4, 4: 8}))
+        system.choose_cset(0)
+        system.choose_cset(1, suffix=(0,))
+        with pytest.raises(ValueError, match="capture log fixes None"):
+            persist.save_system(system, tmp_path / "s.json")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(SystemFileError):
             persist.load_system(tmp_path / "nope.json")
@@ -168,13 +188,14 @@ class TestPersist:
     @given(mode=st.sampled_from(["plain", "recurrent", "free"]),
            chooser=st.sampled_from(["lex", "seeded"]), depth=st.integers(2, 6),
            captures=st.integers(0, 4), seed=st.integers(0, 2 ** 16),
-           eps=st.sampled_from([Fraction(1), Fraction(1, 2)]))
+           eps=st.sampled_from([Fraction(1), Fraction(1, 2)]), data=st.data())
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_roundtrip_rows_and_digest(self, tmp_path, mode, chooser, depth, captures, seed,
-                                       eps):
-        # Lex, seeded, free and captured systems come back with the same rows,
-        # in the same member order, under the same digest.
+                                       eps, data):
+        # Lex, seeded, free and captured systems come back with the same rank
+        # ranges, so the same rows in the same member order, under the same
+        # digest; any member slice of a set unranks to those rows.
         if mode == "plain":
             system = build_plain(poly_geometric("1/10"), chooser, depth, seed=seed)
         elif mode == "recurrent":
@@ -187,7 +208,16 @@ class TestPersist:
         path = tmp_path / "s.json"
         digest = persist.save_system(system, path)
         loaded = persist.load_system(path)
+        assert [cs.ranges.tolist() for cs in loaded.csets] == [
+            cs.ranges.tolist() for cs in system.csets]
         assert rows_of(loaded) == rows_of(system)
+        for level, cs in enumerate(system.csets):
+            assert len(cs) == system.spec.ratio(level)
+            rows = member_rows(cs)
+            i = data.draw(st.integers(0, len(cs) - 1))
+            j = data.draw(st.integers(i, len(cs)))
+            assert cs.rows(i, j).tolist() == rows[i:j]
+            assert list(cs.row(i)) == rows[i]
         assert loaded.digest == digest == system_digest(system)
         assert digest == oracle_digest(json.loads(path.read_text()))
         persist.save_system(loaded, tmp_path / "again.json")
@@ -581,13 +611,13 @@ class TestCli:
                                                   monkeypatch):
         # A few bytes of ranges can ask for poly_geometric(1/10) at depth 9,
         # whose r_8 = 78,987,323,181 members of 9 choices are refused with the
-        # builders' deficit before any level is unranked.
+        # builders' deficit before any level is built.
         monkeypatch.delenv("GROWTHFORGE_BUDGET", raising=False)
 
-        def unrankable(*args):
-            raise AssertionError("level unranked")
+        def unbuildable(*args):
+            raise AssertionError("level built")
 
-        monkeypatch.setattr(persist, "_unrank", unrankable)
+        monkeypatch.setattr(persist, "CSet", unbuildable)
         doc = plain_document(poly_plain5)
         spec = poly_plain5.spec
         doc.update(depth=9, csets=[[[0, spec.ratio(level)]] for level in range(9)])
