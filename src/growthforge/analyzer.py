@@ -58,22 +58,18 @@ approximations of the limit object. A report's `to_dict` is its fields as
 JSON values plus its verdicts.
 
 The recurrence certificate covers every element of every level and expands
-none of them. For a captured target w, an occurrence summary records a
-word's length, its |w|-1 letters at each end, the first and last start of w
-and the largest gap between starts. The summary of uv follows from those of
-u and v, so member summaries are folded from the choice rows the same way
-as member codes, with no member string scanned: summaries are interned as
-ids, and each fold step concatenates each distinct (head id, rest id) pair
-once. Each level W(2^(j+1)) = C(2^j) W(2^j) is a Counter of distinct
-summaries with element multiplicities.
+none of them: each level W(2^(j+1)) = C(2^j) W(2^j) is a Counter of
+occurrence summaries with element multiplicities, the product of the member
+Counter M_j and the Counter of W(2^j) (see `summaries`). Below the top
+level, M_j is the tally of member summary ids folded from the choice rows;
+the top level's comes from its rank-range blocks, so no row of a lex top
+level is unranked.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
 
 import numpy as np
 
@@ -85,9 +81,9 @@ from .codes import (
 from .construction import LevelSystem, _fold_members, _json_fields
 from .errors import BudgetExceeded, DepthTooShallow, require_budget, size_budget
 from .exactmath import ceil_log2, nth_root_floor_scaled, sqrt_bracket, decimal_string
+from .summaries import _lower_levels, _member_histogram, _product
 
 ENTROPY_DIGITS = 6
-PAIR_SIDE = 256   # summaries a dense pair table of the summary fold covers: 512 KiB at most
 
 
 class FactorEngine:
@@ -471,134 +467,40 @@ class RecurrenceReport:
         return _json_fields(self, passed=self.passed, certification=self.certification)
 
 
-def scan_occurrences(text: str, word: str) -> list[int]:
-    """All (overlapping) start positions of word in text."""
-    out = []
-    i = text.find(word)
-    while i != -1:
-        out.append(i)
-        i = text.find(word, i + 1)
-    return out
-
-
-def _summary(text: str, word: str) -> tuple:
-    """(|u|, u[:k], u[-k:], first start, last start, max gap) of u = text, k = |word| - 1."""
-    k = len(word) - 1
-    occ = scan_occurrences(text, word)
-    gap = max(map(sub, occ[1:], occ), default=0)
-    return (len(text), text[:k], text[max(0, len(text) - k):],
-            occ[0] if occ else None, occ[-1] if occ else None, gap)
-
-
-def _concat(left: tuple, right: tuple, word: str) -> tuple:
-    """The summary of uv: starts in u, then across the junction, then in v shifted by |u|."""
-    n1, pre1, suf1, first1, last1, gap1 = left
-    n2, pre2, suf2, first2, last2, gap2 = right
-    k = len(word) - 1
-    edge = n1 - len(suf1)
-    starts = [edge + q for q in scan_occurrences(suf1 + pre2, word) if q < len(suf1)]
-    if last1 is not None:
-        starts.insert(0, last1)
-    if first2 is not None:
-        starts.append(n1 + first2)
-    tail = suf1 + suf2
-    return (n1 + n2, (pre1 + pre2)[:k], tail[max(0, len(tail) - k):],
-            first1 if first1 is not None else starts[0] if starts else None,
-            n1 + last2 if last2 is not None else starts[-1] if starts else None,
-            max(gap1, gap2, *map(sub, starts[1:], starts)))
-
-
-def _member_summaries(system: LevelSystem, word: str) -> tuple[list[tuple], list[np.ndarray]]:
-    """Occurrence summaries of every member, interned: the table and per-level member ids.
-
-    Each distinct (head id, rest id) pair is concatenated once over the whole
-    fold, and within a fold step in ascending (head, rest) order. While the
-    table has at most PAIR_SIDE summaries, a step reads its pairs' ids from a
-    dense (head, rest) table of them, kept across the steps and chunks of
-    the fold and grown by doubling, so a known pair costs one gather. Past
-    that, a step packs each pair into one int64 key, dedupes the keys with
-    np.unique and looks the distinct pairs up in a dict.
-    """
-    table: list[tuple] = []
-    ids: dict[tuple, int] = {}
-    joined: dict[tuple[int, int], int] = {}
-    pairs = np.empty((0, 0), dtype=np.int64)   # pair ids by (head, rest), -1 if not joined yet
-
-    def intern(summary: tuple) -> int:
-        i = ids.get(summary)
-        if i is None:
-            i = ids[summary] = len(table)
-            table.append(summary)
-        return i
-
-    def pair_id(key: int, width: int) -> int:
-        pair = divmod(key, width)
-        i = joined.get(pair)
-        if i is None:
-            i = joined[pair] = intern(_concat(table[pair[0]], table[pair[1]], word))
-        return i
-
-    def join(head: np.ndarray, rest: np.ndarray, _level: int) -> np.ndarray:
-        nonlocal pairs
-        width = len(table)
-        if width > PAIR_SIDE:
-            distinct, inverse = np.unique(head * width + rest, return_inverse=True)
-            return np.array([pair_id(key, width) for key in distinct.tolist()],
-                            dtype=np.int64)[inverse]
-        if len(pairs) < width:
-            side = min(max(2 * len(pairs), width), PAIR_SIDE)
-            grown = np.full((side, side), -1, dtype=np.int64)
-            grown[:len(pairs), :len(pairs)] = pairs
-            pairs = grown
-        flat = pairs.reshape(-1)
-        cells = head * len(pairs) + rest
-        out = flat[cells]
-        missing = out < 0
-        if missing.any():
-            for key in sorted_unique(head[missing] * width + rest[missing]).tolist():
-                pairs[divmod(key, width)] = pair_id(key, width)
-            out = flat[cells]
-        return out
-
-    leaves = np.array([intern(_summary(ch, word)) for ch in system.alphabet.letters],
-                      dtype=np.int64)
-    return table, _fold_members(system, leaves, join)
-
-
 def verify_recurrence_gaps(system: LevelSystem) -> RecurrenceReport:
     """Certify for each capture (w, t', c) that w lies in every length-c window of W(2^m), m > t'.
 
     That is first <= c - |w|, gaps <= c - |w| + 1 and |u| - last <= c; a u
     without w has first = tail = |u|, and a u shorter than c has no window.
     """
-    letters = system.alphabet.letters
-    entries: list[RecurrenceEntry] = []
-    for log in system.capture_log:
-        word, bound = log.target_word, log.gap_bound
-        slack = bound - len(word)
-        level = Counter(_summary(ch, word) for ch in letters)
-        table, member_ids = _member_summaries(system, word)
-        max_gap = max_first = max_tail = scanned = violations = 0
-        for m in range(1, system.depth + 1):
-            counts = np.bincount(member_ids[m - 1])   # members per summary id
-            heads = np.flatnonzero(counts)
-            level, previous = Counter(), level
-            for i, x in zip(heads.tolist(), counts[heads].tolist()):
-                for rest, y in previous.items():
-                    level[_concat(table[i], rest, word)] += x * y
-            if m <= log.capture_level:
-                continue
-            for (n, _, _, first, last, gap), count in level.items():
-                first, tail = (n, n) if first is None else (first, n - last)
-                max_first = max(max_first, first)
-                max_gap = max(max_gap, gap)
-                max_tail = max(max_tail, tail)
-                scanned += count
-                if n >= bound and (first > slack or gap > slack + 1 or tail > bound):
-                    violations += count
-        entries.append(RecurrenceEntry(word, log.capture_level, bound, max_gap, max_first,
-                                       max_tail, scanned, violations))
-    return RecurrenceReport(entries, system.depth)
+    return RecurrenceReport([_certify(system, log) for log in system.capture_log], system.depth)
+
+
+def _certify(system: LevelSystem, log) -> RecurrenceEntry:
+    """The certificate of one capture, over the Counters of W(2^m), capture level < m <= depth.
+
+    W(2^(m+1)) = C(2^m) W(2^m) is the product of the Counters M_m and
+    W(2^m). Below the top, M_m is tallied from the member ids that the top
+    level's blocks read; the top level's M comes from its blocks
+    (`_member_histogram`), so no row of a lex top level is unranked.
+    """
+    word, bound = log.target_word, log.gap_bound
+    slack = bound - len(word)
+    table, ids, members, words = _lower_levels(system, word)
+    top = _member_histogram(system.csets[-1], table, ids, members, words)
+    words.append(_product(top, words[-1], word))
+    max_gap = max_first = max_tail = scanned = violations = 0
+    for level in words[log.capture_level + 1:]:
+        for (n, _, _, first, last, gap), count in level.items():
+            first, tail = (n, n) if first is None else (first, n - last)
+            max_first = max(max_first, first)
+            max_gap = max(max_gap, gap)
+            max_tail = max(max_tail, tail)
+            scanned += count
+            if n >= bound and (first > slack or gap > slack + 1 or tail > bound):
+                violations += count
+    return RecurrenceEntry(word, log.capture_level, bound, max_gap, max_first, max_tail,
+                           scanned, violations)
 
 
 # -- aperiodicity -----------------------------------------------------------------
@@ -685,19 +587,23 @@ class EntropyReport:
 
 
 def entropy_partial(system: LevelSystem, n_max: int) -> EntropyReport:
-    """h(n) = g(n)^(1/n) with exact g and stated decimal resolution.
+    """h(n) = g(n)^(1/n) with exact g and stated decimal resolution, for n = 1..n_max."""
+    return entropy_report(system, dim_series(system, n_max))
+
+
+def entropy_report(system: LevelSystem, dims: DimensionReport) -> EntropyReport:
+    """The entropy partials that a dimension series already holds, with the reference bands.
 
     For the (1+eps)-driven families the report also carries the two
     reference bands the limit entropy is known to respect: the power band
     [sqrt(1+eps), (1+eps)^2] and, for eps < 1, its linear relaxation
     [1 + eps/3, 1 + 3 eps]. Band proximity at finite depth is informational.
     """
-    report = dim_series(system, n_max)
-    partials = [(row.n, row.entropy_partial, row.entropy_str) for row in report.rows]
+    partials = [(row.n, row.entropy_partial, row.entropy_str) for row in dims.rows]
     power_band = linear_band = None
     eps = system.spec.epsilon
     if eps is not None:
         lo, _ = sqrt_bracket(1 + eps)
         power_band = (lo, (1 + eps) ** 2)
         linear_band = (1 + eps / 3, 1 + 3 * eps)
-    return EntropyReport(partials, power_band, linear_band, ENTROPY_DIGITS, system.depth)
+    return EntropyReport(partials, power_band, linear_band, dims.digits, dims.depth)

@@ -245,7 +245,7 @@ def cmd_analyze(cfg: RunConfig, system_path: str) -> int:
     aperiodicity = None
     if system.depth >= 2:
         aperiodicity = analyzer.check_nonperiodicity(system, max(2, n_max))
-    entropy = analyzer.entropy_partial(system, n_max)
+    entropy = analyzer.entropy_report(system, dims)
     submult = dims.submultiplicative_violations()
 
     hard_pass = (

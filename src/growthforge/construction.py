@@ -14,7 +14,9 @@ range, a seeded member one range per draw. Its rows exist only on demand,
 CHUNK_ROWS members at a time, so no whole level of rows is ever held: the
 folds that carry per-member values (codes, occurrence summaries) up the
 levels gather from one chunk of rows at a time, and `expand` unranks only
-the members it reads.
+the members it reads. A reader that needs only what a set's members have
+in common reads its ranges as aligned blocks (`CSet.blocks`): each fixes
+the leading choices and holds the full product of the choices after them.
 
 Captures never match letters. The last 2^t letters of a W(2^level) element
 are the expansion of its last t+1 choices (the blocks of levels t-1, ..., 0
@@ -149,6 +151,47 @@ class CSet:
         """(start, rows) for each run of CHUNK_ROWS members, in member order."""
         for start in range(0, len(self), CHUNK_ROWS):
             yield start, self.rows(start, min(start + CHUNK_ROWS, len(self)))
+
+    def blocks(self):
+        """(q, rows) for the aligned blocks the ranges split into, at most CHUNK_ROWS at a time.
+
+        A block is every member whose first q choices are one row: that row,
+        then any digits over radices[q:], then the tail. In units of the
+        block size P_q = prod(radices[q:]), the q-blocks of a range are the
+        multiples of P_q inside it that no (q-1)-block inside it covers: at
+        most 2 * radices[q-1] of them beside the covered run, so a range
+        splits into at most 2 * sum(radices) + 1 blocks, and a one-member
+        range is one block of q = len(radices). Every member lies in exactly
+        one block; ranges are split CHUNK_ROWS at a time.
+        """
+        radices = self.radices
+        sizes = [prod(radices[q:]) for q in range(len(radices) + 1)]
+        for k in range(0, len(self.ranges), CHUNK_ROWS):
+            starts, stops = self.ranges[k:k + CHUNK_ROWS].T
+            single = stops - starts == 1
+            if single.any():
+                yield len(radices), _unrank(radices, (), starts[single])
+                starts, stops = starts[~single], stops[~single]
+                if not len(starts):
+                    continue
+            inner = None   # the run of q-blocks that (q-1)-blocks inside each range cover
+            for q, size in enumerate(sizes):
+                lo, hi = -(-starts // size), stops // size   # the q-blocks inside, in units of P_q
+                if inner is None:
+                    first, count = lo, hi - lo
+                else:
+                    covered = inner[0] < inner[1]
+                    left_hi = np.where(covered, inner[0], hi)
+                    right_lo = np.where(covered, inner[1], hi)
+                    first = np.concatenate([lo, right_lo])
+                    count = np.concatenate([left_hi - lo, hi - right_lo])
+                if q < len(radices):
+                    inner = lo * radices[q], hi * radices[q]
+                count = np.maximum(count.astype(np.int64), 0)
+                ends = np.cumsum(count)
+                prefixes = np.repeat(first - (ends - count), count) + np.arange(ends[-1:].sum())
+                for i in range(0, len(prefixes), CHUNK_ROWS):
+                    yield q, _unrank(radices[:q], (), prefixes[i:i + CHUNK_ROWS])
 
 
 @dataclass
@@ -441,22 +484,38 @@ def _rank(radices: list[int], rows: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _fold_members(system: LevelSystem, leaves: np.ndarray, join) -> list[np.ndarray]:
-    """For each level j, one value per C_j member in member order, folded from its row.
+def _fold_rows(values: list[np.ndarray], leaves: np.ndarray, join, level: int,
+               rows: np.ndarray) -> np.ndarray:
+    """One value per row of leading choices of W(2^level) elements, folded right to left.
+
+    Column i is a member of C_(level-1-i), read from values[level-1-i], and
+    column `level` the letter, read from leaves; each column's value is joined
+    onto the value of the columns after it by join(head, rest, level - i).
+    """
+    q = rows.shape[1]
+    column = lambda i: (leaves if i == level else values[level - 1 - i])[rows[:, i]]
+    v = column(q - 1)
+    for i in reversed(range(q - 1)):
+        v = join(column(i), v, level - i)
+    return v
+
+
+def _fold_members(system: LevelSystem, leaves: np.ndarray, join,
+                  levels: int | None = None) -> list[np.ndarray]:
+    """For each level j below `levels` (all by default), one value per C_j member in member order.
 
     A member (c_(j-1), ..., c_0, letter) is C_(j-1)[c_(j-1)] followed by the
     element (c_(j-2), ..., letter), so its values are v = leaves[letter] and
     then v = join(values of C_(l-1) gathered at c_(l-1), v, l) for
-    l = 1..j, each step one array operation over a chunk of CHUNK_ROWS rows,
-    gathered into one output per level. Member strings are never read.
+    l = 1..j (`_fold_rows`), each step one array operation over a chunk of
+    CHUNK_ROWS rows, gathered into one output per level. Member strings are
+    never read.
     """
     values: list[np.ndarray] = []
-    for j, cs in enumerate(system.csets):
+    for j, cs in enumerate(system.csets[:levels]):
         out = None
         for start, choices in cs.chunks():
-            v = leaves[choices[:, j]]
-            for l in range(1, j + 1):
-                v = join(values[l - 1][choices[:, j - l]], v, l)
+            v = _fold_rows(values, leaves, join, j, choices)
             if out is None:
                 out = np.empty((len(cs),) + v.shape[1:], dtype=v.dtype)
             out[start:start + len(v)] = v

@@ -1,0 +1,204 @@
+"""Occurrence summaries of a target word, the state of the recurrence certificate.
+
+For a target w, the summary of a word u records its length, its |w|-1
+letters at each end, the first and last start of w in u and the largest gap
+between starts (`_summary`). `_concat` gives the exact summary of uv from
+those of u and v for words of any length, the empty word and words shorter
+than |w| - 1 included, so every bracketing of a concatenation gives the
+same summary. A set of words is a Counter of distinct summaries with
+multiplicities, and the Counter of a product set UV pairs the two through
+`_concat` (`_product`).
+
+Per-member summaries are folded from the choice rows the same way as member
+codes (`construction._fold_members`), with no member string scanned:
+summaries are interned as ids in a `_SummaryTable`, whose fold step
+concatenates each distinct (head id, rest id) pair once, and a level's
+member Counter M_j is the tally of its ids. A choice set can also give its
+Counter from its rank ranges (`_member_histogram`): a block of them fixes q
+leading choices, whose word u is folded from the member ids of the levels
+below, and holds the full product of the choices after them, so its
+Counter is s(u) paired with a Counter built already: W(2^(j-q)) or, with a
+capture tail v, M_(j-q-1) x ... x M_t x s(v). No row of a lex set is then
+unranked; a seeded set is one block per member.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from operator import sub
+
+import numpy as np
+
+from .codes import sorted_unique
+from .construction import LevelSystem, _fold_members, _fold_rows
+
+PAIR_SIDE = 256   # summaries a dense pair table of the summary fold covers: 512 KiB at most
+STEP_CELLS = 16   # dense pair cells a fold step may grow per key it joins
+
+
+def scan_occurrences(text: str, word: str) -> list[int]:
+    """All (overlapping) start positions of word in text."""
+    out = []
+    i = text.find(word)
+    while i != -1:
+        out.append(i)
+        i = text.find(word, i + 1)
+    return out
+
+
+def _summary(text: str, word: str) -> tuple:
+    """(|u|, u[:k], u[-k:], first start, last start, max gap) of u = text, k = |word| - 1."""
+    k = len(word) - 1
+    occ = scan_occurrences(text, word)
+    gap = max(map(sub, occ[1:], occ), default=0)
+    return (len(text), text[:k], text[max(0, len(text) - k):],
+            occ[0] if occ else None, occ[-1] if occ else None, gap)
+
+
+def _concat(left: tuple, right: tuple, word: str) -> tuple:
+    """The summary of uv: starts in u, then across the junction, then in v shifted by |u|."""
+    n1, pre1, suf1, first1, last1, gap1 = left
+    n2, pre2, suf2, first2, last2, gap2 = right
+    k = len(word) - 1
+    edge = n1 - len(suf1)
+    starts = [edge + q for q in scan_occurrences(suf1 + pre2, word) if q < len(suf1)]
+    if last1 is not None:
+        starts.insert(0, last1)
+    if first2 is not None:
+        starts.append(n1 + first2)
+    tail = suf1 + suf2
+    return (n1 + n2, (pre1 + pre2)[:k], tail[max(0, len(tail) - k):],
+            first1 if first1 is not None else starts[0] if starts else None,
+            n1 + last2 if last2 is not None else starts[-1] if starts else None,
+            max(gap1, gap2, *map(sub, starts[1:], starts)))
+
+
+class _SummaryTable(list):
+    """The occurrence summaries of one target word, interned: a summary's id is its index.
+
+    `leaves` holds the letters' ids and `join` is the fold step on id arrays:
+    each distinct (head id, rest id) pair is concatenated once over the
+    table's life, and within a step in ascending (head, rest) order. While the
+    table has at most PAIR_SIDE summaries, a step reads its pairs' ids from a
+    dense (head, rest) table of them, kept across steps and chunks and grown
+    by doubling, so a known pair costs one gather. Past that, and in a step
+    of fewer than one key per STEP_CELLS cells of the table it would grow,
+    a step packs each pair into one int64 key, sorts out the distinct keys,
+    looks them up in a dict and maps each key to its id by binary search
+    (no argsort: its code would be paged in for this step alone).
+    """
+
+    def __init__(self, system: LevelSystem, word: str):
+        super().__init__()
+        self.word = word
+        self._ids: dict[tuple, int] = {}
+        self._joined: dict[tuple[int, int], int] = {}
+        self._pairs = np.empty((0, 0), dtype=np.int64)   # pair ids by (head, rest), else -1
+        self.leaves = np.array([self.intern(_summary(ch, word)) for ch in system.alphabet.letters],
+                               dtype=np.int64)
+
+    def intern(self, summary: tuple) -> int:
+        i = self._ids.get(summary)
+        if i is None:
+            i = self._ids[summary] = len(self)
+            self.append(summary)
+        return i
+
+    def _pair_id(self, key: int, width: int) -> int:
+        pair = divmod(key, width)
+        i = self._joined.get(pair)
+        if i is None:
+            i = self._joined[pair] = self.intern(_concat(self[pair[0]], self[pair[1]], self.word))
+        return i
+
+    def join(self, head: np.ndarray, rest: np.ndarray, _level: int) -> np.ndarray:
+        width, pairs = len(self), self._pairs
+        side = min(max(2 * len(pairs), width), PAIR_SIDE)   # of the table grown for this step
+        if width > PAIR_SIDE or len(pairs) < width and side * side > STEP_CELLS * len(head):
+            keys = head * width + rest
+            distinct = sorted_unique(keys.copy())
+            return np.array([self._pair_id(key, width) for key in distinct.tolist()],
+                            dtype=np.int64)[distinct.searchsorted(keys)]
+        if len(pairs) < width:
+            grown = np.full((side, side), -1, dtype=np.int64)
+            grown[:len(pairs), :len(pairs)] = pairs
+            pairs = self._pairs = grown
+        flat = pairs.reshape(-1)
+        cells = head * len(pairs) + rest
+        out = flat[cells]
+        missing = out < 0
+        if missing.any():
+            for key in sorted_unique(head[missing] * width + rest[missing]).tolist():
+                pairs[divmod(key, width)] = self._pair_id(key, width)
+            out = flat[cells]
+        return out
+
+
+def _member_summaries(system: LevelSystem, word: str,
+                      levels: int | None = None) -> tuple[_SummaryTable, list[np.ndarray]]:
+    """The summary table and, for each level below `levels` (all by default), its member ids."""
+    table = _SummaryTable(system, word)
+    return table, _fold_members(system, table.leaves, table.join, levels)
+
+
+def _product(left: Counter, right: Counter, word: str) -> Counter:
+    """The summaries of uv over u in left and v in right, each with the product multiplicity."""
+    out: Counter = Counter()
+    for u, x in left.items():
+        for v, y in right.items():
+            out[_concat(u, v, word)] += x * y
+    return out
+
+
+def _tally(table: _SummaryTable, ids: np.ndarray) -> Counter:
+    """The summaries of an id array, each with the number of its occurrences."""
+    distinct, counts = np.unique(ids, return_counts=True)
+    return Counter(dict(zip(map(table.__getitem__, distinct.tolist()), counts.tolist())))
+
+
+def _lower_levels(system: LevelSystem, word: str) -> tuple:
+    """The summary fold of `word` below the top level: (table, ids, members, words).
+
+    ids[j] holds the member ids of C_j, members[j] their Counter M_j and
+    words[m] the Counter of W(2^m) = C(2^(m-1)) W(2^(m-1)), for every level
+    j < depth - 1 and m < depth: the levels whose ids the top level's blocks read.
+    """
+    table, ids = _member_summaries(system, word, system.depth - 1)
+    members = [_tally(table, level) for level in ids]
+    words = [_tally(table, table.leaves)]
+    for j, level in enumerate(members):
+        words.append(_product(level, words[j], word))
+    return table, ids, members, words
+
+
+def _member_histogram(cs, table: _SummaryTable, ids: list[np.ndarray], members: list[Counter],
+                      words: list[Counter]) -> Counter:
+    """M_j, the summaries of C_j's members with multiplicities, from its blocks.
+
+    A block fixing q leading choices (the word u of their members, folded
+    from the member ids of the levels below) holds u followed by every
+    element of a full product: with no tail, W(2^(j-q)), whose Counter is
+    words[j-q], or nothing once the letter is fixed too; with the capture
+    target v as tail, C(2^(j-q-1)) ... C(2^t) v, whose Counter is
+    members[j-q-1] x ... x members[t] x {s(v)}. The blocks of one q are
+    tallied by s(u) first, so each distinct s(u) meets that Counter once.
+    """
+    j, n, word = cs.level, len(cs.radices), table.word
+    heads = [Counter() for _ in range(n + 1)]   # s(u) per q, with multiplicities
+    for q, rows in cs.blocks():
+        if q:
+            heads[q].update(_tally(table, _fold_rows(ids, table.leaves, table.join, j, rows)))
+        else:
+            heads[0][_summary("", word)] += len(rows)   # the identity of _concat
+    out: Counter = Counter()
+    if not cs.tail:
+        for q, us in enumerate(heads):
+            out.update(_product(us, words[j - q], word) if q <= j else us)
+        return out
+    v = _fold_rows(ids, table.leaves, table.join, len(cs.tail) - 1, np.array([cs.tail]))
+    rest = Counter({table[int(v[0])]: 1})   # what follows all n free choices
+    for q in range(n, min(q for q, us in enumerate(heads) if us) - 1, -1):
+        if q < n:
+            rest = _product(members[j - q - 1], rest, word)
+        out.update(_product(heads[q], rest, word))
+    return out

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -15,17 +16,22 @@ from growthforge.analyzer import (
     check_nonperiodicity,
     dim_series,
     entropy_partial,
+    entropy_report,
     factor_set_bruteforce,
     minimal_forbidden_words,
+    verify_recurrence_gaps,
+)
+from growthforge.summaries import (
     PAIR_SIDE,
     scan_occurrences,
-    verify_recurrence_gaps,
     _concat,
+    _member_histogram,
     _member_summaries,
+    _product,
     _summary,
 )
 from growthforge.construction import (
-    CHUNK_ROWS, CaptureEntry, LevelSystem, _fold_members, build_plain,
+    CHUNK_ROWS, CaptureEntry, LevelSystem, _fold_members, build_free_power_system, build_plain,
     build_uniformly_recurrent,
 )
 from growthforge.growth import exp_power, poly_geometric, table_spec
@@ -514,6 +520,25 @@ def test_summaries_match_window_oracle(system):
     assert summary_route(system) == window_oracle(system)
 
 
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_concat_is_exact_under_any_bracketing(data):
+    # _concat gives the exact summary of the joined word for pieces of every
+    # length, the empty word and pieces shorter than |w| - 1 included, so a
+    # block's summary s(u) joined onto the rest equals the member fold.
+    letters = data.draw(st.sampled_from(["ab", "abc"]))
+    word = data.draw(st.text(alphabet=letters, min_size=1, max_size=4))
+    pieces = data.draw(st.lists(st.text(alphabet=letters, max_size=6), min_size=1, max_size=7))
+
+    def bracketed(lo: int, hi: int) -> tuple:
+        if hi - lo == 1:
+            return _summary(pieces[lo], word)
+        cut = data.draw(st.integers(lo + 1, hi - 1))
+        return _concat(bracketed(lo, cut), bracketed(cut, hi), word)
+
+    assert bracketed(0, len(pieces)) == _summary("".join(pieces), word)
+
+
 # -- folds over member references ---------------------------------------------------
 
 
@@ -567,6 +592,39 @@ def fold_systems(draw):
 @settings(max_examples=60, deadline=None)
 def test_fold_matches_member_strings(system_targets):
     assert_folds_match_strings(*system_targets)
+
+
+def assert_block_histograms_match_ids(system, words):
+    """Each level's member Counter from its blocks equals the bincount of its folded member ids."""
+    for word in words:
+        table, ids = _member_summaries(system, word)
+        members = [Counter({table[i]: count for i, count in enumerate(np.bincount(level).tolist())
+                            if count}) for level in ids]
+        levels = [Counter(table[i] for i in table.leaves.tolist())]
+        for j, cs in enumerate(system.csets):
+            assert _member_histogram(cs, table, ids, members, levels) == members[j]
+            levels.append(_product(members[j], levels[j], word))
+
+
+@given(fold_systems())
+@settings(max_examples=60, deadline=None)
+def test_block_histograms_match_member_ids(system_targets):
+    assert_block_histograms_match_ids(*system_targets)
+
+
+@pytest.mark.parametrize("build", [
+    # The top level, 4, is captured with target "ab" (t = 1).
+    lambda: build_uniformly_recurrent(poly_geometric("1/13"), depth=5, capture_budget=4,
+                                      horizon=12),
+    lambda: build_uniformly_recurrent(poly_geometric("1/13"), depth=5, capture_budget=4,
+                                      chooser="seeded", seed=3, horizon=12),
+    # Every level is all of W(2^j): one block of q = 0 each.
+    lambda: build_free_power_system(1, 4)[0],
+], ids=["lex-captured-top", "seeded-captured-top", "free-e1-whole-levels"])
+def test_block_histograms_of_built_systems(build):
+    system = build()
+    words = [e.target_word for e in system.capture_log] or ["x", "xy", "yyx"]
+    assert_block_histograms_match_ids(system, words)
 
 
 def unique_member_summaries(system, word):
@@ -732,6 +790,10 @@ class TestEntropy:
         lo, hi = rep.power_band
         assert abs(float(lo) - 2 ** 0.5) < 1e-6 and hi == 4
         assert rep.linear_band == (Fraction(4, 3), Fraction(4))
+
+    def test_report_reads_the_dimension_series(self, captured4):
+        # analyze builds the entropy report from the dims it already holds.
+        assert entropy_report(captured4, dim_series(captured4, 8)) == entropy_partial(captured4, 8)
 
     def test_h1_equals_dim1(self, toy_system):
         rep = entropy_partial(toy_system, 2)

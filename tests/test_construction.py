@@ -2,6 +2,7 @@ import sys
 from itertools import product
 from math import prod
 from random import Random
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -10,11 +11,12 @@ from hypothesis import given, settings, strategies as st
 from growthforge.errors import (
     BudgetExceeded, CapacityExceeded, HorizonTooSmall, InsufficientWords,
 )
-from growthforge import persist
+from growthforge import construction, persist
 from growthforge.growth import exp_power, geometric, poly_geometric, table_spec
 from growthforge.analyzer import FactorEngine, verify_recurrence_gaps
 from growthforge.construction import (
     CHUNK_ROWS,
+    CSet,
     LevelSystem,
     _capture_level,
     _rank,
@@ -155,6 +157,16 @@ class TestMemory:
         codes = sum(m.nbytes for m in engines[0]._members)
         chunk = CHUNK_ROWS * system.depth * 8   # one chunk of top-level rows
         assert peak < codes + 5 * chunk
+
+    def test_certificate_reads_top_level_blocks(self):
+        # The d8 top level's 26,344 members are one range, 22 blocks. The
+        # certificate folds member ids only for the 270 members below it and
+        # builds the top level's summary Counter from the blocks.
+        system = build_uniformly_recurrent(poly_geometric("1/13"), depth=8, capture_budget=2,
+                                           horizon=12)
+        FactorEngine(system)
+        peak = traced_peak(lambda: verify_recurrence_gaps(system))
+        assert peak < 256 * 1024
 
     @pytest.mark.parametrize("columns, bound", [(12, 0.25), (24, 0.5)])
     def test_rank_reads_one_column_at_a_time(self, columns, bound):
@@ -470,3 +482,61 @@ def test_choose_cset_matches_sequential_reference(data):
         assert cs.rows(0, len(cs)).dtype == np.int64
         assert member_rows(cs) == expected
         assert system._rng.getstate() == rng.getstate()
+
+
+@st.composite
+def range_sets(draw):
+    """Radices and disjoint [start, stop) rank ranges over them, in any order.
+
+    Wide radices take the ranks past 2^63, where they are Python ints.
+    """
+    radices = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        radices = [1 << 40, 1 << 30, *radices]
+    total = prod(radices)
+    span = min(total, 400)
+    base = draw(st.integers(0, total - span))
+    cuts = sorted(draw(st.sets(st.integers(0, span), min_size=2, max_size=12)))
+    pairs = [(base + a, base + b) for a, b in zip(cuts, cuts[1:]) if draw(st.booleans())]
+    pairs = draw(st.permutations(pairs or [(base + cuts[0], base + cuts[1])]))
+    return radices, np.array(pairs, dtype=np.int64 if total < 1 << 63 else object)
+
+
+def merged_runs(runs) -> list[list[int]]:
+    """Sorted [start, stop) runs with each run of adjacent ones merged into one."""
+    out: list[list[int]] = []
+    for a, b in sorted(runs):
+        if out and out[-1][1] == a:
+            out[-1][1] = b
+        else:
+            out.append([a, b])
+    return out
+
+
+@given(range_sets())
+@settings(max_examples=150, deadline=None)
+def test_blocks_partition_the_ranges(radices_ranges):
+    # Each block holds the ranks that start with its row: a full product of
+    # radices[q:]. The blocks are disjoint, cover the members exactly and
+    # number at most 2 * sum(radices) + 1 per range.
+    radices, ranges = radices_ranges
+    cs = CSet(len(radices) - 1, radices, (), ranges)
+    # Three ranges and three blocks at a time split them as one chunk does.
+    with patch.object(construction, "CHUNK_ROWS", 3):
+        small = [(q, row) for q, rows in cs.blocks() for row in rows.tolist()]
+        assert all(len(rows) <= 3 for _, rows in cs.blocks())
+    assert sorted(small) == sorted((q, row) for q, rows in cs.blocks() for row in rows.tolist())
+    blocks = []
+    for q, rows in cs.blocks():
+        assert rows.shape[1] == q and 0 < len(rows) <= CHUNK_ROWS
+        size = prod(radices[q:])
+        for row in rows.tolist():
+            assert all(0 <= digit < radix for digit, radix in zip(row, radices))
+            prefix = 0
+            for radix, digit in zip(radices, row):
+                prefix = prefix * radix + digit
+            blocks.append((prefix * size, (prefix + 1) * size))
+    blocks.sort()
+    assert all(a[1] <= b[0] for a, b in zip(blocks, blocks[1:]))
+    assert merged_runs(blocks) == merged_runs(map(tuple, ranges.tolist()))
+    assert len(blocks) <= len(ranges) * (2 * sum(radices) + 1)
