@@ -36,7 +36,7 @@ from .analyzer import (
     verify_recurrence_gaps,
     check_nonperiodicity,
     minimal_forbidden_words,
-    entropy_partial,
+    entropy_report,
 )
 from .freesub import (
     compute_t,
@@ -57,7 +57,7 @@ __all__ = [
     "build_plain", "build_uniformly_recurrent", "build_free_power_system",
     "factor_set_bruteforce", "dim_series", "check_growth_sandwich",
     "verify_recurrence_gaps", "check_nonperiodicity", "minimal_forbidden_words",
-    "entropy_partial",
+    "entropy_report",
     "compute_t", "degree_lower_bound", "optimality_report", "verify_free_generators",
     "save_system", "load_system", "errors",
 ]

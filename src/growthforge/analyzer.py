@@ -58,12 +58,10 @@ approximations of the limit object. A report's `to_dict` is its fields as
 JSON values plus its verdicts.
 
 The recurrence certificate covers every element of every level and expands
-none of them: each level W(2^(j+1)) = C(2^j) W(2^j) is a Counter of
-occurrence summaries with element multiplicities, the product of the member
-Counter M_j and the Counter of W(2^j) (see `summaries`). Below the top
-level, M_j is the tally of member summary ids folded from the choice rows;
-the top level's comes from its rank-range blocks, so no row of a lex top
-level is unranked.
+none of them: it reads each level W(2^m) as a Counter of occurrence
+summaries with element multiplicities, from `summaries.level_counters`,
+which builds the top level's from its rank-range blocks, so no row of a lex
+top level is unranked.
 """
 
 from __future__ import annotations
@@ -79,9 +77,9 @@ from .codes import (
     unpack,
 )
 from .construction import LevelSystem, _fold_members, _json_fields
-from .errors import BudgetExceeded, DepthTooShallow, require_budget, size_budget
+from .errors import DepthTooShallow, require_budget
 from .exactmath import ceil_log2, nth_root_floor_scaled, sqrt_bracket, decimal_string
-from .summaries import _lower_levels, _member_histogram, _product
+from .summaries import level_counters
 
 ENTROPY_DIGITS = 6
 
@@ -302,12 +300,10 @@ def is_factor(system: LevelSystem, word: str) -> bool:
     return _engine_for(system).contains(word)
 
 
-def factor_set_bruteforce(system: LevelSystem, n: int, budget: int | None = None) -> frozenset[str]:
+def factor_set_bruteforce(system: LevelSystem, n: int) -> frozenset[str]:
     """F(n) by full expansion of every level; the independent oracle."""
-    budget = budget if budget is not None else size_budget()
-    total = sum(system.level_word_count(j) << j for j in range(system.depth + 1))
-    if total > budget:
-        raise BudgetExceeded(total, budget)
+    require_budget(sum(system.level_word_count(j) << j for j in range(system.depth + 1)),
+                   "full expansion", "characters")
     # Members are elements too, so their words stay inside the budget. Each
     # level's members are joined from the lower levels' member words.
     members: list[list[str]] = []
@@ -477,20 +473,12 @@ def verify_recurrence_gaps(system: LevelSystem) -> RecurrenceReport:
 
 
 def _certify(system: LevelSystem, log) -> RecurrenceEntry:
-    """The certificate of one capture, over the Counters of W(2^m), capture level < m <= depth.
-
-    W(2^(m+1)) = C(2^m) W(2^m) is the product of the Counters M_m and
-    W(2^m). Below the top, M_m is tallied from the member ids that the top
-    level's blocks read; the top level's M comes from its blocks
-    (`_member_histogram`), so no row of a lex top level is unranked.
-    """
+    """The certificate of one capture, over the Counters of W(2^m), capture level < m <= depth
+    (`summaries.level_counters`)."""
     word, bound = log.target_word, log.gap_bound
     slack = bound - len(word)
-    table, ids, members, words = _lower_levels(system, word)
-    top = _member_histogram(system.csets[-1], table, ids, members, words)
-    words.append(_product(top, words[-1], word))
     max_gap = max_first = max_tail = scanned = violations = 0
-    for level in words[log.capture_level + 1:]:
+    for level in level_counters(system, word)[log.capture_level + 1:]:
         for (n, _, _, first, last, gap), count in level.items():
             first, tail = (n, n) if first is None else (first, n - last)
             max_first = max(max_first, first)
@@ -584,11 +572,6 @@ class EntropyReport:
 
     def to_dict(self) -> dict:
         return _json_fields(self)
-
-
-def entropy_partial(system: LevelSystem, n_max: int) -> EntropyReport:
-    """h(n) = g(n)^(1/n) with exact g and stated decimal resolution, for n = 1..n_max."""
-    return entropy_report(system, dim_series(system, n_max))
 
 
 def entropy_report(system: LevelSystem, dims: DimensionReport) -> EntropyReport:

@@ -383,19 +383,13 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_build(cfg, force=args.force)
         if args.command == "analyze":
             return cmd_analyze(cfg, args.system)
-        if args.command == "free":
-            return cmd_free(cfg, args.system)
-        parser.error(f"unknown command {args.command}")
-    except SystemFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, ZeroDivisionError) as exc:
+        return cmd_free(cfg, args.system)   # the one command left: a subcommand is required
+    except (SystemFileError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GrowthForgeError as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return EXIT_MATH
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

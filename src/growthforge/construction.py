@@ -16,7 +16,8 @@ folds that carry per-member values (codes, occurrence summaries) up the
 levels gather from one chunk of rows at a time, and `expand` unranks only
 the members it reads. A reader that needs only what a set's members have
 in common reads its ranges as aligned blocks (`CSet.blocks`): each fixes
-the leading choices and holds the full product of the choices after them.
+the leading choices and holds the full product of the choices after them,
+and each range is peeled from its start into the largest block that fits.
 
 Captures never match letters. The last 2^t letters of a W(2^level) element
 are the expansion of its last t+1 choices (the blocks of levels t-1, ..., 0
@@ -156,40 +157,34 @@ class CSet:
         """(q, rows) for the aligned blocks the ranges split into, at most CHUNK_ROWS at a time.
 
         A block is every member whose first q choices are one row: that row,
-        then any digits over radices[q:], then the tail. In units of the
-        block size P_q = prod(radices[q:]), the q-blocks of a range are the
-        multiples of P_q inside it that no (q-1)-block inside it covers: at
-        most 2 * radices[q-1] of them beside the covered run, so a range
-        splits into at most 2 * sum(radices) + 1 blocks, and a one-member
-        range is one block of q = len(radices). Every member lies in exactly
-        one block; ranges are split CHUNK_ROWS at a time.
+        then any digits over radices[q:], then the tail, P_q = prod(radices[q:])
+        ranks aligned at a multiple of P_q. Each range is peeled from its
+        start: the largest block aligned there that fits (the least such q),
+        then again from the block's end. Every member thus lies in exactly one
+        block, the largest aligned block inside its range that holds it, so a
+        range splits into at most 2 * sum(radices) + 1 blocks, and a
+        one-member range is one block of q = len(radices). Ranges are peeled
+        CHUNK_ROWS at a time.
         """
         radices = self.radices
-        sizes = [prod(radices[q:]) for q in range(len(radices) + 1)]
+        sizes = np.array([prod(radices[q:]) for q in range(len(radices) + 1)],
+                         dtype=self.ranges.dtype)[:, None]   # P_q, one row per q
         for k in range(0, len(self.ranges), CHUNK_ROWS):
             starts, stops = self.ranges[k:k + CHUNK_ROWS].T
             single = stops - starts == 1
-            if single.any():
-                yield len(radices), _unrank(radices, (), starts[single])
-                starts, stops = starts[~single], stops[~single]
-                if not len(starts):
-                    continue
-            inner = None   # the run of q-blocks that (q-1)-blocks inside each range cover
-            for q, size in enumerate(sizes):
-                lo, hi = -(-starts // size), stops // size   # the q-blocks inside, in units of P_q
-                if inner is None:
-                    first, count = lo, hi - lo
-                else:
-                    covered = inner[0] < inner[1]
-                    left_hi = np.where(covered, inner[0], hi)
-                    right_lo = np.where(covered, inner[1], hi)
-                    first = np.concatenate([lo, right_lo])
-                    count = np.concatenate([left_hi - lo, hi - right_lo])
-                if q < len(radices):
-                    inner = lo * radices[q], hi * radices[q]
-                count = np.maximum(count.astype(np.int64), 0)
-                ends = np.cumsum(count)
-                prefixes = np.repeat(first - (ends - count), count) + np.arange(ends[-1:].sum())
+            heads, qs = [starts[single]], [np.full(np.count_nonzero(single), len(radices))]
+            starts, stops = starts[~single], stops[~single]
+            while len(starts):   # peel one block off the start of each range left
+                fits = (starts % sizes == 0) & (starts + sizes <= stops)
+                least = fits.argmax(axis=0)   # the first q that fits: the largest block
+                heads.append(starts)
+                qs.append(least)
+                starts = starts + sizes[least, 0]
+                more = starts < stops
+                starts, stops = starts[more], stops[more]
+            heads, qs = np.concatenate(heads), np.concatenate(qs)
+            for q, size in enumerate(sizes[:, 0]):
+                prefixes = heads[qs == q] // size
                 for i in range(0, len(prefixes), CHUNK_ROWS):
                     yield q, _unrank(radices[:q], (), prefixes[i:i + CHUNK_ROWS])
 

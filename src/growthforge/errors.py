@@ -87,8 +87,7 @@ class CapacityExceeded(GrowthForgeError):
 class BudgetExceeded(GrowthForgeError):
     """Work of a size known in advance would exceed GROWTHFORGE_BUDGET."""
 
-    def __init__(self, needed: int, budget: int, what: str = "full expansion",
-                 unit: str = "characters"):
+    def __init__(self, needed: int, budget: int, what: str, unit: str):
         super().__init__(f"{what} needs {needed} {unit}, budget is {budget}"
                          f" (deficit {needed - budget})")
         self.needed = needed

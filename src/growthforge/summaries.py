@@ -9,17 +9,19 @@ same summary. A set of words is a Counter of distinct summaries with
 multiplicities, and the Counter of a product set UV pairs the two through
 `_concat` (`_product`).
 
-Per-member summaries are folded from the choice rows the same way as member
-codes (`construction._fold_members`), with no member string scanned:
-summaries are interned as ids in a `_SummaryTable`, whose fold step
-concatenates each distinct (head id, rest id) pair once, and a level's
-member Counter M_j is the tally of its ids. A choice set can also give its
-Counter from its rank ranges (`_member_histogram`): a block of them fixes q
-leading choices, whose word u is folded from the member ids of the levels
-below, and holds the full product of the choices after them, so its
-Counter is s(u) paired with a Counter built already: W(2^(j-q)) or, with a
-capture tail v, M_(j-q-1) x ... x M_t x s(v). No row of a lex set is then
-unranked; a seeded set is one block per member.
+`level_counters` is the one entry: the Counters of W(2^m), m = 0..depth,
+each W(2^(m+1)) = C(2^m) W(2^m) the product of the member Counter M_m and
+the Counter of W(2^m). Below the top level, per-member summaries are folded
+from the choice rows the same way as member codes
+(`construction._fold_members`), with no member string scanned: summaries
+are interned as ids in a `_SummaryTable`, whose fold step concatenates each
+distinct (head id, rest id) pair once, and M_j is the tally of C_j's ids.
+The top level's M comes from its rank ranges (`_member_histogram`): a block
+of them fixes q leading choices, whose word u is folded from the member ids
+of the levels below, and holds the full product of the choices after them,
+so its Counter is s(u) paired with a Counter built already: W(2^(j-q)) or,
+with a capture tail v, M_(j-q-1) x ... x M_t x s(v). No row of a lex top
+level is then unranked; a seeded one is one block per member.
 """
 
 from __future__ import annotations
@@ -134,13 +136,6 @@ class _SummaryTable(list):
         return out
 
 
-def _member_summaries(system: LevelSystem, word: str,
-                      levels: int | None = None) -> tuple[_SummaryTable, list[np.ndarray]]:
-    """The summary table and, for each level below `levels` (all by default), its member ids."""
-    table = _SummaryTable(system, word)
-    return table, _fold_members(system, table.leaves, table.join, levels)
-
-
 def _product(left: Counter, right: Counter, word: str) -> Counter:
     """The summaries of uv over u in left and v in right, each with the product multiplicity."""
     out: Counter = Counter()
@@ -154,21 +149,6 @@ def _tally(table: _SummaryTable, ids: np.ndarray) -> Counter:
     """The summaries of an id array, each with the number of its occurrences."""
     distinct, counts = np.unique(ids, return_counts=True)
     return Counter(dict(zip(map(table.__getitem__, distinct.tolist()), counts.tolist())))
-
-
-def _lower_levels(system: LevelSystem, word: str) -> tuple:
-    """The summary fold of `word` below the top level: (table, ids, members, words).
-
-    ids[j] holds the member ids of C_j, members[j] their Counter M_j and
-    words[m] the Counter of W(2^m) = C(2^(m-1)) W(2^(m-1)), for every level
-    j < depth - 1 and m < depth: the levels whose ids the top level's blocks read.
-    """
-    table, ids = _member_summaries(system, word, system.depth - 1)
-    members = [_tally(table, level) for level in ids]
-    words = [_tally(table, table.leaves)]
-    for j, level in enumerate(members):
-        words.append(_product(level, words[j], word))
-    return table, ids, members, words
 
 
 def _member_histogram(cs, table: _SummaryTable, ids: list[np.ndarray], members: list[Counter],
@@ -202,3 +182,22 @@ def _member_histogram(cs, table: _SummaryTable, ids: list[np.ndarray], members: 
             rest = _product(members[j - q - 1], rest, word)
         out.update(_product(heads[q], rest, word))
     return out
+
+
+def level_counters(system: LevelSystem, word: str) -> list[Counter]:
+    """The Counters of W(2^m), m = 0..depth, for the target `word`.
+
+    W(2^(m+1)) = C(2^m) W(2^m) is the product of the member Counter M_m and
+    the Counter of W(2^m). Below the top level, M_m is the tally of the
+    member ids folded from the choice rows; the top level's comes from its
+    blocks (`_member_histogram`), which read only the ids below it.
+    """
+    table = _SummaryTable(system, word)
+    ids = _fold_members(system, table.leaves, table.join, system.depth - 1)
+    members = [_tally(table, level) for level in ids]
+    words = [_tally(table, table.leaves)]
+    for j, level in enumerate(members):
+        words.append(_product(level, words[j], word))
+    top = _member_histogram(system.csets[-1], table, ids, members, words)
+    words.append(_product(top, words[-1], word))
+    return words

@@ -136,7 +136,7 @@ def test_criterion_6_aperiodicity_and_minimality(captured7):
 
 def test_criterion_7_entropy_band(captured7, captured7_dims):
     h = {n: captured7_dims.rows[n - 1].entropy_partial for n in (8, 16, 32, 64)}
-    band = analyzer.entropy_partial(captured7, 8).power_band
+    band = analyzer.entropy_report(captured7, captured7_dims).power_band
     print(f"  h(2^k) for k=3..6: {[f'{float(h[n]):.4f}' for n in (8, 16, 32, 64)]}; "
           f"band [sqrt(1.1), 1.21] = [{float(band[0]):.4f}, {float(band[1]):.4f}]")
     ok = Fraction(1) <= h[64] <= Fraction(14, 10)

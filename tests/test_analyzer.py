@@ -15,7 +15,6 @@ from growthforge.analyzer import (
     check_growth_sandwich,
     check_nonperiodicity,
     dim_series,
-    entropy_partial,
     entropy_report,
     factor_set_bruteforce,
     minimal_forbidden_words,
@@ -23,12 +22,13 @@ from growthforge.analyzer import (
 )
 from growthforge.summaries import (
     PAIR_SIDE,
+    level_counters,
     scan_occurrences,
     _concat,
     _member_histogram,
-    _member_summaries,
     _product,
     _summary,
+    _SummaryTable,
 )
 from growthforge.construction import (
     CHUNK_ROWS, CaptureEntry, LevelSystem, _fold_members, build_free_power_system, build_plain,
@@ -125,9 +125,10 @@ class TestFactorSets:
         with pytest.raises(DepthTooShallow):
             FactorEngine(toy_system).distinct(5)  # > 2^(D-1) = 4
 
-    def test_budget(self, captured7):
-        with pytest.raises(BudgetExceeded):
-            factor_set_bruteforce(captured7, 4, budget=1000)
+    def test_budget(self, captured7, monkeypatch):
+        monkeypatch.setenv("GROWTHFORGE_BUDGET", "1000")
+        with pytest.raises(BudgetExceeded, match="full expansion needs .* characters"):
+            factor_set_bruteforce(captured7, 4)
 
     def test_budget_env_var(self, toy_system, monkeypatch):
         monkeypatch.setenv("GROWTHFORGE_BUDGET", "10")
@@ -542,6 +543,12 @@ def test_concat_is_exact_under_any_bracketing(data):
 # -- folds over member references ---------------------------------------------------
 
 
+def member_summaries(system, word):
+    """The summary table of word and every level's member ids, folded from the choice rows."""
+    table = _SummaryTable(system, word)
+    return table, _fold_members(system, table.leaves, table.join)
+
+
 def assert_folds_match_strings(system, words):
     """Member codes and occurrence summaries folded from choice rows equal the strings' ones."""
     d = system.alphabet.size
@@ -558,7 +565,7 @@ def assert_folds_match_strings(system, words):
     assert [code_ints(engine.suffixes(j, 1 << j)) for j in range(system.depth)] == [
         sorted(level) for level in codes]
     for w in words:
-        table, ids = _member_summaries(system, w)
+        table, ids = member_summaries(system, w)
         folded = [[table[i] for i in level.tolist()] for level in ids]
         assert folded == [[_summary(s, w) for s in level] for level in strings]
 
@@ -595,15 +602,17 @@ def test_fold_matches_member_strings(system_targets):
 
 
 def assert_block_histograms_match_ids(system, words):
-    """Each level's member Counter from its blocks equals the bincount of its folded member ids."""
+    """Each level's member Counter from its blocks equals the bincount of its folded member ids,
+    and level_counters gives the Counters of W(2^m) that those member Counters build."""
     for word in words:
-        table, ids = _member_summaries(system, word)
+        table, ids = member_summaries(system, word)
         members = [Counter({table[i]: count for i, count in enumerate(np.bincount(level).tolist())
                             if count}) for level in ids]
         levels = [Counter(table[i] for i in table.leaves.tolist())]
         for j, cs in enumerate(system.csets):
             assert _member_histogram(cs, table, ids, members, levels) == members[j]
             levels.append(_product(members[j], levels[j], word))
+        assert level_counters(system, word) == levels
 
 
 @given(fold_systems())
@@ -664,7 +673,7 @@ class TestFold:
                                            horizon=12)
         dense = {}
         for word in ["a", "b", "bab", "abba"]:
-            table, ids = _member_summaries(system, word)
+            table, ids = member_summaries(system, word)
             expected_table, expected_ids, steps = unique_member_summaries(system, word)
             assert table == expected_table
             assert [level.tolist() for level in ids] == [level.tolist() for level in expected_ids]
@@ -786,17 +795,20 @@ class TestEntropy:
         from growthforge.growth import geometric
         from growthforge.construction import build_plain
         system = build_plain(geometric(1), "lex", 3)
-        rep = entropy_partial(system, 4)
+        rep = entropy_report(system, dim_series(system, 4))
         lo, hi = rep.power_band
         assert abs(float(lo) - 2 ** 0.5) < 1e-6 and hi == 4
         assert rep.linear_band == (Fraction(4, 3), Fraction(4))
 
     def test_report_reads_the_dimension_series(self, captured4):
         # analyze builds the entropy report from the dims it already holds.
-        assert entropy_report(captured4, dim_series(captured4, 8)) == entropy_partial(captured4, 8)
+        dims = dim_series(captured4, 8)
+        rep = entropy_report(captured4, dims)
+        assert rep.partials == [(r.n, r.entropy_partial, r.entropy_str) for r in dims.rows]
+        assert (rep.digits, rep.depth) == (dims.digits, dims.depth)
 
     def test_h1_equals_dim1(self, toy_system):
-        rep = entropy_partial(toy_system, 2)
+        rep = entropy_report(toy_system, dim_series(toy_system, 2))
         assert rep.partials[0][1] == 2
 
     def test_full_binary_language_entropy_two(self):

@@ -518,7 +518,9 @@ def merged_runs(runs) -> list[list[int]]:
 def test_blocks_partition_the_ranges(radices_ranges):
     # Each block holds the ranks that start with its row: a full product of
     # radices[q:]. The blocks are disjoint, cover the members exactly and
-    # number at most 2 * sum(radices) + 1 per range.
+    # number at most 2 * sum(radices) + 1 per range. Each is maximal: the
+    # aligned block of q - 1 choices that holds it lies in no one range,
+    # unless it is the same size (a radix of 1).
     radices, ranges = radices_ranges
     cs = CSet(len(radices) - 1, radices, (), ranges)
     # Three ranges and three blocks at a time split them as one chunk does.
@@ -536,6 +538,10 @@ def test_blocks_partition_the_ranges(radices_ranges):
             for radix, digit in zip(radices, row):
                 prefix = prefix * radix + digit
             blocks.append((prefix * size, (prefix + 1) * size))
+            if q and radices[q - 1] > 1:
+                whole = size * radices[q - 1]   # the size of the (q-1)-block holding it
+                lo = prefix // radices[q - 1] * whole
+                assert not any(a <= lo and lo + whole <= b for a, b in ranges.tolist())
     blocks.sort()
     assert all(a[1] <= b[0] for a, b in zip(blocks, blocks[1:]))
     assert merged_runs(blocks) == merged_runs(map(tuple, ranges.tolist()))

@@ -309,8 +309,10 @@ class TestPersist:
             "sandwich": [analyzer.check_growth_sandwich(captured4, n).to_dict() for n in (1, 2, 3)],
             "recurrence": analyzer.verify_recurrence_gaps(captured4).to_dict(),
             "aperiodicity": analyzer.check_nonperiodicity(captured4, 8).to_dict(),
-            "entropy": analyzer.entropy_partial(captured4, 8).to_dict(),
-            "entropy_no_bands": analyzer.entropy_partial(toy_system, 4).to_dict(),
+            "entropy": analyzer.entropy_report(
+                captured4, analyzer.dim_series(captured4, 8)).to_dict(),
+            "entropy_no_bands": analyzer.entropy_report(
+                toy_system, analyzer.dim_series(toy_system, 4)).to_dict(),
             "capture_log": [e.to_dict() for e in captured4.capture_log],
             "free_params": params.to_dict(),
             "freeness": verify_free_generators(system, params, 4).to_dict(),
