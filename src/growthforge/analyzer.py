@@ -28,19 +28,20 @@ Each straddle block suffix_a(C_j) x prefix_(n-a)(W(2^j)) is then a sorted
 virtual product of two tables (see `codes`): its codes below a threshold
 are counted by binary search in its tables, and any rank range of it is
 written from the tables directly.
-|F(n)| is counted over disjoint code-range parts. When the window codes of
-n do not fit one part, every stride-th code of each block is sampled, and
-the parts are cut at samples chosen by counting samples and then by their
-exact ranks summed over the blocks, so no part's sort (codes, plus the
-lexsort index and sorted copy for codes of two limbs or more) exceeds about
-2 MiB. Each part is written once into one array from each block's rank
-range, sorted, and its rows that differ from their predecessor are counted;
-an n that fits one part is one such part. `GROWTHFORGE_BUDGET` bounds, in
-8-byte words, the tables an engine holds (a cut table is checked once
-built, before it is kept; a prefix product before it is built, from its
-factors' sizes), and the largest part and the samples of each n with their
-sort scratch; `check_window_budget` builds the tables of every n up to a
-bound and checks its parts and samples before any n is counted. F(n) itself
+|F(n)| is counted over disjoint code-range parts. Each n's part capacity
+follows from its B blocks and T codes (`codes.part_plan`): at least 256 KiB
+of sort (codes, plus the lexsort index and sorted copy for codes of two
+limbs or more) and at least sqrt(2BT) codes, so that the codes sampled
+every capacity / 2B ranks of each block to cut the parts are no more than
+a part. The cuts are chosen by counting samples and then by their exact
+ranks summed over the blocks. Each part is written once into one array
+from each block's rank range, sorted, and its rows that differ from their
+predecessor are counted; an n that fits one part is one such part.
+`GROWTHFORGE_BUDGET` bounds, in 8-byte words, the tables an engine holds (a
+cut table is checked once built, before it is kept; a prefix product before
+it is built, from its factors' sizes), and the largest part of each n with
+its sort scratch; `check_window_budget` builds the tables of every n up to
+a bound and checks its parts before any n is counted. F(n) itself
 leaves the engine only as the parts' distinct codes in order, and words
 only through `decode`, one array pass. Counts are memoized per engine, and
 building F(n) records |F(n)|, so each n is counted once. Membership of a
@@ -72,9 +73,8 @@ from fractions import Fraction
 import numpy as np
 
 from .codes import (
-    field, holds, letter_bits, limb_count, occurs, part_edges, part_plan, product_codes,
-    product_size, search_key, shifted, sort_marked, sort_words, sorted_parts, sorted_unique,
-    unpack,
+    EMPTY, field, holds, letter_bits, limb_count, occurs, part_edges, part_plan, product_codes,
+    product_size, search_key, shifted, sort_marked, sort_words, sorted_parts, sorted_unique, unpack,
 )
 from .construction import LevelSystem, _fold_members, _json_fields
 from .errors import DepthTooShallow, require_budget
@@ -99,7 +99,7 @@ class FactorEngine:
         self.depth = system.depth
         self._digit = {ch: i for i, ch in enumerate(system.alphabet.letters)}
         self._counts: dict[int, int] = {}
-        self._plans: dict[int, tuple[int, int, int, int]] = {}
+        self._plans: dict[int, tuple[int, int, int]] = {}
         self._letters = np.arange(self.d, dtype=np.uint64)   # the codes of W(1)
         codes = _fold_members(system, self._letters, self._join)
         self._members = [sort_marked(level)[0] for level in codes]   # members are distinct
@@ -191,11 +191,11 @@ class FactorEngine:
         """The window codes of length n as blocks, each the factors of a sorted product.
 
         A straddle's block is its suffix table, then its prefix set; n = 1
-        is the one block of the letters.
+        is the one block of the letters, then the empty word.
         """
         b = self.bits
         if n == 1:
-            return [[(self._letters, 0, b)]]
+            return [[(self._letters, 0, b), (EMPTY, 0, 0)]]
         return [[(self._table(j, 0, b * a), b * (n - a), b * a), (self._prefix(j, n - a), 0, b * (n - a))]
                 for j, a in self._straddles(n)]
 
@@ -210,17 +210,16 @@ class FactorEngine:
 
         The block sizes are known from the table sizes before anything is
         combined, and the plan is memoized: the straddles of each n are
-        summed once. The largest part and the samples must each fit the
-        budget, in 8-byte words of their sort (`codes.sort_words`); the
-        samples' sort also bounds the block ranks at the candidate cuts.
+        summed once. The largest part must fit the budget, in 8-byte words of
+        its sort (`codes.sort_words`); the samples, and the block ranks at
+        the candidate cuts, are no more than a part.
         """
         k = limb_count(n, self.bits)
         plan = self._plans.get(n)
         if plan is None:
             plan = self._plans[n] = part_plan(list(map(product_size, self._blocks(n))), k)
-        for what, count in zip(("part", "samples"), plan[2:]):
-            require_budget(count * sort_words(k), f"factor length {n} {what} ({count} window codes)",
-                           "8-byte sort words")
+        require_budget(plan[2] * sort_words(k), f"factor length {n} part ({plan[2]} window codes)",
+                       "8-byte sort words")
         return plan[:2]
 
     def _parts(self, n: int, take) -> list:
@@ -288,7 +287,7 @@ class FactorEngine:
 
 
 def check_window_budget(system: LevelSystem, n_max: int) -> None:
-    """Refuse the first n <= n_max whose parts or samples exceed the budget, before counting any."""
+    """Refuse the first n <= n_max whose tables or largest part exceed the budget, before counting any."""
     engine = _engine_for(system)
     engine._check_depth(n_max)
     for n in range(1, n_max + 1):

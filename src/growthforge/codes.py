@@ -9,9 +9,9 @@ between letters, and a subword is a bit field. One-limb arrays sort in
 place; wider ones sort with np.lexsort over the limbs and are searched
 through each row's big-endian bytes, which compare in the same order.
 
-A sorted product is a list of factors (table, at, bits), most significant
-first: each table a sorted array of distinct codes of `bits` bits, placed at
-bits at .. at+bits-1 of the product's codes. Its codes ascend with the
+A sorted product is two factors (table, at, bits), head then tail: each
+table a sorted array of distinct codes of `bits` bits, placed at bits
+at .. at+bits-1 of the product's codes. Its codes ascend with the
 factors' indices in lex order, so a code is known from its rank by mixed
 radix, and the codes below a threshold are counted factor by factor. Many
 sorted products (blocks) are sorted together in parts: disjoint code ranges
@@ -20,9 +20,12 @@ cut at sampled codes, each written once into one array and sorted there.
 
 from __future__ import annotations
 
+from math import isqrt
+
 import numpy as np
 
-PART_BYTES = 2 << 20   # the sort working set of one part (see `part_plan`)
+PART_BYTES = 256 << 10   # the least sort working set of one part (see `part_plan`)
+EMPTY = np.zeros(1, dtype=np.uint64)   # the one code of the empty word, a table of 0 bits
 
 
 def letter_bits(d: int) -> int:
@@ -85,18 +88,32 @@ def shifted(codes: np.ndarray, bits: int, k: int) -> np.ndarray:
     return out
 
 
+def _ascend(rows: np.ndarray) -> bool:
+    """Whether the rows of an N x k limb array ascend in lex order; 64 spaced top limbs go first."""
+    top = rows[::max(1, len(rows) // 64), 0]
+    if np.any(top[1:] < top[:-1]):
+        return False
+    before, after = rows[:-1].T, rows[1:].T
+    ok = np.ones(before.shape[1], dtype=bool)      # in order by the limbs below
+    for low, high in zip(before[::-1], after[::-1]):
+        ok = (low < high) | ((low == high) & ok)
+    return bool(ok.all())
+
+
 def sort_marked(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Codes in ascending order, and which of them differ from their predecessor.
 
     One-limb codes are sorted in place; wider rows sort with np.lexsort, the
-    most significant limb as the primary key.
+    most significant limb as the primary key, unless they already ascend,
+    as the members of a lex-built level fold, and are then not copied.
     """
     new = np.ones(len(codes), dtype=bool)
     if codes.ndim == 1:
         codes.sort()
         np.not_equal(codes[1:], codes[:-1], out=new[1:])
         return codes, new
-    codes = codes[np.lexsort(codes.T[::-1])]
+    if not _ascend(codes):
+        codes = codes[np.lexsort(codes.T[::-1])]
     np.any(codes[1:] != codes[:-1], axis=1, out=new[1:])
     return codes, new
 
@@ -151,37 +168,49 @@ def sort_words(k: int) -> int:
 
 
 def product_size(factors: list) -> int:
-    size = 1
-    for table, _, _ in factors:
-        size *= len(table)
-    return size
+    (head, _, _), (tail, _, _) = factors
+    return len(head) * len(tail)
 
 
-def product_below(factors: list, codes: np.ndarray) -> np.ndarray:
-    """How many codes of a sorted product lie below each of `codes` (an array of its width).
+def _fields(codes: np.ndarray, factors: list):
+    """Each factor's field of the codes as search keys: all at once for one limb, else one by one."""
+    if codes.ndim > 1:
+        return (_keys(field(codes, at, bits)) for _, at, bits in factors)
+    out = codes >> np.array([at for _, at, _ in factors], dtype=np.uint64)[:, None]
+    out &= np.array([(1 << bits) - 1 for _, _, bits in factors], dtype=np.uint64)[:, None]
+    return out
 
-    Each factor's field of a code is searched in the factor's table; the
-    codes below are the entries below it times the product of the later
-    tables, plus, when the field is an entry, the count for the later factors.
+
+def product_below(blocks: list, codes: np.ndarray) -> np.ndarray:
+    """How many codes of each sorted product lie below each of `codes` (an array of their width).
+
+    One row per block: the head entries below a code's head field times the
+    tail size, plus, when that field is a head entry, the tail entries below
+    its tail field. One-limb fields of every block are cut at once, and each
+    block's rows of them are overwritten by its counts.
     """
-    below = np.zeros(len(codes), dtype=np.int64)
-    alive = np.ones(len(codes), dtype=bool)     # every field so far is a table entry
-    weight = product_size(factors)
-    for table, at, bits in factors:
-        weight //= len(table)
-        table, keys = _keys(table), _keys(field(codes, at, bits))
-        index = table.searchsorted(keys)
-        below += alive * index * weight
-        alive &= table[np.minimum(index, len(table) - 1)] == keys
+    heads, tails = (_fields(codes, [factors[i] for factors in blocks]) for i in (0, 1))
+    lo, below = (keys.view(np.int64) if codes.ndim == 1 else np.empty((len(blocks), len(codes)), np.int64)
+                 for keys in (heads, tails))
+    hit = np.empty(lo.shape, dtype=bool)
+    for b, (((head, _, _), (tail, _, _)), keys, tail_keys) in enumerate(zip(blocks, heads, tails)):
+        head = _keys(head)
+        right = head.searchsorted(keys, side="right")
+        lo[b] = head.searchsorted(keys)
+        hit[b] = right > lo[b]
+        below[b] = _keys(tail).searchsorted(tail_keys)
+    below *= hit
+    lo *= np.array([len(tail) for _, (tail, _, _) in blocks])[:, None]
+    below += lo
     return below
 
 
 def product_at(factors: list, ranks: np.ndarray, k: int) -> np.ndarray:
     """The codes of a sorted product at the given ranks, in k limbs."""
-    out = np.zeros((len(ranks),) if k == 1 else (len(ranks), k), dtype=np.uint64)
-    for table, at, _ in reversed(factors):
-        ranks, index = np.divmod(ranks, len(table))
-        out |= shifted(table[index], at, k)
+    (head, at, _), (tail, tail_at, _) = factors
+    rows, cols = np.divmod(ranks, len(tail))
+    out = shifted(head[rows], at, k)             # a new array
+    out |= shifted(tail[cols], tail_at, k)
     return out
 
 
@@ -196,38 +225,38 @@ def product_codes(factors: list, k: int) -> np.ndarray:
 def product_fill(out: np.ndarray, factors: list, start: int) -> None:
     """Write the codes of ranks start .. start+len(out)-1 of a sorted product into `out`.
 
-    The product has one factor or two. The ranks are then a partial row of
-    the first factor, whole rows, and a partial row, and each run of rows is
-    one OR of the first factor's codes with a slice of the second table.
+    The ranks are a partial row of the head, whole rows, and a partial row,
+    and each run of rows is one OR of the head codes with a slice of the tail.
     """
     k = 1 if out.ndim == 1 else out.shape[1]
-    table, at, _ = factors[0]
-    if len(factors) == 1:
-        out[...] = shifted(table[start:start + len(out)], at, k)
-        return
-    second, second_at, _ = factors[1]
-    size, pos, end = len(second), 0, len(out)
+    (head, at, _), (tail, tail_at, _) = factors
+    size, pos, end = len(tail), 0, len(out)
     while pos < end:
         i, r = divmod(start + pos, size)
         take = min(size - r, end - pos)
         rows = (end - pos) // size if take == size else 1
         grid = out[pos:pos + rows * take].reshape(rows, take, *out.shape[1:])
-        np.bitwise_or(shifted(table[i:i + rows], at, k)[:, None],
-                      shifted(second[r:r + take], second_at, k), out=grid)
+        np.bitwise_or(shifted(head[i:i + rows], at, k)[:, None],
+                      shifted(tail[r:r + take], tail_at, k), out=grid)
         pos += rows * take
 
 
-def part_plan(sizes: list[int], k: int) -> tuple[int, int, int, int]:
-    """(capacity, stride, largest part, samples) for sorting blocks of these sizes in parts.
+def part_plan(sizes: list[int], k: int) -> tuple[int, int, int]:
+    """(capacity, stride, largest part) for sorting blocks of these sizes in parts.
 
-    A part's sort holds PART_BYTES at most, or one code more than there are
-    blocks when that is more. When one part cannot hold every code, every
-    stride-th code of each block is sampled to cut the parts (`part_edges`).
+    Beyond one part, every stride-th code of each of the B blocks, stride =
+    capacity / 2B, is sampled to cut the parts (`part_edges`): about
+    2BT / capacity samples of the T codes. The capacity, in codes, balances
+    the two sorts: the largest of PART_BYTES of sort, sqrt(2BT), B + 1 and
+    the samples. So the samples, the ranks at the candidate cuts and the
+    B x (parts + 1) edges each stay within about one part.
     """
-    capacity, total = PART_BYTES // (8 * sort_words(k)), sum(sizes)
-    stride = max(1, capacity // (2 * len(sizes)))
-    samples = 0 if total <= capacity else sum((size - 1) // stride for size in sizes)
-    return capacity, stride, min(total, max(capacity, len(sizes) + 1)), samples
+    blocks, total = len(sizes), sum(sizes)
+    capacity = max(PART_BYTES // (8 * sort_words(k)), isqrt(2 * blocks * total - 1) + 1, blocks + 1)
+    stride = max(1, capacity // (2 * blocks))
+    if total > capacity:
+        capacity = max(capacity, sum((size - 1) // stride for size in sizes))
+    return capacity, stride, min(total, capacity)
 
 
 def _steps(marks: np.ndarray, limit: int, end: int) -> list[int]:
@@ -263,11 +292,12 @@ def part_edges(blocks: list, sizes: list[int], capacity: int, stride: int, k: in
     if total > capacity:
         samples, new = sort_marked(np.concatenate([
             product_at(factors, np.arange(stride, size, stride), k)
-            for factors, size in zip(blocks, sizes)]))
+            for factors, size in zip(blocks, sizes) if size > stride]))
         firsts = np.flatnonzero(new)         # samples below each distinct sample
         step = max(1, capacity // stride - len(blocks))
         candidates = samples[firsts[_steps(firsts, step, len(samples))]]
-        below = np.array([product_below(factors, candidates) for factors in blocks])
+        del samples, new, firsts             # freed before the blocks are searched
+        below = product_below(blocks, candidates)
         below = below[:, _steps(below.sum(axis=0), capacity, total)]
     return np.column_stack([np.zeros(len(blocks), dtype=np.int64), below, sizes])
 

@@ -103,7 +103,7 @@ class Alphabet:
         return len(self.letters)
 
 
-CHUNK_ROWS = 4096   # choice rows unranked, folded or encoded at a time
+CHUNK_ROWS = 1024   # choice rows unranked, folded or encoded at a time
 
 
 @dataclass(eq=False)

@@ -215,13 +215,14 @@ def test_parts_match_one_part(request, monkeypatch, name, part_bytes):
 
 @pytest.mark.parametrize("budget, what, needed, unit", [
     (560, "prefix product (6, 64) with the tables held", 572, "8-byte words"),
-    (640, "factor length 65 part (129 window codes)", 645, "8-byte sort words"),
-    (690, "factor length 65 samples (140 window codes)", 700, "8-byte sort words"),
+    (1300, "factor length 65 part (262 window codes)", 1310, "8-byte sort words"),
 ])
 def test_each_size_refused_over_budget(monkeypatch, budget, what, needed, unit):
     # The d = 2 wide system with parts of 64 bytes: the tables held after
-    # n = 64 (556 words), then n = 65's tables, its largest part and its
-    # samples each pass the budget that refuses the next.
+    # n = 64 (556 words), then n = 65's tables (573 words) and its largest
+    # part each pass the budget that refuses the next. n = 65 has 268 codes
+    # in 128 blocks, so its part holds sqrt(2 * 128 * 268) codes, not the 64
+    # bytes; its 140 samples are no more than a part and are not refused alone.
     monkeypatch.setattr(codes, "PART_BYTES", 64)
     monkeypatch.setenv("GROWTHFORGE_BUDGET", str(budget))
     engine = FactorEngine(wide_system(*WIDE_CASES[0][:2]))
@@ -230,6 +231,69 @@ def test_each_size_refused_over_budget(monkeypatch, budget, what, needed, unit):
     with pytest.raises(BudgetExceeded) as info:
         engine._plan(65)
     assert str(info.value) == f"{what} needs {needed} {unit}, budget is {budget} (deficit {needed - budget})"
+
+
+@pytest.mark.parametrize("name", ["wide", "exp_power"])
+def test_parts_balance_samples_and_edges(tmp_path, monkeypatch, name):
+    # For every n, the samples that cut the parts and the blocks x (parts + 1)
+    # edge matrix each fit one part's capacity. On the analyze-wide system a
+    # part is 256 KiB of sort up to n = 64, a two-limb one from n = 65 and
+    # sqrt(2BT) codes once that is more; every n of exp_power(1/2) at depth 7
+    # is one part.
+    if name == "wide":
+        system = build_uniformly_recurrent(poly_geometric("1/20"), depth=8, capture_budget=2,
+                                           horizon=12)
+        assert persist.save_system(system, tmp_path / "wide.json") == (
+            "sha256:8d43d5713b74ea53c73871a4449a3fc645ddceecf958202d80553933640ed41a")
+    else:
+        system = build_uniformly_recurrent(exp_power("1/2"), depth=7, capture_budget=2, horizon=12)
+    engine = FactorEngine(system)
+    sampled = []
+    product_at = codes.product_at
+    monkeypatch.setattr(codes, "product_at", lambda factors, ranks, k: (
+        sampled.append(len(ranks)) or product_at(factors, ranks, k)))
+    parts, floors = [], []
+    for n in range(1, (1 << (system.depth - 1)) + 1):
+        capacity, stride = engine._plan(n)
+        blocks = engine._blocks(n)
+        sampled.clear()
+        k = codes.limb_count(n, engine.bits)
+        edges = codes.part_edges(blocks, list(map(codes.product_size, blocks)), capacity, stride, k)
+        assert sum(sampled) <= capacity and edges.size <= capacity
+        parts.append(edges.shape[1] - 1)
+        floors.append(capacity == codes.PART_BYTES // (8 * codes.sort_words(k)))
+    if name == "wide":
+        assert max(parts[:64]) > 1 and max(parts[64:]) > 1 and not all(floors)
+    else:
+        assert set(parts) == {1}
+
+
+def test_sort_marked_keeps_ascending_rows():
+    # Two-limb rows already in lex order are marked where they lie, not
+    # copied; a low limb out of order under an equal high limb, or a high
+    # limb out of order, sends them through np.lexsort.
+    rows = np.array([[0, 5], [0, 7], [0, 7], [1, 0], [1 << 63, 1]], dtype=np.uint64)
+    out, new = codes.sort_marked(rows)
+    assert out is rows and new.tolist() == [True, True, False, True, True]
+    for order in ([1, 0, 2, 3, 4], [4, 3, 2, 1, 0]):
+        out, new = codes.sort_marked(rows[order])
+        assert out.tolist() == rows.tolist() and new.tolist() == [True, True, False, True, True]
+
+
+@pytest.mark.parametrize("chooser", ["lex", "seeded"])
+def test_two_limb_member_levels_sort_only_when_unordered(monkeypatch, chooser):
+    # The 1,031 top-level members of poly_geometric(1/20) at depth 8 hold 128
+    # letters, two limbs. Chosen lex they fold in code order, and the engine
+    # keeps the folded array; chosen seeded they fold in draw order and sort.
+    system = build_uniformly_recurrent(poly_geometric("1/20"), depth=8, capture_budget=2,
+                                       chooser=chooser, seed=3, horizon=12)
+    folded = []
+    fold = analyzer._fold_members
+    monkeypatch.setattr(analyzer, "_fold_members", lambda *args: folded.append(fold(*args)) or folded[-1])
+    top = FactorEngine(system)._members[-1]
+    assert top.shape == (1031, 2)
+    assert (top is folded[0][-1]) == (chooser == "lex")
+    assert code_ints(top) == sorted(set(code_ints(folded[0][-1])))
 
 
 @st.composite

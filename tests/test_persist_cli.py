@@ -486,9 +486,10 @@ class TestCli:
         assert engine._counts == {}
 
     def test_analyze_refuses_before_counting(self, tmp_path, capsys, monkeypatch):
-        # The analyze-wide system under a budget of 200,000 words: n = 65 is
-        # the first length whose part, 52,428 two-limb codes with the lexsort
-        # scratch, is over the budget, and every n up to --nmax is checked
+        # The analyze-wide system under a budget of 200,000 words: the prefix
+        # product of n = 117 is the first size over it (no part reaches it:
+        # the largest before, 26,308 two-limb codes at n = 116, takes 131,540
+        # words with the lexsort scratch), and every n up to --nmax is checked
         # before any is counted.
         monkeypatch.setenv("GROWTHFORGE_BUDGET", "200000")
         counted, systems = [], []
@@ -504,8 +505,8 @@ class TestCli:
         capsys.readouterr()
         assert main(["analyze", str(sys_path), "--nmax", "128", "--out", str(report)]) == 1
         assert capsys.readouterr().err == (
-            "failure: factor length 65 part (52428 window codes) needs 262140"
-            " 8-byte sort words, budget is 200000 (deficit 62140)\n")
+            "failure: prefix product (7, 116) with the tables held needs 202897"
+            " 8-byte words, budget is 200000 (deficit 2897)\n")
         assert counted == [] and analyzer._engine_for(systems[0])._counts == {}
         assert not report.exists()
 
