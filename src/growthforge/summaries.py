@@ -15,7 +15,8 @@ the Counter of W(2^m). Below the top level, per-member summaries are folded
 from the choice rows the same way as member codes
 (`construction._fold_members`), with no member string scanned: summaries
 are interned as ids in a `_SummaryTable`, whose fold step concatenates each
-distinct (head id, rest id) pair once, and M_j is the tally of C_j's ids.
+distinct (head id, rest id) pair once and finds known pairs in one sorted
+index of them, and M_j is the tally of C_j's ids.
 The top level's M comes from its rank ranges (`_member_histogram`): a block
 of them fixes q leading choices, whose word u is folded from the member ids
 of the levels below, and holds the full product of the choices after them,
@@ -33,9 +34,6 @@ import numpy as np
 
 from .codes import sorted_unique
 from .construction import LevelSystem, _fold_members, _fold_rows
-
-PAIR_SIDE = 256   # summaries a dense pair table of the summary fold covers: 512 KiB at most
-STEP_CELLS = 16   # dense pair cells a fold step may grow per key it joins
 
 
 def scan_occurrences(text: str, word: str) -> list[int]:
@@ -80,22 +78,19 @@ class _SummaryTable(list):
 
     `leaves` holds the letters' ids and `join` is the fold step on id arrays:
     each distinct (head id, rest id) pair is concatenated once over the
-    table's life, and within a step in ascending (head, rest) order. While the
-    table has at most PAIR_SIDE summaries, a step reads its pairs' ids from a
-    dense (head, rest) table of them, kept across steps and chunks and grown
-    by doubling, so a known pair costs one gather. Past that, and in a step
-    of fewer than one key per STEP_CELLS cells of the table it would grow,
-    a step packs each pair into one int64 key, sorts out the distinct keys,
-    looks them up in a dict and maps each key to its id by binary search
-    (no argsort: its code would be paged in for this step alone).
+    table's life, and within a step in ascending (head, rest) order. The
+    pairs joined so far are one index kept across steps and chunks: their
+    keys head << 32 | rest ascending in `_keys` (ids stay below 2^31), ended
+    by a key no pair reaches, and their ids in `_vals`. A step looks its keys
+    up by binary search, joins the distinct keys it misses and merges them in.
     """
 
     def __init__(self, system: LevelSystem, word: str):
         super().__init__()
         self.word = word
         self._ids: dict[tuple, int] = {}
-        self._joined: dict[tuple[int, int], int] = {}
-        self._pairs = np.empty((0, 0), dtype=np.int64)   # pair ids by (head, rest), else -1
+        self._keys = np.array([np.iinfo(np.int64).max], dtype=np.int64)
+        self._vals = np.array([-1], dtype=np.int64)
         self.leaves = np.array([self.intern(_summary(ch, word)) for ch in system.alphabet.letters],
                                dtype=np.int64)
 
@@ -106,34 +101,24 @@ class _SummaryTable(list):
             self.append(summary)
         return i
 
-    def _pair_id(self, key: int, width: int) -> int:
-        pair = divmod(key, width)
-        i = self._joined.get(pair)
-        if i is None:
-            i = self._joined[pair] = self.intern(_concat(self[pair[0]], self[pair[1]], self.word))
-        return i
-
     def join(self, head: np.ndarray, rest: np.ndarray, _level: int) -> np.ndarray:
-        width, pairs = len(self), self._pairs
-        side = min(max(2 * len(pairs), width), PAIR_SIDE)   # of the table grown for this step
-        if width > PAIR_SIDE or len(pairs) < width and side * side > STEP_CELLS * len(head):
-            keys = head * width + rest
-            distinct = sorted_unique(keys.copy())
-            return np.array([self._pair_id(key, width) for key in distinct.tolist()],
-                            dtype=np.int64)[distinct.searchsorted(keys)]
-        if len(pairs) < width:
-            grown = np.full((side, side), -1, dtype=np.int64)
-            grown[:len(pairs), :len(pairs)] = pairs
-            pairs = self._pairs = grown
-        flat = pairs.reshape(-1)
-        cells = head * len(pairs) + rest
-        out = flat[cells]
-        missing = out < 0
-        if missing.any():
-            for key in sorted_unique(head[missing] * width + rest[missing]).tolist():
-                pairs[divmod(key, width)] = self._pair_id(key, width)
-            out = flat[cells]
-        return out
+        keys = head << 32
+        keys |= rest
+        at = self._keys.searchsorted(keys)
+        missed = self._keys[at] != keys
+        if missed.any():
+            new = sorted_unique(keys[missed])
+            ids = [self.intern(_concat(self[key >> 32], self[key & 0xFFFFFFFF], self.word))
+                   for key in new.tolist()]
+            slots = self._keys.searchsorted(new) + np.arange(len(new))   # in the merged index
+            known = np.ones(len(self._keys) + len(new), dtype=bool)
+            known[slots] = False
+            merged_keys, merged_ids = np.empty((2, len(known)), dtype=np.int64)
+            merged_keys[slots], merged_ids[slots] = new, ids
+            merged_keys[known], merged_ids[known] = self._keys, self._vals
+            self._keys, self._vals = merged_keys, merged_ids
+            at += new.searchsorted(keys)   # each key moves past the new keys below it
+        return self._vals[at]
 
 
 def _product(left: Counter, right: Counter, word: str) -> Counter:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from growthforge.errors import BudgetExceeded, DepthTooShallow
-from growthforge import analyzer, codes, persist
+from growthforge import analyzer, codes, persist, summaries
 from growthforge.analyzer import (
     FactorEngine,
     check_growth_sandwich,
@@ -21,7 +21,6 @@ from growthforge.analyzer import (
     verify_recurrence_gaps,
 )
 from growthforge.summaries import (
-    PAIR_SIDE,
     level_counters,
     scan_occurrences,
     _concat,
@@ -702,7 +701,7 @@ def test_block_histograms_of_built_systems(build):
 
 def unique_member_summaries(system, word):
     """The summary fold with every step deduped by np.unique: the table, the
-    per-level ids and each step's (table width, key count)."""
+    per-level ids, each step's (table width, key count) and the pairs joined."""
     table, ids, joined, steps = [], {}, {}, []
 
     def intern(summary):
@@ -724,26 +723,50 @@ def unique_member_summaries(system, word):
         return np.array(out, dtype=np.int64)[inverse]
 
     leaves = np.array([intern(_summary(ch, word)) for ch in system.alphabet.letters])
-    return table, _fold_members(system, leaves, join), steps
+    return table, _fold_members(system, leaves, join), steps, len(joined)
 
 
 class TestFold:
-    def test_dense_and_unique_dedupe_agree(self):
+    def test_fold_matches_unique_reference(self, monkeypatch):
         # The d8 system's 26,344-member top level folds in chunks of CHUNK_ROWS
-        # rows. While the summary table has at most PAIR_SIDE entries, a step
-        # reads the dense pair table kept across the fold; the multi-letter
-        # "abba" grows the table past that, and its later steps take np.unique.
+        # rows; the multi-letter "abba" grows the summary table past 256
+        # entries. The pair index joins each distinct pair once over the fold.
         system = build_uniformly_recurrent(poly_geometric("1/13"), depth=8, capture_budget=2,
                                            horizon=12)
-        dense = {}
+        concat = summaries._concat
+        calls = []
+
+        def counted(left, right, word):
+            calls.append(word)
+            return concat(left, right, word)
+
+        monkeypatch.setattr(summaries, "_concat", counted)
         for word in ["a", "b", "bab", "abba"]:
             table, ids = member_summaries(system, word)
-            expected_table, expected_ids, steps = unique_member_summaries(system, word)
+            expected_table, expected_ids, steps, pairs = unique_member_summaries(system, word)
             assert table == expected_table
             assert [level.tolist() for level in ids] == [level.tolist() for level in expected_ids]
             assert any(keys == CHUNK_ROWS for _, keys in steps)
-            dense[word] = {width <= PAIR_SIDE for width, _ in steps}
-        assert dense == {"a": {True}, "b": {True}, "bab": {True}, "abba": {True, False}}
+            assert calls.count(word) == pairs
+        assert len(table) > 256   # "abba"'s
+
+    def test_index_merge(self, toy_system):
+        # New keys land before, between and after the known ones, and repeat
+        # within a step; ids match a dict of the pairs joined so far.
+        word = "ab"
+        table = _SummaryTable(toy_system, word)
+        expected, joined = list(table), {}
+        for head, rest in [([1], [0]), ([0, 1, 2], [0, 0, 2]), ([1, 0, 1, 3], [1, 1, 0, 3]),
+                           ([2, 2, 0], [2, 2, 0]), ([4, 0, 3, 2, 5], [0, 5, 1, 4, 5])]:
+            for pair in sorted(set(zip(head, rest)) - joined.keys()):
+                summary = _concat(expected[pair[0]], expected[pair[1]], word)
+                if summary not in expected:
+                    expected.append(summary)
+                joined[pair] = expected.index(summary)
+            out = table.join(np.array(head), np.array(rest), 1)
+            assert out.tolist() == [joined[pair] for pair in zip(head, rest)]
+            assert table == expected
+            assert (np.diff(table._keys) > 0).all()
 
     def test_free_eps1(self, free_system_eps1):
         assert_folds_match_strings(free_system_eps1[0], ["x", "yx", "xyy", "yxxy"])
