@@ -44,12 +44,12 @@ its sort scratch; `check_window_budget` builds the tables of every n up to
 a bound and checks its parts before any n is counted. F(n) itself
 leaves the engine only as the parts' distinct codes in order, and words
 only through `decode`, one array pass. Counts are memoized per engine, and
-building F(n) records |F(n)|, so each n is counted once. Membership of a
-single word never builds F(n): w is a factor exactly when, for some
-straddle (j, a), w[:a] ends a C_j member and w[a:] is a prefix, field by
-field; a field of one limb is found by binary search in its cut table, and
-a wider one, which a long word would use once, is compared with the member
-codes directly.
+building F(n) records |F(n)|, so each n is counted once. Membership never
+builds F(n): w is a factor exactly when, for some straddle (j, a), w[:a]
+ends a C_j member and w[a:] is a prefix, field by field. Equal-length words
+are coded into one array and walk the straddles once; a cut table is built
+when a word first reaches it, and a field wider than one limb meets its
+64-bit edge table, then the members' sorted field, which is not kept.
 
 Dimensions dim_n = |F(n)| feed the growth report (cumulative sums, entropy
 partials g(n)^(1/n) via exact integer roots), the dyadic growth sandwich,
@@ -73,8 +73,8 @@ from fractions import Fraction
 import numpy as np
 
 from .codes import (
-    EMPTY, field, holds, letter_bits, limb_count, occurs, part_edges, part_plan, product_codes,
-    product_size, search_key, shifted, sort_marked, sort_words, sorted_parts, sorted_unique, unpack,
+    EMPTY, encode, field, holds, letter_bits, limb_count, part_edges, part_plan, product_codes,
+    product_size, shifted, sort_marked, sort_words, sorted_parts, sorted_unique, unpack,
 )
 from .construction import LevelSystem, _fold_members, _json_fields
 from .errors import DepthTooShallow, require_budget
@@ -97,7 +97,6 @@ class FactorEngine:
         self.d = system.alphabet.size
         self.bits = letter_bits(self.d)
         self.depth = system.depth
-        self._digit = {ch: i for i, ch in enumerate(system.alphabet.letters)}
         self._counts: dict[int, int] = {}
         self._plans: dict[int, tuple[int, int, int]] = {}
         self._letters = np.arange(self.d, dtype=np.uint64)   # the codes of W(1)
@@ -107,12 +106,6 @@ class FactorEngine:
         self._tables = {(j, 0, self.bits << j): m for j, m in enumerate(self._members)}
         self._prefixes: dict[tuple[int, int], np.ndarray] = {}   # prefix sets by (j, m)
         self._held = 0   # 8-byte words of the cut tables and prefix products built
-
-    def encode(self, word: str) -> int:
-        code = 0
-        for ch in word:
-            code = code << self.bits | self._digit[ch]
-        return code
 
     def decode(self, codes: np.ndarray, n: int) -> list[str]:
         """The length-n words of a code array, in order, from one gather of letters."""
@@ -238,45 +231,54 @@ class FactorEngine:
             hit = self._counts[n] = sum(self._parts(n, lambda _, new: int(np.count_nonzero(new))))
         return hit
 
-    def _holds_field(self, level: int, lo: int, bits: int, code: int) -> bool:
-        """Whether the low `bits` bits of an int code are bits lo .. of a C_level member code.
+    def _held_field(self, level: int, lo: int, bits: int, codes: np.ndarray, at: int) -> np.ndarray:
+        """Which codes hold, at bits at .. at+bits-1, bits lo .. lo+bits-1 of a C_level member code.
 
-        A field of one limb, or one whose table exists, is looked up in its
-        sorted table. A wider one, which a long word would use once, builds
-        no table: its 64 bits at the end of the field that is lo (or, if lo
-        is not 0, the other) are looked up first in the table of those member
-        bits, which every field ending there shares, and only then is the
-        field compared with the member codes directly.
-        """
-        code &= (1 << bits) - 1
+        A field of one limb, or one with a table, is searched in its cut table,
+        built when codes first reach it (no caller passes none). A wider one
+        builds none: codes whose 64 bits at its lo end (else its other end) are
+        in that edge table are searched in the members' sorted field, not kept."""
         if bits > 64 and (level, lo, bits) not in self._tables:
             edge = lo if lo == 0 else lo + bits - 64
-            return (self._holds_field(level, edge, 64, code >> edge - lo)
-                    and occurs(field(self._members[level], lo, bits), code))
-        return bool(holds(self._table(level, lo, bits), search_key(code, limb_count(bits, 1))))
+            hit = self._held_field(level, edge, 64, codes, at + edge - lo)
+            if hit.any():
+                hit[hit] = holds(sorted_unique(field(self._members[level], lo, bits)),
+                                 field(codes[hit], at, bits))
+            return hit
+        return holds(self._table(level, lo, bits), field(codes, at, bits))
 
-    def _is_prefix(self, j: int, m: int, code: int) -> bool:
-        """Whether the low m letters of an int code are a prefix of a W(2^j) element."""
-        half, b = 1 << j >> 1, self.bits
-        if j == 0:
-            return True
-        if m <= half:
-            return self._holds_field(j - 1, b * (half - m), b * m, code)
-        return (self._holds_field(j - 1, 0, b * half, code >> b * (m - half))
-                and self._is_prefix(j - 1, m - half, code))
+    def _held_window(self, j: int, a: int, m: int, codes: np.ndarray) -> np.ndarray:
+        """Which codes end in a window of straddle (j, a): the last a letters of a C_j member, then
+        the first m of a W(2^j) element, halved as in `_prefix` and tested where the head held."""
+        b, half = self.bits, 1 << j >> 1
+        hit = self._held_field(j, 0, b * a, codes, b * m)
+        if not (j and hit.any()):   # at j = 0 the m = 1 letter left is any letter
+            return hit
+        if m > half:   # a whole C_(j-1) member, then a window of straddle (j - 1, half)
+            hit[hit] = self._held_window(j - 1, half, m - half, codes[hit])
+        else:          # the first m letters of a C_(j-1) member
+            hit[hit] = self._held_field(j - 1, b * (half - m), b * m, codes[hit], 0)
+        return hit
 
-    def contains(self, word: str) -> bool:
-        """Whether word is in F(len(word)), without building F(n)."""
-        n = len(word)
+    def held(self, words: list[str]) -> np.ndarray:
+        """Which of some equal-length words are in F(n), without building F(n).
+
+        The words are coded in one pass (`codes.encode`), and each straddle tests, field by
+        field, the words none before it held; a foreign letter is never held."""
+        n = len(words[0]) if words else 0
         self._check_depth(n)
-        if any(ch not in self._digit for ch in word):
-            return False
+        codes, out = encode(words, n, self.system.alphabet.letters, self.bits)
         if n <= 1:
-            return True
-        # A straddle's prefix w[a:] is tested only once its head w[:a] is a member suffix.
-        code = self.encode(word)
-        return any(self._holds_field(j, 0, self.bits * a, code >> self.bits * (n - a))
-                   and self._is_prefix(j, n - a, code) for j, a in self._straddles(n))
+            return out
+        rest, codes = np.flatnonzero(out), codes[out]
+        out[:] = False
+        for j, a in self._straddles(n):
+            if not len(rest):
+                break
+            hit = self._held_window(j, a, n - a, codes)
+            out[rest[hit]] = True
+            rest, codes = rest[~hit], codes[~hit]
+        return out
 
     def distinct(self, n: int) -> np.ndarray:
         """F(n) as its sorted distinct window codes: the parts' in order; |F(n)| is memoized."""
@@ -294,9 +296,9 @@ def check_window_budget(system: LevelSystem, n_max: int) -> None:
         engine._plan(n)
 
 
-def is_factor(system: LevelSystem, word: str) -> bool:
-    """Whether word is a factor of the system, without building F(len(word))."""
-    return _engine_for(system).contains(word)
+def held_factors(system: LevelSystem, words: list[str]) -> np.ndarray:
+    """Which of some equal-length words are factors of the system (`FactorEngine.held`)."""
+    return _engine_for(system).held(words)
 
 
 def factor_set_bruteforce(system: LevelSystem, n: int) -> frozenset[str]:

@@ -72,19 +72,21 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
         parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
-            raise SystemFileError(f"cannot read config file {path}")
         cfg = cls()
-        for section, keys in cls._sections.items():
-            if not parser.has_section(section):
-                continue
-            for key in keys:
-                ini_key = key[5:] if section == "free" and key.startswith("free_") else key
-                if parser.has_option(section, ini_key):
-                    current = getattr(cfg, key)
-                    raw = parser.get(section, ini_key)
-                    setattr(cfg, key, int(raw) if isinstance(current, int) else raw)
+        try:
+            if not parser.read(path):
+                raise SystemFileError(f"cannot read config file {path}")
+            for section, keys in cls._sections.items():
+                if not parser.has_section(section):
+                    continue
+                for key in keys:
+                    ini_key = key[5:] if section == "free" and key.startswith("free_") else key
+                    if parser.has_option(section, ini_key):
+                        current = getattr(cfg, key)
+                        raw = parser.get(section, ini_key)
+                        setattr(cfg, key, int(raw) if isinstance(current, int) else raw)
+        except configparser.Error as exc:
+            raise SystemFileError(f"malformed config file {path}: {exc}") from None
         return cfg
 
     def apply_flags(self, args: argparse.Namespace) -> None:

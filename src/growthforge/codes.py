@@ -38,11 +38,6 @@ def limb_count(length: int, bits: int) -> int:
     return max(1, -(-length * bits // 64))
 
 
-def search_key(code: int, k: int):
-    """One code, as an int, as a search key for `holds` on k-limb code arrays."""
-    return np.uint64(code) if k == 1 else np.void(code.to_bytes(8 * k, "big"))
-
-
 def _grid(codes: np.ndarray) -> np.ndarray:
     """A code array as N x k limbs, whatever its width."""
     return codes if codes.ndim == 2 else codes[:, None]
@@ -124,30 +119,32 @@ def sorted_unique(codes: np.ndarray) -> np.ndarray:
     return codes[new]
 
 
-def _keys(codes):
-    """One comparable scalar per code: the code itself, or its limbs' big-endian bytes.
-
-    A scalar (a `search_key`) is returned as it is.
-    """
-    if codes.ndim < 2:
+def _keys(codes: np.ndarray) -> np.ndarray:
+    """One comparable scalar per code: the code itself, or its limbs' big-endian bytes."""
+    if codes.ndim == 1:
         return codes
     return np.ascontiguousarray(codes, dtype=">u8").view(f"V{8 * codes.shape[1]}").reshape(-1)
 
 
-def occurs(codes: np.ndarray, code: int) -> bool:
-    """Whether an unsorted array of k-limb codes holds one code, an int, by direct comparison."""
-    k = 1 if codes.ndim == 1 else codes.shape[1]
-    return bool(np.any(_keys(codes) == search_key(code, k)))
-
-
-def holds(table: np.ndarray, codes):
-    """Which codes (an array, or one `search_key`) a nonempty sorted table of their width holds.
+def holds(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Which of an array of codes a nonempty sorted table of their width holds.
 
     A code is held when the last entry <= it equals it. A code below every
     entry gets index -1, the largest entry, which cannot equal it.
     """
     table, codes = _keys(table), _keys(codes)
     return table[table.searchsorted(codes, side="right") - 1] == codes
+
+
+def encode(words: list[str], n: int, letters: str, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The codes of words of n letters, N x k, and which words use only `letters`: `unpack` undone,
+    each letter's index in `letters` packed big-endian into the limbs, its bits high first."""
+    if any(len(w) != n for w in words):
+        raise ValueError(f"words of {n} letters expected")
+    digits = np.fromiter(map(letters.find, "".join(words)), dtype=np.int64).reshape(len(words), n)
+    binary = (digits[:, :, None] >> np.arange(bits - 1, -1, -1) & 1).astype(np.uint8)
+    binary = np.pad(binary.reshape(len(words), n * bits), ((0, 0), (-n * bits % 64, 0)))
+    return np.packbits(binary, axis=1).view(">u8").astype(np.uint64), (digits >= 0).all(axis=1)
 
 
 def unpack(codes: np.ndarray, n: int, bits: int) -> np.ndarray:

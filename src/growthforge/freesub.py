@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import compress, product as iter_product
 
 from .construction import FreeParams, LevelSystem, _json_fields
 from .exactmath import log2_bracket
@@ -137,10 +137,11 @@ def verify_free_generators(
     """Check that every product of the generators up to a length is a factor.
 
     Substitutes each word over {X, Y} of length 1..max_products_len into a
-    letter string and tests its membership in the exact factor set of that
-    length, one word at a time, without building the set. Distinct products
-    give distinct strings (equal-length code), so full presence certifies no
-    monomial relation up to the bound.
+    letter string and tests the strings of each product length together for
+    membership in the exact factor set of that length, without building the
+    set; `missing` keeps product order. Distinct products give distinct
+    strings (equal-length code), so full presence certifies no monomial
+    relation up to the bound.
     """
     if max_products_len < 1:
         raise ValueError("max_products_len must be >= 1")
@@ -149,15 +150,12 @@ def verify_free_generators(
         raise ValueError(
             f"products of length {max_products_len} need factor length "
             f"{max_products_len * degree} > certified maximum {1 << (system.depth - 1)}")
-    blocks = {0: params.x_word, 1: params.y_word}
     missing: list[str] = []
     checked = 0
     for length in range(1, max_products_len + 1):
-        for bits in iter_product((0, 1), repeat=length):
-            word = "".join(blocks[b] for b in bits)
-            checked += 1
-            if not analyzer.is_factor(system, word):
-                missing.append(word)
+        words = ["".join(p) for p in iter_product((params.x_word, params.y_word), repeat=length)]
+        missing.extend(compress(words, ~analyzer.held_factors(system, words)))
+        checked += len(words)
     capacity = []
     for r in range(1, system.depth - params.t):
         level = params.t + r

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -22,9 +23,10 @@ def factor_words(engine: analyzer.FactorEngine, n: int) -> frozenset[str]:
 
 
 def encoded(engine: analyzer.FactorEngine, words: list[str]) -> np.ndarray:
-    """Equal-length words as one code array of the engine's layout."""
-    k = max(1, -(-len(words[0]) * engine.bits // 64))
-    data = b"".join(engine.encode(w).to_bytes(8 * k, "big") for w in words)
+    """Equal-length words as one code array of the engine's layout, coded letter by letter."""
+    letters, k = engine.system.alphabet.letters, max(1, -(-len(words[0]) * engine.bits // 64))
+    ints = [reduce(lambda code, ch: code << engine.bits | letters.index(ch), w, 0) for w in words]
+    data = b"".join(code.to_bytes(8 * k, "big") for code in ints)
     rows = np.frombuffer(data, dtype=">u8").astype(np.uint64).reshape(len(words), k)
     return rows.reshape(-1) if k == 1 else rows
 

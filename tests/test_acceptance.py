@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import member_rows
+from conftest import member_rows, member_words
 
 from growthforge import analyzer, persist
 from growthforge.analyzer import (
@@ -58,14 +58,21 @@ def test_criterion_1_oracle_equivalence(toy_system, poly_plain5):
 def test_criterion_2_counting_identities(toy_system, captured4, captured7, free_system_eps1):
     ok = True
     # Full expansion at depth <= 4: counts match d * prod r_j and words are distinct.
+    # A level's words are the member words of the level below, each followed
+    # by every word of that level, in ref order; `expand` is checked on a sample.
     for system in (toy_system, captured4, free_system_eps1[0]):
+        members, words = member_words(system), list(system.alphabet.letters)
         for level in range(system.depth + 1):
-            words = [system.expand(ref) for ref in system.iter_refs(level)]
+            if level:
+                words = [m + w for m in members[level - 1] for w in words]
             expected = system.alphabet.size
             for j in range(level):
                 expected *= len(system.csets[j])
-            ok &= len(words) == expected
+            ok &= len(words) == system.level_word_count(level) == expected
             ok &= len(set(words)) == len(words)
+            total = len(words)
+            for rank in {*range(0, total, max(1, total // 16)), total - 1}:
+                ok &= system.expand(system.ref_from_rank(level, rank)) == words[rank]
     # Choice-set sizes equal the ceiled ratios at every level of every build.
     for system in (toy_system, captured4, captured7, free_system_eps1[0]):
         for level, cs in enumerate(system.csets):

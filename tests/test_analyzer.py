@@ -1,7 +1,7 @@
 import dataclasses
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
 from math import prod
 
 import numpy as np
@@ -145,13 +145,15 @@ class TestFactorSets:
     @pytest.mark.parametrize("values, depth, lengths", WIDE_CASES)
     def test_wide_codes_match_bruteforce(self, values, depth, lengths):
         system = wide_system(values, depth)
-        engine = FactorEngine(system)
+        engine, member = FactorEngine(system), FactorEngine(system)
         for n in lengths:
             assert system.alphabet.size ** n > 1 << 64
             oracle = factor_set_bruteforce(system, n)
             assert engine.count(n) == len(oracle)
             assert factor_words(engine, n) == oracle
-            assert all(engine.contains(w) for w in oracle)
+            assert member.held(sorted(oracle)).all()
+        # Membership keeps no table wider than 64 bits but the whole members.
+        assert all(bits <= 64 or bits == member.bits << j for j, _, bits in member._tables)
 
     def test_long_members_d3(self, long_members_d3):
         # Level-13 members hold more base-3 digits than Python's
@@ -168,11 +170,10 @@ class TestFactorSets:
         rejected = 0
         for start in (0, 777, 8000):
             w = words[-1][start:start + 4400]
-            assert engine.contains(w)
-            for z in letters:
-                present = any(w + z in x for x in words)
-                assert engine.contains(w + z) == present
-                rejected += not present
+            assert engine.held([w]).all()
+            present = [any(w + z in x for x in words) for z in letters]
+            assert engine.held([w + z for z in letters]).tolist() == present
+            rejected += present.count(False)
         assert rejected > 0
 
     def test_encode_decode_roundtrip(self, captured4):
@@ -325,9 +326,9 @@ def test_limb_boundaries_match_bruteforce(system_bits):
         assert engine.count(n) == len(oracle)
         assert engine.decode(engine.distinct(n), n) == oracle   # code order is string order
         sample = oracle[::max(1, len(oracle) // 8)]
-        assert all(engine.contains(w) for w in sample)
-        absent = {w[1:] + z for w in sample for z in letters} - set(oracle)
-        assert not any(engine.contains(w) for w in absent)
+        assert engine.held(sample).all()
+        absent = sorted({w[1:] + z for w in sample for z in letters} - set(oracle))
+        assert not engine.held(absent).any()
 
 
 @pytest.mark.parametrize("name, n", [("captured7", 64), ("long_members_d3", 64)])
@@ -344,7 +345,7 @@ def test_code_arrays_are_uint64(request, name, n):
         assert parts[0].shape[1] == 2 and engine._members[13].shape[1] == 256
 
 
-class TestContains:
+class TestHeld:
     # The free eps = 1 system holds every binary word, so it rejects nothing;
     # its brute-force expansion is slow, so only the top length is checked.
     @pytest.mark.parametrize("name, lengths, rejects", [
@@ -356,24 +357,24 @@ class TestContains:
         system = system[0] if isinstance(system, tuple) else system
         engine = FactorEngine(system)
         letters = system.alphabet.letters
-        assert all(engine.contains(z) for z in letters)
+        assert engine.held(list(letters)).all()
         rejected = 0
         for n in lengths:
             prev = factor_set_bruteforce(system, n - 1)
             cur = factor_set_bruteforce(system, n)
-            assert all(engine.contains(w) for w in cur)
-            for w in prev:
-                for z in letters:
-                    if w + z not in cur:
-                        assert not engine.contains(w + z)
-                        rejected += 1
+            words = sorted(cur) + sorted({w + z for w in prev for z in letters} - cur)
+            assert engine.held(words).tolist() == [w in cur for w in words]
+            rejected += len(words) - len(cur)
         assert (rejected > 0) == rejects
 
     def test_foreign_letter_and_depth(self, captured4):
         engine = FactorEngine(captured4)
-        assert not engine.contains("az")
+        assert engine.held(["az", "ab", "!b", "ba"]).tolist() == [False, True, False, True]
+        assert engine.held([]).tolist() == []
+        with pytest.raises(ValueError, match="letters expected"):
+            engine.held(["ab", "a"])
         with pytest.raises(DepthTooShallow):
-            engine.contains("a" * 9)
+            engine.held(["a" * 9])
 
 
 class TestConsecutiveDims:
@@ -385,9 +386,8 @@ class TestConsecutiveDims:
         engine = FactorEngine(system)
         letters = system.alphabet.letters
         for n in range(1, n_top + 1):
-            extensions = sum(engine.contains(w + z) for w in factor_words(engine, n)
-                             for z in letters)
-            assert engine.count(n + 1) == extensions
+            words = [w + z for w in factor_words(engine, n) for z in letters]
+            assert engine.count(n + 1) == np.count_nonzero(engine.held(words))
 
 
 class TestDimSeries:
@@ -620,7 +620,7 @@ def assert_folds_match_strings(system, words):
     strings = member_words(system)
     # Distinct members, hence distinct elements: what choose_cset relies on.
     assert all(len(set(level)) == len(level) for level in strings)
-    codes = [[engine.encode(s) for s in level] for level in strings]
+    codes = [code_ints(encoded(engine, level)) for level in strings]
     folded = _fold_members(system, np.arange(d, dtype=object),
                            lambda head, tail, l: head << (bits << (l - 1)) | tail)
     assert [level.tolist() for level in folded] == codes
@@ -779,7 +779,7 @@ class TestFold:
         reference = FactorEngine(captured7)
         counts = [reference.count(n) for n in range(1, 17)]
         words = ["".join(w) for n in (1, 5, 9) for w in product("ab", repeat=n)]
-        contained = [reference.contains(w) for w in words]
+        contained = [reference.held(list(group)).tolist() for _, group in groupby(words, len)]
         expected = verify_recurrence_gaps(captured7).to_dict()
         persist.save_system(captured7, tmp_path / "c7.json")
 
@@ -801,7 +801,7 @@ class TestFold:
         monkeypatch.setattr(LevelSystem, "expand", unexpandable)
         engine = FactorEngine(captured7)
         assert [engine.count(n) for n in range(1, 17)] == counts
-        assert [engine.contains(w) for w in words] == contained
+        assert [engine.held(list(group)).tolist() for _, group in groupby(words, len)] == contained
         assert verify_recurrence_gaps(captured7).to_dict() == expected
         assert [FactorEngine(loaded).count(n) for n in range(1, 17)] == counts
         assert verify_recurrence_gaps(loaded).to_dict() == expected
@@ -910,8 +910,8 @@ class TestRightExtensions:
     def test_toy_has_dead_suffix_factors(self, toy_system):
         # "bbb" occurs only as a terminal suffix, so it never extends right;
         # this is expected of finite truncations.
-        assert analyzer.is_factor(toy_system, "bbb")
-        assert not any(analyzer.is_factor(toy_system, "bbb" + z) for z in "ab")
+        assert analyzer.held_factors(toy_system, ["bbb"]).all()
+        assert not analyzer.held_factors(toy_system, ["bbba", "bbbb"]).any()
 
     def test_captured_targets_extend(self, captured4):
         # Captured targets sit inside choice-set members followed by the next

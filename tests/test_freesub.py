@@ -1,9 +1,12 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from growthforge.construction import build_free_power_system
+from growthforge import analyzer
+from growthforge.analyzer import factor_set_bruteforce
+from growthforge.construction import FreeParams, build_free_power_system
 from growthforge.freesub import (
     compute_t,
     degree_lower_bound,
@@ -98,6 +101,28 @@ class TestVerifyGenerators:
         system, params = build_free_power_system(Fraction(1, 2), 5)
         report = verify_free_generators(system, params, 2)  # products up to 8 letters
         assert report.passed
+
+    def test_missing_products_in_product_order(self, poly_plain5):
+        # Generators aa and bb on a lex system that forbids bbbb: the products
+        # absent from the factor sets are reported, shortest first, then in
+        # the order of their words over {X, Y}.
+        params = FreeParams(Fraction(1), 1, 2, "aa", "bb", 0)
+        report = verify_free_generators(poly_plain5, params, 4)
+        expected = [w for length in range(1, 5)
+                    for w in map("".join, product(("aa", "bb"), repeat=length))
+                    if w not in factor_set_bruteforce(poly_plain5, 2 * length)]
+        assert report.missing == expected and report.missing[0] == "bbbb"
+        assert report.products_checked == 30 and not report.passed
+
+    def test_held_tables_of_free_e1(self):
+        # `free --epsilon 1 --depth 5 --products-len 8` keeps four cut tables
+        # beside the five member tables: only those some product reaches.
+        system, params = build_free_power_system(1, 5)
+        assert verify_free_generators(system, params, 8).passed
+        engine = analyzer._engine_for(system)
+        assert sorted(engine._tables) == [(0, 0, 1), (1, 0, 2), (2, 0, 2), (2, 0, 4), (3, 0, 2),
+                                          (3, 0, 4), (3, 0, 6), (3, 0, 8), (4, 0, 16)]
+        assert engine._held == 88
 
     def test_range_precondition(self, free_system_eps1):
         system, params = free_system_eps1

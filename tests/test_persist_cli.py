@@ -380,6 +380,18 @@ class TestRunConfig:
         assert main(["validate", "--config", str(cfg_file)]) == 2
         assert "unknown growth family 'nope'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "family = lex\n",                                        # no section header
+        "[growth]\nfamily = lex\n[growth]\nepsilon = 1/10\n",   # a section twice
+        "[growth]\nhorizon = %(x)s\n",                          # interpolation of no option
+    ], ids=["no-section", "duplicate-section", "interpolation"])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, text):
+        cfg_file = tmp_path / "run.ini"
+        cfg_file.write_text(text)
+        assert main(["validate", "--config", str(cfg_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed config file") and "Traceback" not in err
+
     def test_table_parsing(self):
         cfg = RunConfig(family="table", table_values="2,4,8,16")
         assert cfg.parse_table() == {1: 2, 2: 4, 4: 8, 8: 16}
