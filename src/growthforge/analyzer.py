@@ -13,21 +13,22 @@ the union of the W(2^j), j <= depth. Two independent routes compute it:
         F(n) = union over j >= ceil(log2 n) - 1 of
                { suffix_a(C_j) ++ prefix_(n-a)(W(2^j)) : 1 <= a <= min(n-1, 2^j) }
 
-    with prefix sets computed by the same halving recursion.
+    with prefix sets computed by halving, W(2^(l+1)) = C(2^l) W(2^l).
 
 Words are bit-packed integer codes in uint64 limbs (see `codes`), an
 injective encoding that keeps the lex order of equal-length words, so
 counts are exact. A member of C_j is a member of C_(j-1) followed by a
 shorter element, so member codes are folded up the levels from the choice
 arrays, one gather and one shift-and-OR per level step; no member string is
-encoded. Every suffix and every short prefix code is then a bit field of a
-member code, and its table is the sorted distinct fields (a cut table). A
-longer prefix is a whole member followed by a shorter prefix, so its set is
-the sorted product of a member table and a shorter prefix set, built once.
-Each straddle block suffix_a(C_j) x prefix_(n-a)(W(2^j)) is then a sorted
-virtual product of two tables (see `codes`): its codes below a threshold
-are counted by binary search in its tables, and any rank range of it is
-written from the tables directly.
+encoded. A straddle is then a tuple of fields (level, lo, bits) tiling its
+n letters from the left, each bits lo .. lo+bits-1 of a C_level member code
+(level -1: a letter); counting and membership walk the same tuples. One
+field's table is its sorted distinct fields (a cut table); a longer prefix
+is a whole member followed by a shorter one, so its set is the sorted
+product of two tables, built once. Each straddle's block is then a sorted
+virtual product of its first field's table and the rest's (see `codes`):
+its codes below a threshold are counted by binary search in its tables,
+and any rank range of it is written from the tables directly.
 |F(n)| is counted over disjoint code-range parts. Each n's part capacity
 follows from its B blocks and T codes (`codes.part_plan`): at least 256 KiB
 of sort (codes, plus the lexsort index and sorted copy for codes of two
@@ -45,11 +46,11 @@ a bound and checks its parts before any n is counted. F(n) itself
 leaves the engine only as the parts' distinct codes in order, and words
 only through `decode`, one array pass. Counts are memoized per engine, and
 building F(n) records |F(n)|, so each n is counted once. Membership never
-builds F(n): w is a factor exactly when, for some straddle (j, a), w[:a]
-ends a C_j member and w[a:] is a prefix, field by field. Equal-length words
-are coded into one array and walk the straddles once; a cut table is built
-when a word first reaches it, and a field wider than one limb meets its
-64-bit edge table, then the members' sorted field, which is not kept.
+builds F(n): w is a factor exactly when, for some straddle, each field of
+w is in its cut table. Equal-length words are coded into one array and walk
+the straddles once, field by field; a cut table is built when a word first
+reaches it, and a field wider than one limb meets its 64-bit edge table,
+then the members' sorted field, which is not kept.
 
 Dimensions dim_n = |F(n)| feed the growth report (cumulative sums, entropy
 partials g(n)^(1/n) via exact integer roots), the dyadic growth sandwich,
@@ -87,9 +88,9 @@ ENTROPY_DIGITS = 6
 class FactorEngine:
     """Structural factor computation with per-system caches.
 
-    Caches sorted cut tables of the member codes, prefix products, each n's
-    part plan and the counts |F(n)|; safe to reuse across many n because the
-    system is immutable once built.
+    Caches the sorted tables of field tuples (cut tables and prefix
+    products), each n's part plan and the counts |F(n)|; safe to reuse across
+    many n because the system is immutable once built.
     """
 
     def __init__(self, system: LevelSystem):
@@ -102,9 +103,9 @@ class FactorEngine:
         self._letters = np.arange(self.d, dtype=np.uint64)   # the codes of W(1)
         codes = _fold_members(system, self._letters, self._join)
         self._members = [sort_marked(level)[0] for level in codes]   # members are distinct
-        # Cut tables by (level, lo, bits); a whole member code cuts its level's members.
-        self._tables = {(j, 0, self.bits << j): m for j, m in enumerate(self._members)}
-        self._prefixes: dict[tuple[int, int], np.ndarray] = {}   # prefix sets by (j, m)
+        # Tables by field tuple: W(1) is the letters, and a whole member code cuts its level's members.
+        self._tables = {((-1, 0, self.bits),): self._letters,
+                        **{((j, 0, self.bits << j),): m for j, m in enumerate(self._members)}}
         self._held = 0   # 8-byte words of the cut tables and prefix products built
 
     def decode(self, codes: np.ndarray, n: int) -> list[str]:
@@ -112,7 +113,7 @@ class FactorEngine:
         letters = np.array(list(self.system.alphabet.letters))[unpack(codes, n, self.bits)]
         return np.ascontiguousarray(letters).view(f"U{n}").reshape(-1).tolist()
 
-    # -- cut tables and straddle blocks -------------------------------------
+    # -- field tuples, their tables and straddle blocks ----------------------
 
     def _join(self, head: np.ndarray, tail: np.ndarray, l: int) -> np.ndarray:
         """Codes of 2^l-letter words: each head shifted past the 2^(l-1) tail letters.
@@ -130,67 +131,69 @@ class FactorEngine:
         require_budget(self._held + words, f"{what} with the tables held", "8-byte words")
         self._held += words
 
-    def _table(self, level: int, lo: int, bits: int) -> np.ndarray:
-        """Sorted distinct bits lo .. lo+bits-1 of the C_level member codes; held once built."""
-        key = (level, lo, bits)
-        hit = self._tables.get(key)
-        if hit is None:
-            hit = sorted_unique(field(self._members[level], lo, bits))
-            self._hold(hit.size, f"cut table {key}")
-            self._tables[key] = hit
-        return hit
+    def _fields(self, j: int, a: int, m: int) -> tuple:
+        """suffix_a(C_j) ++ prefix_m(W(2^j)) as fields, left to right; a = 0 is the prefix alone.
 
-    def _prefix(self, j: int, m: int) -> np.ndarray:
-        """Sorted codes of the distinct length-m prefixes of W(2^j) elements.
+        The prefix halves: W(2^(l+1)) is C(2^l) W(2^l), so its prefix is the
+        first m letters of a C_l member, or a whole one and a prefix of W(2^l)."""
+        b = self.bits
+        fields = [(j, 0, b * a)] if a else []
+        for l in range(j - 1, -1, -1):
+            if m <= 1 << l:
+                return (*fields, (l, b * ((1 << l) - m), b * m))
+            fields.append((l, 0, b << l))
+            m -= 1 << l
+        return (*fields, (-1, 0, b))
 
-        A short prefix is a cut table. A longer one is a whole member c
-        followed by a shorter prefix p; c ++ p is injective and ascending in
-        (c, p), so the set is the sorted product of the two tables, whose
-        size is known, and held, before it is built. Memoized.
-        """
-        hit = self._prefixes.get((j, m))
-        if hit is None:
-            half, b = 1 << j >> 1, self.bits
-            if j and m > half:
-                factors = [(self._members[j - 1], b * (m - half), b * half),
-                           (self._prefix(j - 1, m - half), 0, b * (m - half))]
-                k = limb_count(m, b)
-                self._hold(product_size(factors) * k, f"prefix product {(j, m)}")
-                hit = product_codes(factors, k)
-            else:
-                hit = self._table(j - 1, b * (half - m), b * m) if j else self._letters
-            self._prefixes[j, m] = hit
-        return hit
-
-    def prefixes(self, j: int, m: int) -> np.ndarray:
-        """Sorted codes of the distinct length-m prefixes of W(2^j) elements."""
-        if not 1 <= m <= (1 << j):
-            raise ValueError(f"prefix length {m} invalid at level {j}")
-        return self._prefix(j, m)
-
-    def suffixes(self, j: int, a: int) -> np.ndarray:
-        """Sorted codes of the distinct length-a suffixes of C(2^j) members."""
-        if not 1 <= a <= 1 << j:
-            raise ValueError(f"suffix length {a} invalid at level {j}")
-        return self._table(j, 0, self.bits * a)
-
-    def _straddles(self, n: int):
-        """(j, a) pairs whose windows suffix_a(C_j) ++ prefix_(n-a)(W(2^j)) exhaust F(n)."""
+    def _windows(self, n: int):
+        """The field tuples of the straddles (j, a) that exhaust F(n); n = 1's one tuple is a letter."""
+        if n == 1:
+            yield self._fields(0, 0, 1)
         for j in range(max(ceil_log2(n) - 1, 0), self.depth):
             for a in range(max(1, n - (1 << j)), min(n - 1, 1 << j) + 1):
-                yield j, a
+                yield self._fields(j, a, n - a)
+
+    def _table(self, fields: tuple) -> np.ndarray:
+        """Sorted distinct codes of a field tuple's words, memoized; held once built.
+
+        One field is a cut table, checked once built. More are a whole C_l
+        member c and the rest's words p; c ++ p is injective and ascending in
+        (c, p), so the set is the sorted product of the two tables, whose size
+        is known, and held, before it is built: prefix product (l + 1, letters).
+        """
+        hit = self._tables.get(fields)
+        if hit is None:
+            if len(fields) == 1:
+                (level, lo, bits), = fields
+                hit = sorted_unique(field(self._members[level], lo, bits))
+                self._hold(hit.size, f"cut table {fields[0]}")
+            else:
+                n = sum(bits for _, _, bits in fields) // self.bits
+                factors = self._factors(fields, self.bits * n)
+                k = limb_count(n, self.bits)
+                self._hold(product_size(factors) * k, f"prefix product {(fields[0][0] + 1, n)}")
+                hit = product_codes(factors, k)
+            self._tables[fields] = hit
+        return hit
+
+    def _factors(self, fields: tuple, bits: int) -> list[tuple[np.ndarray, int, int]]:
+        """A tuple of `bits` bits as a sorted product: its first field's table, then the rest's
+        (or the empty word)."""
+        rest = bits - fields[0][2]
+        tail = self._table(fields[1:]) if rest else EMPTY
+        return [(self._table(fields[:1]), rest, fields[0][2]), (tail, 0, rest)]
+
+    def prefixes(self, j: int, m: int) -> np.ndarray:
+        """Sorted codes of the distinct length-m prefixes of W(2^j) elements, 1 <= m <= 2^j."""
+        return self._table(self._fields(j, 0, m))
+
+    def suffixes(self, j: int, a: int) -> np.ndarray:
+        """Sorted codes of the distinct length-a suffixes of C(2^j) members, 1 <= a <= 2^j."""
+        return self._table(((j, 0, self.bits * a),))
 
     def _blocks(self, n: int) -> list[list[tuple[np.ndarray, int, int]]]:
-        """The window codes of length n as blocks, each the factors of a sorted product.
-
-        A straddle's block is its suffix table, then its prefix set; n = 1
-        is the one block of the letters, then the empty word.
-        """
-        b = self.bits
-        if n == 1:
-            return [[(self._letters, 0, b), (EMPTY, 0, 0)]]
-        return [[(self._table(j, 0, b * a), b * (n - a), b * a), (self._prefix(j, n - a), 0, b * (n - a))]
-                for j, a in self._straddles(n)]
+        """The window codes of length n as blocks, one sorted product per straddle (`_factors`)."""
+        return [self._factors(fields, self.bits * n) for fields in self._windows(n)]
 
     def _check_depth(self, n: int) -> None:
         if n > 1 << (self.depth - 1):
@@ -238,27 +241,14 @@ class FactorEngine:
         built when codes first reach it (no caller passes none). A wider one
         builds none: codes whose 64 bits at its lo end (else its other end) are
         in that edge table are searched in the members' sorted field, not kept."""
-        if bits > 64 and (level, lo, bits) not in self._tables:
+        if bits > 64 and ((level, lo, bits),) not in self._tables:
             edge = lo if lo == 0 else lo + bits - 64
             hit = self._held_field(level, edge, 64, codes, at + edge - lo)
             if hit.any():
                 hit[hit] = holds(sorted_unique(field(self._members[level], lo, bits)),
                                  field(codes[hit], at, bits))
             return hit
-        return holds(self._table(level, lo, bits), field(codes, at, bits))
-
-    def _held_window(self, j: int, a: int, m: int, codes: np.ndarray) -> np.ndarray:
-        """Which codes end in a window of straddle (j, a): the last a letters of a C_j member, then
-        the first m of a W(2^j) element, halved as in `_prefix` and tested where the head held."""
-        b, half = self.bits, 1 << j >> 1
-        hit = self._held_field(j, 0, b * a, codes, b * m)
-        if not (j and hit.any()):   # at j = 0 the m = 1 letter left is any letter
-            return hit
-        if m > half:   # a whole C_(j-1) member, then a window of straddle (j - 1, half)
-            hit[hit] = self._held_window(j - 1, half, m - half, codes[hit])
-        else:          # the first m letters of a C_(j-1) member
-            hit[hit] = self._held_field(j - 1, b * (half - m), b * m, codes[hit], 0)
-        return hit
+        return holds(self._table(((level, lo, bits),)), field(codes, at, bits))
 
     def held(self, words: list[str]) -> np.ndarray:
         """Which of some equal-length words are in F(n), without building F(n).
@@ -268,16 +258,23 @@ class FactorEngine:
         n = len(words[0]) if words else 0
         self._check_depth(n)
         codes, out = encode(words, n, self.system.alphabet.letters, self.bits)
-        if n <= 1:
+        if not n:
             return out
         rest, codes = np.flatnonzero(out), codes[out]
         out[:] = False
-        for j, a in self._straddles(n):
+        for fields in self._windows(n):
             if not len(rest):
                 break
-            hit = self._held_window(j, a, n - a, codes)
-            out[rest[hit]] = True
-            rest, codes = rest[~hit], codes[~hit]
+            at = self.bits * n - fields[0][2]
+            hit = self._held_field(*fields[0], codes, at)
+            for f in fields[1:]:
+                if not hit.any():
+                    break
+                at -= f[2]
+                hit[hit] = self._held_field(*f, codes[hit], at)
+            if hit.any():
+                out[rest[hit]] = True
+                rest, codes = rest[~hit], codes[~hit]
         return out
 
     def distinct(self, n: int) -> np.ndarray:

@@ -386,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "analyze":
             return cmd_analyze(cfg, args.system)
         return cmd_free(cfg, args.system)   # the one command left: a subcommand is required
-    except (SystemFileError, ValueError, ZeroDivisionError) as exc:
+    except (SystemFileError, OSError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GrowthForgeError as exc:

@@ -653,12 +653,13 @@ def build_free_power_system(
     t = params.t
     if depth < t + 1:
         raise ValueError(f"depth must be >= t+1 = {t + 1}")
-    # Exact capacity and size prechecks before any work.
+    # Exact capacity and size prechecks before any work, one level at a time:
+    # ratios and capacities double their bits per level, so the budget ends the climb.
     for i in range(depth):
         required = 2 if i <= t else 1 << (1 << (i - t))
         if spec.ratio(i) < required:
             raise CapacityExceeded(i, required, spec.ratio(i))
-    _require_choice_budget(spec, range(depth))
+        _require_choice_budget(spec, [i])
 
     system = LevelSystem(spec, chooser=chooser, seed=seed, letters="xy", mode="free")
     for level in range(depth):

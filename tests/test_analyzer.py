@@ -64,20 +64,20 @@ def wide_system(values: dict, depth: int):
 class TestFactorSets:
     def test_window_totals_summed_once(self, poly_spec, monkeypatch):
         # The budget check and the counts share one sum over each n's
-        # straddles; counting walks them once more to fill its parts (n = 1
-        # has none: its one block is the letters).
+        # straddle tuples; counting walks them once more to fill its parts
+        # (n = 1's one tuple is a letter).
         walked = []
-        straddles = FactorEngine._straddles
-        monkeypatch.setattr(FactorEngine, "_straddles",
-                            lambda self, n: walked.append(n) or straddles(self, n))
+        windows = FactorEngine._windows
+        monkeypatch.setattr(FactorEngine, "_windows",
+                            lambda self, n: walked.append(n) or windows(self, n))
         system = build_uniformly_recurrent(poly_spec, depth=5, capture_budget=2, horizon=12)
         analyzer.check_window_budget(system, 16)
         engine = analyzer._engine_for(system)
-        assert sorted(walked) == list(range(2, 17))
+        assert sorted(walked) == list(range(1, 17))
         # Every n here fits one part, which the plan sizes as all its codes.
-        assert [sum(engine._parts(n, lambda codes, _: len(codes))) for n in range(2, 17)] == [
-            engine._plans[n][2] for n in range(2, 17)]
-        assert sorted(walked) == sorted([*range(2, 17), *range(2, 17)])
+        assert [sum(engine._parts(n, lambda codes, _: len(codes))) for n in range(1, 17)] == [
+            engine._plans[n][2] for n in range(1, 17)]
+        assert sorted(walked) == sorted([*range(1, 17), *range(1, 17)])
 
     def test_toy_small_n(self, toy_system):
         assert factor_set_bruteforce(toy_system, 1) == frozenset("ab")
@@ -152,8 +152,9 @@ class TestFactorSets:
             assert engine.count(n) == len(oracle)
             assert factor_words(engine, n) == oracle
             assert member.held(sorted(oracle)).all()
-        # Membership keeps no table wider than 64 bits but the whole members.
-        assert all(bits <= 64 or bits == member.bits << j for j, _, bits in member._tables)
+        # Membership keeps no product and no table wider than 64 bits but the whole members.
+        assert all(len(key) == 1 for key in member._tables)
+        assert all(bits <= 64 or bits == member.bits << j for ((j, _, bits),) in member._tables)
 
     def test_long_members_d3(self, long_members_d3):
         # Level-13 members hold more base-3 digits than Python's
@@ -331,6 +332,58 @@ def test_limb_boundaries_match_bruteforce(system_bits):
         assert not engine.held(absent).any()
 
 
+@pytest.mark.parametrize("name, lengths", [
+    ("captured7", range(1, 65)),
+    # Every n up to 2^13 would walk about 56 million tuples: the n next to each power of two.
+    ("long_members_d3", sorted({n for k in range(14) for n in ((1 << k) - 1, 1 << k, (1 << k) + 1)}
+                               - {0, 8193})),
+])
+def test_straddle_tuples_tile_each_window(request, monkeypatch, name, lengths):
+    # A straddle of length n is fields (level, lo, bits) left to right: the
+    # last a letters of a C_j member, then the first n - a letters of
+    # W(2^j) = C_(j-1) ... C_0 W(1), whole members and then the first
+    # letters of one, or a letter. Counting and membership read these tuples.
+    system = request.getfixturevalue(name)
+    engine = FactorEngine(system)
+    b, held_field, tested = engine.bits, FactorEngine._held_field, []
+    monkeypatch.setattr(FactorEngine, "_held_field",
+                        lambda self, *args: tested.append(args[:3]) or held_field(self, *args))
+    rng = np.random.default_rng(3)
+    for n in lengths:
+        windows = list(engine._windows(n))
+        assert len(set(windows)) == len(windows)
+        assert all(sum(bits for _, _, bits in fields) == b * n for fields in windows)
+        if n == 1:
+            assert windows == [((-1, 0, b),)]
+        else:
+            for (j, lo, bits), *rest in windows:
+                assert lo == 0 and 0 < bits <= b << j and j < system.depth and rest
+                assert [l for l, _, _ in rest] == list(range(j - 1, j - 1 - len(rest), -1))
+                assert all(f == (f[0], 0, b << f[0]) for f in rest[:-1])   # whole members
+                l, lo, bits = rest[-1]
+                assert (l, lo, bits) == (-1, 0, b) or (l >= 0 and bits and lo + bits == b << l)
+        if n > 64:   # the d = 3 system's blocks of n = 4096 alone take seconds to build
+            continue
+        for fields, ((head, at, head_bits), (tail, tail_at, tail_bits)) in zip(
+                windows, engine._blocks(n), strict=True):
+            assert head is engine._tables[fields[:1]] and head_bits == fields[0][2]
+            assert tail is (engine._tables[fields[1:]] if fields[1:] else codes.EMPTY)
+            assert at == tail_bits == b * n - head_bits and tail_at == 0
+        # Factors and random words: each straddle tested tests a prefix of its tuple, in order.
+        factors = engine.distinct(n)
+        words = engine.decode(factors[::max(1, len(factors) // 16)], n) + [
+            "".join(w) for w in rng.choice(list(system.alphabet.letters), (8, n))]
+        tested.clear()
+        engine.held(words)
+        walk = iter(windows)
+        while tested:
+            fields = next(walk)
+            assert tested[0] == fields[0]
+            run = next((i for i, f in enumerate(tested[:len(fields)]) if f != fields[i]),
+                       min(len(fields), len(tested)))
+            del tested[:run]
+
+
 @pytest.mark.parametrize("name, n", [("captured7", 64), ("long_members_d3", 64)])
 def test_code_arrays_are_uint64(request, name, n):
     # Wide codes are uint64 limb rows: no table, member or part array
@@ -339,7 +392,7 @@ def test_code_arrays_are_uint64(request, name, n):
     for m in range(n - 2, n + 1):
         engine.count(m)
     parts = engine._parts(n, lambda codes, _: codes.copy())
-    arrays = [*engine._members, *engine._tables.values(), *engine._prefixes.values(), *parts]
+    arrays = [*engine._members, *engine._tables.values(), *parts]
     assert all(a.dtype == np.uint64 for a in arrays)
     if name == "long_members_d3":
         assert parts[0].shape[1] == 2 and engine._members[13].shape[1] == 256

@@ -12,7 +12,7 @@ from growthforge.errors import (
     BudgetExceeded, CapacityExceeded, HorizonTooSmall, InsufficientWords,
 )
 from growthforge import construction, persist
-from growthforge.growth import exp_power, geometric, poly_geometric, table_spec
+from growthforge.growth import GrowthSpec, exp_power, geometric, poly_geometric, table_spec
 from growthforge.analyzer import FactorEngine, verify_recurrence_gaps
 from growthforge.construction import (
     CHUNK_ROWS,
@@ -389,6 +389,15 @@ class TestFreeBuilder:
         with pytest.raises(CapacityExceeded) as err:
             build_free_power_system("1/10", 6)
         assert err.value.level == 0 and err.value.deficit == 1
+
+    def test_budget_checked_before_deeper_levels(self, monkeypatch):
+        # Level 5 of the full binary language is over the budget, and the
+        # ratios above it have 2^i bits: none of them is evaluated.
+        levels, ratio = [], GrowthSpec.ratio
+        monkeypatch.setattr(GrowthSpec, "ratio", lambda self, i: levels.append(i) or ratio(self, i))
+        with pytest.raises(BudgetExceeded, match="^level 5 choice set needs"):
+            build_free_power_system(1, 40)
+        assert max(levels) == 5
 
     def test_depth_below_t_rejected(self):
         with pytest.raises(ValueError):

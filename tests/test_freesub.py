@@ -116,12 +116,14 @@ class TestVerifyGenerators:
 
     def test_held_tables_of_free_e1(self):
         # `free --epsilon 1 --depth 5 --products-len 8` keeps four cut tables
-        # beside the five member tables: only those some product reaches.
+        # beside the letters and the five member tables: only those some
+        # product reaches, and no prefix product.
         system, params = build_free_power_system(1, 5)
         assert verify_free_generators(system, params, 8).passed
         engine = analyzer._engine_for(system)
-        assert sorted(engine._tables) == [(0, 0, 1), (1, 0, 2), (2, 0, 2), (2, 0, 4), (3, 0, 2),
-                                          (3, 0, 4), (3, 0, 6), (3, 0, 8), (4, 0, 16)]
+        assert sorted(engine._tables) == [(field,) for field in [
+            (-1, 0, 1), (0, 0, 1), (1, 0, 2), (2, 0, 2), (2, 0, 4), (3, 0, 2), (3, 0, 4), (3, 0, 6),
+            (3, 0, 8), (4, 0, 16)]]
         assert engine._held == 88
 
     def test_range_precondition(self, free_system_eps1):

@@ -493,7 +493,7 @@ class TestCli:
         peak = traced_peak(check)
         assert raised == ["cut table (7, 0, 55) with the tables held needs 300462 8-byte words,"
                           " budget is 300000 (deficit 462)"]
-        assert (7, 0, 55) not in engine._tables and engine._held <= budget
+        assert ((7, 0, 55),) not in engine._tables and engine._held <= budget
         assert peak <= 8 * budget + 26_344 * 5 * 8 + (512 << 10)
         assert engine._counts == {}
 
@@ -564,8 +564,7 @@ class TestCli:
             engine.count(n)
 
         def table_bytes():
-            tables = {id(t): t for t in (*engine._tables.values(), *engine._prefixes.values())}
-            return sum(t.nbytes for t in tables.values())
+            return sum(t.nbytes for t in engine._tables.values())
 
         before = table_bytes()
         peak = traced_peak(lambda: engine.count(65))
@@ -798,6 +797,19 @@ class TestCli:
         assert main(argv) == 2
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists() and sys_path.read_bytes() == before
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--out", "{missing}/x.json"],
+        ["build", "--depth", "3", "--out", "{missing}/s.json"],
+        ["analyze", "{system}", "--nmax", "4", "--csv", "{missing}/c.csv"],
+    ], ids=["validate", "build", "analyze-csv"])
+    def test_unwritable_output_exits_2(self, tmp_path, toy_system, capsys, argv):
+        sys_path = tmp_path / "sys.json"
+        persist.save_system(toy_system, sys_path)
+        argv = [a.format(missing=tmp_path / "nodir", system=sys_path) for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nodir" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("mutate", [
         # One-letter generators would make the freeness check vacuous.
