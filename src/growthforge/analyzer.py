@@ -89,8 +89,8 @@ class FactorEngine:
     """Structural factor computation with per-system caches.
 
     Caches the sorted tables of field tuples (cut tables and prefix
-    products), each n's part plan and the counts |F(n)|; safe to reuse across
-    many n because the system is immutable once built.
+    products) and the counts |F(n)|; safe to reuse across many n because the
+    system is immutable once built.
     """
 
     def __init__(self, system: LevelSystem):
@@ -99,8 +99,7 @@ class FactorEngine:
         self.bits = letter_bits(self.d)
         self.depth = system.depth
         self._counts: dict[int, int] = {}
-        self._plans: dict[int, tuple[int, int, int]] = {}
-        self._letters = np.arange(self.d, dtype=np.uint64)   # the codes of W(1)
+        self._letters = np.arange(self.d, dtype=np.uint64)[:, None]   # the codes of W(1)
         codes = _fold_members(system, self._letters, self._join)
         self._members = [sort_marked(level)[0] for level in codes]   # members are distinct
         # Tables by field tuple: W(1) is the letters, and a whole member code cuts its level's members.
@@ -201,28 +200,25 @@ class FactorEngine:
 
     # -- factor sets --------------------------------------------------------
 
-    def _plan(self, n: int) -> tuple[int, int]:
-        """(part capacity, sample stride) of length n (`codes.part_plan`); refused over the budget.
+    def _plan(self, n: int, blocks: list) -> tuple[int, int]:
+        """(part capacity, sample stride) of n's blocks (`codes.part_plan`); refused over the budget.
 
         The block sizes are known from the table sizes before anything is
-        combined, and the plan is memoized: the straddles of each n are
-        summed once. The largest part must fit the budget, in 8-byte words of
+        combined. The largest part must fit the budget, in 8-byte words of
         its sort (`codes.sort_words`); the samples, and the block ranks at
         the candidate cuts, are no more than a part.
         """
         k = limb_count(n, self.bits)
-        plan = self._plans.get(n)
-        if plan is None:
-            plan = self._plans[n] = part_plan(list(map(product_size, self._blocks(n))), k)
-        require_budget(plan[2] * sort_words(k), f"factor length {n} part ({plan[2]} window codes)",
+        capacity, stride, largest = part_plan(list(map(product_size, blocks)), k)
+        require_budget(largest * sort_words(k), f"factor length {n} part ({largest} window codes)",
                        "8-byte sort words")
-        return plan[:2]
+        return capacity, stride
 
     def _parts(self, n: int, take) -> list:
         """take(codes, new) of each sorted part of the window codes of length n, in code order."""
-        capacity, stride = self._plan(n)
-        k = limb_count(n, self.bits)
         blocks = self._blocks(n)
+        capacity, stride = self._plan(n, blocks)
+        k = limb_count(n, self.bits)
         edges = part_edges(blocks, list(map(product_size, blocks)), capacity, stride, k)
         return sorted_parts(blocks, edges, k, take)
 
@@ -290,7 +286,7 @@ def check_window_budget(system: LevelSystem, n_max: int) -> None:
     engine = _engine_for(system)
     engine._check_depth(n_max)
     for n in range(1, n_max + 1):
-        engine._plan(n)
+        engine._plan(n, engine._blocks(n))
 
 
 def held_factors(system: LevelSystem, words: list[str]) -> np.ndarray:
@@ -544,12 +540,12 @@ def minimal_forbidden_words(system: LevelSystem, max_len: int) -> tuple[list[str
     engine._check_depth(max_len)
     letters = engine._letters
     out: list[str] = []
-    prev = np.zeros(1, dtype=np.uint64)     # F(0): the empty word
+    prev = EMPTY     # F(0)
     for n in range(1, max_len + 1):
         cur = engine.distinct(n)
         k = limb_count(n, engine.bits)
         cand = shifted(prev, engine.bits, k)[:, None] | shifted(letters, 0, k)[None]
-        cand = cand.reshape(-1, *cand.shape[2:])
+        cand = cand.reshape(-1, k)
         keep = ~holds(cur, cand) & holds(prev, field(cand, 0, engine.bits * (n - 1)))
         out.extend(engine.decode(cand[keep], n))
         prev = cur

@@ -3,10 +3,11 @@
 A word over d letters packs b = ceil(log2 d) bits per letter, its first
 letter most significant: an injective code that keeps the lex order of
 equal-length words. A length-n code takes k = ceil(b*n/64) uint64 limbs,
-most significant first. A code array is a flat uint64 array when k = 1 and
-an N x k array beyond. Concatenation is a shift and an OR, with no carries
-between letters, and a subword is a bit field. One-limb arrays sort in
-place; wider ones sort with np.lexsort over the limbs and are searched
+most significant first. Every code array is N x k uint64 limbs, k >= 1,
+the letters and the empty word's one code included. Concatenation is a
+shift and an OR, with no carries between letters, and a subword is a bit
+field. One-limb arrays sort in place and are searched through their one
+column; wider ones sort with np.lexsort over the limbs and are searched
 through each row's big-endian bytes, which compare in the same order.
 
 A sorted product is two factors (table, at, bits), head then tail: each
@@ -20,12 +21,13 @@ cut at sampled codes, each written once into one array and sorted there.
 
 from __future__ import annotations
 
+from functools import cache
 from math import isqrt
 
 import numpy as np
 
 PART_BYTES = 256 << 10   # the least sort working set of one part (see `part_plan`)
-EMPTY = np.zeros(1, dtype=np.uint64)   # the one code of the empty word, a table of 0 bits
+EMPTY = np.zeros((1, 1), dtype=np.uint64)   # the empty word's one code, F(0), a table of 0 bits
 
 
 def letter_bits(d: int) -> int:
@@ -38,48 +40,33 @@ def limb_count(length: int, bits: int) -> int:
     return max(1, -(-length * bits // 64))
 
 
-def _grid(codes: np.ndarray) -> np.ndarray:
-    """A code array as N x k limbs, whatever its width."""
-    return codes if codes.ndim == 2 else codes[:, None]
-
-
 def field(codes: np.ndarray, lo: int, bits: int) -> np.ndarray:
-    """Bits lo .. lo+bits-1 of each code (bit 0 the least significant), in ceil(bits/64) limbs."""
-    if codes.ndim == 1:
-        return (codes >> lo) & ((1 << bits) - 1)
+    """Bits lo .. lo+bits-1 of each code (bit 0 the least significant), in k = ceil(bits/64) limbs:
+    the k limbs below the dropped ones, shifted right, each ORed with the limb above."""
     k = max(1, -(-bits // 64))
     q, r = divmod(lo, 64)
-    end = codes.shape[1] - q                 # limbs above the q dropped ones
-    if k == 1:                               # from the lowest limb left and the one above it
-        out = codes[:, end - 1] >> r
-        if r and end > 1:
-            out |= codes[:, end - 2] << (64 - r)
-        return out & ((1 << bits) - 1)
-    take = min(k + 1, end)
-    src = np.zeros((len(codes), k + 1), dtype=np.uint64)
-    src[:, k + 1 - take:] = codes[:, end - take:end]
-    out = src[:, 1:] >> r
-    if r:
-        out |= src[:, :-1] << (64 - r)
-    if bits < 64 * k:
-        out[:, 0] &= (1 << (bits - 64 * (k - 1))) - 1
-    return out
+    end = codes.shape[1] - q                 # limbs above the q dropped ones, at least k
+    out = codes[:, end - k:end] >> r
+    if r and end > 1:
+        high = codes[:, max(end - k - 1, 0):end - 1]
+        out[:, k - high.shape[1]:] |= high << (64 - r)
+    mask = [(1 << (bits - 64 * (k - 1))) - 1] + [(1 << 64) - 1] * (k - 1)   # only the top limb cut
+    return out & np.array(mask, dtype=np.uint64)
 
 
 def shifted(codes: np.ndarray, bits: int, k: int) -> np.ndarray:
     """Each code times 2^bits, in k limbs; the product must fit. `codes` itself if nothing moves."""
     if k == 1:
         return codes << bits if bits else codes
-    rows = _grid(codes)
-    width = rows.shape[1]
+    width = codes.shape[1]
     if width == k and not bits:
         return codes
     q, r = divmod(bits, 64)
     top = k - q - width                      # the limb the top input limb lands in
-    out = np.zeros((len(rows), k), dtype=np.uint64)
-    out[:, top:k - q] = rows << r
+    out = np.zeros((len(codes), k), dtype=np.uint64)
+    out[:, top:k - q] = codes << r
     if r:                                    # each limb's high bits carry one limb up
-        out[:, max(top - 1, 0):k - q - 1] |= (rows >> (64 - r))[:, max(1 - top, 0):]
+        out[:, max(top - 1, 0):k - q - 1] |= (codes >> (64 - r))[:, max(1 - top, 0):]
     return out
 
 
@@ -100,16 +87,17 @@ def sort_marked(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     One-limb codes are sorted in place; wider rows sort with np.lexsort, the
     most significant limb as the primary key, unless they already ascend,
-    as the members of a lex-built level fold, and are then not copied.
+    as the members of a lex-built level fold, and are then not copied. A
+    code is new where its top limb, or any limb below, differs from the one before.
     """
-    new = np.ones(len(codes), dtype=bool)
-    if codes.ndim == 1:
-        codes.sort()
-        np.not_equal(codes[1:], codes[:-1], out=new[1:])
-        return codes, new
-    if not _ascend(codes):
+    if codes.shape[1] == 1:
+        codes[:, 0].sort()
+    elif not _ascend(codes):
         codes = codes[np.lexsort(codes.T[::-1])]
-    np.any(codes[1:] != codes[:-1], axis=1, out=new[1:])
+    new = np.ones(len(codes), dtype=bool)
+    np.not_equal(codes[1:, 0], codes[:-1, 0], out=new[1:])
+    for limb in codes.T[1:]:
+        new[1:] |= limb[1:] != limb[:-1]
     return codes, new
 
 
@@ -120,9 +108,9 @@ def sorted_unique(codes: np.ndarray) -> np.ndarray:
 
 
 def _keys(codes: np.ndarray) -> np.ndarray:
-    """One comparable scalar per code: the code itself, or its limbs' big-endian bytes."""
-    if codes.ndim == 1:
-        return codes
+    """One comparable scalar per code: its one limb, or its limbs' big-endian bytes."""
+    if codes.shape[1] == 1:
+        return codes[:, 0]
     return np.ascontiguousarray(codes, dtype=">u8").view(f"V{8 * codes.shape[1]}").reshape(-1)
 
 
@@ -149,13 +137,12 @@ def encode(words: list[str], n: int, letters: str, bits: int) -> tuple[np.ndarra
 
 def unpack(codes: np.ndarray, n: int, bits: int) -> np.ndarray:
     """The letter indices of length-n codes, one row per code: shift, mask, no Python loop."""
-    rows = _grid(codes)
     pos = bits * np.arange(n - 1, -1, -1)     # lowest bit of each letter
-    limb, shift = rows.shape[1] - 1 - pos // 64, (pos % 64).astype(np.uint64)
-    digits = rows[:, limb] >> shift
+    limb, shift = codes.shape[1] - 1 - pos // 64, (pos % 64).astype(np.uint64)
+    digits = codes[:, limb] >> shift
     split = np.flatnonzero(shift + bits > 64)   # letters that straddle two limbs
     if split.size:
-        digits[:, split] |= rows[:, limb[split] - 1] << (64 - shift[split])
+        digits[:, split] |= codes[:, limb[split] - 1] << (64 - shift[split])
     return digits & ((1 << bits) - 1)
 
 
@@ -169,33 +156,22 @@ def product_size(factors: list) -> int:
     return len(head) * len(tail)
 
 
-def _fields(codes: np.ndarray, factors: list):
-    """Each factor's field of the codes as search keys: all at once for one limb, else one by one."""
-    if codes.ndim > 1:
-        return (_keys(field(codes, at, bits)) for _, at, bits in factors)
-    out = codes >> np.array([at for _, at, _ in factors], dtype=np.uint64)[:, None]
-    out &= np.array([(1 << bits) - 1 for _, _, bits in factors], dtype=np.uint64)[:, None]
-    return out
-
-
 def product_below(blocks: list, codes: np.ndarray) -> np.ndarray:
     """How many codes of each sorted product lie below each of `codes` (an array of their width).
 
     One row per block: the head entries below a code's head field times the
     tail size, plus, when that field is a head entry, the tail entries below
-    its tail field. One-limb fields of every block are cut at once, and each
-    block's rows of them are overwritten by its counts.
+    its tail field.
     """
-    heads, tails = (_fields(codes, [factors[i] for factors in blocks]) for i in (0, 1))
-    lo, below = (keys.view(np.int64) if codes.ndim == 1 else np.empty((len(blocks), len(codes)), np.int64)
-                 for keys in (heads, tails))
+    lo, below = np.empty((2, len(blocks), len(codes)), dtype=np.int64)
     hit = np.empty(lo.shape, dtype=bool)
-    for b, (((head, _, _), (tail, _, _)), keys, tail_keys) in enumerate(zip(blocks, heads, tails)):
-        head = _keys(head)
+    fields = cache(lambda at, bits: _keys(field(codes, at, bits)))   # blocks share fields
+    for b, ((head, at, bits), (tail, tail_at, tail_bits)) in enumerate(blocks):
+        head, keys = _keys(head), fields(at, bits)
         right = head.searchsorted(keys, side="right")
         lo[b] = head.searchsorted(keys)
         hit[b] = right > lo[b]
-        below[b] = _keys(tail).searchsorted(tail_keys)
+        below[b] = _keys(tail).searchsorted(fields(tail_at, tail_bits))
     below *= hit
     lo *= np.array([len(tail) for _, (tail, _, _) in blocks])[:, None]
     below += lo
@@ -214,7 +190,7 @@ def product_at(factors: list, ranks: np.ndarray, k: int) -> np.ndarray:
 def product_codes(factors: list, k: int) -> np.ndarray:
     """Every code of a sorted product, in order, in k limbs."""
     size = product_size(factors)
-    out = np.empty((size,) if k == 1 else (size, k), dtype=np.uint64)
+    out = np.empty((size, k), dtype=np.uint64)
     product_fill(out, factors, 0)
     return out
 
@@ -225,14 +201,14 @@ def product_fill(out: np.ndarray, factors: list, start: int) -> None:
     The ranks are a partial row of the head, whole rows, and a partial row,
     and each run of rows is one OR of the head codes with a slice of the tail.
     """
-    k = 1 if out.ndim == 1 else out.shape[1]
+    k = out.shape[1]
     (head, at, _), (tail, tail_at, _) = factors
     size, pos, end = len(tail), 0, len(out)
     while pos < end:
         i, r = divmod(start + pos, size)
         take = min(size - r, end - pos)
         rows = (end - pos) // size if take == size else 1
-        grid = out[pos:pos + rows * take].reshape(rows, take, *out.shape[1:])
+        grid = out[pos:pos + rows * take].reshape(rows, take, k)
         np.bitwise_or(shifted(head[i:i + rows], at, k)[:, None],
                       shifted(tail[r:r + take], tail_at, k), out=grid)
         pos += rows * take
@@ -309,7 +285,7 @@ def sorted_parts(blocks: list, edges: np.ndarray, k: int, take) -> list:
     """
     spans = np.diff(edges, axis=1)                # codes per block and part
     rows = spans.sum(axis=0).tolist()
-    part = np.empty((max(rows),) if k == 1 else (max(rows), k), dtype=np.uint64)
+    part = np.empty((max(rows), k), dtype=np.uint64)
     out = []
     for p, size in enumerate(rows):
         pos = 0

@@ -87,13 +87,17 @@ class GrowthSpec:
         return h
 
     def value(self, n: int) -> int:
-        """Exact f(n). Raises UncoveredArgument for missing table points."""
+        """Exact f(n). Raises UncoveredArgument for missing table points, and ValueError for
+        an f(n) too large to hold."""
         if n < 1:
             raise ValueError(f"growth argument must be >= 1, got {n}")
         hit = self._memo.get(n)
         if hit is not None:
             return hit
-        v = self._compute(n)
+        try:
+            v = self._compute(n)
+        except OverflowError as exc:
+            raise ValueError(f"f({n}) of {self.family} is too large to compute: {exc}") from exc
         self._memo[n] = v
         return v
 

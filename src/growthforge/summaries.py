@@ -107,7 +107,7 @@ class _SummaryTable(list):
         at = self._keys.searchsorted(keys)
         missed = self._keys[at] != keys
         if missed.any():
-            new = sorted_unique(keys[missed])
+            new = sorted_unique(keys[missed][:, None])[:, 0]
             ids = [self.intern(_concat(self[key >> 32], self[key & 0xFFFFFFFF], self.word))
                    for key in new.tolist()]
             slots = self._keys.searchsorted(new) + np.arange(len(new))   # in the merged index

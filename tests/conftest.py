@@ -23,12 +23,11 @@ def factor_words(engine: analyzer.FactorEngine, n: int) -> frozenset[str]:
 
 
 def encoded(engine: analyzer.FactorEngine, words: list[str]) -> np.ndarray:
-    """Equal-length words as one code array of the engine's layout, coded letter by letter."""
+    """Equal-length words as one N x k code array, coded letter by letter."""
     letters, k = engine.system.alphabet.letters, max(1, -(-len(words[0]) * engine.bits // 64))
     ints = [reduce(lambda code, ch: code << engine.bits | letters.index(ch), w, 0) for w in words]
     data = b"".join(code.to_bytes(8 * k, "big") for code in ints)
-    rows = np.frombuffer(data, dtype=">u8").astype(np.uint64).reshape(len(words), k)
-    return rows.reshape(-1) if k == 1 else rows
+    return np.frombuffer(data, dtype=">u8").astype(np.uint64).reshape(len(words), k)
 
 
 def member_rows(cs) -> list[list[int]]:
@@ -94,7 +93,6 @@ def traced_peak(call) -> int:
 
 def code_ints(rows) -> list[int]:
     """Each row of a code array as one int: its uint64 limbs, most significant first."""
-    rows = rows if rows.ndim == 2 else rows[:, None]
     return [int.from_bytes(row.astype(">u8").tobytes(), "big") for row in rows]
 
 

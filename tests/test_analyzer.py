@@ -63,8 +63,8 @@ def wide_system(values: dict, depth: int):
 
 class TestFactorSets:
     def test_window_totals_summed_once(self, poly_spec, monkeypatch):
-        # The budget check and the counts share one sum over each n's
-        # straddle tuples; counting walks them once more to fill its parts
+        # The budget check walks each n's straddle tuples once; counting walks
+        # them once more, its blocks sizing its plan and filling its parts
         # (n = 1's one tuple is a letter).
         walked = []
         windows = FactorEngine._windows
@@ -75,9 +75,11 @@ class TestFactorSets:
         engine = analyzer._engine_for(system)
         assert sorted(walked) == list(range(1, 17))
         # Every n here fits one part, which the plan sizes as all its codes.
-        assert [sum(engine._parts(n, lambda codes, _: len(codes))) for n in range(1, 17)] == [
-            engine._plans[n][2] for n in range(1, 17)]
+        totals = [sum(engine._parts(n, lambda codes, _: len(codes))) for n in range(1, 17)]
         assert sorted(walked) == sorted([*range(1, 17), *range(1, 17)])
+        assert totals == [
+            codes.part_plan(list(map(codes.product_size, engine._blocks(n))),
+                            codes.limb_count(n, engine.bits))[2] for n in range(1, 17)]
 
     def test_toy_small_n(self, toy_system):
         assert factor_set_bruteforce(toy_system, 1) == frozenset("ab")
@@ -214,6 +216,42 @@ def test_parts_match_one_part(request, monkeypatch, name, part_bytes):
     assert len(engine._parts(max(lengths), lambda codes, new: None)) > 1
 
 
+LAYOUT_SYSTEMS = {
+    "captured7": (lambda request: request.getfixturevalue("captured7"), range(1, 65)),
+    # The analyze-wide system: n = 65 is its first count of two-limb codes, in many parts.
+    "wide": (lambda request: build_uniformly_recurrent(
+        poly_geometric("1/20"), depth=8, capture_budget=2, horizon=12), (64, 65)),
+    "wide_d3": (lambda request: wide_system(*WIDE_CASES[1][:2]), WIDE_CASES[1][2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_SYSTEMS))
+def test_every_code_array_is_n_by_k_limbs(request, name):
+    # Letters, member codes, tables, F(n), encoded words and the empty word's
+    # code: each is N x k uint64 limbs, k = ceil(bits / 64) >= 1 for codes of
+    # `bits` bits, whatever k is.
+    make, lengths = LAYOUT_SYSTEMS[name]
+    engine = FactorEngine(make(request))
+    b, letters = engine.bits, engine.system.alphabet.letters
+
+    def check(array, bits):
+        assert array.dtype == np.uint64 and array.ndim == 2
+        assert array.shape[1] == max(1, -(-bits // 64))
+
+    check(codes.EMPTY, 0)
+    for n in lengths:
+        factors = engine.distinct(n)
+        check(factors, b * n)
+        words = engine.decode(factors[::max(1, len(factors) // 4)], n)
+        check(codes.encode(words, n, letters, b)[0], b * n)
+        assert engine.held(words).all()
+    check(engine._letters, b)
+    for j, members in enumerate(engine._members):
+        check(members, b << j)
+    for fields, table in engine._tables.items():
+        check(table, sum(bits for _, _, bits in fields))
+
+
 @pytest.mark.parametrize("budget, what, needed, unit", [
     (560, "prefix product (6, 64) with the tables held", 572, "8-byte words"),
     (1300, "factor length 65 part (262 window codes)", 1310, "8-byte sort words"),
@@ -228,9 +266,9 @@ def test_each_size_refused_over_budget(monkeypatch, budget, what, needed, unit):
     monkeypatch.setenv("GROWTHFORGE_BUDGET", str(budget))
     engine = FactorEngine(wide_system(*WIDE_CASES[0][:2]))
     for n in range(1, 65):
-        engine._plan(n)
+        engine._plan(n, engine._blocks(n))
     with pytest.raises(BudgetExceeded) as info:
-        engine._plan(65)
+        engine._plan(65, engine._blocks(65))
     assert str(info.value) == f"{what} needs {needed} {unit}, budget is {budget} (deficit {needed - budget})"
 
 
@@ -255,8 +293,8 @@ def test_parts_balance_samples_and_edges(tmp_path, monkeypatch, name):
         sampled.append(len(ranks)) or product_at(factors, ranks, k)))
     parts, floors = [], []
     for n in range(1, (1 << (system.depth - 1)) + 1):
-        capacity, stride = engine._plan(n)
         blocks = engine._blocks(n)
+        capacity, stride = engine._plan(n, blocks)
         sampled.clear()
         k = codes.limb_count(n, engine.bits)
         edges = codes.part_edges(blocks, list(map(codes.product_size, blocks)), capacity, stride, k)

@@ -799,6 +799,24 @@ class TestCli:
         assert not (tmp_path / "r.json").exists() and sys_path.read_bytes() == before
 
     @pytest.mark.parametrize("argv", [
+        ["validate", "--family", "exp_power", "--power", "100", "--out", "{tmp}/v.json"],
+        ["build", "--family", "exp_power", "--power", "100", "--depth", "3",
+         "--out", "{tmp}/s.json"],
+        ["analyze", "{system}", "--out", "{tmp}/r.json"],
+    ], ids=["validate", "build", "analyze-file"])
+    def test_huge_exp_power_exits_2(self, tmp_path, toy_system, capsys, argv):
+        # f(2) = 2^(2^100) has too many digits for an int: a usage error, the
+        # file's growth malformed, never a traceback.
+        doc = plain_document(toy_system)
+        doc["growth"] = {"family": "exp_power", "power": "100"}
+        redigest(doc)
+        sys_path = tmp_path / "sys.json"
+        sys_path.write_text(json.dumps(doc))
+        assert main([a.format(tmp=tmp_path, system=sys_path) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "f(" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
         ["validate", "--out", "{missing}/x.json"],
         ["build", "--depth", "3", "--out", "{missing}/s.json"],
         ["analyze", "{system}", "--nmax", "4", "--csv", "{missing}/c.csv"],
