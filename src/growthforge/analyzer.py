@@ -20,24 +20,21 @@ injective encoding that keeps the lex order of equal-length words, so
 counts are exact. A member of C_j is a member of C_(j-1) followed by a
 shorter element, so member codes are folded up the levels from the choice
 arrays, one gather and one shift-and-OR per level step; no member string is
-encoded. A straddle is then a tuple of fields (level, lo, bits) tiling its
-n letters from the left, each bits lo .. lo+bits-1 of a C_level member code
-(level -1: a letter); counting and membership walk the same tuples. One
-field's table is its sorted distinct fields (a cut table); a longer prefix
-is a whole member followed by a shorter one, so its set is the sorted
-product of two tables, built once. Each straddle's block is then a sorted
-virtual product of its first field's table and the rest's (see `codes`):
-its codes below a threshold are counted by binary search in its tables,
-and any rank range of it is written from the tables directly.
-|F(n)| is counted over disjoint code-range parts. Each n's part capacity
-follows from its B blocks and T codes (`codes.part_plan`): at least 256 KiB
-of sort (codes, plus the lexsort index and sorted copy for codes of two
-limbs or more) and at least sqrt(2BT) codes, so that the codes sampled
-every capacity / 2B ranks of each block to cut the parts are no more than
-a part. The cuts are chosen by counting samples and then by their exact
-ranks summed over the blocks. Each part is written once into one array
-from each block's rank range, sorted, and its rows that differ from their
-predecessor are counted; an n that fits one part is one such part.
+encoded. The straddles (j, a) of n (`_windows`) are the one list that
+counting and membership walk. A straddle is a tuple of fields (level, lo,
+bits) tiling its n letters from the left, each bits lo .. lo+bits-1 of a
+C_level member code (level -1: a letter). One field's table is its sorted
+distinct fields (a cut table); a longer prefix is a whole member followed
+by a shorter one, so its set is the sorted product of two tables, built
+once. `_tables` keeps them by field tuple; a per-level index holds the same
+arrays by length, level j's suffix cut tables by a and prefix tables by
+m = n - a, so a count reads each block's two tables without a tuple. A
+block is their sorted virtual product (see `codes`): its codes below a
+threshold are counted by binary search, any rank range written in place.
+|F(n)| is counted over disjoint code-range parts, sized from n's blocks
+(`codes.part_plan`) and cut at sampled codes (`codes.part_edges`): each
+part is written once from each block's rank range, sorted, and its rows
+that differ from their predecessor are counted.
 `GROWTHFORGE_BUDGET` bounds, in 8-byte words, the tables an engine holds (a
 cut table is checked once built, before it is kept; a prefix product before
 it is built, from its factors' sizes), and the largest part of each n with
@@ -74,8 +71,8 @@ from fractions import Fraction
 import numpy as np
 
 from .codes import (
-    EMPTY, encode, field, holds, letter_bits, limb_count, part_edges, part_plan, product_codes,
-    product_size, shifted, sort_marked, sort_words, sorted_parts, sorted_unique, unpack,
+    EMPTY, concat, encode, field, holds, letter_bits, limb_count, part_edges, part_plan,
+    product_codes, sort_marked, sort_words, sorted_parts, sorted_unique, unpack,
 )
 from .construction import LevelSystem, _fold_members, _json_fields
 from .errors import DepthTooShallow, require_budget
@@ -106,6 +103,8 @@ class FactorEngine:
         self._tables = {((-1, 0, self.bits),): self._letters,
                         **{((j, 0, self.bits << j),): m for j, m in enumerate(self._members)}}
         self._held = 0   # 8-byte words of the cut tables and prefix products built
+        # Level j's suffix cut tables by a (0: the empty word) and prefix tables by m, from `_table`.
+        self._index = [({}, {}) for _ in range(self.depth)]
 
     def decode(self, codes: np.ndarray, n: int) -> list[str]:
         """The length-n words of a code array, in order, from one gather of letters."""
@@ -115,15 +114,9 @@ class FactorEngine:
     # -- field tuples, their tables and straddle blocks ----------------------
 
     def _join(self, head: np.ndarray, tail: np.ndarray, l: int) -> np.ndarray:
-        """Codes of 2^l-letter words: each head shifted past the 2^(l-1) tail letters.
-
-        The head moves by at least one bit, so its shifted copy is a new array
-        and the tail is ORed into it in place.
-        """
-        k = limb_count(1 << l, self.bits)
-        out = shifted(head, self.bits << (l - 1), k)
-        out |= shifted(tail, 0, k)
-        return out
+        """Codes of 2^l-letter words: each head shifted past the 2^(l-1) tail letters (`codes.concat`)."""
+        out = np.empty((len(head), limb_count(1 << l, self.bits)), dtype=np.uint64)
+        return concat(out, head, self.bits << (l - 1), tail)
 
     def _hold(self, words: int, what: str) -> None:
         """Add a table of `words` 8-byte words to those held, refused over the budget."""
@@ -145,12 +138,12 @@ class FactorEngine:
         return (*fields, (-1, 0, b))
 
     def _windows(self, n: int):
-        """The field tuples of the straddles (j, a) that exhaust F(n); n = 1's one tuple is a letter."""
+        """The straddles (j, a) of F(n), each `_fields(j, a, n - a)`; n = 1's one, (0, 0), is a letter."""
         if n == 1:
-            yield self._fields(0, 0, 1)
+            yield 0, 0
         for j in range(max(ceil_log2(n) - 1, 0), self.depth):
             for a in range(max(1, n - (1 << j)), min(n - 1, 1 << j) + 1):
-                yield self._fields(j, a, n - a)
+                yield j, a
 
     def _table(self, fields: tuple) -> np.ndarray:
         """Sorted distinct codes of a field tuple's words, memoized; held once built.
@@ -168,19 +161,12 @@ class FactorEngine:
                 self._hold(hit.size, f"cut table {fields[0]}")
             else:
                 n = sum(bits for _, _, bits in fields) // self.bits
-                factors = self._factors(fields, self.bits * n)
+                tail, head = self._table(fields[1:]), self._table(fields[:1])   # the tail first
                 k = limb_count(n, self.bits)
-                self._hold(product_size(factors) * k, f"prefix product {(fields[0][0] + 1, n)}")
-                hit = product_codes(factors, k)
+                self._hold(len(head) * len(tail) * k, f"prefix product {(fields[0][0] + 1, n)}")
+                hit = product_codes((head, self.bits * n - fields[0][2], tail), k)
             self._tables[fields] = hit
         return hit
-
-    def _factors(self, fields: tuple, bits: int) -> list[tuple[np.ndarray, int, int]]:
-        """A tuple of `bits` bits as a sorted product: its first field's table, then the rest's
-        (or the empty word)."""
-        rest = bits - fields[0][2]
-        tail = self._table(fields[1:]) if rest else EMPTY
-        return [(self._table(fields[:1]), rest, fields[0][2]), (tail, 0, rest)]
 
     def prefixes(self, j: int, m: int) -> np.ndarray:
         """Sorted codes of the distinct length-m prefixes of W(2^j) elements, 1 <= m <= 2^j."""
@@ -190,9 +176,18 @@ class FactorEngine:
         """Sorted codes of the distinct length-a suffixes of C(2^j) members, 1 <= a <= 2^j."""
         return self._table(((j, 0, self.bits * a),))
 
-    def _blocks(self, n: int) -> list[list[tuple[np.ndarray, int, int]]]:
-        """The window codes of length n as blocks, one sorted product per straddle (`_factors`)."""
-        return [self._factors(fields, self.bits * n) for fields in self._windows(n)]
+    def _blocks(self, n: int) -> list[tuple[np.ndarray, int, np.ndarray]]:
+        """The window codes of length n as blocks, one sorted product per straddle (j, a): level j's
+        cut table of a letters, then its prefix table of m = n - a, read from the index by a and m."""
+        blocks, b = [], self.bits
+        for j, a in self._windows(n):
+            cuts, prefixes = self._index[j]
+            if n - a not in prefixes:             # built before the head, as a prefix product is
+                prefixes[n - a] = self.prefixes(j, n - a)
+            if a not in cuts:
+                cuts[a] = self.suffixes(j, a) if a else EMPTY
+            blocks.append((cuts[a], b * (n - a), prefixes[n - a]))
+        return blocks
 
     def _check_depth(self, n: int) -> None:
         if n > 1 << (self.depth - 1):
@@ -200,8 +195,8 @@ class FactorEngine:
 
     # -- factor sets --------------------------------------------------------
 
-    def _plan(self, n: int, blocks: list) -> tuple[int, int]:
-        """(part capacity, sample stride) of n's blocks (`codes.part_plan`); refused over the budget.
+    def _plan(self, n: int, blocks: list) -> tuple[list[int], int, int]:
+        """(sizes, capacity, stride) of n's blocks (`codes.part_plan`); refused over the budget.
 
         The block sizes are known from the table sizes before anything is
         combined. The largest part must fit the budget, in 8-byte words of
@@ -209,17 +204,17 @@ class FactorEngine:
         the candidate cuts, are no more than a part.
         """
         k = limb_count(n, self.bits)
-        capacity, stride, largest = part_plan(list(map(product_size, blocks)), k)
+        sizes = [len(head) * len(tail) for head, _, tail in blocks]
+        capacity, stride, largest = part_plan(sizes, k)
         require_budget(largest * sort_words(k), f"factor length {n} part ({largest} window codes)",
                        "8-byte sort words")
-        return capacity, stride
+        return sizes, capacity, stride
 
     def _parts(self, n: int, take) -> list:
         """take(codes, new) of each sorted part of the window codes of length n, in code order."""
         blocks = self._blocks(n)
-        capacity, stride = self._plan(n, blocks)
         k = limb_count(n, self.bits)
-        edges = part_edges(blocks, list(map(product_size, blocks)), capacity, stride, k)
+        edges = part_edges(blocks, *self._plan(n, blocks), k)
         return sorted_parts(blocks, edges, k, take)
 
     def count(self, n: int) -> int:
@@ -258,9 +253,10 @@ class FactorEngine:
             return out
         rest, codes = np.flatnonzero(out), codes[out]
         out[:] = False
-        for fields in self._windows(n):
+        for j, a in self._windows(n):
             if not len(rest):
                 break
+            fields = self._fields(j, a, n - a)
             at = self.bits * n - fields[0][2]
             hit = self._held_field(*fields[0], codes, at)
             for f in fields[1:]:
@@ -538,14 +534,10 @@ def minimal_forbidden_words(system: LevelSystem, max_len: int) -> tuple[list[str
     """
     engine = _engine_for(system)
     engine._check_depth(max_len)
-    letters = engine._letters
-    out: list[str] = []
-    prev = EMPTY     # F(0)
+    out, prev = [], EMPTY     # prev: F(0)
     for n in range(1, max_len + 1):
         cur = engine.distinct(n)
-        k = limb_count(n, engine.bits)
-        cand = shifted(prev, engine.bits, k)[:, None] | shifted(letters, 0, k)[None]
-        cand = cand.reshape(-1, k)
+        cand = product_codes((prev, engine.bits, engine._letters), limb_count(n, engine.bits))
         keep = ~holds(cur, cand) & holds(prev, field(cand, 0, engine.bits * (n - 1)))
         out.extend(engine.decode(cand[keep], n))
         prev = cur

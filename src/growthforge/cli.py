@@ -160,41 +160,47 @@ def cmd_validate(cfg: RunConfig) -> int:
         mu_offset=cfg.mu_offset,
         alpha_max=cfg.alpha_max,
     )
-    doc = {
-        "kind": "hypothesis-report",
-        "config": cfg.to_dict(),
-        "generated_at": _timestamp(),
-        "horizon": report.horizon,
-        "verdicts": report.verdicts(),
-        "all_pass": report.all_pass,
-        "basic": {
-            "monotone_ok": report.basic.monotone_ok,
-            "monotone_violation": report.basic.monotone_violation,
-            "strictness_warnings": report.basic.strictness_warnings[:8],
-            "submultiplicative_ok": report.basic.submultiplicative_ok,
-            "submultiplicative_violation": report.basic.submultiplicative_violation,
-            "horizon": report.basic.horizon,
-        },
-        "rapid_growth": {
-            "alpha": report.rapid.alpha,
-            "checked_points": report.rapid.checked_points,
-            "failures": report.rapid.failures,
-            "vacuous": report.rapid.vacuous,
-            "best_failure": report.rapid.best_failure,
-            "horizon": report.rapid.horizon,
-        },
-        "capture_conditions": {
-            "beta_table": [[str(b), nb] for b, nb in report.capture.beta_table],
-            "margins": [[n, str(m)] for n, m in report.capture.margins],
-            "product_partials": [str(p) for p in report.capture.product_partials],
-            "ceiling_slack_partials": [str(p) for p in report.capture.ceiling_slack_partials],
-            "summand_decay_ok": report.capture.summand_decay_ok,
-            "product_tail_estimate": str(report.capture.product_tail_estimate)
-            if report.capture.product_tail_estimate is not None else None,
-        },
-        "mu_table": report.mu_table,
-    }
-    _emit(doc, cfg.out)
+    # Long horizons give exact rationals past the int-to-string limit (4,300 digits): lifted here only.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        doc = {
+            "kind": "hypothesis-report",
+            "config": cfg.to_dict(),
+            "generated_at": _timestamp(),
+            "horizon": report.horizon,
+            "verdicts": report.verdicts(),
+            "all_pass": report.all_pass,
+            "basic": {
+                "monotone_ok": report.basic.monotone_ok,
+                "monotone_violation": report.basic.monotone_violation,
+                "strictness_warnings": report.basic.strictness_warnings[:8],
+                "submultiplicative_ok": report.basic.submultiplicative_ok,
+                "submultiplicative_violation": report.basic.submultiplicative_violation,
+                "horizon": report.basic.horizon,
+            },
+            "rapid_growth": {
+                "alpha": report.rapid.alpha,
+                "checked_points": report.rapid.checked_points,
+                "failures": report.rapid.failures,
+                "vacuous": report.rapid.vacuous,
+                "best_failure": report.rapid.best_failure,
+                "horizon": report.rapid.horizon,
+            },
+            "capture_conditions": {
+                "beta_table": [[str(b), nb] for b, nb in report.capture.beta_table],
+                "margins": [[n, str(m)] for n, m in report.capture.margins],
+                "product_partials": [str(p) for p in report.capture.product_partials],
+                "ceiling_slack_partials": [str(p) for p in report.capture.ceiling_slack_partials],
+                "summand_decay_ok": report.capture.summand_decay_ok,
+                "product_tail_estimate": str(report.capture.product_tail_estimate)
+                if report.capture.product_tail_estimate is not None else None,
+            },
+            "mu_table": report.mu_table,
+        }
+        _emit(doc, cfg.out)
+    finally:
+        sys.set_int_max_str_digits(limit)
     return EXIT_OK if report.all_pass else EXIT_MATH
 
 

@@ -10,18 +10,18 @@ field. One-limb arrays sort in place and are searched through their one
 column; wider ones sort with np.lexsort over the limbs and are searched
 through each row's big-endian bytes, which compare in the same order.
 
-A sorted product is two factors (table, at, bits), head then tail: each
-table a sorted array of distinct codes of `bits` bits, placed at bits
-at .. at+bits-1 of the product's codes. Its codes ascend with the
-factors' indices in lex order, so a code is known from its rank by mixed
-radix, and the codes below a threshold are counted factor by factor. Many
-sorted products (blocks) are sorted together in parts: disjoint code ranges
-cut at sampled codes, each written once into one array and sorted there.
+A sorted product (a block) is (head, at, tail): sorted tables of distinct
+codes, the head's placed at bit `at` and up, the tail's below it. Its codes
+head << at | tail ascend head major, so a code is known from its rank by
+mixed radix, any rank range is written in place (`concat`), and the codes
+below a threshold are counted in the tables. Blocks are sorted together in
+parts: disjoint code ranges cut at sampled codes (each block's fields of the
+candidate cuts taken in one broadcast, `fields`), each written once into
+one array and sorted there.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from math import isqrt
 
 import numpy as np
@@ -54,19 +54,37 @@ def field(codes: np.ndarray, lo: int, bits: int) -> np.ndarray:
     return out & np.array(mask, dtype=np.uint64)
 
 
-def shifted(codes: np.ndarray, bits: int, k: int) -> np.ndarray:
-    """Each code times 2^bits, in k limbs; the product must fit. `codes` itself if nothing moves."""
+def fields(codes: np.ndarray, lo: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """The fields (lo, bits) of the codes for arrays lo and bits, one row per field limb, each field
+    as `field` gives it, in one broadcast: a limb is the 64 or fewer bits at its own lo, the code
+    limb holding it shifted right, ORed with the limb above shifted left (by 64: nothing), masked."""
+    width = np.maximum(bits - 1, 0) // 64 + 1           # limbs per field, at least one
+    step = 64 * (np.repeat(np.cumsum(width), width) - 1 - np.arange(width.sum()))   # top first
+    lo, bits = lo.repeat(width) + step, np.minimum(bits.repeat(width) - step, 64).astype(np.uint64)
+    low, r = codes.shape[1] - 1 - lo // 64, (lo % 64).astype(np.uint64)
+    out, high = codes.T[low], codes.T[np.maximum(low - 1, 0)]   # above the top limb: masked off
+    out >>= r[:, None]                       # in place: two arrays of the output's size live
+    high <<= (64 - r)[:, None]
+    out |= high
+    out &= (~np.uint64(0) >> (64 - bits))[:, None]
+    return out
+
+
+def concat(out: np.ndarray, head: np.ndarray, at: int, tail: np.ndarray) -> np.ndarray:
+    """`out` (..., k limbs) given head * 2^at + tail, broadcast; it fits, the tail below bit at.
+
+    The head is shifted into its limbs of `out` and each limb's high bits ORed one limb up, the
+    other limbs zeroed, and the tail ORed into the low limbs: for k = 1, one shift and one OR."""
+    k, width = out.shape[-1], head.shape[-1]
     if k == 1:
-        return codes << bits if bits else codes
-    width = codes.shape[1]
-    if width == k and not bits:
-        return codes
-    q, r = divmod(bits, 64)
-    top = k - q - width                      # the limb the top input limb lands in
-    out = np.zeros((len(codes), k), dtype=np.uint64)
-    out[:, top:k - q] = codes << r
-    if r:                                    # each limb's high bits carry one limb up
-        out[:, max(top - 1, 0):k - q - 1] |= (codes >> (64 - r))[:, max(1 - top, 0):]
+        return np.bitwise_or(np.left_shift(head, at, out=out), tail, out=out)
+    q, r = divmod(at, 64)
+    top = k - q - width                      # the limb the head's top limb lands in
+    np.left_shift(head, r, out=out[..., top:k - q])
+    out[..., :top] = out[..., k - q:] = 0
+    if r and (top or width > 1):
+        out[..., max(top - 1, 0):k - q - 1] |= (head >> (64 - r))[..., max(1 - top, 0):]
+    out[..., k - tail.shape[-1]:] |= tail
     return out
 
 
@@ -136,14 +154,8 @@ def encode(words: list[str], n: int, letters: str, bits: int) -> tuple[np.ndarra
 
 
 def unpack(codes: np.ndarray, n: int, bits: int) -> np.ndarray:
-    """The letter indices of length-n codes, one row per code: shift, mask, no Python loop."""
-    pos = bits * np.arange(n - 1, -1, -1)     # lowest bit of each letter
-    limb, shift = codes.shape[1] - 1 - pos // 64, (pos % 64).astype(np.uint64)
-    digits = codes[:, limb] >> shift
-    split = np.flatnonzero(shift + bits > 64)   # letters that straddle two limbs
-    if split.size:
-        digits[:, split] |= codes[:, limb[split] - 1] << (64 - shift[split])
-    return digits & ((1 << bits) - 1)
+    """The letter indices of length-n codes, one row per code: their n letter fields (`fields`)."""
+    return fields(codes, bits * np.arange(n - 1, -1, -1), np.full(n, bits)).T
 
 
 def sort_words(k: int) -> int:
@@ -151,66 +163,54 @@ def sort_words(k: int) -> int:
     return k if k == 1 else 2 * k + 1
 
 
-def product_size(factors: list) -> int:
-    (head, _, _), (tail, _, _) = factors
-    return len(head) * len(tail)
-
-
 def product_below(blocks: list, codes: np.ndarray) -> np.ndarray:
     """How many codes of each sorted product lie below each of `codes` (an array of their width).
 
-    One row per block: the head entries below a code's head field times the
-    tail size, plus, when that field is a head entry, the tail entries below
-    its tail field.
-    """
-    lo, below = np.empty((2, len(blocks), len(codes)), dtype=np.int64)
-    hit = np.empty(lo.shape, dtype=bool)
-    fields = cache(lambda at, bits: _keys(field(codes, at, bits)))   # blocks share fields
-    for b, ((head, at, bits), (tail, tail_at, tail_bits)) in enumerate(blocks):
-        head, keys = _keys(head), fields(at, bits)
-        right = head.searchsorted(keys, side="right")
-        lo[b] = head.searchsorted(keys)
-        hit[b] = right > lo[b]
-        below[b] = _keys(tail).searchsorted(fields(tail_at, tail_bits))
-    below *= hit
-    lo *= np.array([len(tail) for _, (tail, _, _) in blocks])[:, None]
-    below += lo
-    return below
+    One row per block: the head entries below a code's head field times the tail size, plus, when
+    that field is a head entry, the tail entries below its tail field. The fields of every block
+    are cut in one broadcast (a head's runs to the code's top, in as many limbs as the head)."""
+    at = np.array([at for _, at, _ in blocks])
+    heads = np.minimum([64 * head.shape[1] for head, _, _ in blocks], 64 * codes.shape[1] - at)
+    keys = fields(codes, np.stack([at, 0 * at], 1).ravel(), np.stack([heads, at], 1).ravel())
+    (lo, right, below), pos = np.empty((3, len(blocks), len(codes)), dtype=np.int64), 0
+    for b, (head, _, tail) in enumerate(blocks):
+        mid = pos + head.shape[1]
+        head, key, pos = _keys(head), _keys(keys[pos:mid].T), mid + tail.shape[1]
+        lo[b] = head.searchsorted(key)
+        right[b] = head.searchsorted(key, side="right")
+        below[b] = _keys(tail).searchsorted(_keys(keys[mid:pos].T))
+    del keys                                 # in place from here: B x C is about one part
+    below *= right > lo
+    lo *= np.array([len(tail) for _, _, tail in blocks])[:, None]
+    lo += below
+    return lo
 
 
-def product_at(factors: list, ranks: np.ndarray, k: int) -> np.ndarray:
+def product_at(block: tuple, ranks: np.ndarray, k: int) -> np.ndarray:
     """The codes of a sorted product at the given ranks, in k limbs."""
-    (head, at, _), (tail, tail_at, _) = factors
+    head, at, tail = block
     rows, cols = np.divmod(ranks, len(tail))
-    out = shifted(head[rows], at, k)             # a new array
-    out |= shifted(tail[cols], tail_at, k)
-    return out
+    return concat(np.empty((len(ranks), k), dtype=np.uint64), head[rows], at, tail[cols])
 
 
-def product_codes(factors: list, k: int) -> np.ndarray:
+def product_codes(block: tuple, k: int) -> np.ndarray:
     """Every code of a sorted product, in order, in k limbs."""
-    size = product_size(factors)
-    out = np.empty((size, k), dtype=np.uint64)
-    product_fill(out, factors, 0)
+    out = np.empty((len(block[0]) * len(block[2]), k), dtype=np.uint64)
+    product_fill(out, block, 0)
     return out
 
 
-def product_fill(out: np.ndarray, factors: list, start: int) -> None:
-    """Write the codes of ranks start .. start+len(out)-1 of a sorted product into `out`.
-
-    The ranks are a partial row of the head, whole rows, and a partial row,
-    and each run of rows is one OR of the head codes with a slice of the tail.
-    """
-    k = out.shape[1]
-    (head, at, _), (tail, tail_at, _) = factors
-    size, pos, end = len(tail), 0, len(out)
+def product_fill(out: np.ndarray, block: tuple, start: int) -> None:
+    """Write the codes of ranks start .. start+len(out)-1 of a sorted product into `out`: a partial
+    row of the head, whole rows and a partial row, each run in place, its head rows over a tail slice."""
+    head, at, tail = block
+    size, pos, end, k = len(tail), 0, len(out), out.shape[1]
     while pos < end:
         i, r = divmod(start + pos, size)
         take = min(size - r, end - pos)
         rows = (end - pos) // size if take == size else 1
-        grid = out[pos:pos + rows * take].reshape(rows, take, k)
-        np.bitwise_or(shifted(head[i:i + rows], at, k)[:, None],
-                      shifted(tail[r:r + take], tail_at, k), out=grid)
+        concat(out[pos:pos + rows * take].reshape(rows, take, k), head[i:i + rows, None], at,
+               tail[r:r + take])
         pos += rows * take
 
 
@@ -264,8 +264,8 @@ def part_edges(blocks: list, sizes: list[int], capacity: int, stride: int, k: in
     below = np.empty((len(blocks), 0), dtype=np.int64)
     if total > capacity:
         samples, new = sort_marked(np.concatenate([
-            product_at(factors, np.arange(stride, size, stride), k)
-            for factors, size in zip(blocks, sizes) if size > stride]))
+            product_at(block, np.arange(stride, size, stride), k)
+            for block, size in zip(blocks, sizes) if size > stride]))
         firsts = np.flatnonzero(new)         # samples below each distinct sample
         step = max(1, capacity // stride - len(blocks))
         candidates = samples[firsts[_steps(firsts, step, len(samples))]]
@@ -289,9 +289,9 @@ def sorted_parts(blocks: list, edges: np.ndarray, k: int, take) -> list:
     out = []
     for p, size in enumerate(rows):
         pos = 0
-        for factors, start, count in zip(blocks, edges[:, p].tolist(), spans[:, p].tolist()):
+        for block, start, count in zip(blocks, edges[:, p].tolist(), spans[:, p].tolist()):
             if count:
-                product_fill(part[pos:pos + count], factors, start)
+                product_fill(part[pos:pos + count], block, start)
                 pos += count
         out.append(take(*sort_marked(part[:size])))
     return out

@@ -63,23 +63,22 @@ def wide_system(values: dict, depth: int):
 
 class TestFactorSets:
     def test_window_totals_summed_once(self, poly_spec, monkeypatch):
-        # The budget check walks each n's straddle tuples once; counting walks
-        # them once more, its blocks sizing its plan and filling its parts
-        # (n = 1's one tuple is a letter).
-        walked = []
+        # The budget check walks each n's straddles (`_windows`) once, and
+        # counting walks them once more: one list of blocks sizes its plan and
+        # fills its parts (n = 1's one straddle is a letter).
+        walked = Counter()
         windows = FactorEngine._windows
         monkeypatch.setattr(FactorEngine, "_windows",
-                            lambda self, n: walked.append(n) or windows(self, n))
+                            lambda self, n: walked.update([n]) or windows(self, n))
         system = build_uniformly_recurrent(poly_spec, depth=5, capture_budget=2, horizon=12)
         analyzer.check_window_budget(system, 16)
         engine = analyzer._engine_for(system)
-        assert sorted(walked) == list(range(1, 17))
-        # Every n here fits one part, which the plan sizes as all its codes.
+        assert walked == Counter(range(1, 17))
         totals = [sum(engine._parts(n, lambda codes, _: len(codes))) for n in range(1, 17)]
-        assert sorted(walked) == sorted([*range(1, 17), *range(1, 17)])
-        assert totals == [
-            codes.part_plan(list(map(codes.product_size, engine._blocks(n))),
-                            codes.limb_count(n, engine.bits))[2] for n in range(1, 17)]
+        assert walked == Counter({n: 2 for n in range(1, 17)})
+        # Every n here fits one part, which the plan sizes as all its codes.
+        assert totals == [codes.part_plan(engine._plan(n, engine._blocks(n))[0],
+                                          codes.limb_count(n, engine.bits))[2] for n in range(1, 17)]
 
     def test_toy_small_n(self, toy_system):
         assert factor_set_bruteforce(toy_system, 1) == frozenset("ab")
@@ -289,15 +288,15 @@ def test_parts_balance_samples_and_edges(tmp_path, monkeypatch, name):
     engine = FactorEngine(system)
     sampled = []
     product_at = codes.product_at
-    monkeypatch.setattr(codes, "product_at", lambda factors, ranks, k: (
-        sampled.append(len(ranks)) or product_at(factors, ranks, k)))
+    monkeypatch.setattr(codes, "product_at", lambda block, ranks, k: (
+        sampled.append(len(ranks)) or product_at(block, ranks, k)))
     parts, floors = [], []
     for n in range(1, (1 << (system.depth - 1)) + 1):
         blocks = engine._blocks(n)
-        capacity, stride = engine._plan(n, blocks)
+        sizes, capacity, stride = engine._plan(n, blocks)
         sampled.clear()
         k = codes.limb_count(n, engine.bits)
-        edges = codes.part_edges(blocks, list(map(codes.product_size, blocks)), capacity, stride, k)
+        edges = codes.part_edges(blocks, sizes, capacity, stride, k)
         assert sum(sampled) <= capacity and edges.size <= capacity
         parts.append(edges.shape[1] - 1)
         floors.append(capacity == codes.PART_BYTES // (8 * codes.sort_words(k)))
@@ -388,11 +387,12 @@ def test_straddle_tuples_tile_each_window(request, monkeypatch, name, lengths):
                         lambda self, *args: tested.append(args[:3]) or held_field(self, *args))
     rng = np.random.default_rng(3)
     for n in lengths:
-        windows = list(engine._windows(n))
+        straddles = list(engine._windows(n))
+        windows = [engine._fields(j, a, n - a) for j, a in straddles]
         assert len(set(windows)) == len(windows)
         assert all(sum(bits for _, _, bits in fields) == b * n for fields in windows)
         if n == 1:
-            assert windows == [((-1, 0, b),)]
+            assert straddles == [(0, 0)] and windows == [((-1, 0, b),)]
         else:
             for (j, lo, bits), *rest in windows:
                 assert lo == 0 and 0 < bits <= b << j and j < system.depth and rest
@@ -402,11 +402,13 @@ def test_straddle_tuples_tile_each_window(request, monkeypatch, name, lengths):
                 assert (l, lo, bits) == (-1, 0, b) or (l >= 0 and bits and lo + bits == b << l)
         if n > 64:   # the d = 3 system's blocks of n = 4096 alone take seconds to build
             continue
-        for fields, ((head, at, head_bits), (tail, tail_at, tail_bits)) in zip(
-                windows, engine._blocks(n), strict=True):
-            assert head is engine._tables[fields[:1]] and head_bits == fields[0][2]
-            assert tail is (engine._tables[fields[1:]] if fields[1:] else codes.EMPTY)
-            assert at == tail_bits == b * n - head_bits and tail_at == 0
+        # A block is level j's cut table of a letters (a = 0: the empty word) over its prefix
+        # table of n - a letters, placed below it: the tables of the tuple's first field and rest.
+        for (j, a), fields, (head, at, tail) in zip(straddles, windows, engine._blocks(n),
+                                                    strict=True):
+            rest = fields[1:] if a else fields
+            assert head is (engine._tables[fields[:1]] if a else codes.EMPTY)
+            assert tail is engine._tables[rest] and at == b * (n - a) == sum(f[2] for f in rest)
         # Factors and random words: each straddle tested tests a prefix of its tuple, in order.
         factors = engine.distinct(n)
         words = engine.decode(factors[::max(1, len(factors) // 16)], n) + [

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -407,6 +408,32 @@ class TestCli:
                      "--horizon", "10", "--out", str(tmp_path / "v2.json")]) == 1
         assert main(["validate", "--family", "geometric", "--epsilon", "abc"]) == 2
 
+    def test_validate_writes_rationals_past_the_digit_limit(self, tmp_path):
+        # At horizon 15 the exact capture partials of poly_geometric(1/10)
+        # have numbers of more than 4,300 digits, Python's int-to-string
+        # limit. The report writes them whole, as strings, and the limit is
+        # back in force once it is written.
+        limit = sys.get_int_max_str_digits()
+        out = tmp_path / "v.json"
+        assert main(["validate", "--family", "poly_geometric", "--epsilon", "1/10",
+                     "--horizon", "15", "--out", str(out)]) == 0
+        assert sys.get_int_max_str_digits() == limit
+        text = out.read_text()
+        assert max(map(len, re.findall(r"\d+", text))) > limit
+        assert json.loads(text)["horizon"] == 15
+
+    def test_system_file_past_the_digit_limit_exits_2(self, tmp_path, toy_system, capsys):
+        # Reading keeps the limit: a depth of 5,000 digits makes the file unreadable.
+        sys_path = tmp_path / "sys.json"
+        persist.save_system(toy_system, sys_path)
+        text = sys_path.read_text()
+        assert text.count('"depth":3,') == 1
+        sys_path.write_text(text.replace('"depth":3,', f'"depth":{"9" * 5000},'))
+        assert main(["analyze", str(sys_path), "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read system file") and "digits" in err
+        assert "Traceback" not in err
+
     def test_build_analyze_pipeline(self, tmp_path):
         sys_path = tmp_path / "sys.json"
         assert main(["build", "--family", "poly_geometric", "--epsilon", "1/10",
@@ -533,6 +560,37 @@ class TestCli:
         assert main(["analyze", str(sys_path), "--nmax", "8", "--forbidden-max", "6",
                      "--out", str(tmp_path / "r.json")]) == 0
         assert sorted(counted) == list(range(1, 9))
+
+    @pytest.mark.parametrize("epsilon, depth, nmax, held", [
+        ("1/20", 8, 65, 52_563), ("1/10", 7, 44, 28_827)], ids=["analyze-wide", "analyze-d7"])
+    def test_table_index_holds_the_tables(self, tmp_path, monkeypatch, epsilon, depth, nmax,
+                                          held):
+        # `analyze` on the two analyze benchmark systems holds as many 8-byte
+        # words of tables as the walk by field tuples did, and every entry of
+        # the per-level index (cut tables by a, prefix tables by m) is the
+        # `_tables` array itself, not a copy.
+        systems, load = [], persist.load_system
+        monkeypatch.setattr(persist, "load_system",
+                            lambda path: systems.append(load(path)) or systems[-1])
+        sys_path = tmp_path / "system.json"
+        assert main(["build", "--family", "poly_geometric", "--epsilon", epsilon,
+                     "--mode", "recurrent", "--depth", str(depth), "--captures", "2",
+                     "--out", str(sys_path)]) == 0
+        assert main(["analyze", str(sys_path), "--nmax", str(nmax), "--forbidden-max", "6",
+                     "--out", str(tmp_path / "r.json")]) == 0
+        engine = analyzer._engine_for(systems[0])
+        assert engine._held == held
+        entries = 0
+        for j, (cuts, prefixes) in enumerate(engine._index):
+            for a, table in cuts.items():
+                assert table is (engine._tables[((j, 0, engine.bits * a),)] if a else codes.EMPTY)
+            for m, table in prefixes.items():
+                assert table is engine._tables[engine._fields(j, 0, m)]
+            entries += len(cuts) + len(prefixes)
+        # Every straddle of every n reads its two tables from the index.
+        assert entries == len({(j, kind, i) for n in range(1, nmax + 1)
+                               for j, a in engine._windows(n)
+                               for kind, i in (("cut", a), ("prefix", n - a))})
 
     def test_wide_workload_pinned(self, tmp_path):
         # The analyze-wide benchmark system: d = 2, so n = 65 is the first
