@@ -620,11 +620,13 @@ class FreeParams:
 
     @classmethod
     def of(cls, eps, depth: int) -> "FreeParams":
-        """The parameters that epsilon in (0, 1] and the build depth determine."""
+        """The parameters that epsilon in (0, 1] and a build depth >= t + 1 determine."""
         from .freesub import compute_t
 
         eps = Fraction(eps)
         t = compute_t(eps)
+        if depth < t + 1:   # refused before the two 2^t-letter words are made
+            raise ValueError(f"depth must be >= t+1 = {t + 1}")
         return cls(eps, t, 1 << t, "x" * (1 << t), "y" * (1 << t), depth - 1 - t)
 
     def to_dict(self) -> dict:
@@ -646,13 +648,11 @@ def build_free_power_system(
     reports the deficit. eps = 1 is accepted (degenerate boundary where the
     system is the full binary language).
     """
-    params = FreeParams.of(eps, depth)   # refuses epsilon outside (0, 1]
+    params = FreeParams.of(eps, depth)   # refuses epsilon outside (0, 1] and depth < t + 1
     spec = geometric(params.epsilon)
     if spec.value(1) != 2:
         raise AssertionError("geometric(eps<=1) must have two letters")
     t = params.t
-    if depth < t + 1:
-        raise ValueError(f"depth must be >= t+1 = {t + 1}")
     # Exact capacity and size prechecks before any work, one level at a time:
     # ratios and capacities double their bits per level, so the budget ends the climb.
     for i in range(depth):

@@ -3,8 +3,9 @@
 With entropy H = 1 + eps, two elements supported in degrees <= d can only
 generate a free subalgebra if d >= 1/log2(1+eps). The power-monomial builder
 achieves degree 2^t with t = ceil(-log2 log2(1+eps)) + 1, within a factor
-of four of that bound. This module computes t by exact rational power
-comparisons, brackets the bound without floating point, and certifies
+of four of that bound. This module decides t, the band and the bound on
+log2 brackets of growing precision, without floating point (the bracket is
+exact at eps = 1 and log2(1+eps) is irrational otherwise, so each settles), and certifies
 freeness on a finite range: the two generators are equal-length words on
 distinct letters, so distinct products substitute to distinct strings, and
 the absence of monomial relations up to a product length is exactly the
@@ -18,26 +19,31 @@ from fractions import Fraction
 from itertools import compress, product as iter_product
 
 from .construction import FreeParams, LevelSystem, _json_fields
-from .exactmath import log2_bracket
+from .exactmath import ceil_frac, ceil_log2, log2_bracket
 from . import analyzer
 
 
+def _refined(eps: Fraction, decide):
+    """decide(lo, hi) on log2_bracket(1 + eps, bits) for bits = 24, 48, ... until not None."""
+    bits = 24
+    while (answer := decide(*log2_bracket(1 + eps, bits))) is None:
+        bits *= 2
+    return answer
+
+
 def compute_t(eps: Fraction | str | int) -> int:
-    """Smallest m with (1+eps)^(2^m) >= 2, plus one.
+    """Smallest m with 2^m log2(1+eps) >= 1, i.e. (1+eps)^(2^m) >= 2, plus one.
 
     Equals ceil(-log2 log2(1+eps)) + 1 and guarantees (1+eps)^(2^t) > 2,
-    i.e. 2^t > 1/log2(1+eps). Pure rational comparisons, no logarithms.
+    i.e. 2^t > 1/log2(1+eps). Decided on log2 brackets, no float and no powers.
     """
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise ValueError("epsilon must be in (0, 1]")
-    base = 1 + eps
-    m = 0
-    power = base
-    while power < 2:
-        power *= power
-        m += 1
-    return m + 1
+    def least(lo, hi):   # 2^m log2(1+eps) >= 1 needs 2^m hi >= 1, and 2^m lo >= 1 is enough
+        m = ceil_log2(ceil_frac(1 / hi))
+        return m + 1 if lo * (1 << m) >= 1 else None
+    return _refined(eps, least)
 
 
 def degree_lower_bound(eps: Fraction | str | int, tol: Fraction = Fraction(1, 10 ** 6)) -> Fraction:
@@ -49,16 +55,8 @@ def degree_lower_bound(eps: Fraction | str | int, tol: Fraction = Fraction(1, 10
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    bits = 24
-    while True:
-        lo, hi = log2_bracket(1 + eps, bits)
-        if lo == hi:
-            return 1 / lo
-        if lo > 0:
-            r_lo, r_hi = 1 / hi, 1 / lo
-            if r_hi - r_lo <= tol:
-                return (r_lo + r_hi) / 2
-        bits *= 2
+    return _refined(eps, lambda lo, hi: (
+        (1 / hi + 1 / lo) / 2 if lo > 0 and 1 / lo - 1 / hi <= tol else None))
 
 
 @dataclass
@@ -72,7 +70,7 @@ class OptimalityReport:
     bound_hi: Fraction
     ratio_lo: Fraction      # degree * log2(1+eps), bracketed
     ratio_hi: Fraction
-    in_band: bool           # ratio in (1, 4], decided by exact power comparisons
+    in_band: bool           # ratio in (1, 4], decided on log2 brackets
 
     def to_dict(self) -> dict:
         return {
@@ -88,15 +86,17 @@ class OptimalityReport:
 def optimality_report(eps: Fraction | str | int) -> OptimalityReport:
     """Ratio 2^t log2(1+eps) between achieved degree and the lower bound.
 
-    The band membership (1, 4] is decided exactly: ratio > 1 iff
-    (1+eps)^(2^t) > 2 and ratio <= 4 iff (1+eps)^(2^t) <= 16.
+    The band membership (1, 4] is decided exactly, on log2 brackets refined
+    until neither end of the band lies inside degree * bracket.
     """
     eps = Fraction(eps)
     t = compute_t(eps)
     degree = 1 << t
-    base = 1 + eps
-    in_band = base ** degree > 2 and base ** degree <= 16
-    lo, hi = log2_bracket(base, 40)
+    def band(lo, hi):   # settled once each end c of (1, 4] lies outside degree * [lo, hi]
+        above = [(degree * lo > c, degree * hi > c) for c in (1, 4)]
+        return None if any(a != b for a, b in above) else above[0][0] and not above[1][0]
+    in_band = _refined(eps, band)
+    lo, hi = log2_bracket(1 + eps, 40)
     blo, bhi = (1 / hi, 1 / lo) if lo > 0 else (Fraction(0), Fraction(0))
     return OptimalityReport(
         epsilon=eps, t=t, degree=degree,

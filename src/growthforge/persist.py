@@ -17,12 +17,12 @@ construction. Target words and free parameters (read by field name; a key no
 field names is ignored) come next, and the digest last, over the row text of
 the sets. The system keeps that digest. The row text is streamed into the
 hash from the rows of one chunk of members at a time; neither the text nor a
-whole level of rows is ever built.
+whole level of rows is ever built. `hashlib` is imported where the digest is
+taken, so commands that neither save nor load a system do not map OpenSSL.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from itertools import chain
 from math import prod
@@ -53,6 +53,8 @@ def document_digest(doc: dict, csets: list[CSet]) -> str:
     The text is fed to the hash piece by piece, one chunk of rows at a time by
     `_feed_csets`; it is never built whole.
     """
+    import hashlib
+
     rest = {k: v for k, v in doc.items() if k != "digest"} | {"version": 1}
     h = hashlib.sha256(b"{")
     for i, (key, value) in enumerate(sorted(rest.items())):
@@ -214,8 +216,8 @@ def _system_from_document(doc: dict, path: str | Path) -> LevelSystem:
     if doc["free_params"]:
         fp = doc["free_params"]
         params = _from_fields(FreeParams, fp, epsilon=parse_rational(fp["epsilon"]))
-        if params != FreeParams.of(params.epsilon, system.depth) or spec != geometric(
-                params.epsilon):
+        if spec != geometric(params.epsilon) or params != FreeParams.of(
+                params.epsilon, system.depth):   # growth first: FreeParams.of makes 2^t-letter words
             raise SystemFileError(
                 f"{path}: malformed free_params: t, degree, x_word, y_word, r_max and the "
                 f"geometric growth must follow from epsilon {params.epsilon} and depth "

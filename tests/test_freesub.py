@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from growthforge import analyzer
 from growthforge.analyzer import factor_set_bruteforce
@@ -44,6 +45,28 @@ class TestComputeT:
             compute_t(0)
         with pytest.raises(ValueError):
             compute_t(Fraction(3, 2))
+
+
+def squaring_t(eps: Fraction) -> int:
+    """compute_t by its first definition: square 1 + eps exactly until it reaches 2."""
+    power, m = 1 + eps, 0
+    while power < 2:
+        power *= power
+        m += 1
+    return m + 1
+
+
+@given(st.integers(1, 50), st.integers(50, 5000))
+@example(50, 50)
+@settings(max_examples=150, deadline=None)
+def test_brackets_match_exact_squaring(p, q):
+    # t and the band (1, 4] of 2^t log2(1+eps), decided on log2 brackets, against
+    # exact powers of 1 + eps: ratio > 1 iff (1+eps)^(2^t) > 2, <= 4 iff <= 16.
+    eps = Fraction(p, q)
+    t = squaring_t(eps)
+    power = (1 + eps) ** (1 << t)
+    assert compute_t(eps) == t
+    assert optimality_report(eps).in_band == (2 < power <= 16)
 
 
 class TestDegreeLowerBound:

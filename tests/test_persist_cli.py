@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
 import sys
+import textwrap
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -895,7 +899,10 @@ class TestCli:
         # Same dyadic ratios as geometric(1), but not the growth freeness assumes.
         lambda doc: doc.update(growth={"family": "table", "table": {
             "1": 2, "2": 4, "4": 16, "8": 256, "16": 65536}}),
-    ], ids=["one-letter-words", "y-word-list", "degree-list", "table-growth"])
+        # Growth geometric(1), not geometric(1/10^9): refused before t = 31 would make
+        # two 2^31-letter generator words.
+        lambda doc: doc["free_params"].update(epsilon="1/1000000000"),
+    ], ids=["one-letter-words", "y-word-list", "degree-list", "table-growth", "small-epsilon"])
     def test_free_malformed_exits_2(self, tmp_path, free_system_eps1, capsys, mutate):
         doc = plain_document(free_system_eps1[0])
         mutate(doc)
@@ -922,6 +929,45 @@ class TestCli:
         doc = json.loads(out.read_text())
         assert doc["t"] == 2 and doc["generator_degree"] == 4
         assert abs(float(doc["degree_lower_bound_decimal"]) - 1.7095) < 1e-3
+
+    @pytest.mark.parametrize("command", ["free", "build --mode free"])
+    @pytest.mark.parametrize("epsilon,least_depth", [("1/1000000", 22), ("1/1000000000", 32)])
+    def test_small_epsilon_depth_refused_at_once(self, tmp_path, capsys, command, epsilon,
+                                                 least_depth):
+        # t comes from log2 brackets, not from squaring 1 + eps, and the depth is
+        # checked before the two 2^t-letter generator words are made.
+        start = time.perf_counter()
+        assert main([*command.split(), "--epsilon", epsilon, "--depth", "3",
+                     "--out", str(tmp_path / "out.json")]) == 2
+        assert time.perf_counter() - start < 1
+        assert f"depth must be >= t+1 = {least_depth}" in capsys.readouterr().err
+
+    def test_openssl_loaded_only_to_digest(self, tmp_path):
+        # This suite imports hashlib itself, so a fresh interpreter runs the commands:
+        # importing the CLI, `free` without a system file and `validate` never load
+        # OpenSSL's _hashlib; `build` does, and its digest is the CI pin.
+        script = textwrap.dedent("""
+            import sys
+            loaded = lambda: "_hashlib" in sys.modules
+            from growthforge import cli
+            seen = [loaded()]
+            assert cli.main(["free", "--epsilon", "1", "--depth", "4",
+                             "--out", sys.argv[1] + "/f.json"]) == 0
+            seen.append(loaded())
+            assert cli.main(["validate", "--out", sys.argv[1] + "/v.json"]) == 0
+            seen.append(loaded())
+            assert cli.main(["build", "--mode", "free", "--epsilon", "1", "--depth", "5",
+                             "--out", sys.argv[1] + "/s.json"]) == 0
+            print(seen + [loaded()])
+        """)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        built, seen = proc.stdout.splitlines()
+        assert seen == "[False, False, False, True]"
+        assert built.endswith(
+            " sha256:686b2d65439e6a92d86e84a61c77bdf27b22d1a92286ec3f258507acfdadd7be")
 
     def test_free_rejects_non_free_system(self, tmp_path, toy_system):
         sys_path = tmp_path / "t.json"
