@@ -44,10 +44,10 @@ leaves the engine only as the parts' distinct codes in order, and words
 only through `decode`, one array pass. Counts are memoized per engine, and
 building F(n) records |F(n)|, so each n is counted once. Membership never
 builds F(n): w is a factor exactly when, for some straddle, each field of
-w is in its cut table. Equal-length words are coded into one array and walk
-the straddles once, field by field; a cut table is built when a word first
-reaches it, and a field wider than one limb meets its 64-bit edge table,
-then the members' sorted field, which is not kept.
+w is in its cut table. `held` takes codes of one length, which walk the
+straddles once, field by field; a cut table is built when a code first
+reaches it, a field wider than one limb meets its 64-bit edge table, then
+the members' sorted field, not kept. Only `held_factors` codes words.
 
 Dimensions dim_n = |F(n)| feed the growth report (cumulative sums, entropy
 partials g(n)^(1/n) via exact integer roots), the dyadic growth sandwich,
@@ -241,33 +241,20 @@ class FactorEngine:
             return hit
         return holds(self._table(((level, lo, bits),)), field(codes, at, bits))
 
-    def held(self, words: list[str]) -> np.ndarray:
-        """Which of some equal-length words are in F(n), without building F(n).
-
-        The words are coded in one pass (`codes.encode`), and each straddle tests, field by
-        field, the words none before it held; a foreign letter is never held."""
-        n = len(words[0]) if words else 0
+    def held(self, codes: np.ndarray, n: int) -> np.ndarray:
+        """Which of some length-n codes (N x k, n >= 1) are in F(n), without building F(n): each
+        straddle tests its fields, left to right, on the codes no straddle before it held."""
         self._check_depth(n)
-        codes, out = encode(words, n, self.system.alphabet.letters, self.bits)
-        if not n:
-            return out
-        rest, codes = np.flatnonzero(out), codes[out]
-        out[:] = False
+        left = np.ones(len(codes), dtype=bool)     # not held by any straddle so far
         for j, a in self._windows(n):
-            if not len(rest):
-                break
-            fields = self._fields(j, a, n - a)
-            at = self.bits * n - fields[0][2]
-            hit = self._held_field(*fields[0], codes, at)
-            for f in fields[1:]:
-                if not hit.any():
+            rest, at = left.nonzero()[0], self.bits * n
+            for level, lo, bits in self._fields(j, a, n - a):
+                if not len(rest):
                     break
-                at -= f[2]
-                hit[hit] = self._held_field(*f, codes[hit], at)
-            if hit.any():
-                out[rest[hit]] = True
-                rest, codes = rest[~hit], codes[~hit]
-        return out
+                at -= bits
+                rest = rest[self._held_field(level, lo, bits, codes[rest], at)]
+            left[rest] = False
+        return ~left
 
     def distinct(self, n: int) -> np.ndarray:
         """F(n) as its sorted distinct window codes: the parts' in order; |F(n)| is memoized."""
@@ -286,8 +273,15 @@ def check_window_budget(system: LevelSystem, n_max: int) -> None:
 
 
 def held_factors(system: LevelSystem, words: list[str]) -> np.ndarray:
-    """Which of some equal-length words are factors of the system (`FactorEngine.held`)."""
-    return _engine_for(system).held(words)
+    """Which of some equal-length words are factors: the one place words are coded (`codes.encode`)
+    for `FactorEngine.held`. A foreign letter is never held; the empty word, F(0), always is."""
+    engine = _engine_for(system)
+    n = len(words[0]) if words else 0
+    engine._check_depth(n)
+    codes, out = encode(words, n, system.alphabet.letters, engine.bits)
+    if n:
+        out[out] = engine.held(codes[out], n)
+    return out
 
 
 def factor_set_bruteforce(system: LevelSystem, n: int) -> frozenset[str]:

@@ -304,17 +304,16 @@ def cmd_free(cfg: RunConfig, system_path: str | None) -> int:
     elif cfg.free_depth > 0:
         system, params = build_free_power_system(eps, cfg.free_depth)
         verification = freesub.verify_free_generators(system, params, cfg.products_len)
-    t = freesub.compute_t(eps)
-    bound = freesub.degree_lower_bound(eps, tol=Fraction(1, 10 ** 6))
     optimality = freesub.optimality_report(eps)
+    bound = freesub.degree_lower_bound(eps, tol=Fraction(1, 10 ** 6))
     doc = {
         "kind": "freeness-report",
         "config": cfg.to_dict(),
         "generated_at": _timestamp(),
         "system_digest": digest,
         "epsilon": str(eps),
-        "t": t,
-        "generator_degree": 1 << t,
+        "t": optimality.t,
+        "generator_degree": optimality.degree,
         "degree_lower_bound": str(bound),
         "degree_lower_bound_decimal": f"{float(bound):.6f}",
         "optimality": optimality.to_dict(),
@@ -371,7 +370,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_free = sub.add_parser("free", help="free-subalgebra certification")
     p_free.add_argument("system", nargs="?", help="free-mode system file (optional)")
     p_free.add_argument("--config")
-    p_free.add_argument("--epsilon", dest="free_epsilon", help="exact rational in (0, 1]")
+    p_free.add_argument("--epsilon", dest="free_epsilon",
+                        help="exact rational in (0, 1]; --depth > 0 builds only for (1+eps)^2 > 2")
     p_free.add_argument("--depth", dest="free_depth", type=int,
                         help="build depth for on-the-fly verification")
     p_free.add_argument("--products-len", dest="products_len", type=int)

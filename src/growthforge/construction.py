@@ -38,7 +38,8 @@ Three builders are provided:
   * free power system: with f(n) = ceil((1+eps)^n) and letters x, y, the
     choice sets are forced to contain x^(2^i), y^(2^i) up to level t and all
     2^(2^r) products of the two power words at level t+r, which certifies a
-    free subalgebra on the two power monomials.
+    free subalgebra on the two power monomials. It needs (1+eps)^2 > 2: for
+    eps <= sqrt(2) - 1, C(1) has one member and cannot hold both x and y.
 
 The capture schedule depends on the set sizes r_i alone, so it is fixed
 before any set is chosen, and every builder defines levels 0..depth-1 in
@@ -620,7 +621,10 @@ class FreeParams:
 
     @classmethod
     def of(cls, eps, depth: int) -> "FreeParams":
-        """The parameters that epsilon in (0, 1] and a build depth >= t + 1 determine."""
+        """The parameters that epsilon in (0, 1] and a build depth >= t + 1 determine.
+
+        The system itself is built only for (1+eps)^2 > 2, eps > sqrt(2) - 1
+        (`build_free_power_system`); t and the band hold for every eps."""
         from .freesub import compute_t
 
         eps = Fraction(eps)
@@ -646,12 +650,11 @@ def build_free_power_system(
     contains all 2^(2^r) length-2^r products over the two power words for
     r >= 1. Capacity at every level is checked exactly and CapacityExceeded
     reports the deficit. eps = 1 is accepted (degenerate boundary where the
-    system is the full binary language).
+    system is the full binary language). Level 0 needs (1+eps)^2 > 2, else f(2) = 2
+    and C(1), of r_0 = 1 member, cannot hold both x and y: CapacityExceeded at level 0.
     """
     params = FreeParams.of(eps, depth)   # refuses epsilon outside (0, 1] and depth < t + 1
-    spec = geometric(params.epsilon)
-    if spec.value(1) != 2:
-        raise AssertionError("geometric(eps<=1) must have two letters")
+    spec = geometric(params.epsilon)   # f(1) = 2 letters for epsilon in (0, 1]
     t = params.t
     # Exact capacity and size prechecks before any work, one level at a time:
     # ratios and capacities double their bits per level, so the budget ends the climb.

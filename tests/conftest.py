@@ -24,7 +24,8 @@ def factor_words(engine: analyzer.FactorEngine, n: int) -> frozenset[str]:
 
 def encoded(engine: analyzer.FactorEngine, words: list[str]) -> np.ndarray:
     """Equal-length words as one N x k code array, coded letter by letter."""
-    letters, k = engine.system.alphabet.letters, max(1, -(-len(words[0]) * engine.bits // 64))
+    letters, n = engine.system.alphabet.letters, len(words[0]) if words else 0
+    k = max(1, -(-n * engine.bits // 64))
     ints = [reduce(lambda code, ch: code << engine.bits | letters.index(ch), w, 0) for w in words]
     data = b"".join(code.to_bytes(8 * k, "big") for code in ints)
     return np.frombuffer(data, dtype=">u8").astype(np.uint64).reshape(len(words), k)

@@ -17,6 +17,7 @@ from growthforge.analyzer import (
     dim_series,
     entropy_report,
     factor_set_bruteforce,
+    held_factors,
     minimal_forbidden_words,
     verify_recurrence_gaps,
 )
@@ -152,7 +153,7 @@ class TestFactorSets:
             oracle = factor_set_bruteforce(system, n)
             assert engine.count(n) == len(oracle)
             assert factor_words(engine, n) == oracle
-            assert member.held(sorted(oracle)).all()
+            assert member.held(encoded(member, sorted(oracle)), n).all()
         # Membership keeps no product and no table wider than 64 bits but the whole members.
         assert all(len(key) == 1 for key in member._tables)
         assert all(bits <= 64 or bits == member.bits << j for ((j, _, bits),) in member._tables)
@@ -172,9 +173,10 @@ class TestFactorSets:
         rejected = 0
         for start in (0, 777, 8000):
             w = words[-1][start:start + 4400]
-            assert engine.held([w]).all()
+            assert engine.held(encoded(engine, [w]), len(w)).all()
             present = [any(w + z in x for x in words) for z in letters]
-            assert engine.held([w + z for z in letters]).tolist() == present
+            extended = encoded(engine, [w + z for z in letters])
+            assert engine.held(extended, len(w) + 1).tolist() == present
             rejected += present.count(False)
         assert rejected > 0
 
@@ -243,7 +245,7 @@ def test_every_code_array_is_n_by_k_limbs(request, name):
         check(factors, b * n)
         words = engine.decode(factors[::max(1, len(factors) // 4)], n)
         check(codes.encode(words, n, letters, b)[0], b * n)
-        assert engine.held(words).all()
+        assert engine.held(encoded(engine, words), n).all()
     check(engine._letters, b)
     for j, members in enumerate(engine._members):
         check(members, b << j)
@@ -364,9 +366,9 @@ def test_limb_boundaries_match_bruteforce(system_bits):
         assert engine.count(n) == len(oracle)
         assert engine.decode(engine.distinct(n), n) == oracle   # code order is string order
         sample = oracle[::max(1, len(oracle) // 8)]
-        assert engine.held(sample).all()
+        assert engine.held(encoded(engine, sample), n).all()
         absent = sorted({w[1:] + z for w in sample for z in letters} - set(oracle))
-        assert not engine.held(absent).any()
+        assert not engine.held(encoded(engine, absent), n).any()
 
 
 @pytest.mark.parametrize("name, lengths", [
@@ -414,7 +416,7 @@ def test_straddle_tuples_tile_each_window(request, monkeypatch, name, lengths):
         words = engine.decode(factors[::max(1, len(factors) // 16)], n) + [
             "".join(w) for w in rng.choice(list(system.alphabet.letters), (8, n))]
         tested.clear()
-        engine.held(words)
+        engine.held(encoded(engine, words), n)
         walk = iter(windows)
         while tested:
             fields = next(walk)
@@ -450,24 +452,25 @@ class TestHeld:
         system = system[0] if isinstance(system, tuple) else system
         engine = FactorEngine(system)
         letters = system.alphabet.letters
-        assert engine.held(list(letters)).all()
+        assert engine.held(encoded(engine, list(letters)), 1).all()
         rejected = 0
         for n in lengths:
             prev = factor_set_bruteforce(system, n - 1)
             cur = factor_set_bruteforce(system, n)
             words = sorted(cur) + sorted({w + z for w in prev for z in letters} - cur)
-            assert engine.held(words).tolist() == [w in cur for w in words]
+            assert engine.held(encoded(engine, words), n).tolist() == [w in cur for w in words]
             rejected += len(words) - len(cur)
         assert (rejected > 0) == rejects
 
     def test_foreign_letter_and_depth(self, captured4):
-        engine = FactorEngine(captured4)
-        assert engine.held(["az", "ab", "!b", "ba"]).tolist() == [False, True, False, True]
-        assert engine.held([]).tolist() == []
+        assert held_factors(captured4, ["az", "ab", "!b", "ba"]).tolist() == [
+            False, True, False, True]
+        assert held_factors(captured4, []).tolist() == []
+        assert held_factors(captured4, [""]).tolist() == [True]   # F(0) is the empty word
         with pytest.raises(ValueError, match="letters expected"):
-            engine.held(["ab", "a"])
+            held_factors(captured4, ["ab", "a"])
         with pytest.raises(DepthTooShallow):
-            engine.held(["a" * 9])
+            held_factors(captured4, ["a" * 9])
 
 
 class TestConsecutiveDims:
@@ -480,7 +483,21 @@ class TestConsecutiveDims:
         letters = system.alphabet.letters
         for n in range(1, n_top + 1):
             words = [w + z for w in factor_words(engine, n) for z in letters]
-            assert engine.count(n + 1) == np.count_nonzero(engine.held(words))
+            extended = encoded(engine, words)
+            assert engine.count(n + 1) == np.count_nonzero(engine.held(extended, n + 1))
+
+    @pytest.mark.parametrize("name, n", [("wide", 64), ("captured7", 43)])
+    def test_both_extensions_count_above_the_oracle(self, request, name, n):
+        # p(n+1) = #{(u, z) : uz in F(n+1)} = #{(z, u) : zu in F(n+1)}, u in F(n) and z
+        # a letter. Membership searches the cut tables and shares no part, sample, fill
+        # or sort with the count. The analyze-wide system's n + 1 = 65 has two-limb
+        # codes, counted in many parts; the analyze-d7 system's 44 is one limb in 10 parts.
+        engine = FactorEngine(LAYOUT_SYSTEMS[name][0](request))
+        factors, b, k = engine.distinct(n), engine.bits, codes.limb_count(n + 1, engine.bits)
+        assert len(engine._parts(n + 1, lambda *_: None)) > 1
+        for block in ((factors, b, engine._letters), (engine._letters, b * n, factors)):
+            extended = codes.product_codes(block, k)
+            assert np.count_nonzero(engine.held(extended, n + 1)) == engine.count(n + 1)
 
 
 class TestDimSeries:
@@ -872,7 +889,8 @@ class TestFold:
         reference = FactorEngine(captured7)
         counts = [reference.count(n) for n in range(1, 17)]
         words = ["".join(w) for n in (1, 5, 9) for w in product("ab", repeat=n)]
-        contained = [reference.held(list(group)).tolist() for _, group in groupby(words, len)]
+        contained = [reference.held(encoded(reference, list(group)), n).tolist()
+                     for n, group in groupby(words, len)]
         expected = verify_recurrence_gaps(captured7).to_dict()
         persist.save_system(captured7, tmp_path / "c7.json")
 
@@ -894,7 +912,8 @@ class TestFold:
         monkeypatch.setattr(LevelSystem, "expand", unexpandable)
         engine = FactorEngine(captured7)
         assert [engine.count(n) for n in range(1, 17)] == counts
-        assert [engine.held(list(group)).tolist() for _, group in groupby(words, len)] == contained
+        assert [engine.held(encoded(engine, list(group)), n).tolist()
+                for n, group in groupby(words, len)] == contained
         assert verify_recurrence_gaps(captured7).to_dict() == expected
         assert [FactorEngine(loaded).count(n) for n in range(1, 17)] == counts
         assert verify_recurrence_gaps(loaded).to_dict() == expected

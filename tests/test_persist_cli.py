@@ -930,6 +930,25 @@ class TestCli:
         assert doc["t"] == 2 and doc["generator_degree"] == 4
         assert abs(float(doc["degree_lower_bound_decimal"]) - 1.7095) < 1e-3
 
+    @pytest.mark.parametrize("epsilon, depth", [("2/5", 4), ("41/100", 4), ("1/10", 5)])
+    def test_free_build_refused_for_one_plus_epsilon_squared_at_most_2(self, tmp_path, capsys,
+                                                                        epsilon, depth):
+        # (1+eps)^2 <= 2 gives f(2) = f(1) = 2, so C(1) has r_0 = 1 member and cannot
+        # hold both x and y: refused at level 0. Without a build, t and the band are reported.
+        out = str(tmp_path / "fr.json")
+        assert main(["free", "--epsilon", epsilon, "--depth", str(depth), "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            "failure: level 0: must include 2 products but |C| = 1 (deficit 1)\n")
+        assert main(["free", "--epsilon", epsilon, "--depth", "0", "--out", out]) == 0
+
+    def test_free_build_past_sqrt2_minus_1(self, tmp_path):
+        # (17/12)^2 = 289/144 > 2: C(1) holds x and y, and their products are free.
+        out = tmp_path / "fr.json"
+        assert main(["free", "--epsilon", "5/12", "--depth", "4", "--products-len", "2",
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["t"] == 2 and doc["verification"]["passed"]
+
     @pytest.mark.parametrize("command", ["free", "build --mode free"])
     @pytest.mark.parametrize("epsilon,least_depth", [("1/1000000", 22), ("1/1000000000", 32)])
     def test_small_epsilon_depth_refused_at_once(self, tmp_path, capsys, command, epsilon,

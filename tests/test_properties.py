@@ -183,7 +183,8 @@ def test_consecutive_dims_count_right_extensions(table_depth, chooser, seed):
     letters = system.alphabet.letters
     for n in range(1, 1 << (depth - 1)):
         words = [w + z for w in factor_words(engine, n) for z in letters]
-        assert engine.count(n + 1) == np.count_nonzero(engine.held(words))
+        extended = encoded(engine, words)
+        assert engine.count(n + 1) == np.count_nonzero(engine.held(extended, n + 1))
 
 
 @given(feasible_tables(), st.integers(0, 2 ** 16))
