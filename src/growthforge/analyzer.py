@@ -47,7 +47,7 @@ builds F(n): w is a factor exactly when, for some straddle, each field of
 w is in its cut table. `held` takes codes of one length, which walk the
 straddles once, field by field; a cut table is built when a code first
 reaches it, a field wider than one limb meets its 64-bit edge table, then
-the members' sorted field, not kept. Only `held_factors` codes words.
+the members' sorted field, not kept. No word is ever coded for `held`.
 
 Dimensions dim_n = |F(n)| feed the growth report (cumulative sums, entropy
 partials g(n)^(1/n) via exact integer roots), the dyadic growth sandwich,
@@ -71,8 +71,8 @@ from fractions import Fraction
 import numpy as np
 
 from .codes import (
-    EMPTY, concat, encode, field, holds, letter_bits, limb_count, part_edges, part_plan,
-    product_codes, sort_marked, sort_words, sorted_parts, sorted_unique, unpack,
+    EMPTY, concat, field, fields, holds, letter_bits, limb_count, part_edges, part_plan,
+    product_codes, sort_marked, sort_words, sorted_parts, sorted_unique,
 )
 from .construction import LevelSystem, _fold_members, _json_fields
 from .errors import DepthTooShallow, require_budget
@@ -107,8 +107,9 @@ class FactorEngine:
         self._index = [({}, {}) for _ in range(self.depth)]
 
     def decode(self, codes: np.ndarray, n: int) -> list[str]:
-        """The length-n words of a code array, in order, from one gather of letters."""
-        letters = np.array(list(self.system.alphabet.letters))[unpack(codes, n, self.bits)]
+        """The length-n words of a code array, in order, from one gather of their letter fields."""
+        digits = fields(codes, self.bits * np.arange(n - 1, -1, -1), np.full(n, self.bits)).T
+        letters = np.array(list(self.system.alphabet.letters))[digits]
         return np.ascontiguousarray(letters).view(f"U{n}").reshape(-1).tolist()
 
     # -- field tuples, their tables and straddle blocks ----------------------
@@ -270,18 +271,6 @@ def check_window_budget(system: LevelSystem, n_max: int) -> None:
     engine._check_depth(n_max)
     for n in range(1, n_max + 1):
         engine._plan(n, engine._blocks(n))
-
-
-def held_factors(system: LevelSystem, words: list[str]) -> np.ndarray:
-    """Which of some equal-length words are factors: the one place words are coded (`codes.encode`)
-    for `FactorEngine.held`. A foreign letter is never held; the empty word, F(0), always is."""
-    engine = _engine_for(system)
-    n = len(words[0]) if words else 0
-    engine._check_depth(n)
-    codes, out = encode(words, n, system.alphabet.letters, engine.bits)
-    if n:
-        out[out] = engine.held(codes[out], n)
-    return out
 
 
 def factor_set_bruteforce(system: LevelSystem, n: int) -> frozenset[str]:

@@ -146,15 +146,19 @@ def _require_at_least(value: int, low: int, flag: str) -> None:
 # -- subcommands ----------------------------------------------------------------
 
 
+def _horizon(cfg: RunConfig, spec: GrowthSpec) -> int:
+    """The dyadic horizon of checks and captures: a table's, clipped to its support, is >= 3."""
+    table = spec.family == "table"
+    horizon = min(cfg.horizon, spec.table_horizon - 1) if table else cfg.horizon
+    if table and horizon < 3:
+        raise SystemFileError("table support too small for dyadic checks")
+    return horizon
+
+
 def cmd_validate(cfg: RunConfig) -> int:
     spec = cfg.growth_spec()
-    horizon = cfg.horizon
-    if spec.family == "table":
-        horizon = min(horizon, spec.table_horizon - 1)
-        if horizon < 3:
-            raise SystemFileError("table support too small for dyadic checks")
     report = verify_hypotheses(
-        spec, horizon,
+        spec, _horizon(cfg, spec),
         betas=cfg.beta_list(),
         mu_t_max=cfg.mu_t_max,
         mu_offset=cfg.mu_offset,
@@ -207,8 +211,9 @@ def cmd_validate(cfg: RunConfig) -> int:
 def cmd_build(cfg: RunConfig, force: bool) -> int:
     _require_at_least(cfg.captures, 0, "--captures")
     spec = cfg.growth_spec()
-    if cfg.mode == "recurrent" and not force:
-        checks = verify_hypotheses(spec, cfg.horizon, betas=cfg.beta_list(),
+    horizon = _horizon(cfg, spec) if cfg.mode == "recurrent" else None   # read by no other build
+    if horizon is not None and not force:
+        checks = verify_hypotheses(spec, horizon, betas=cfg.beta_list(),
                                    mu_t_max=0, mu_offset=cfg.mu_offset)
         if not checks.all_pass:
             bad = {k: v for k, v in checks.verdicts().items() if not v.startswith("pass")}
@@ -220,7 +225,7 @@ def cmd_build(cfg: RunConfig, force: bool) -> int:
         system = build_uniformly_recurrent(
             spec, cfg.depth, cfg.captures,
             mu_offset=cfg.mu_offset, chooser=cfg.chooser, seed=cfg.seed,
-            horizon=cfg.horizon)
+            horizon=horizon)
     elif cfg.mode == "free":
         # Free mode pins the family to geometric(epsilon); the growth epsilon
         # is the one parameter.

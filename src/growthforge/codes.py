@@ -142,22 +142,6 @@ def holds(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return table[table.searchsorted(codes, side="right") - 1] == codes
 
 
-def encode(words: list[str], n: int, letters: str, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """The codes of words of n letters, N x k, and which words use only `letters`: `unpack` undone,
-    each letter's index in `letters` packed big-endian into the limbs, its bits high first."""
-    if any(len(w) != n for w in words):
-        raise ValueError(f"words of {n} letters expected")
-    digits = np.fromiter(map(letters.find, "".join(words)), dtype=np.int64).reshape(len(words), n)
-    binary = (digits[:, :, None] >> np.arange(bits - 1, -1, -1) & 1).astype(np.uint8)
-    binary = np.pad(binary.reshape(len(words), n * bits), ((0, 0), (-n * bits % 64, 0)))
-    return np.packbits(binary, axis=1).view(">u8").astype(np.uint64), (digits >= 0).all(axis=1)
-
-
-def unpack(codes: np.ndarray, n: int, bits: int) -> np.ndarray:
-    """The letter indices of length-n codes, one row per code: their n letter fields (`fields`)."""
-    return fields(codes, bits * np.arange(n - 1, -1, -1), np.full(n, bits)).T
-
-
 def sort_words(k: int) -> int:
     """8-byte words per k-limb code in a sort: the code, plus the lexsort index and sorted copy."""
     return k if k == 1 else 2 * k + 1

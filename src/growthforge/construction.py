@@ -6,9 +6,9 @@ C(2^i) is a subset of W(2^i) of exactly r_i = ceil(f(2^(i+1))/f(2^i))
 elements. W(2^i) is never materialized: an element is its choice tuple
 (c_(i-1), ..., c_0, letter), one choice-set member per level plus a final
 letter, so its level is the tuple's length less one. An element's rank is
-its tuple read as a mixed-radix number: `_unrank` turns a rank array into
-rows in one pass and `_rank`, its inverse, turns rows back into ranks. A
-choice set is its members' ranks as [start, stop) ranges in member order,
+its tuple read as a mixed-radix number, and ranks only ever become rows:
+`_unrank` turns a rank array into rows in one pass, and nothing turns rows
+back. A choice set is its members' ranks as [start, stop) ranges in member order,
 over the radices of the elements it is chosen from: a lex level is one
 range, a seeded member one range per draw. Its rows exist only on demand,
 CHUNK_ROWS members at a time, so no whole level of rows is ever held: the
@@ -143,11 +143,15 @@ class CSet:
         k = offsets.searchsorted(i, "right") - 1
         return _digits(self.radices, self.tail, int(self.ranges[k, 0]) + i - int(offsets[k]))
 
-    def rows(self, start: int, stop: int) -> np.ndarray:
-        """The choice rows of members start..stop-1, unranked from the ranges they lie in."""
+    def ranks(self, start: int, stop: int) -> np.ndarray:
+        """The ranks over `radices` of members start..stop-1, read from the ranges they lie in."""
         members = np.arange(start, stop)
         k = self._offsets.searchsorted(members, "right") - 1   # each member's range
-        return _unrank(self.radices, self.tail, self.ranges[k, 0] - self._offsets[k] + members)
+        return self.ranges[k, 0] - self._offsets[k] + members
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """The choice rows of members start..stop-1, unranked from their ranks."""
+        return _unrank(self.radices, self.tail, self.ranks(start, stop))
 
     def chunks(self):
         """(start, rows) for each run of CHUNK_ROWS members, in member order."""
@@ -230,6 +234,8 @@ class LevelSystem:
     ):
         if chooser not in ("lex", "seeded"):
             raise ValueError(f"unknown chooser {chooser!r}")
+        if mode not in ("plain", "recurrent", "free"):
+            raise ValueError(f"unknown mode {mode!r}")
         d = spec.value(1)
         if letters is None:
             if d > len(LETTER_POOL):
@@ -324,55 +330,44 @@ class LevelSystem:
         self,
         level: int,
         suffix: tuple[int, ...] | None = None,
-        must_include: np.ndarray | list[tuple[int, ...]] | None = None,
+        must_include: np.ndarray | list[int] | None = None,
     ) -> CSet:
         """Define C(2^level) deterministically and append it to the system.
 
         The set gets exactly r_level members, all elements of W(2^level) ending
         with the lower-level element whose choice tuple is `suffix`: the
-        must_include rows first (W(2^level) choice tuples, as an int64 row array or
-        a sequence of tuples, in the given order, repeats dropped), then the fill;
-        the lex chooser takes the smallest choice tuples, the seeded chooser draws
-        without replacement from the build RNG. A set of more than
-        GROWTHFORGE_BUDGET choice entries is refused first, and rows of the wrong
-        width, out of range or not ending with the suffix raise ValueError. The
-        set is its rank ranges; no row of the fill is unranked.
+        must_include members first (ranks over radices(level, suffix), in the
+        given order, repeats dropped), then the fill; the lex chooser takes the
+        smallest ranks, the seeded chooser draws without replacement from the
+        build RNG. A set of more than GROWTHFORGE_BUDGET choice entries is
+        refused first, and a suffix or a rank out of range raises ValueError.
+        The set is its rank ranges; no row is unranked.
         """
         if level != self.depth:
             raise ValueError(f"levels must be defined in order; next is {self.depth}")
         _require_choice_budget(self.spec, [level])
         required = self.spec.ratio(level)
-        rows = [] if must_include is None else must_include
-        if len(rows) > required:
-            raise CapacityExceeded(level, len(rows), required)
-        if any(len(choices) != level + 1 for choices in rows):
-            raise ValueError("must_include row at wrong level")
-        rows = np.array(rows, dtype=np.int64).reshape(-1, level + 1)
-        if suffix is not None and not 0 < len(suffix) <= level:
-            raise ValueError(f"suffix at level {len(suffix) - 1} must sit below level {level}")
-        bounds = self.radices(level)
-        for choices in [rows] + ([] if suffix is None else [np.array([suffix])]):
-            choice_bounds = bounds[level + 1 - choices.shape[1]:]   # the bound vector of its level
-            outside = ((choices < 0) | (choices >= choice_bounds)).any(axis=1)
-            if outside.any():
-                raise ValueError(f"choices {tuple(choices[outside.argmax()].tolist())} out of "
-                                 f"range of bounds {choice_bounds}")
-        radices = self.radices(level, suffix)
         tail = suffix or ()
-        off = (rows[:, len(radices):] != tail).any(axis=1)
-        if off.any():
-            raise ValueError(f"must_include row {tuple(rows[off.argmax()].tolist())} does not "
-                             f"end with the suffix {tuple(tail)}")
+        if suffix is not None and not 0 < len(tail) <= level:
+            raise ValueError(f"suffix at level {len(tail) - 1} must sit below level {level}")
+        bounds = self.radices(level)[level + 1 - len(tail):]   # the bound vector of its level
+        if not all(0 <= c < b for c, b in zip(tail, bounds)):
+            raise ValueError(f"choices {tuple(tail)} out of range of bounds {bounds}")
+        radices = self.radices(level, suffix)
         available = prod(radices)
-
-        # The included rows' ranks in order without repeats.
-        ranks = _rank(radices, rows)
+        ranks = np.asarray([] if must_include is None else must_include)
+        if len(ranks) > required:
+            raise CapacityExceeded(level, len(ranks), required)
+        if len(ranks) and (ranks.min() < 0 or ranks.max() >= available):
+            raise ValueError(f"must_include ranks out of range 0..{available - 1}")
+        # The included ranks in order without repeats.
         taken = ranks[np.sort(np.unique(ranks, return_index=True)[1])]
+        taken = taken.astype(_rank_dtype(available))
         fill = required - len(taken)
         if available - len(taken) < fill:
             raise InsufficientWords(level, fill, available - len(taken))
         # Lex takes ranks 0, 1, ...; seeded draws enough distinct ranks that
-        # `fill` of them miss the included rows, each one a range.
+        # `fill` of them miss the included ranks, each one a range.
         if self.chooser == "seeded" and fill:
             skip = set(taken.tolist())
             drawn = [r for r in _sample_ranks(self._rng, available, fill + len(taken))
@@ -463,21 +458,6 @@ def _digits(radices: list[int], tail: tuple[int, ...], rank: int) -> tuple[int, 
         rank, digit = divmod(rank, radix)
         digits.append(digit)
     return (*reversed(digits), *tail)
-
-
-def _rank(radices: list[int], rows: np.ndarray) -> np.ndarray:
-    """Each row's rank: its first len(radices) choices read as a mixed-radix number.
-
-    The inverse of `_unrank`, digit by digit, most significant first, with
-    int64 ranks while every rank below prod(radices) fits and Python ints
-    beyond, one column converted at a time.
-    """
-    dtype = _rank_dtype(prod(radices))
-    ranks = np.zeros(len(rows), dtype=dtype)
-    for i, radix in enumerate(radices):
-        ranks *= radix
-        ranks += rows[:, i].astype(dtype, copy=False)
-    return ranks
 
 
 def _fold_rows(values: list[np.ndarray], leaves: np.ndarray, join, level: int,
@@ -668,18 +648,19 @@ def build_free_power_system(
     for level in range(depth):
         # The forced members come first, in bit order, so member k of the
         # previous level's set is its product with binary expansion k (the
-        # powers x^(2^i), y^(2^i) are members 0 and 1 up to level t).
-        if level == 0:
-            rows = np.array([[0], [1]])
-        elif level <= t:
-            rows = np.column_stack([[0, 1], system.csets[level - 1].rows(0, 2)])
-        else:
-            # level = t + r: a product of 2^r power words is the product of its
-            # first 2^(r-1) followed by the element made of its last 2^(r-1).
-            half = 1 << (level - t - 1)
-            k = np.arange(1 << (2 * half))
-            prev = system.csets[level - 1].rows(0, 1 << half)
-            rows = np.column_stack([k >> half, prev[k & ((1 << half) - 1)]])
-        system.choose_cset(level, must_include=rows)
+        # powers x^(2^i), y^(2^i) are members 0 and 1 up to level t). At level
+        # t + r, member k is member k >> half of C(2^(level-1)), half = 2^(r-1),
+        # followed by member k & (2^half - 1) as an element of W(2^(level-1));
+        # up to level t, k = 0 and 3 with half = 1. A member c followed by the
+        # element of rank e has rank c * |W(2^(level-1))| + e.
+        ranks = np.arange(2)
+        if level:
+            half = 1 << max(level - t - 1, 0)
+            k = np.arange(1 << (2 * half)) if level > t else np.array([0, 3])
+            dtype = _rank_dtype(system.level_word_count(level))
+            prev = system.csets[level - 1].ranks(0, 1 << half).astype(dtype)
+            ranks = ((k >> half).astype(dtype) * system.level_word_count(level - 1)
+                     + prev[k & ((1 << half) - 1)])
+        system.choose_cset(level, must_include=ranks)
     system.free_params = params
     return system, params

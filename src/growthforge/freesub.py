@@ -9,15 +9,15 @@ exact at eps = 1 and log2(1+eps) is irrational otherwise, so each settles), and 
 freeness on a finite range: the two generators are equal-length words on
 distinct letters, so distinct products substitute to distinct strings, and
 the absence of monomial relations up to a product length is exactly the
-presence of every substituted string in the factor sets.
+presence of every substituted string in the factor sets, tested as codes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, product as iter_product
 
+from .codes import limb_count, product_codes
 from .construction import FreeParams, LevelSystem, _json_fields
 from .exactmath import ceil_frac, ceil_log2, log2_bracket
 from . import analyzer
@@ -136,12 +136,13 @@ def verify_free_generators(
 ) -> FreenessReport:
     """Check that every product of the generators up to a length is a factor.
 
-    Substitutes each word over {X, Y} of length 1..max_products_len into a
-    letter string and tests the strings of each product length together for
-    membership in the exact factor set of that length, without building the
-    set; `missing` keeps product order. Distinct products give distinct
-    strings (equal-length code), so full presence certifies no monomial
-    relation up to the bound.
+    Each generator is a letter repeated 2^t times, its code the letter's
+    doubled t times. The products of each length are codes in product order,
+    those of the length before each followed by X, then Y, tested together
+    for membership in the exact factor set of that length without building
+    it; only the missing ones are decoded, and `missing` keeps their order.
+    Distinct products give distinct strings (equal-length code), so full
+    presence certifies no monomial relation up to the bound.
     """
     if max_products_len < 1:
         raise ValueError("max_products_len must be >= 1")
@@ -150,12 +151,22 @@ def verify_free_generators(
         raise ValueError(
             f"products of length {max_products_len} need factor length "
             f"{max_products_len * degree} > certified maximum {1 << (system.depth - 1)}")
-    missing: list[str] = []
-    checked = 0
+    letters, words = system.alphabet.letters, (params.x_word, params.y_word)
+    picks = [letters.find(word[:1]) for word in words]
+    if any(word != letters[i] * (1 << params.t) for i, word in zip(picks, words)):
+        raise ValueError(f"generators {words} must be letters of {letters!r} repeated 2^t times")
+    engine = analyzer._engine_for(system)
+    gens = engine._letters[picks]
+    for l in range(1, params.t + 1):
+        gens = engine._join(gens, gens, l)
+    products, missing, checked = gens, [], 0
     for length in range(1, max_products_len + 1):
-        words = ["".join(p) for p in iter_product((params.x_word, params.y_word), repeat=length)]
-        missing.extend(compress(words, ~analyzer.held_factors(system, words)))
-        checked += len(words)
+        n = length << params.t
+        if length > 1:
+            products = product_codes((products, engine.bits << params.t, gens),
+                                     limb_count(n, engine.bits))
+        missing += engine.decode(products[~engine.held(products, n)], n)
+        checked += len(products)
     capacity = []
     for r in range(1, system.depth - params.t):
         level = params.t + r

@@ -162,8 +162,13 @@ def load_system(path: str | Path) -> LevelSystem:
 
 def _system_from_document(doc: dict, path: str | Path) -> LevelSystem:
     spec = spec_from_dict(doc["growth"])
+    for key in ("seed", "horizon", "mu_offset"):
+        if type(doc[key]) is not int or doc[key] < 0:
+            raise SystemFileError(f"{path}: malformed {key} {doc[key]!r}: need an int >= 0")
     system = LevelSystem(spec, chooser=doc["chooser"], seed=doc["seed"], letters=doc["letters"],
                          mode=doc["mode"])
+    if (system.mode == "free") != (doc["free_params"] is not None):
+        raise SystemFileError(f"{path}: malformed free_params: given in free mode, null in others")
     system.mu_offset = doc["mu_offset"]
     system.horizon = doc["horizon"]
     csets = doc["csets"]
@@ -213,15 +218,15 @@ def _system_from_document(doc: dict, path: str | Path) -> LevelSystem:
         if system.expand(entry.target_choices) != entry.target_word:
             raise SystemFileError(
                 f"{path}: capture target {entry.target_word!r} does not match its reference")
-    if doc["free_params"]:
+    if system.mode == "free":
         fp = doc["free_params"]
         params = _from_fields(FreeParams, fp, epsilon=parse_rational(fp["epsilon"]))
-        if spec != geometric(params.epsilon) or params != FreeParams.of(
-                params.epsilon, system.depth):   # growth first: FreeParams.of makes 2^t-letter words
+        if spec != geometric(params.epsilon) or system.alphabet.letters != "xy" or params != (
+                FreeParams.of(params.epsilon, system.depth)):   # last: makes 2^t-letter words
             raise SystemFileError(
                 f"{path}: malformed free_params: t, degree, x_word, y_word, r_max and the "
                 f"geometric growth must follow from epsilon {params.epsilon} and depth "
-                f"{system.depth}")
+                f"{system.depth}, over the letters 'xy'")
         system.free_params = params
     return system
 

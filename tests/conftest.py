@@ -31,6 +31,12 @@ def encoded(engine: analyzer.FactorEngine, words: list[str]) -> np.ndarray:
     return np.frombuffer(data, dtype=">u8").astype(np.uint64).reshape(len(words), k)
 
 
+def rank_of(radices: list[int], row) -> int:
+    """A choice row's rank, in Python ints: its first len(radices) choices read as a
+    mixed-radix number, the inverse of `construction._unrank`."""
+    return reduce(lambda rank, pair: rank * pair[1] + pair[0], zip(row, radices), 0)
+
+
 def member_rows(cs) -> list[list[int]]:
     """A choice set's member rows, in member order, unranked whole."""
     return cs.rows(0, len(cs)).tolist()

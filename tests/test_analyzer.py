@@ -17,7 +17,6 @@ from growthforge.analyzer import (
     dim_series,
     entropy_report,
     factor_set_bruteforce,
-    held_factors,
     minimal_forbidden_words,
     verify_recurrence_gaps,
 )
@@ -123,8 +122,11 @@ class TestFactorSets:
             assert factor_words(engine, n) == oracle
 
     def test_depth_cap(self, toy_system):
+        engine = FactorEngine(toy_system)
         with pytest.raises(DepthTooShallow):
-            FactorEngine(toy_system).distinct(5)  # > 2^(D-1) = 4
+            engine.distinct(5)  # > 2^(D-1) = 4
+        with pytest.raises(DepthTooShallow):
+            engine.held(encoded(engine, ["a" * 5]), 5)
 
     def test_budget(self, captured7, monkeypatch):
         monkeypatch.setenv("GROWTHFORGE_BUDGET", "1000")
@@ -233,7 +235,7 @@ def test_every_code_array_is_n_by_k_limbs(request, name):
     # `bits` bits, whatever k is.
     make, lengths = LAYOUT_SYSTEMS[name]
     engine = FactorEngine(make(request))
-    b, letters = engine.bits, engine.system.alphabet.letters
+    b = engine.bits
 
     def check(array, bits):
         assert array.dtype == np.uint64 and array.ndim == 2
@@ -244,7 +246,7 @@ def test_every_code_array_is_n_by_k_limbs(request, name):
         factors = engine.distinct(n)
         check(factors, b * n)
         words = engine.decode(factors[::max(1, len(factors) // 4)], n)
-        check(codes.encode(words, n, letters, b)[0], b * n)
+        check(encoded(engine, words), b * n)
         assert engine.held(encoded(engine, words), n).all()
     check(engine._letters, b)
     for j, members in enumerate(engine._members):
@@ -461,16 +463,6 @@ class TestHeld:
             assert engine.held(encoded(engine, words), n).tolist() == [w in cur for w in words]
             rejected += len(words) - len(cur)
         assert (rejected > 0) == rejects
-
-    def test_foreign_letter_and_depth(self, captured4):
-        assert held_factors(captured4, ["az", "ab", "!b", "ba"]).tolist() == [
-            False, True, False, True]
-        assert held_factors(captured4, []).tolist() == []
-        assert held_factors(captured4, [""]).tolist() == [True]   # F(0) is the empty word
-        with pytest.raises(ValueError, match="letters expected"):
-            held_factors(captured4, ["ab", "a"])
-        with pytest.raises(DepthTooShallow):
-            held_factors(captured4, ["a" * 9])
 
 
 class TestConsecutiveDims:
@@ -1022,8 +1014,9 @@ class TestRightExtensions:
     def test_toy_has_dead_suffix_factors(self, toy_system):
         # "bbb" occurs only as a terminal suffix, so it never extends right;
         # this is expected of finite truncations.
-        assert analyzer.held_factors(toy_system, ["bbb"]).all()
-        assert not analyzer.held_factors(toy_system, ["bbba", "bbbb"]).any()
+        engine = FactorEngine(toy_system)
+        assert engine.held(encoded(engine, ["bbb"]), 3).all()
+        assert not engine.held(encoded(engine, ["bbba", "bbbb"]), 4).any()
 
     def test_captured_targets_extend(self, captured4):
         # Captured targets sit inside choice-set members followed by the next

@@ -125,17 +125,42 @@ class TestVerifyGenerators:
         report = verify_free_generators(system, params, 2)  # products up to 8 letters
         assert report.passed
 
-    def test_missing_products_in_product_order(self, poly_plain5):
-        # Generators aa and bb on a lex system that forbids bbbb: the products
-        # absent from the factor sets are reported, shortest first, then in
-        # the order of their words over {X, Y}.
-        params = FreeParams(Fraction(1), 1, 2, "aa", "bb", 0)
-        report = verify_free_generators(poly_plain5, params, 4)
-        expected = [w for length in range(1, 5)
-                    for w in map("".join, product(("aa", "bb"), repeat=length))
-                    if w not in factor_set_bruteforce(poly_plain5, 2 * length)]
-        assert report.missing == expected and report.missing[0] == "bbbb"
-        assert report.products_checked == 30 and not report.passed
+    # Generators aa and bb on the lex poly system, which forbids bbbb, and the
+    # free systems of t = 1 and t = 2 (degree-4 generators).
+    @pytest.mark.parametrize("name, first_missing", [
+        ("free_system_eps1", None), ("free_half5", None), ("poly_plain5", "bbbb")],
+        ids=["free_system_eps1", "free_half5", "poly_plain5"])
+    def test_missing_products_in_product_order(self, request, monkeypatch, name, first_missing):
+        # The products absent from the factor sets are reported shortest first,
+        # then in the order of their words over {X, Y}: the substituted strings
+        # of itertools.product, looked up in the brute-force factor set of the
+        # longest product. Every shorter factor lies in one of that length, as
+        # an element of W(2^j) is a suffix of one of W(2^(j+1)).
+        monkeypatch.setenv("GROWTHFORGE_BUDGET", "25000000")   # free_half5 expands 21.9M letters
+        if name == "free_half5":
+            system, params = build_free_power_system(Fraction(1, 2), 5)
+        elif name == "poly_plain5":
+            system, params = request.getfixturevalue(name), FreeParams(
+                Fraction(1), 1, 2, "aa", "bb", 0)
+        else:
+            system, params = request.getfixturevalue(name)
+        length = (1 << (system.depth - 1)) >> params.t   # the longest the depth certifies
+        report = verify_free_generators(system, params, length)
+        oracle = factor_set_bruteforce(system, length << params.t)
+        words = [w for k in range(1, length + 1)
+                 for w in map("".join, product((params.x_word, params.y_word), repeat=k))]
+        assert report.missing == [w for w in words if not any(w in f for f in oracle)]
+        assert report.products_checked == len(words) == (2 << length) - 2
+        assert report.missing[:1] == ([first_missing] if first_missing else [])
+        assert report.passed == (first_missing is None)
+
+    @pytest.mark.parametrize("x_word", ["ab", "a", "aaa", "zz", ""])
+    def test_generator_not_a_letter_power_refused(self, poly_plain5, x_word):
+        # Products are made from the letter codes, so a generator must be a
+        # letter of the system repeated 2^t times.
+        params = FreeParams(Fraction(1), 1, 2, x_word, "bb", 0)
+        with pytest.raises(ValueError, match=r"letters of 'ab' repeated 2\^t times"):
+            verify_free_generators(poly_plain5, params, 2)
 
     def test_held_tables_of_free_e1(self):
         # `free --epsilon 1 --depth 5 --products-len 8` keeps four cut tables

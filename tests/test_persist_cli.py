@@ -7,6 +7,7 @@ import sys
 import textwrap
 import time
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -19,13 +20,13 @@ from growthforge.cli import RunConfig, main
 from growthforge.errors import BudgetExceeded, SystemFileError
 from growthforge.freesub import verify_free_generators
 from growthforge.construction import (
-    CHUNK_ROWS, CSet, LevelSystem, _rank, build_free_power_system, build_plain,
+    CHUNK_ROWS, CSet, LevelSystem, _rank_dtype, build_free_power_system, build_plain,
     build_uniformly_recurrent,
 )
 from growthforge.growth import poly_geometric, table_spec
 
 from conftest import (
-    member_rows, member_words, oracle_digest, oracle_rows, system_digest, traced_peak,
+    member_rows, member_words, oracle_digest, oracle_rows, rank_of, system_digest, traced_peak,
 )
 
 
@@ -65,7 +66,8 @@ def letter_strings(doc: dict) -> None:
 def cset_of(rows: np.ndarray) -> CSet:
     """A set whose members are these rows, each its own rank over radices above every value."""
     radices = [int(rows.max()) + 1] * rows.shape[1]
-    ranks = _rank(radices, rows)
+    ranks = np.array([rank_of(radices, row) for row in rows.tolist()],
+                     dtype=_rank_dtype(prod(radices)))
     return CSet(rows.shape[1] - 1, radices, (), np.column_stack([ranks, ranks + 1]))
 
 
@@ -641,6 +643,30 @@ class TestCli:
         assert member_words(loaded) == [
             ["a", "b"], ["aa", "ab"], ["aaaa", "aaab"]]
 
+    def test_recurrent_table_build_clips_the_horizon(self, tmp_path, capsys):
+        # The table holds f up to n = 64 = 2^6, so validate and a recurrent build both
+        # check and capture to horizon 5; at the default 12 the build read f(128).
+        table = ["--family", "table", "--table-values", "2,4,8,16,32,64,128"]
+        build = ["build", *table, "--mode", "recurrent", "--depth", "4", "--force"]
+        assert main([*build, "--out", str(tmp_path / "a.json")]) == 0
+        assert main([*build, "--horizon", "5", "--out", str(tmp_path / "b.json")]) == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        assert persist.load_system(tmp_path / "a.json").horizon == 5
+        assert main(["validate", *table, "--out", str(tmp_path / "v.json")]) == 1
+        assert json.loads((tmp_path / "v.json").read_text())["horizon"] == 5
+        # Checked at horizon 5 without --force: the hypotheses fail, a math failure.
+        capsys.readouterr()
+        assert main(build[:-1] + ["--out", str(tmp_path / "c.json")]) == 1
+        assert capsys.readouterr().err.startswith("validation failed")
+
+    @pytest.mark.parametrize("force", [[], ["--force"]], ids=["checked", "forced"])
+    def test_recurrent_table_build_below_horizon_3_exits_2(self, tmp_path, capsys, force):
+        out = tmp_path / "s.json"
+        assert main(["build", "--family", "table", "--table-values", "2,4,8", "--mode",
+                     "recurrent", "--depth", "2", *force, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: table support too small for dyadic checks\n"
+        assert not out.exists()
+
     def test_analyze_tampered_exits_2(self, tmp_path, toy_system):
         sys_path = tmp_path / "t.json"
         persist.save_system(toy_system, sys_path)
@@ -791,6 +817,16 @@ class TestCli:
         # Letters are one string of single characters, not a list of strings.
         (letter_strings, "need 2 distinct letters"),
         (lambda doc: doc.update(letters=["a", "b"]), "need 2 distinct letters"),
+        # The metadata fields: a known mode, and ints >= 0 where the builder wrote ints.
+        (lambda doc: doc.update(mode="junk"), "unknown mode 'junk'"),
+        (lambda doc: doc.update(seed="x"), "malformed seed 'x': need an int >= 0"),
+        (lambda doc: doc.update(seed=True), "malformed seed True"),
+        (lambda doc: doc.update(horizon="x"), "malformed horizon 'x'"),
+        (lambda doc: doc.update(horizon=-1), "malformed horizon -1"),
+        (lambda doc: doc.update(mu_offset=None), "malformed mu_offset None"),
+        # Free parameters exactly in a free system.
+        (lambda doc: doc.update(mode="free"), "malformed free_params"),
+        (lambda doc: doc.update(free_params={}), "malformed free_params"),
     ], ids=["no-chooser", "csets-int", "string-choice", "capture-no-gap-bound",
             "capture-negative-choice", "capture-choice-at-bound", "capture-huge-gap-bound",
             "capture-string-gap-bound", "capture-at-depth", "duplicate-member", "float-choice",
@@ -801,7 +837,9 @@ class TestCli:
             "capture-member-tail", "empty-range", "reversed-range", "short-total", "long-total",
             "overlapping-ranges", "no-ranges", "range-not-list", "negative-start",
             "bool-stop", "null-start", "range-dict", "capture-level-above-choices",
-            "capture-choices-above-level", "letters-string-list", "letters-char-list"])
+            "capture-choices-above-level", "letters-string-list", "letters-char-list",
+            "mode-junk", "seed-string", "seed-bool", "horizon-string", "horizon-negative",
+            "mu-offset-null", "free-mode-without-params", "params-in-recurrent-mode"])
     def test_analyze_malformed_exits_2(self, tmp_path, captured4, capsys, mutate, message):
         # Each document carries a recomputed digest where it still has one, so
         # only the shape is wrong.
@@ -902,7 +940,11 @@ class TestCli:
         # Growth geometric(1), not geometric(1/10^9): refused before t = 31 would make
         # two 2^31-letter generator words.
         lambda doc: doc["free_params"].update(epsilon="1/1000000000"),
-    ], ids=["one-letter-words", "y-word-list", "degree-list", "table-growth", "small-epsilon"])
+        # The generators are powers of x and y, so a free system's letters are "xy".
+        lambda doc: doc.update(letters="ab"),
+        lambda doc: doc.update(free_params=None),
+    ], ids=["one-letter-words", "y-word-list", "degree-list", "table-growth", "small-epsilon",
+            "letters-ab", "null-params"])
     def test_free_malformed_exits_2(self, tmp_path, free_system_eps1, capsys, mutate):
         doc = plain_document(free_system_eps1[0])
         mutate(doc)
