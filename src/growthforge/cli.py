@@ -209,7 +209,10 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def cmd_build(cfg: RunConfig, force: bool) -> int:
-    _require_at_least(cfg.captures, 0, "--captures")
+    # The loader refuses a seed, horizon or mu offset below 0, so no build writes one.
+    for value, flag in ((cfg.captures, "--captures"), (cfg.seed, "--seed"),
+                        (cfg.horizon, "--horizon"), (cfg.mu_offset, "--mu-offset")):
+        _require_at_least(value, 0, flag)
     spec = cfg.growth_spec()
     horizon = _horizon(cfg, spec) if cfg.mode == "recurrent" else None   # read by no other build
     if horizon is not None and not force:
@@ -249,23 +252,15 @@ def cmd_analyze(cfg: RunConfig, system_path: str) -> int:
     # Forbidden words come first: F(n) for n <= forbidden_max leaves its count behind.
     forbidden, forb_depth = analyzer.minimal_forbidden_words(system, min(cfg.forbidden_max, n_max))
     dims = analyzer.dim_series(system, n_max)
-    sandwich = []
-    n = 1
-    while (1 << n) <= n_max:
-        sandwich.append(analyzer.check_growth_sandwich(system, n))
-        n += 1
+    # One sandwich per dyadic n = 2^k <= n_max, k >= 1.
+    sandwich = [analyzer.check_growth_sandwich(system, k) for k in range(1, n_max.bit_length())]
     recurrence = analyzer.verify_recurrence_gaps(system)
-    aperiodicity = None
-    if system.depth >= 2:
-        aperiodicity = analyzer.check_nonperiodicity(system, max(2, n_max))
+    aperiodicity = (analyzer.check_nonperiodicity(system, max(2, n_max))
+                    if system.depth >= 2 else None)
     entropy = analyzer.entropy_report(system, dims)
     submult = dims.submultiplicative_violations()
 
-    hard_pass = (
-        all(s.hard_ok for s in sandwich)
-        and recurrence.passed
-        and not submult
-    )
+    hard_pass = all(s.hard_ok for s in sandwich) and recurrence.passed and not submult
     doc = {
         "kind": "analysis-report",
         "config": cfg.to_dict(),

@@ -356,6 +356,8 @@ class LevelSystem:
         radices = self.radices(level, suffix)
         available = prod(radices)
         ranks = np.asarray([] if must_include is None else must_include)
+        if ranks.ndim != 1:
+            raise ValueError(f"must_include must be a flat list of ranks, got shape {ranks.shape}")
         if len(ranks) > required:
             raise CapacityExceeded(level, len(ranks), required)
         if len(ranks) and (ranks.min() < 0 or ranks.max() >= available):

@@ -69,6 +69,10 @@ class TestChooseCset:
         for ranks in ([4], [0, -1], [7], np.array([2 ** 70], dtype=object)):
             with pytest.raises(ValueError, match=r"out of range 0\.\.3"):
                 system.choose_cset(1, must_include=ranks)
+        # Rows in place of ranks are refused, not flattened.
+        for rows in ([(0, 0)], np.zeros((1, 2), dtype=np.int64), 3):
+            with pytest.raises(ValueError, match="flat list of ranks"):
+                system.choose_cset(1, must_include=rows)
         assert system.depth == 1
 
     def test_suffix_out_of_range_refused(self):

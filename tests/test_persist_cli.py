@@ -667,6 +667,33 @@ class TestCli:
         assert capsys.readouterr().err == "error: table support too small for dyadic checks\n"
         assert not out.exists()
 
+    def test_build_at_zero_loads_back(self, tmp_path):
+        # 0 is the least seed, horizon and mu offset that a build writes and the loader reads.
+        out = tmp_path / "s.json"
+        assert main(["build", "--mode", "recurrent", "--depth", "3", "--captures", "0",
+                     "--force", "--seed", "0", "--horizon", "0", "--mu-offset", "0",
+                     "--out", str(out)]) == 0
+        loaded = persist.load_system(out)
+        assert (loaded.seed, loaded.horizon, loaded.mu_offset) == (0, 0, 0)
+        assert main(["analyze", str(out), "--nmax", "4", "--out", str(tmp_path / "r.json")]) == 0
+
+    @pytest.mark.parametrize("flag", ["--seed", "--horizon", "--mu-offset"])
+    def test_build_below_zero_exits_2(self, tmp_path, capsys, flag):
+        # Refused before anything is written, as the loader would refuse the file.
+        out = tmp_path / "s.json"
+        assert main(["build", "--mode", "recurrent", "--depth", "3", "--captures", "0",
+                     "--force", flag, "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {flag} must be at least 0, got -1\n"
+        assert not out.exists()
+
+    def test_build_seed_below_zero_in_config_exits_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.ini"
+        cfg_file.write_text("[build]\nseed = -1\n")
+        out = tmp_path / "s.json"
+        assert main(["build", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --seed must be at least 0, got -1\n"
+        assert not out.exists()
+
     def test_analyze_tampered_exits_2(self, tmp_path, toy_system):
         sys_path = tmp_path / "t.json"
         persist.save_system(toy_system, sys_path)
