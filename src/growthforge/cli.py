@@ -13,7 +13,7 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 from itertools import chain
@@ -59,6 +59,7 @@ class RunConfig:
 
     out: str = ""
     csv: str = ""
+    given: set[str] = field(default_factory=set)   # keys a flag or the config file set
 
     _sections = {
         "growth": ("family", "epsilon", "power", "table_values", "horizon",
@@ -85,6 +86,7 @@ class RunConfig:
                         current = getattr(cfg, key)
                         raw = parser.get(section, ini_key)
                         setattr(cfg, key, int(raw) if isinstance(current, int) else raw)
+                        cfg.given.add(key)
         except configparser.Error as exc:
             raise SystemFileError(f"malformed config file {path}: {exc}") from None
         return cfg
@@ -95,10 +97,20 @@ class RunConfig:
             value = getattr(args, attr, None)
             if value is not None:
                 setattr(self, attr, value)
+                self.given.add(attr)
 
-    def growth_spec(self) -> GrowthSpec:
-        table = self.parse_table() if self.family == "table" else None
-        return spec_from_dict({"family": self.family, "epsilon": self.epsilon,
+    def growth_spec(self, free_mode: bool = False) -> GrowthSpec:
+        """The growth, geometric(epsilon) in free mode whatever the family; a growth parameter
+        given by a flag or the config file that it does not read is refused."""
+        family = "geometric" if free_mode else self.family
+        reads = {"exp_power": "power", "table": "table_values"}.get(family, "epsilon")
+        unread = sorted(self.given & {"epsilon", "power", "table_values"} - {reads})
+        if unread:
+            flag = lambda key: "--" + key.replace("_", "-")
+            where = "free mode" if free_mode else f"the {family} family"
+            raise ValueError(f"{flag(unread[0])} is not read by {where}, which reads {flag(reads)}")
+        table = self.parse_table() if family == "table" else None
+        return spec_from_dict({"family": family, "epsilon": self.epsilon,
                                "power": self.power, "table": table})
 
     def parse_table(self) -> dict[int, int]:
@@ -213,7 +225,7 @@ def cmd_build(cfg: RunConfig, force: bool) -> int:
     for value, flag in ((cfg.captures, "--captures"), (cfg.seed, "--seed"),
                         (cfg.horizon, "--horizon"), (cfg.mu_offset, "--mu-offset")):
         _require_at_least(value, 0, flag)
-    spec = cfg.growth_spec()
+    spec = cfg.growth_spec(free_mode=cfg.mode == "free")
     horizon = _horizon(cfg, spec) if cfg.mode == "recurrent" else None   # read by no other build
     if horizon is not None and not force:
         checks = verify_hypotheses(spec, horizon, betas=cfg.beta_list(),
@@ -230,10 +242,8 @@ def cmd_build(cfg: RunConfig, force: bool) -> int:
             mu_offset=cfg.mu_offset, chooser=cfg.chooser, seed=cfg.seed,
             horizon=horizon)
     elif cfg.mode == "free":
-        # Free mode pins the family to geometric(epsilon); the growth epsilon
-        # is the one parameter.
-        system, _ = build_free_power_system(
-            parse_rational(cfg.epsilon), cfg.depth, chooser=cfg.chooser, seed=cfg.seed)
+        system, _ = build_free_power_system(spec.epsilon, cfg.depth, chooser=cfg.chooser,
+                                            seed=cfg.seed)
     else:
         raise ValueError(f"unknown mode {cfg.mode!r}")
     out = cfg.out or "system.json"

@@ -41,14 +41,14 @@ Three builders are provided:
     free subalgebra on the two power monomials. It needs (1+eps)^2 > 2: for
     eps <= sqrt(2) - 1, C(1) has one member and cannot hold both x and y.
 
-The capture schedule depends on the set sizes r_i alone, so it is fixed
-before any set is chosen, and every builder defines levels 0..depth-1 in
-order. Builds are deterministic; analysis treats a LevelSystem as immutable.
+The capture schedule depends on the set sizes r_i alone, so `plan_captures`
+fixes it before any set is chosen, and the loader replays it; every builder
+defines levels 0..depth-1 in order. Builds are deterministic; analysis
+treats a LevelSystem as immutable.
 
 Records (capture entries, free parameters and the reports built on them) are
 dataclasses that serialize from their fields: `_json_fields` writes them as
-JSON values plus the derived properties a record passes in, and
-`_from_fields` reads one back by its field names.
+JSON values plus the derived properties a record passes in.
 """
 
 from __future__ import annotations
@@ -78,15 +78,6 @@ def _json_value(value):
     if isinstance(value, (tuple, list)):
         return [_json_value(v) for v in value]
     return value.to_dict() if hasattr(value, "to_dict") else value
-
-
-def _from_fields(cls, d: dict, **converted):
-    """A cls record from the entries of d named by its fields; `converted` supplies some values.
-
-    A missing entry is a KeyError and an entry no field names is ignored.
-    """
-    return cls(**{f.name: converted[f.name] if f.name in converted else d[f.name]
-                  for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -209,12 +200,6 @@ class CaptureEntry:
 
     def to_dict(self) -> dict:
         return _json_fields(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "CaptureEntry":
-        # The conversions refuse a scalar or null where the log holds a sequence.
-        return _from_fields(CaptureEntry, d, target_choices=tuple(d["target_choices"]),
-                            filled_levels=list(d["filled_levels"]), retries=list(d["retries"]))
 
 
 class LevelSystem:
@@ -542,6 +527,27 @@ def _capture_level(system: LevelSystem, target: tuple[int, ...], m: int, mu_offs
     return level, retries
 
 
+def plan_captures(system: LevelSystem, depth: int, captures: int) -> list[CaptureEntry]:
+    """Up to `captures` capture entries below `depth`, their target words empty: targets are
+    whole W(2^t)-elements, t ascending and choice tuples lex ascending, each at the level
+    `_capture_level` gives after the previous capture, until the next would not fit. Only the
+    set sizes, mu_offset and horizon are read, so the builder and the loader plan alike."""
+    log: list[CaptureEntry] = []
+    targets = (system.ref_from_rank(t, rank)
+               for t in range(depth) for rank in range(system.level_word_count(t)))
+    for target in targets:
+        if len(log) >= captures:
+            break
+        m = log[-1].capture_level if log else -1
+        level, retries = _capture_level(system, target, m, system.mu_offset, system.horizon,
+                                        depth - 1)
+        if level >= depth:
+            break
+        log.append(CaptureEntry(len(target) - 1, target, "", level, 1 << (level + 1), m,
+                                list(range(m + 1, level)), retries))
+    return log
+
+
 def build_uniformly_recurrent(
     spec: GrowthSpec,
     depth: int,
@@ -553,12 +559,10 @@ def build_uniformly_recurrent(
 ) -> LevelSystem:
     """Capture targets fairly until the budget or the depth runs out.
 
-    The schedule is planned from the set sizes first: targets are whole
-    W(2^t)-elements, t ascending and choice tuples lex ascending, each at the
-    level `_capture_level` gives after the previous capture, until the next
-    would not fit below `depth`. Levels 0..depth-1 are then defined in order,
-    with the target as common suffix at a capture level. Uniform recurrence
-    is certified only for the captured targets.
+    The schedule is planned from the set sizes first (`plan_captures`).
+    Levels 0..depth-1 are then defined in order, with the target as common
+    suffix at a capture level. Uniform recurrence is certified only for the
+    captured targets.
     """
     if depth < 2:
         raise ValueError("depth must be >= 2")
@@ -569,23 +573,11 @@ def build_uniformly_recurrent(
         raise ValueError(f"growth fails submultiplicativity: {basic.submultiplicative_violation}")
     _require_choice_budget(spec, range(depth))
     system = LevelSystem(spec, chooser=chooser, seed=seed, mode="recurrent")
-    system.mu_offset = mu_offset
-    system.horizon = horizon
-    log = system.capture_log
-    targets = (system.ref_from_rank(t, rank)
-               for t in range(depth) for rank in range(system.level_word_count(t)))
-    for target in targets:
-        if len(log) >= capture_budget:
-            break
-        m = log[-1].capture_level if log else -1
-        level, retries = _capture_level(system, target, m, mu_offset, horizon, depth - 1)
-        if level >= depth:
-            break
-        log.append(CaptureEntry(len(target) - 1, target, "", level, 1 << (level + 1), m,
-                                list(range(m + 1, level)), retries))
+    system.mu_offset, system.horizon = mu_offset, horizon
+    system.capture_log = plan_captures(system, depth, capture_budget)
     for level in range(depth):
         system.choose_cset(level, suffix=system.suffix(level))
-    for e in log:
+    for e in system.capture_log:
         e.target_word = system.expand(e.target_choices)
     return system
 

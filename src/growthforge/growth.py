@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import HorizonTooSmall, UncoveredArgument
-from .exactmath import ceil_frac, ceil_div, pow2_of_root_ceil
+from .errors import HorizonTooSmall, UncoveredArgument, size_budget
+from .exactmath import ceil_frac, ceil_div, iroot, pow2_of_root_ceil
 
 FAMILIES = ("geometric", "poly_geometric", "sharp_paper", "exp_power", "table")
 
@@ -87,19 +87,29 @@ class GrowthSpec:
         return h
 
     def value(self, n: int) -> int:
-        """Exact f(n). Raises UncoveredArgument for missing table points, and ValueError for
-        an f(n) too large to hold."""
+        """Exact f(n). Raises UncoveredArgument for missing table points, and ValueError,
+        before computing it, for an f(n) that `_bits` sizes over GROWTHFORGE_BUDGET."""
         if n < 1:
             raise ValueError(f"growth argument must be >= 1, got {n}")
         hit = self._memo.get(n)
         if hit is not None:
             return hit
-        try:
-            v = self._compute(n)
-        except OverflowError as exc:
-            raise ValueError(f"f({n}) of {self.family} is too large to compute: {exc}") from exc
-        self._memo[n] = v
+        bits, budget = self._bits(n), size_budget()
+        if bits > budget:
+            raise ValueError(f"f({n}) of {self.family} is too large to compute: it needs "
+                             f"{bits} bits, budget is {budget} (deficit {bits - budget})")
+        v = self._memo[n] = self._compute(n)
         return v
+
+    def _bits(self, n: int) -> int:
+        """The bits f(n) is computed in: ceil(n^(p/q)) = iroot(n^p - 1, q) + 1 for 2^(n^(p/q)),
+        n (b(a) + b(b)) for (1+eps)^n = (a/b)^n, and none for a table value, which is stored."""
+        if self.family == "exp_power":
+            return iroot(n ** self.power.numerator - 1, self.power.denominator) + 1
+        if self.family == "table":
+            return 0
+        base = 1 + self.epsilon
+        return n * (base.numerator.bit_length() + base.denominator.bit_length())
 
     def _compute(self, n: int) -> int:
         if self.family == "geometric":

@@ -10,14 +10,17 @@ The sha256 content digest names the system, not its encoding: it hashes the
 canonical version-1 row document (version 1, choice rows in place of ranges,
 every other key included). Format-1 files, which stored the rows, are refused.
 
-Loading checks the capture log, the budget, then each level's ranges (JSON
-ints, nonempty, in range, pairwise disjoint, r_level ranks in all): the
-members they name are distinct, in range and end with any capture target by
-construction. Target words and free parameters (read by field name; a key no
-field names is ignored) come next, and the digest last, over the row text of
-the sets. The system keeps that digest. The row text is streamed into the
-hash from the rows of one chunk of members at a time; neither the text nor a
-whole level of rows is ever built. `hashlib` is imported where the digest is
+Loading checks the budget, replays the capture schedule (`plan_captures`
+with as many captures as the file logs, none outside recurrent mode), then
+checks each level's ranges (JSON ints, nonempty, in range, pairwise
+disjoint, r_level ranks in all) over the radices the replayed captures fix:
+the members they name are distinct, in range and end with any capture
+target by construction. The stored log must equal the replayed one, and
+free parameters those `FreeParams.of` derives, field by field as canonical
+JSON text (a key no field names is ignored); the digest comes last, over
+the row text of the sets. The system keeps that digest. The row text is
+streamed into the hash from the rows of one chunk of members at a time;
+neither the text nor a whole level of rows is ever built. `hashlib` is imported where the digest is
 taken, so commands that neither save nor load a system do not map OpenSSL.
 """
 
@@ -31,10 +34,9 @@ from pathlib import Path
 import numpy as np
 
 from .construction import (
-    CaptureEntry, CSet, FreeParams, LevelSystem, _from_fields, _rank_dtype,
-    _require_choice_budget,
+    CSet, FreeParams, LevelSystem, _rank_dtype, _require_choice_budget, plan_captures,
 )
-from .errors import SystemFileError
+from .errors import HorizonTooSmall, SystemFileError, UncoveredArgument
 from .exactmath import parse_rational
 from .growth import geometric, spec_from_dict
 
@@ -151,7 +153,8 @@ def load_system(path: str | Path) -> LevelSystem:
     try:
         system = _system_from_document(doc, path)
         digest = document_digest(doc, system.csets)
-    except (KeyError, TypeError, ValueError, AttributeError, IndexError, RecursionError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError, RecursionError,
+            HorizonTooSmall, UncoveredArgument) as exc:   # a horizon or table too short
         raise SystemFileError(
             f"{path}: malformed system file ({type(exc).__name__}: {exc})") from exc
     if doc.get("digest") != digest:
@@ -169,8 +172,7 @@ def _system_from_document(doc: dict, path: str | Path) -> LevelSystem:
                          mode=doc["mode"])
     if (system.mode == "free") != (doc["free_params"] is not None):
         raise SystemFileError(f"{path}: malformed free_params: given in free mode, null in others")
-    system.mu_offset = doc["mu_offset"]
-    system.horizon = doc["horizon"]
+    system.mu_offset, system.horizon = doc["mu_offset"], doc["horizon"]
     csets = doc["csets"]
     if type(csets) is not list:
         raise SystemFileError(f"{path}: malformed csets: need a list of levels")
@@ -180,55 +182,40 @@ def _system_from_document(doc: dict, path: str | Path) -> LevelSystem:
     if depth < 1:
         raise SystemFileError(f"{path}: depth {depth} has no choice set, need depth >= 1")
     _require_choice_budget(spec, range(depth))
-    system.capture_log = [CaptureEntry.from_dict(e) for e in doc["capture_log"]]
-    m = -1    # the previous capture level
-    for entry in system.capture_log:
-        target = entry.target_choices
-        # The recurrence certificate trusts the capture level and gap bound.
-        if not (0 <= entry.target_level < entry.capture_level < depth
-                and len(target) == entry.target_level + 1
-                and entry.gap_bound == 1 << (entry.capture_level + 1)):
-            raise SystemFileError(
-                f"{path}: malformed capture entry for {entry.target_word!r}: target level "
-                f"{entry.target_level} with {len(target)} choices, capture level "
-                f"{entry.capture_level}, gap bound {entry.gap_bound!r}; need target < capture "
-                f"< depth {depth}, target level + 1 choices and gap bound 2^(capture level + 1)")
-        for c, bound in zip(target, system.radices(entry.target_level)):
-            if type(c) is not int or not 0 <= c < bound:
-                raise SystemFileError(
-                    f"{path}: choice {c!r} of {list(target)} in capture target "
-                    f"malformed or out of range 0..{bound - 1}")
-        # The scheduler's bookkeeping: levels m+1.. were filled in order, some as retries.
-        level, filled, retries = entry.capture_level, entry.filled_levels, entry.retries
-        levels = [entry.m_before, *filled, level]
-        if (set(map(type, [entry.target_level, *levels, *retries])) - {int}
-                or levels != list(range(m, level + 1))
-                or retries != sorted(set(retries) & set(filled))):
-            raise SystemFileError(
-                f"{path}: malformed capture bookkeeping for {entry.target_word!r}: need m_before "
-                f"{m}, filled_levels {m + 1}..{level - 1} and retries increasing among them")
-        m = level
+    # The log is replayed, not read: as many captures as the file logs, in recurrent mode only.
+    stored = doc["capture_log"]
+    log = system.capture_log = plan_captures(system, depth,
+                                             len(stored) if system.mode == "recurrent" else 0)
+    if type(stored) is not list or len(stored) != len(log):
+        raise SystemFileError(f"{path}: malformed capture_log: need a list of the {len(log)} "
+                              f"entries the scheduler plans in {system.mode} mode")
     # A capture level's ranks run over its free choices, so its rows end with the target.
     for level, ranges in enumerate(csets):
         suffix = system.suffix(level)
         radices = system.radices(level, suffix)
         spans = _member_ranges(ranges, prod(radices), spec.ratio(level), path, level)
         system.csets.append(CSet(level, radices, suffix or (), spans))
-    for entry in system.capture_log:
-        if system.expand(entry.target_choices) != entry.target_word:
-            raise SystemFileError(
-                f"{path}: capture target {entry.target_word!r} does not match its reference")
+    for i, (entry, planned) in enumerate(zip(stored, log)):
+        planned.target_word = system.expand(planned.target_choices)
+        _require_stored(entry, planned.to_dict(), f"{path}: malformed capture_log[{i}].",
+                        "scheduler")
     if system.mode == "free":
-        fp = doc["free_params"]
-        params = _from_fields(FreeParams, fp, epsilon=parse_rational(fp["epsilon"]))
-        if spec != geometric(params.epsilon) or system.alphabet.letters != "xy" or params != (
-                FreeParams.of(params.epsilon, system.depth)):   # last: makes 2^t-letter words
-            raise SystemFileError(
-                f"{path}: malformed free_params: t, degree, x_word, y_word, r_max and the "
-                f"geometric growth must follow from epsilon {params.epsilon} and depth "
-                f"{system.depth}, over the letters 'xy'")
-        system.free_params = params
+        # The growth and letters first: FreeParams.of makes two 2^t-letter words.
+        eps = parse_rational(doc["free_params"]["epsilon"])
+        _require_stored(doc, {"growth": geometric(eps).describe(), "letters": "xy"},
+                        f"{path}: malformed free_params: epsilon {eps} needs the ", "free mode")
+        system.free_params = FreeParams.of(eps, system.depth)
+        _require_stored(doc["free_params"], system.free_params.to_dict(),
+                        f"{path}: malformed free_params.", "FreeParams.of")
     return system
+
+
+def _require_stored(stored: dict, derived: dict, what: str, source: str) -> None:
+    """Refuse unless each key of `derived` is stored with the same canonical JSON text."""
+    for key, value in derived.items():
+        mine, theirs = canonical_json(stored[key]), canonical_json(value)
+        if mine != theirs:
+            raise SystemFileError(f"{what}{key}: file {mine}, {source} {theirs}")
 
 
 def _member_ranges(ranges, available: int, required: int, path: str | Path,

@@ -268,6 +268,24 @@ class TestScheduler:
         persist.save_system(persist.load_system(first), second)
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("spec, depth, budget, mu_offset, horizon", [
+        (poly_geometric("1/10"), 7, 2, 0, 12),
+        (poly_geometric("1/12"), 6, 9, 1, 12),
+        (exp_power("1/2"), 7, 4, 0, 12),
+        (table_spec({1: 3, 2: 6, 4: 6, 8: 36, 16: 108, 32: 324}), 4, 2, 0, 1),
+    ], ids=["pg10", "pg12-offset", "exp_half", "retry"])
+    def test_plan_reads_only_set_sizes(self, spec, depth, budget, mu_offset, horizon):
+        # Planned on a system with no set, the schedule is the build's log
+        # without its target words: the loader replays it from the file's values.
+        built = build_uniformly_recurrent(spec, depth=depth, capture_budget=budget,
+                                          mu_offset=mu_offset, horizon=horizon)
+        empty = LevelSystem(spec, mode="recurrent")
+        empty.mu_offset, empty.horizon = mu_offset, horizon
+        planned = construction.plan_captures(empty, depth, budget)
+        assert empty.depth == 0 and all(e.target_word == "" for e in planned)
+        assert [e.to_dict() | {"target_word": ""} for e in built.capture_log] == [
+            e.to_dict() for e in planned]
+
     def test_retry_past_cap_raises(self):
         # r = (3, 1, 6) at depth 3: after "a" at level 1, "b" retries level 2
         # (3 * 1 < 6) and would need level 3, beyond the last level 2.

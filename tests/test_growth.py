@@ -44,6 +44,28 @@ class TestEval:
         assert exp_power("1/2").value(2) == 3       # ceil(2^1.414) frozen from oracle
         assert exp_power("3/2").value(2) == 8       # ceil(2^2.828)
 
+    def test_value_sized_before_it_is_computed(self, monkeypatch):
+        # (11/10)^n takes n (4 + 4) bits and 2^(n^(1/2)) takes ceil(n^(1/2)); an f(n)
+        # over the budget is refused before it is computed, however large n is.
+        with pytest.raises(ValueError, match=(
+                r"^f\(1048576\) of poly_geometric is too large to compute: it needs 8388608 "
+                r"bits, budget is 5000000 \(deficit 3388608\)$")):
+            poly_geometric("1/10").value(1 << 20)
+        with pytest.raises(ValueError, match=r"needs 55340232221128654848 bits"):   # 3 * 2^64
+            geometric(1).value(1 << 64)
+        with pytest.raises(ValueError, match=r"needs 1267650600228229401496703205376 bits"):
+            exp_power("1/2").value(1 << 200)   # 2^100 bits
+        # 2^21 has the square root 1448.15...: 1449 bits, refused one bit below them.
+        monkeypatch.setenv("GROWTHFORGE_BUDGET", "1449")
+        assert exp_power("1/2").value(1 << 21).bit_length() == 1449
+        assert exp_power("1/2").value(1 << 20) == 1 << 1024
+        monkeypatch.setenv("GROWTHFORGE_BUDGET", "1448")
+        with pytest.raises(ValueError, match=r"needs 1449 bits, budget is 1448 \(deficit 1\)"):
+            exp_power("1/2").value(1 << 21)
+        # A table value is stored, not computed.
+        monkeypatch.setenv("GROWTHFORGE_BUDGET", "1")
+        assert table_spec({1: 2, 2: 2 ** 100}).value(2) == 2 ** 100
+
     def test_table_uncovered(self):
         spec = table_spec({1: 2, 2: 4})
         assert spec.value(2) == 4

@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays as int_arrays
 
 from growthforge import analyzer, codes, persist
 from growthforge.cli import RunConfig, main
-from growthforge.errors import BudgetExceeded, SystemFileError
+from growthforge.errors import BudgetExceeded, GrowthForgeError, SystemFileError
 from growthforge.freesub import verify_free_generators
 from growthforge.construction import (
     CHUNK_ROWS, CSet, LevelSystem, _rank_dtype, build_free_power_system, build_plain,
@@ -667,6 +667,46 @@ class TestCli:
         assert capsys.readouterr().err == "error: table support too small for dyadic checks\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, config, message", [
+        (["validate", "--family", "exp_power", "--epsilon", "3/4"], "",
+         "--epsilon is not read by the exp_power family, which reads --power"),
+        (["build", "--family", "exp_power", "--epsilon", "3/4", "--depth", "3"], "",
+         "--epsilon is not read by the exp_power family, which reads --power"),
+        (["build", "--family", "table", "--table-values", "2,4,8,16", "--epsilon", "1",
+          "--depth", "2"], "", "--epsilon is not read by the table family, which reads "
+         "--table-values"),
+        (["build", "--family", "geometric", "--power", "1/2", "--depth", "3"], "",
+         "--power is not read by the geometric family, which reads --epsilon"),
+        (["build", "--mode", "free", "--family", "exp_power", "--power", "1/2", "--depth", "3"],
+         "", "--power is not read by free mode, which reads --epsilon"),
+        (["validate", "--family", "poly_geometric", "--table-values", "2,4,8,16"], "",
+         "--table-values is not read by the poly_geometric family, which reads --epsilon"),
+        (["build", "--family", "exp_power", "--depth", "3"], "[growth]\nepsilon = 1/2\n",
+         "--epsilon is not read by the exp_power family, which reads --power"),
+        (["validate"], "[growth]\nfamily = sharp_paper\npower = 2\n",
+         "--power is not read by the sharp_paper family, which reads --epsilon"),
+    ], ids=["validate-exp-power-epsilon", "build-exp-power-epsilon", "build-table-epsilon",
+            "build-geometric-power", "build-free-power", "validate-formula-table-values",
+            "config-exp-power-epsilon", "config-sharp-paper-power"])
+    def test_unread_growth_parameter_exits_2(self, tmp_path, capsys, argv, config, message):
+        out = tmp_path / "out.json"
+        argv = [*argv, "--out", str(out)]
+        if config:
+            (tmp_path / "run.ini").write_text(config)
+            argv += ["--config", str(tmp_path / "run.ini")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_read_growth_parameters_echo_unchanged(self, tmp_path):
+        # Which values were given is tracked beside the config, not in it: the
+        # report still echoes the epsilon default that exp_power does not read.
+        out = tmp_path / "v.json"
+        assert main(["validate", "--family", "exp_power", "--power", "1/2", "--horizon", "8",
+                     "--out", str(out)]) in (0, 1)
+        growth = json.loads(out.read_text())["config"]["growth"]
+        assert (growth["epsilon"], growth["power"], growth["table_values"]) == ("1/10", "1/2", "")
+
     def test_build_at_zero_loads_back(self, tmp_path):
         # 0 is the least seed, horizon and mu offset that a build writes and the loader reads.
         out = tmp_path / "s.json"
@@ -776,18 +816,21 @@ class TestCli:
         (lambda doc: doc.pop("chooser"), "malformed"),
         (lambda doc: doc.update(csets=5), "malformed"),
         (lambda doc: doc["csets"][1][0].__setitem__(0, "0"), "malformed"),
-        (lambda doc: doc["capture_log"][0].pop("gap_bound"), "malformed"),
+        (lambda doc: doc["capture_log"][0].pop("gap_bound"), "malformed system file (KeyError"),
         # A negative index would wrap around to the last letter, still "b".
-        (lambda doc: doc["capture_log"][1].update(target_choices=[-1]), "out of range"),
+        (lambda doc: doc["capture_log"][1].update(target_choices=[-1]),
+         "malformed capture_log[1].target_choices: file [-1], scheduler [1]"),
         # d = 2, so letter index 2 is one past the bound.
         (lambda doc: doc["capture_log"][1].update(target_choices=[2]),
-         "in capture target malformed or out of range 0..1"),
+         "malformed capture_log[1].target_choices: file [2], scheduler [1]"),
         # The certificate would pass and state c = 10^6.
-        (lambda doc: doc["capture_log"][0].update(gap_bound=10 ** 6), "malformed capture"),
-        (lambda doc: doc["capture_log"][0].update(gap_bound="0"), "malformed capture"),
+        (lambda doc: doc["capture_log"][0].update(gap_bound=10 ** 6),
+         "malformed capture_log[0].gap_bound: file 1000000, scheduler 4"),
+        (lambda doc: doc["capture_log"][0].update(gap_bound="0"),
+         'malformed capture_log[0].gap_bound: file "0", scheduler 4'),
         # Consistent bound, but no level above the capture is left to certify.
         (lambda doc: doc["capture_log"][1].update(capture_level=4, gap_bound=32),
-         "malformed capture"),
+         "malformed capture_log[1].capture_level: file 4, scheduler 2"),
         # Level 2 has three members; the third repeats the first.
         (lambda doc: doc["csets"].__setitem__(2, [[0, 2], [0, 1]]),
          "level 2 rank ranges overlap at rank 0"),
@@ -800,27 +843,37 @@ class TestCli:
         # Level 3 has 24 elements, so rank 24 is one past the last.
         (lambda doc: doc["csets"].__setitem__(3, [[20, 25]]),
          "level 3 rank range [20, 25) is empty or out of range 0..24"),
-        # The capture log's sequences must be sequences, not scalars or null.
-        (lambda doc: doc["capture_log"][0].update(retries=5), "malformed"),
-        (lambda doc: doc["capture_log"][0].update(filled_levels=None), "malformed"),
-        (lambda doc: doc["capture_log"][1].update(target_choices=7), "malformed"),
+        # The log is compared with the scheduler's as text, so a scalar or
+        # null is refused where it holds a sequence.
+        (lambda doc: doc["capture_log"][0].update(retries=5),
+         "malformed capture_log[0].retries: file 5, scheduler []"),
+        (lambda doc: doc["capture_log"][0].update(filled_levels=None),
+         "malformed capture_log[0].filled_levels: file null, scheduler [0]"),
+        (lambda doc: doc["capture_log"][1].update(target_choices=7),
+         "malformed capture_log[1].target_choices: file 7, scheduler [1]"),
         # The bookkeeping must be the scheduler's: entry 0 has m_before -1,
-        # filled_levels [0] and retries []; entry 1 has 1, [] and [].
+        # filled_levels [0] and retries []; entry 1 has 1, [] and []. The
+        # first field that differs is named.
         (lambda doc: doc["capture_log"][0].update(m_before="x", filled_levels=[99],
                                                   retries=["a", None]),
-         "malformed capture bookkeeping"),
+         'malformed capture_log[0].m_before: file "x", scheduler -1'),
         # Equal to 1 in Python, but not a JSON int.
-        (lambda doc: doc["capture_log"][1].update(m_before=True), "malformed capture bookkeeping"),
-        (lambda doc: doc["capture_log"][0].update(m_before=0), "need m_before -1"),
-        (lambda doc: doc["capture_log"][0].update(filled_levels=[]), "filled_levels 0..0"),
-        (lambda doc: doc["capture_log"][0].update(retries=[0, 0]), "malformed capture bookkeeping"),
-        (lambda doc: doc["capture_log"][1].update(retries=[1]), "malformed capture bookkeeping"),
-        # The same capture twice: levels must rise from one entry to the next.
+        (lambda doc: doc["capture_log"][1].update(m_before=True),
+         "malformed capture_log[1].m_before: file true, scheduler 1"),
+        (lambda doc: doc["capture_log"][0].update(m_before=0),
+         "malformed capture_log[0].m_before: file 0, scheduler -1"),
+        (lambda doc: doc["capture_log"][0].update(filled_levels=[]),
+         "malformed capture_log[0].filled_levels: file [], scheduler [0]"),
+        (lambda doc: doc["capture_log"][0].update(retries=[0, 0]),
+         "malformed capture_log[0].retries: file [0,0], scheduler []"),
+        (lambda doc: doc["capture_log"][1].update(retries=[1]),
+         "malformed capture_log[1].retries: file [1], scheduler []"),
+        # The same capture twice: the third capture the scheduler plans is "aa".
         (lambda doc: doc["capture_log"].append(dict(doc["capture_log"][1], m_before=2)),
-         "malformed capture bookkeeping"),
-        # Level 2's members end with "a" now, by the ranks; the logged word is "b".
+         "malformed capture_log[2].target_level: file 0, scheduler 1"),
+        # Level 2's members end with "b", the scheduler's second target.
         (lambda doc: doc["capture_log"][1].update(target_choices=[0]),
-         "capture target 'b' does not match its reference"),
+         "malformed capture_log[1].target_choices: file [0], scheduler [1]"),
         (lambda doc: doc["csets"].__setitem__(3, [[0, 5], [7, 7]]),
          "level 3 rank range [7, 7) is empty"),
         (lambda doc: doc["csets"].__setitem__(3, [[3, 1], [0, 5]]),
@@ -838,9 +891,10 @@ class TestCli:
         (lambda doc: doc["csets"].__setitem__(3, [[None, 5]]), "malformed"),
         (lambda doc: doc["csets"].__setitem__(3, [[0, 5], {}]), "malformed"),
         # A W(2^t) target has t + 1 choices: entry 1 captures the letter "b".
-        (lambda doc: doc["capture_log"][1].update(target_level=1), "malformed capture entry"),
+        (lambda doc: doc["capture_log"][1].update(target_level=1),
+         "malformed capture_log[1].target_level: file 1, scheduler 0"),
         (lambda doc: doc["capture_log"][1].update(target_choices=[0, 1]),
-         "malformed capture entry"),
+         "malformed capture_log[1].target_choices: file [0,1], scheduler [1]"),
         # Letters are one string of single characters, not a list of strings.
         (letter_strings, "need 2 distinct letters"),
         (lambda doc: doc.update(letters=["a", "b"]), "need 2 distinct letters"),
@@ -854,6 +908,20 @@ class TestCli:
         # Free parameters exactly in a free system.
         (lambda doc: doc.update(mode="free"), "malformed free_params"),
         (lambda doc: doc.update(free_params={}), "malformed free_params"),
+        # The schedule is replayed from the horizon and mu offset the file holds.
+        (lambda doc: doc.update(horizon=0),
+         "malformed system file (HorizonTooSmall: horizon 0 leaves no levels above"),
+        # f(2^20) is sized before it is computed: 8 * 2^20 bits for 1 + 1/10 = 11/10.
+        (lambda doc: doc.update(horizon=2 ** 64),
+         "f(1048576) of poly_geometric is too large to compute: it needs 8388608 bits"),
+        (lambda doc: doc.update(mu_offset=doc["mu_offset"] + 1),
+         "malformed capture_log[0].capture_level: file 1, scheduler 2"),
+        # list("") is [], but "" is not the text [].
+        (lambda doc: doc["capture_log"][0].update(retries=""),
+         'malformed capture_log[0].retries: file "", scheduler []'),
+        # Only recurrent mode captures.
+        (lambda doc: doc.update(mode="plain"),
+         "malformed capture_log: need a list of the 0 entries the scheduler plans in plain mode"),
     ], ids=["no-chooser", "csets-int", "string-choice", "capture-no-gap-bound",
             "capture-negative-choice", "capture-choice-at-bound", "capture-huge-gap-bound",
             "capture-string-gap-bound", "capture-at-depth", "duplicate-member", "float-choice",
@@ -866,7 +934,9 @@ class TestCli:
             "bool-stop", "null-start", "range-dict", "capture-level-above-choices",
             "capture-choices-above-level", "letters-string-list", "letters-char-list",
             "mode-junk", "seed-string", "seed-bool", "horizon-string", "horizon-negative",
-            "mu-offset-null", "free-mode-without-params", "params-in-recurrent-mode"])
+            "mu-offset-null", "free-mode-without-params", "params-in-recurrent-mode",
+            "horizon-zero", "horizon-2-64", "mu-offset-plus-1", "capture-empty-string-retries",
+            "plain-mode-with-log"])
     def test_analyze_malformed_exits_2(self, tmp_path, captured4, capsys, mutate, message):
         # Each document carries a recomputed digest where it still has one, so
         # only the shape is wrong.
@@ -1144,7 +1214,9 @@ def test_hostile_documents_never_raise(fuzz_documents, which, data, value):
     # One leaf of a valid captured or free document is replaced or removed and
     # the digest recomputed; every command must end with a documented exit code.
     # Range bounds become bools, 2**64, floats, or ints that empty a range, make
-    # ranges overlap, pass the level's last rank or change the total.
+    # ranges overlap, pass the level's last rank or change the total. A leaf
+    # that changes the capture log, or the log the scheduler replays from the
+    # horizon and mu offset, must be refused.
     docs, pools, work = fuzz_documents
     doc = json.loads(json.dumps(docs[which]))
     path = data.draw(pools[which])
@@ -1159,5 +1231,27 @@ def test_hostile_documents_never_raise(fuzz_documents, which, data, value):
     sys_path = work / "fuzz.json"
     sys_path.write_text(json.dumps(doc))
     out = str(work / "report.json")
-    assert main(["analyze", str(sys_path), "--out", out]) in (0, 1, 2)
-    assert main(["free", str(sys_path), "--products-len", "2", "--out", out]) in (0, 1, 2)
+    allowed = (2,) if _changes_the_log(docs[which], doc, path[0]) else (0, 1, 2)
+    assert main(["analyze", str(sys_path), "--out", out]) in allowed
+    assert main(["free", str(sys_path), "--products-len", "2", "--out", out]) in allowed
+
+
+def _changes_the_log(original: dict, doc: dict, key) -> bool:
+    """Whether a document edited at `key` logs other captures than a build from it would.
+
+    The log itself differs when its text does. A horizon or mu offset edit
+    changes a captured document's log unless it is an int >= 0 that a build
+    at the fuzz fixture's spec, depth and budget logs the same captures at.
+    """
+    if key == "capture_log":
+        return persist.canonical_json(doc.get(key)) != persist.canonical_json(original[key])
+    if key not in ("horizon", "mu_offset") or not original["capture_log"]:
+        return False
+    if any(type(doc.get(k)) is not int or doc[k] < 0 for k in ("horizon", "mu_offset")):
+        return True
+    try:
+        built = build_uniformly_recurrent(poly_geometric("1/10"), depth=4, capture_budget=2,
+                                          mu_offset=doc["mu_offset"], horizon=doc["horizon"])
+    except (ValueError, GrowthForgeError):
+        return True
+    return [e.to_dict() for e in built.capture_log] != original["capture_log"]
