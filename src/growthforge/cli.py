@@ -330,7 +330,7 @@ def cmd_free(cfg: RunConfig, system_path: str | None) -> int:
         "verification": verification.to_dict() if verification else None,
     }
     _emit(doc, cfg.out)
-    passed = optimality.in_band and (verification is None or verification.passed)
+    passed = optimality.ratio_in_band and (verification is None or verification.passed)
     return EXIT_OK if passed else EXIT_MATH
 
 

@@ -607,6 +607,10 @@ class FreeParams:
             raise ValueError(f"depth must be >= t+1 = {t + 1}")
         return cls(eps, t, 1 << t, "x" * (1 << t), "y" * (1 << t), depth - 1 - t)
 
+    def forced(self, level: int) -> int:
+        """Members forced into C(2^level): the two powers up to t, 2^(2^r) products at t + r."""
+        return 2 if level <= self.t else 1 << (1 << (level - self.t))
+
     def to_dict(self) -> dict:
         return _json_fields(self)
 
@@ -633,9 +637,8 @@ def build_free_power_system(
     # Exact capacity and size prechecks before any work, one level at a time:
     # ratios and capacities double their bits per level, so the budget ends the climb.
     for i in range(depth):
-        required = 2 if i <= t else 1 << (1 << (i - t))
-        if spec.ratio(i) < required:
-            raise CapacityExceeded(i, required, spec.ratio(i))
+        if spec.ratio(i) < params.forced(i):
+            raise CapacityExceeded(i, params.forced(i), spec.ratio(i))
         _require_choice_budget(spec, [i])
 
     system = LevelSystem(spec, chooser=chooser, seed=seed, letters="xy", mode="free")
@@ -650,7 +653,7 @@ def build_free_power_system(
         ranks = np.arange(2)
         if level:
             half = 1 << max(level - t - 1, 0)
-            k = np.arange(1 << (2 * half)) if level > t else np.array([0, 3])
+            k = np.arange(params.forced(level)) if level > t else np.array([0, 3])
             dtype = _rank_dtype(system.level_word_count(level))
             prev = system.csets[level - 1].ranks(0, 1 << half).astype(dtype)
             ranks = ((k >> half).astype(dtype) * system.level_word_count(level - 1)

@@ -66,21 +66,12 @@ class OptimalityReport:
     epsilon: Fraction
     t: int
     degree: int
-    bound_lo: Fraction
-    bound_hi: Fraction
-    ratio_lo: Fraction      # degree * log2(1+eps), bracketed
-    ratio_hi: Fraction
-    in_band: bool           # ratio in (1, 4], decided on log2 brackets
+    lower_bound: tuple[Fraction, Fraction]       # 1/log2(1+eps), bracketed
+    optimality_ratio: tuple[Fraction, Fraction]  # degree * log2(1+eps), bracketed
+    ratio_in_band: bool     # ratio in (1, 4], decided on log2 brackets
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon": str(self.epsilon),
-            "t": self.t,
-            "degree": self.degree,
-            "lower_bound": [str(self.bound_lo), str(self.bound_hi)],
-            "optimality_ratio": [str(self.ratio_lo), str(self.ratio_hi)],
-            "ratio_in_band": self.in_band,
-        }
+        return _json_fields(self)
 
 
 def optimality_report(eps: Fraction | str | int) -> OptimalityReport:
@@ -95,14 +86,12 @@ def optimality_report(eps: Fraction | str | int) -> OptimalityReport:
     def band(lo, hi):   # settled once each end c of (1, 4] lies outside degree * [lo, hi]
         above = [(degree * lo > c, degree * hi > c) for c in (1, 4)]
         return None if any(a != b for a, b in above) else above[0][0] and not above[1][0]
-    in_band = _refined(eps, band)
     lo, hi = log2_bracket(1 + eps, 40)
-    blo, bhi = (1 / hi, 1 / lo) if lo > 0 else (Fraction(0), Fraction(0))
     return OptimalityReport(
         epsilon=eps, t=t, degree=degree,
-        bound_lo=blo, bound_hi=bhi,
-        ratio_lo=degree * lo, ratio_hi=degree * hi,
-        in_band=in_band,
+        lower_bound=(1 / hi, 1 / lo) if lo > 0 else (Fraction(0), Fraction(0)),
+        optimality_ratio=(degree * lo, degree * hi),
+        ratio_in_band=_refined(eps, band),
     )
 
 
@@ -167,10 +156,8 @@ def verify_free_generators(
                                      limb_count(n, engine.bits))
         missing += engine.decode(products[~engine.held(products, n)], n)
         checked += len(products)
-    capacity = []
-    for r in range(1, system.depth - params.t):
-        level = params.t + r
-        capacity.append((level, 1 << (1 << r), len(system.csets[level])))
+    capacity = [(level, params.forced(level), len(system.csets[level]))
+                for level in range(params.t + 1, system.depth)]
     return FreenessReport(
         params=params,
         max_products_len=max_products_len,

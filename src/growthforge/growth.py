@@ -95,9 +95,10 @@ class GrowthSpec:
         if hit is not None:
             return hit
         bits, budget = self._bits(n), size_budget()
-        if bits > budget:
-            raise ValueError(f"f({n}) of {self.family} is too large to compute: it needs "
-                             f"{bits} bits, budget is {budget} (deficit {bits - budget})")
+        if bits > budget:   # a count of 2^128 bits or more is stated as a power of two
+            need = (f"{bits} bits, budget is {budget} (deficit {bits - budget})" if bits < 1 << 128
+                    else f"at least 2^{bits.bit_length() - 1} bits, budget is {budget}")
+            raise ValueError(f"f({n}) of {self.family} is too large to compute: it needs {need}")
         v = self._memo[n] = self._compute(n)
         return v
 

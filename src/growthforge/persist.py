@@ -1,27 +1,28 @@
 """Versioned persistence for built systems.
 
-The file (format 2) is canonical JSON (sorted keys, compact separators, no
-timestamps) holding the growth parameters, chooser, seed, the capture log and
-each level's members as [start, stop) ranges of mixed-radix ranks over
-`LevelSystem.radices(level, suffix)`, in member order: a lex level is one range.
-These are the ranges a `CSet` holds, so saving writes them as they are and
-loading keeps them; no level is unranked for either.
-The sha256 content digest names the system, not its encoding: it hashes the
-canonical version-1 row document (version 1, choice rows in place of ranges,
-every other key included). Format-1 files, which stored the rows, are refused.
+The file (format 3) is canonical JSON (sorted keys, compact separators, no
+timestamps) holding what the loader cannot derive: the growth, letters,
+chooser, seed, mode, mu_offset, horizon, the number of captures and each
+level's members as [start, stop) ranges of mixed-radix ranks over
+`LevelSystem.radices(level, suffix)`, in member order (a lex level is one
+range). These are the ranges a `CSet` holds, so no level is unranked to save
+or load. The depth is the number of levels, `plan_captures` replays the
+capture log and `FreeParams.of(epsilon, depth)` gives the free parameters.
+The sha256 digest names the system, not its encoding: it hashes the canonical
+version-1 row document of the system (version 1, the depth, the capture log,
+the free parameters, choice rows in place of ranges), so the digests of
+formats 1 and 2 stand; files of those formats are refused.
 
-Loading checks the budget, replays the capture schedule (`plan_captures`
-with as many captures as the file logs, none outside recurrent mode), then
-checks each level's ranges (JSON ints, nonempty, in range, pairwise
-disjoint, r_level ranks in all) over the radices the replayed captures fix:
-the members they name are distinct, in range and end with any capture
-target by construction. The stored log must equal the replayed one, and
-free parameters those `FreeParams.of` derives, field by field as canonical
-JSON text (a key no field names is ignored); the digest comes last, over
-the row text of the sets. The system keeps that digest. The row text is
-streamed into the hash from the rows of one chunk of members at a time;
-neither the text nor a whole level of rows is ever built. `hashlib` is imported where the digest is
-taken, so commands that neither save nor load a system do not map OpenSSL.
+Loading refuses a key set other than the format's (every stored key is hashed
+or determines a hashed value), checks the budget, replays the schedule (the
+stored count of captures, 0 outside recurrent mode, must be what the scheduler
+plans), then checks each level's ranges (JSON ints, nonempty, in range,
+pairwise disjoint, r_level ranks in all) over the radices the replayed
+captures fix, so the members are distinct and end with any capture target by
+construction. The digest comes last, streamed from the rows of one chunk of
+members at a time, and the system keeps it. `hashlib` is imported where the
+digest is taken, so commands that neither save nor load a system do not map
+OpenSSL.
 """
 
 from __future__ import annotations
@@ -37,32 +38,37 @@ from .construction import (
     CSet, FreeParams, LevelSystem, _rank_dtype, _require_choice_budget, plan_captures,
 )
 from .errors import HorizonTooSmall, SystemFileError, UncoveredArgument
-from .exactmath import parse_rational
-from .growth import geometric, spec_from_dict
+from .growth import spec_from_dict
 
 FORMAT_NAME = "growthforge-system"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+FILE_KEYS = frozenset({"format", "version", "growth", "letters", "chooser", "seed", "mode",
+                       "mu_offset", "horizon", "captures", "csets", "digest"})
 
 
 def canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def document_digest(doc: dict, csets: list[CSet]) -> str:
-    """sha256 of the canonical version-1 row text: canonical_json of doc without its
-    digest, with version 1 and the choice rows of `csets` as csets.
+def document_digest(system: LevelSystem) -> str:
+    """sha256 of the system's canonical version-1 row text: canonical_json of its stored
+    keys with version 1, the depth, the capture log, the free parameters and the choice
+    rows of its sets as csets.
 
     The text is fed to the hash piece by piece, one chunk of rows at a time by
     `_feed_csets`; it is never built whole.
     """
     import hashlib
 
-    rest = {k: v for k, v in doc.items() if k != "digest"} | {"version": 1}
+    rest = _stored(system) | {
+        "version": 1, "depth": system.depth, "csets": system.csets,
+        "capture_log": [e.to_dict() for e in system.capture_log],
+        "free_params": system.free_params and system.free_params.to_dict()}
     h = hashlib.sha256(b"{")
     for i, (key, value) in enumerate(sorted(rest.items())):
         h.update(("," * (i > 0) + json.dumps(key) + ":").encode())
         if key == "csets":
-            _feed_csets(csets, h.update)
+            _feed_csets(value, h.update)
         else:
             h.update(canonical_json(value).encode())
     h.update(b"}")
@@ -97,23 +103,17 @@ def _feed_csets(csets: list[CSet], feed) -> None:
     feed(b"]")
 
 
+def _stored(system: LevelSystem) -> dict:
+    """The keys every format stores as they are."""
+    return {"format": FORMAT_NAME, "growth": system.spec.describe(),
+            "letters": system.alphabet.letters, "chooser": system.chooser, "seed": system.seed,
+            "mode": system.mode, "mu_offset": system.mu_offset, "horizon": system.horizon}
+
+
 def system_to_document(system: LevelSystem) -> dict:
     """The file's document without its digest; csets holds each level's rank ranges."""
-    return {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "growth": system.spec.describe(),
-        "letters": system.alphabet.letters,
-        "chooser": system.chooser,
-        "seed": system.seed,
-        "mode": system.mode,
-        "depth": system.depth,
-        "mu_offset": system.mu_offset,
-        "horizon": system.horizon,
-        "csets": [_ranges(system, cs) for cs in system.csets],
-        "capture_log": [e.to_dict() for e in system.capture_log],
-        "free_params": system.free_params.to_dict() if system.free_params else None,
-    }
+    return _stored(system) | {"version": FORMAT_VERSION, "captures": len(system.capture_log),
+                              "csets": [_ranges(system, cs) for cs in system.csets]}
 
 
 def _ranges(system: LevelSystem, cs: CSet) -> list[list[int]]:
@@ -128,7 +128,7 @@ def _ranges(system: LevelSystem, cs: CSet) -> list[list[int]]:
 def save_system(system: LevelSystem, path: str | Path) -> str:
     """Write the system file; returns its digest."""
     doc = system_to_document(system)
-    doc["digest"] = document_digest(doc, system.csets)
+    doc["digest"] = document_digest(system)
     Path(path).write_text(canonical_json(doc) + "\n")
     return doc["digest"]
 
@@ -144,20 +144,24 @@ def load_system(path: str | Path) -> LevelSystem:
         raise SystemFileError(f"cannot read system file {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise SystemFileError(f"{path}: not a {FORMAT_NAME} file")
-    if doc.get("version") != FORMAT_VERSION:
+    if type(doc.get("version")) is not int or doc["version"] != FORMAT_VERSION:
         raise SystemFileError(f"{path}: unsupported version {doc.get('version')!r}, need "
                               f"{FORMAT_VERSION}; rebuild the system with `growthforge build`")
-    # A missing key or a value of the wrong type is a bad file, not a failed
-    # computation, and so is nesting too deep to decode or encode; the digest
-    # is checked after, over the row text of the validated sets.
+    if doc.keys() != FILE_KEYS:
+        raise SystemFileError(f"{path}: malformed system file: unknown keys "
+                              f"{sorted(doc.keys() - FILE_KEYS)}, missing keys "
+                              f"{sorted(FILE_KEYS - doc.keys())}")
+    # A value of the wrong type is a bad file, not a failed computation, and so
+    # is nesting too deep to print; the digest is checked after, over the row
+    # text of the validated sets.
     try:
         system = _system_from_document(doc, path)
-        digest = document_digest(doc, system.csets)
+        digest = document_digest(system)
     except (KeyError, TypeError, ValueError, AttributeError, IndexError, RecursionError,
             HorizonTooSmall, UncoveredArgument) as exc:   # a horizon or table too short
         raise SystemFileError(
             f"{path}: malformed system file ({type(exc).__name__}: {exc})") from exc
-    if doc.get("digest") != digest:
+    if doc["digest"] != digest:
         raise SystemFileError(f"{path}: digest mismatch, file was modified")
     system.digest = digest
     return system
@@ -165,57 +169,42 @@ def load_system(path: str | Path) -> LevelSystem:
 
 def _system_from_document(doc: dict, path: str | Path) -> LevelSystem:
     spec = spec_from_dict(doc["growth"])
-    for key in ("seed", "horizon", "mu_offset"):
+    for key in ("seed", "horizon", "mu_offset", "captures"):
         if type(doc[key]) is not int or doc[key] < 0:
             raise SystemFileError(f"{path}: malformed {key} {doc[key]!r}: need an int >= 0")
     system = LevelSystem(spec, chooser=doc["chooser"], seed=doc["seed"], letters=doc["letters"],
                          mode=doc["mode"])
-    if (system.mode == "free") != (doc["free_params"] is not None):
-        raise SystemFileError(f"{path}: malformed free_params: given in free mode, null in others")
+    captures = doc["captures"]
+    if captures and system.mode != "recurrent":
+        raise SystemFileError(f"{path}: malformed captures {captures}: need 0 in "
+                              f"{system.mode} mode")
+    if system.mode == "free" and (spec.family, system.alphabet.letters) != ("geometric", "xy"):
+        # FreeParams.of makes the generators x^(2^t) and y^(2^t) from the growth's epsilon.
+        raise SystemFileError(f"{path}: malformed free system: need a geometric growth and "
+                              f"letters 'xy', got {spec.family} and {doc['letters']!r}")
     system.mu_offset, system.horizon = doc["mu_offset"], doc["horizon"]
     csets = doc["csets"]
     if type(csets) is not list:
         raise SystemFileError(f"{path}: malformed csets: need a list of levels")
     depth = len(csets)
-    if depth != doc["depth"]:
-        raise SystemFileError(f"{path}: depth field {doc['depth']!r} != {depth} levels")
     if depth < 1:
         raise SystemFileError(f"{path}: depth {depth} has no choice set, need depth >= 1")
     _require_choice_budget(spec, range(depth))
-    # The log is replayed, not read: as many captures as the file logs, in recurrent mode only.
-    stored = doc["capture_log"]
-    log = system.capture_log = plan_captures(system, depth,
-                                             len(stored) if system.mode == "recurrent" else 0)
-    if type(stored) is not list or len(stored) != len(log):
-        raise SystemFileError(f"{path}: malformed capture_log: need a list of the {len(log)} "
-                              f"entries the scheduler plans in {system.mode} mode")
+    if system.mode == "free":
+        system.free_params = FreeParams.of(spec.epsilon, depth)
+    log = system.capture_log = plan_captures(system, depth, captures)
+    if len(log) != captures:
+        raise SystemFileError(f"{path}: malformed captures {captures}: the scheduler plans "
+                              f"{len(log)} in {depth} levels")
     # A capture level's ranks run over its free choices, so its rows end with the target.
     for level, ranges in enumerate(csets):
         suffix = system.suffix(level)
         radices = system.radices(level, suffix)
         spans = _member_ranges(ranges, prod(radices), spec.ratio(level), path, level)
         system.csets.append(CSet(level, radices, suffix or (), spans))
-    for i, (entry, planned) in enumerate(zip(stored, log)):
-        planned.target_word = system.expand(planned.target_choices)
-        _require_stored(entry, planned.to_dict(), f"{path}: malformed capture_log[{i}].",
-                        "scheduler")
-    if system.mode == "free":
-        # The growth and letters first: FreeParams.of makes two 2^t-letter words.
-        eps = parse_rational(doc["free_params"]["epsilon"])
-        _require_stored(doc, {"growth": geometric(eps).describe(), "letters": "xy"},
-                        f"{path}: malformed free_params: epsilon {eps} needs the ", "free mode")
-        system.free_params = FreeParams.of(eps, system.depth)
-        _require_stored(doc["free_params"], system.free_params.to_dict(),
-                        f"{path}: malformed free_params.", "FreeParams.of")
+    for entry in log:
+        entry.target_word = system.expand(entry.target_choices)
     return system
-
-
-def _require_stored(stored: dict, derived: dict, what: str, source: str) -> None:
-    """Refuse unless each key of `derived` is stored with the same canonical JSON text."""
-    for key, value in derived.items():
-        mine, theirs = canonical_json(stored[key]), canonical_json(value)
-        if mine != theirs:
-            raise SystemFileError(f"{what}{key}: file {mine}, {source} {theirs}")
 
 
 def _member_ranges(ranges, available: int, required: int, path: str | Path,

@@ -47,15 +47,16 @@ def member_words(system) -> list[list[str]]:
     return [[system.expand(row) for row in member_rows(cs)] for cs in system.csets]
 
 
-def oracle_rows(doc: dict) -> list[list[list[int]]]:
+def oracle_rows(doc: dict, system) -> list[list[list[int]]]:
     """Each level's choice rows, unranked from its [start, stop) ranges in pure Python.
 
     Level j holds r_j members, so the bound vector of a level is read off the
     range totals of the levels below it and the letter count; a capture
-    level's ranks run over its free choices and end with the target's.
+    level's ranks run over its free choices and end with the target's, as
+    `system`'s capture log (the loader's replay, for a loaded system) fixes them.
     """
     sizes = [sum(stop - start for start, stop in ranges) for ranges in doc["csets"]]
-    tails = {e["capture_level"]: list(e["target_choices"]) for e in doc["capture_log"]}
+    tails = {e.capture_level: list(e.target_choices) for e in system.capture_log}
     levels = []
     for level, ranges in enumerate(doc["csets"]):
         tail = tails.get(level, [])
@@ -72,19 +73,22 @@ def oracle_rows(doc: dict) -> list[list[list[int]]]:
     return levels
 
 
-def oracle_digest(doc: dict) -> str:
+def oracle_digest(doc: dict, system) -> str:
     """The system-file digest by its definition, independent of the array encoder:
     sha256 of the sorted, compact JSON of the version-1 row document, that is the
-    file's document without its digest, with version 1 and its ranges unranked."""
-    version_1 = {k: v for k, v in doc.items() if k != "digest"} | {"version": 1,
-                                                                    "csets": oracle_rows(doc)}
+    file's document without its digest and capture count, with version 1, its
+    ranges unranked, its depth, and `system`'s capture log and free parameters."""
+    derived = {"version": 1, "depth": len(doc["csets"]), "csets": oracle_rows(doc, system),
+               "capture_log": [e.to_dict() for e in system.capture_log],
+               "free_params": system.free_params and system.free_params.to_dict()}
+    version_1 = {k: v for k, v in doc.items() if k not in ("digest", "captures")} | derived
     body = json.dumps(version_1, sort_keys=True, separators=(",", ":"))
     return "sha256:" + hashlib.sha256(body.encode()).hexdigest()
 
 
 def system_digest(system) -> str:
     """The digest persist gives a built or loaded system, without writing a file."""
-    return persist.document_digest(persist.system_to_document(system), system.csets)
+    return persist.document_digest(system)
 
 
 def traced_peak(call) -> int:

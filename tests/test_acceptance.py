@@ -163,7 +163,7 @@ def test_criterion_8_free_subalgebra(free_system_eps1):
     for eps, expected in hand.items():
         bound = degree_lower_bound(eps, tol=Fraction(1, 10 ** 8))
         ok &= abs(float(bound) - expected) <= 1e-3
-        ok &= optimality_report(eps).in_band
+        ok &= optimality_report(eps).ratio_in_band
     _verdict(8, "free generators certified at eps=1 depth 4; bounds and ratios match", ok)
 
 

@@ -66,7 +66,7 @@ def test_brackets_match_exact_squaring(p, q):
     t = squaring_t(eps)
     power = (1 + eps) ** (1 << t)
     assert compute_t(eps) == t
-    assert optimality_report(eps).in_band == (2 < power <= 16)
+    assert optimality_report(eps).ratio_in_band == (2 < power <= 16)
 
 
 class TestDegreeLowerBound:
@@ -88,17 +88,18 @@ class TestDegreeLowerBound:
 
 class TestOptimality:
     def test_hand_ratios(self):
-        assert float(optimality_report(1).ratio_lo) == pytest.approx(2.0, abs=1e-6)
+        assert float(optimality_report(1).optimality_ratio[0]) == pytest.approx(2.0, abs=1e-6)
         rep_half = optimality_report(Fraction(1, 2))
-        assert float(rep_half.ratio_lo) == pytest.approx(2.3399, abs=1e-3)
+        assert float(rep_half.optimality_ratio[0]) == pytest.approx(2.3399, abs=1e-3)
         rep_tenth = optimality_report(Fraction(1, 10))
-        assert float(rep_tenth.ratio_lo) == pytest.approx(2.2001, abs=1e-3)
+        assert float(rep_tenth.optimality_ratio[0]) == pytest.approx(2.2001, abs=1e-3)
 
     def test_band_exact_over_sweep(self):
         for num in range(1, 101):
             rep = optimality_report(Fraction(num, 100))
-            assert rep.in_band  # ratio in (1, 4], decided by exact powers
-            assert 1 < float(rep.ratio_lo) + 1e-9 and float(rep.ratio_hi) <= 4 + 1e-9
+            assert rep.ratio_in_band  # ratio in (1, 4], decided by exact powers
+            lo, hi = rep.optimality_ratio
+            assert 1 < float(lo) + 1e-9 and float(hi) <= 4 + 1e-9
 
 
 class TestVerifyGenerators:

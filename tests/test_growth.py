@@ -55,6 +55,9 @@ class TestEval:
             geometric(1).value(1 << 64)
         with pytest.raises(ValueError, match=r"needs 1267650600228229401496703205376 bits"):
             exp_power("1/2").value(1 << 200)   # 2^100 bits
+        # 2^10000 bits has 3,011 digits, stated as a power of two.
+        with pytest.raises(ValueError, match=r"needs at least 2\^10000 bits, budget is 5000000$"):
+            exp_power(10000).value(2)
         # 2^21 has the square root 1448.15...: 1449 bits, refused one bit below them.
         monkeypatch.setenv("GROWTHFORGE_BUDGET", "1449")
         assert exp_power("1/2").value(1 << 21).bit_length() == 1449

@@ -38,12 +38,14 @@ def tamper(path, **fields):
 
 
 def plain_document(system) -> dict:
-    """A fresh copy of the system's file document without its digest, for hand edits."""
-    return json.loads(json.dumps(persist.system_to_document(system)))
+    """A fresh copy of the system's file document, digest included, for hand edits."""
+    doc = json.loads(json.dumps(persist.system_to_document(system)))
+    return doc | {"digest": system_digest(system)}
 
 
-def redigest(doc: dict) -> None:
-    """Give an edited document the digest of its content where the oracle can expand it.
+def redigest(doc: dict, system) -> None:
+    """Give an edited document of `system` the digest of its content, over the capture log
+    and free parameters of `system`, where the oracle can expand it.
 
     A document whose ranges the oracle cannot expand, or that would expand to
     more rows than a test should unrank, is malformed, and the loader refuses
@@ -51,16 +53,43 @@ def redigest(doc: dict) -> None:
     """
     try:
         if sum(stop - start for ranges in doc["csets"] for start, stop in ranges) <= 10 ** 5:
-            doc["digest"] = oracle_digest(doc)
+            doc["digest"] = oracle_digest(doc, system)
     except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError):
         pass
 
 
-def letter_strings(doc: dict) -> None:
-    """Make a toy document's letters the list ["ab", "c"] and re-expand its level-0 targets."""
-    doc["letters"] = ["ab", "c"]
-    for entry in doc["capture_log"]:
-        entry["target_word"] = doc["letters"][entry["target_choices"][0]]
+# captured4's capture log, as format 2 stored it.
+FORMAT_2_LOG = [
+    {"target_level": 0, "target_choices": [0], "target_word": "a", "capture_level": 1,
+     "gap_bound": 4, "m_before": -1, "filled_levels": [0], "retries": []},
+    {"target_level": 0, "target_choices": [1], "target_word": "b", "capture_level": 2,
+     "gap_bound": 8, "m_before": 1, "filled_levels": [], "retries": []},
+]
+
+
+def with_log(edit):
+    """An edit that puts captured4's format-2 capture log back in its file, changed by `edit`."""
+    def mutate(doc: dict) -> None:
+        doc["capture_log"] = json.loads(json.dumps(FORMAT_2_LOG))
+        edit(doc["capture_log"])
+    return mutate
+
+
+LOG_PUT_BACK = "malformed system file: unknown keys ['capture_log'], missing keys []"
+PARAMS_PUT_BACK = "malformed system file: unknown keys ['free_params'], missing keys []"
+
+
+def old_document(system, version: int) -> dict:
+    """The system's file as format 1 or 2 wrote it, digest included: with the depth, the
+    capture log and the free parameters, and choice rows (format 1) or ranges as csets."""
+    doc = plain_document(system)
+    del doc["captures"]
+    doc.update(version=version, depth=system.depth, digest=system_digest(system),
+               capture_log=[e.to_dict() for e in system.capture_log],
+               free_params=system.free_params and system.free_params.to_dict())
+    if version == 1:
+        doc["csets"] = rows_of(system)
+    return doc
 
 
 def cset_of(rows: np.ndarray) -> CSet:
@@ -109,7 +138,7 @@ class TestPersist:
             persist.load_system(path)
 
     def test_indented_file_loads(self, captured4, tmp_path):
-        # A re-indented format-2 file: the digest covers the canonical row
+        # A re-indented format-3 file: the digest covers the canonical row
         # text of the parsed document, not the file's bytes, so it loads.
         path = tmp_path / "old.json"
         digest = persist.save_system(captured4, path)
@@ -122,10 +151,12 @@ class TestPersist:
         path = tmp_path / "toy.json"
         persist.save_system(toy_system, path)
         doc = persist.system_to_document(toy_system)
-        doc["digest"] = oracle_digest(doc)
+        doc["digest"] = oracle_digest(doc, toy_system)
         assert path.read_text() == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-        # A lex level is one rank range from rank 0; the toy levels have r = 2.
-        assert doc["version"] == 2 and doc["csets"] == [[[0, 2]]] * 3
+        # A lex level is one rank range from rank 0; the toy levels have r = 2. The
+        # depth, the capture log and free parameters are derived, not stored.
+        assert doc.keys() == persist.FILE_KEYS
+        assert doc["version"] == 3 and doc["captures"] == 0 and doc["csets"] == [[[0, 2]]] * 3
 
     @given(st.lists(int_arrays(np.int64, st.tuples(st.integers(1, 50), st.integers(1, 10)),
                                elements=st.integers(0, 10 ** 7)), min_size=1, max_size=4))
@@ -144,9 +175,9 @@ class TestPersist:
         # The row text is streamed into the hash, never built whole, and the
         # rows are unranked one chunk at a time.
         def peak(members):
-            sets = [CSet(7, [1000] * 8, (), np.array([[0, n]])) for n in (2, members)]
-            doc = {"format": persist.FORMAT_NAME, "csets": None}
-            return traced_peak(lambda: persist.document_digest(doc, sets))
+            system = LevelSystem(table_spec({1: 2, 2: 4}))
+            system.csets = [CSet(7, [1000] * 8, (), np.array([[0, n]])) for n in (2, members)]
+            return traced_peak(lambda: persist.document_digest(system))
 
         assert peak(4 * 20_000) < 1.25 * peak(20_000)
 
@@ -166,10 +197,10 @@ class TestPersist:
         for i, system in enumerate(systems):
             path = tmp_path / f"{i}.json"
             digest = persist.save_system(system, path)
-            doc = json.loads(path.read_text())
-            assert digest == doc["digest"] == oracle_digest(doc) == system_digest(system)
-            assert oracle_rows(doc) == rows_of(system)
-            assert persist.load_system(path).digest == digest
+            doc, loaded = json.loads(path.read_text()), persist.load_system(path)
+            assert digest == doc["digest"] == oracle_digest(doc, loaded) == system_digest(system)
+            assert oracle_rows(doc, loaded) == rows_of(system)
+            assert loaded.digest == digest
 
     def test_bench_build_digest_pinned(self, tmp_path):
         # The build-d8 benchmark config: poly_geometric 1/13, depth 8, two captures.
@@ -226,7 +257,7 @@ class TestPersist:
             assert cs.rows(i, j).tolist() == rows[i:j]
             assert list(cs.row(i)) == rows[i]
         assert loaded.digest == digest == system_digest(system)
-        assert digest == oracle_digest(json.loads(path.read_text()))
+        assert digest == oracle_digest(json.loads(path.read_text()), loaded)
         persist.save_system(loaded, tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
@@ -249,13 +280,11 @@ class TestPersist:
             assert max(stop for _, stop in doc["csets"][6]) > 1 << 63
         loaded = persist.load_system(path)
         assert rows_of(loaded) == rows_of(system)
-        assert loaded.digest == digest == oracle_digest(doc)
+        assert loaded.digest == digest == oracle_digest(doc, loaded)
 
     def test_format_1_file_refused(self, toy_system, tmp_path, capsys):
         # The version-1 row document, which format 1 wrote with its digest.
-        doc = persist.system_to_document(toy_system) | {"version": 1,
-                                                         "csets": rows_of(toy_system)}
-        doc["digest"] = system_digest(toy_system)
+        doc = old_document(toy_system, 1)
         path = tmp_path / "v1.json"
         path.write_text(persist.canonical_json(doc) + "\n")
         with pytest.raises(SystemFileError, match="unsupported version 1.*rebuild"):
@@ -264,26 +293,33 @@ class TestPersist:
         err = capsys.readouterr().err
         assert "version 1" in err and "Traceback" not in err
 
+    def test_format_2_file_refused(self, captured4, tmp_path, capsys):
+        # Format 2 stored the capture log, the depth and the free parameters beside
+        # the ranges, under the digest format 3 gives the same system.
+        doc = old_document(captured4, 2)
+        assert doc["capture_log"] == FORMAT_2_LOG
+        path = tmp_path / "v2.json"
+        path.write_text(persist.canonical_json(doc) + "\n")
+        assert main(["analyze", str(path), "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {path}: unsupported version 2, need 3; rebuild the system "
+                       "with `growthforge build`\n")
+        assert persist.save_system(captured4, path) == doc["digest"]
+
     def test_deeply_nested_file_refused(self, toy_system, tmp_path, capsys):
-        # An unknown key holding k nested empty lists, under a valid digest:
-        # near the recursion limit the file decodes but its digest text cannot
-        # be encoded, and deeper it cannot be decoded. Either way it is refused
-        # as a bad file, never with a RecursionError.
-        doc = persist.system_to_document(toy_system) | {"note": "NOTE"}
-        rows = doc | {"version": 1, "csets": rows_of(toy_system)}
-        body = persist.canonical_json(rows)
+        # k nested empty lists as the chooser, under the system's digest: near
+        # the recursion limit the file decodes but the chooser cannot be printed,
+        # and deeper it cannot be decoded. Either way it is refused as a bad file,
+        # never with a RecursionError.
+        doc = plain_document(toy_system) | {"chooser": "NOTE",
+                                            "digest": system_digest(toy_system)}
+        text = persist.canonical_json(doc)
         path = tmp_path / "deep.json"
         limit = sys.getrecursionlimit()
         for k in [*range(limit - 300, limit + 10), 100 * limit]:
-            nested = "[" * k + "]" * k
-            digest = "sha256:" + hashlib.sha256(
-                body.replace('"NOTE"', nested).encode()).hexdigest()
-            text = persist.canonical_json(doc | {"digest": digest})
-            path.write_text(text.replace('"NOTE"', nested))
-            try:
-                assert persist.load_system(path).digest == digest
-            except SystemFileError:
-                pass
+            path.write_text(text.replace('"NOTE"', "[" * k + "]" * k))
+            with pytest.raises(SystemFileError):
+                persist.load_system(path)
         assert main(["analyze", str(path), "--out", str(tmp_path / "r.json")]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
@@ -429,12 +465,12 @@ class TestCli:
         assert json.loads(text)["horizon"] == 15
 
     def test_system_file_past_the_digit_limit_exits_2(self, tmp_path, toy_system, capsys):
-        # Reading keeps the limit: a depth of 5,000 digits makes the file unreadable.
+        # Reading keeps the limit: a seed of 5,000 digits makes the file unreadable.
         sys_path = tmp_path / "sys.json"
         persist.save_system(toy_system, sys_path)
         text = sys_path.read_text()
-        assert text.count('"depth":3,') == 1
-        sys_path.write_text(text.replace('"depth":3,', f'"depth":{"9" * 5000},'))
+        assert text.count('"seed":0,') == 1
+        sys_path.write_text(text.replace('"seed":0,', f'"seed":{"9" * 5000},'))
         assert main(["analyze", str(sys_path), "--out", str(tmp_path / "r.json")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read system file") and "digits" in err
@@ -748,8 +784,9 @@ class TestCli:
         lambda doc: doc["csets"].__setitem__(4, [[1, 11]]),
         # The same members, member 0 moved last.
         lambda doc: doc["csets"].__setitem__(4, [[1, 10], [0, 1]]),
-        lambda doc: doc.update(note="extra"),
-    ], ids=["choice-changed", "rows-swapped", "unknown-key"])
+        # Every stored key is hashed: the lex chooser reads no seed.
+        lambda doc: doc.update(seed=9),
+    ], ids=["choice-changed", "rows-swapped", "seed-changed"])
     def test_stale_digest_exits_2(self, tmp_path, poly_plain5, capsys, edit):
         sys_path = tmp_path / "stale.json"
         digest = persist.save_system(poly_plain5, sys_path)
@@ -757,7 +794,7 @@ class TestCli:
         assert doc["csets"][4] == [[0, 10]] and poly_plain5.level_word_count(4) == 120
         edit(doc)
         # Well-formed: with a recomputed digest the edited document loads.
-        doc["digest"] = oracle_digest(doc)
+        doc["digest"] = oracle_digest(doc, poly_plain5)
         sys_path.write_text(json.dumps(doc))
         persist.load_system(sys_path)
         doc["digest"] = digest
@@ -789,7 +826,7 @@ class TestCli:
         monkeypatch.setattr(persist, "CSet", unbuildable)
         doc = plain_document(poly_plain5)
         spec = poly_plain5.spec
-        doc.update(depth=9, csets=[[[0, spec.ratio(level)]] for level in range(9)])
+        doc.update(csets=[[[0, spec.ratio(level)]] for level in range(9)])
         sys_path = tmp_path / "big.json"
         sys_path.write_text(json.dumps(doc))
         assert main(["analyze", str(sys_path), "--out", str(tmp_path / "r.json")]) == 1
@@ -801,8 +838,8 @@ class TestCli:
     def test_analyze_depth_zero_exits_2(self, tmp_path, toy_system, capsys):
         # A depth-0 document with a recomputed digest: only the depth is wrong.
         doc = plain_document(toy_system)
-        doc.update(depth=0, csets=[], capture_log=[])
-        doc["digest"] = oracle_digest(doc)
+        doc.update(csets=[])
+        doc["digest"] = oracle_digest(doc, toy_system)
         sys_path = tmp_path / "d0.json"
         sys_path.write_text(json.dumps(doc))
         assert main(["analyze", str(sys_path), "--out", str(tmp_path / "r.json")]) == 2
@@ -811,26 +848,20 @@ class TestCli:
         assert "negative shift count" not in err
 
     # captured4's levels are the rank ranges [0, 2), [0, 2), [0, 3) and [0, 5),
-    # out of 2, 2, 4 and 24 ranks: levels 1 and 2 capture "a" and "b".
+    # out of 2, 2, 4 and 24 ranks: levels 1 and 2 capture "a" and "b". Format 3
+    # stores no capture log: a file that carries one is refused, whatever it holds,
+    # so none of the log edits below reaches the certificate.
     @pytest.mark.parametrize("mutate, message", [
-        (lambda doc: doc.pop("chooser"), "malformed"),
+        (lambda doc: doc.pop("chooser"), "unknown keys [], missing keys ['chooser']"),
         (lambda doc: doc.update(csets=5), "malformed"),
         (lambda doc: doc["csets"][1][0].__setitem__(0, "0"), "malformed"),
-        (lambda doc: doc["capture_log"][0].pop("gap_bound"), "malformed system file (KeyError"),
-        # A negative index would wrap around to the last letter, still "b".
-        (lambda doc: doc["capture_log"][1].update(target_choices=[-1]),
-         "malformed capture_log[1].target_choices: file [-1], scheduler [1]"),
-        # d = 2, so letter index 2 is one past the bound.
-        (lambda doc: doc["capture_log"][1].update(target_choices=[2]),
-         "malformed capture_log[1].target_choices: file [2], scheduler [1]"),
+        (with_log(lambda log: log[0].pop("gap_bound")), LOG_PUT_BACK),
+        (with_log(lambda log: log[1].update(target_choices=[-1])), LOG_PUT_BACK),
+        (with_log(lambda log: log[1].update(target_choices=[2])), LOG_PUT_BACK),
         # The certificate would pass and state c = 10^6.
-        (lambda doc: doc["capture_log"][0].update(gap_bound=10 ** 6),
-         "malformed capture_log[0].gap_bound: file 1000000, scheduler 4"),
-        (lambda doc: doc["capture_log"][0].update(gap_bound="0"),
-         'malformed capture_log[0].gap_bound: file "0", scheduler 4'),
-        # Consistent bound, but no level above the capture is left to certify.
-        (lambda doc: doc["capture_log"][1].update(capture_level=4, gap_bound=32),
-         "malformed capture_log[1].capture_level: file 4, scheduler 2"),
+        (with_log(lambda log: log[0].update(gap_bound=10 ** 6)), LOG_PUT_BACK),
+        (with_log(lambda log: log[0].update(gap_bound="0")), LOG_PUT_BACK),
+        (with_log(lambda log: log[1].update(capture_level=4, gap_bound=32)), LOG_PUT_BACK),
         # Level 2 has three members; the third repeats the first.
         (lambda doc: doc["csets"].__setitem__(2, [[0, 2], [0, 1]]),
          "level 2 rank ranges overlap at rank 0"),
@@ -843,37 +874,18 @@ class TestCli:
         # Level 3 has 24 elements, so rank 24 is one past the last.
         (lambda doc: doc["csets"].__setitem__(3, [[20, 25]]),
          "level 3 rank range [20, 25) is empty or out of range 0..24"),
-        # The log is compared with the scheduler's as text, so a scalar or
-        # null is refused where it holds a sequence.
-        (lambda doc: doc["capture_log"][0].update(retries=5),
-         "malformed capture_log[0].retries: file 5, scheduler []"),
-        (lambda doc: doc["capture_log"][0].update(filled_levels=None),
-         "malformed capture_log[0].filled_levels: file null, scheduler [0]"),
-        (lambda doc: doc["capture_log"][1].update(target_choices=7),
-         "malformed capture_log[1].target_choices: file 7, scheduler [1]"),
-        # The bookkeeping must be the scheduler's: entry 0 has m_before -1,
-        # filled_levels [0] and retries []; entry 1 has 1, [] and []. The
-        # first field that differs is named.
-        (lambda doc: doc["capture_log"][0].update(m_before="x", filled_levels=[99],
-                                                  retries=["a", None]),
-         'malformed capture_log[0].m_before: file "x", scheduler -1'),
-        # Equal to 1 in Python, but not a JSON int.
-        (lambda doc: doc["capture_log"][1].update(m_before=True),
-         "malformed capture_log[1].m_before: file true, scheduler 1"),
-        (lambda doc: doc["capture_log"][0].update(m_before=0),
-         "malformed capture_log[0].m_before: file 0, scheduler -1"),
-        (lambda doc: doc["capture_log"][0].update(filled_levels=[]),
-         "malformed capture_log[0].filled_levels: file [], scheduler [0]"),
-        (lambda doc: doc["capture_log"][0].update(retries=[0, 0]),
-         "malformed capture_log[0].retries: file [0,0], scheduler []"),
-        (lambda doc: doc["capture_log"][1].update(retries=[1]),
-         "malformed capture_log[1].retries: file [1], scheduler []"),
-        # The same capture twice: the third capture the scheduler plans is "aa".
-        (lambda doc: doc["capture_log"].append(dict(doc["capture_log"][1], m_before=2)),
-         "malformed capture_log[2].target_level: file 0, scheduler 1"),
-        # Level 2's members end with "b", the scheduler's second target.
-        (lambda doc: doc["capture_log"][1].update(target_choices=[0]),
-         "malformed capture_log[1].target_choices: file [0], scheduler [1]"),
+        (with_log(lambda log: log[0].update(retries=5)), LOG_PUT_BACK),
+        (with_log(lambda log: log[0].update(filled_levels=None)), LOG_PUT_BACK),
+        (with_log(lambda log: log[1].update(target_choices=7)), LOG_PUT_BACK),
+        (with_log(lambda log: log[0].update(m_before="x", filled_levels=[99],
+                                            retries=["a", None])), LOG_PUT_BACK),
+        (with_log(lambda log: log[1].update(m_before=True)), LOG_PUT_BACK),
+        (with_log(lambda log: log[0].update(m_before=0)), LOG_PUT_BACK),
+        (with_log(lambda log: log[0].update(filled_levels=[])), LOG_PUT_BACK),
+        (with_log(lambda log: log[0].update(retries=[0, 0])), LOG_PUT_BACK),
+        (with_log(lambda log: log[1].update(retries=[1])), LOG_PUT_BACK),
+        (with_log(lambda log: log.append(dict(log[1], m_before=2))), LOG_PUT_BACK),
+        (with_log(lambda log: log[1].update(target_choices=[0])), LOG_PUT_BACK),
         (lambda doc: doc["csets"].__setitem__(3, [[0, 5], [7, 7]]),
          "level 3 rank range [7, 7) is empty"),
         (lambda doc: doc["csets"].__setitem__(3, [[3, 1], [0, 5]]),
@@ -890,13 +902,10 @@ class TestCli:
         (lambda doc: doc["csets"].__setitem__(3, [[0, False], [1, 5]]), "malformed"),
         (lambda doc: doc["csets"].__setitem__(3, [[None, 5]]), "malformed"),
         (lambda doc: doc["csets"].__setitem__(3, [[0, 5], {}]), "malformed"),
-        # A W(2^t) target has t + 1 choices: entry 1 captures the letter "b".
-        (lambda doc: doc["capture_log"][1].update(target_level=1),
-         "malformed capture_log[1].target_level: file 1, scheduler 0"),
-        (lambda doc: doc["capture_log"][1].update(target_choices=[0, 1]),
-         "malformed capture_log[1].target_choices: file [0,1], scheduler [1]"),
+        (with_log(lambda log: log[1].update(target_level=1)), LOG_PUT_BACK),
+        (with_log(lambda log: log[1].update(target_choices=[0, 1])), LOG_PUT_BACK),
         # Letters are one string of single characters, not a list of strings.
-        (letter_strings, "need 2 distinct letters"),
+        (lambda doc: doc.update(letters=["ab", "c"]), "need 2 distinct letters"),
         (lambda doc: doc.update(letters=["a", "b"]), "need 2 distinct letters"),
         # The metadata fields: a known mode, and ints >= 0 where the builder wrote ints.
         (lambda doc: doc.update(mode="junk"), "unknown mode 'junk'"),
@@ -905,23 +914,34 @@ class TestCli:
         (lambda doc: doc.update(horizon="x"), "malformed horizon 'x'"),
         (lambda doc: doc.update(horizon=-1), "malformed horizon -1"),
         (lambda doc: doc.update(mu_offset=None), "malformed mu_offset None"),
-        # Free parameters exactly in a free system.
-        (lambda doc: doc.update(mode="free"), "malformed free_params"),
-        (lambda doc: doc.update(free_params={}), "malformed free_params"),
+        # Only recurrent mode captures, and free parameters are derived, not stored.
+        (lambda doc: doc.update(mode="free"), "malformed captures 2: need 0 in free mode"),
+        (lambda doc: doc.update(free_params={}), "unknown keys ['free_params'], missing keys []"),
         # The schedule is replayed from the horizon and mu offset the file holds.
         (lambda doc: doc.update(horizon=0),
          "malformed system file (HorizonTooSmall: horizon 0 leaves no levels above"),
         # f(2^20) is sized before it is computed: 8 * 2^20 bits for 1 + 1/10 = 11/10.
         (lambda doc: doc.update(horizon=2 ** 64),
          "f(1048576) of poly_geometric is too large to compute: it needs 8388608 bits"),
+        # The replayed log moves with the mu offset, and the digest covers it.
         (lambda doc: doc.update(mu_offset=doc["mu_offset"] + 1),
-         "malformed capture_log[0].capture_level: file 1, scheduler 2"),
-        # list("") is [], but "" is not the text [].
-        (lambda doc: doc["capture_log"][0].update(retries=""),
-         'malformed capture_log[0].retries: file "", scheduler []'),
-        # Only recurrent mode captures.
-        (lambda doc: doc.update(mode="plain"),
-         "malformed capture_log: need a list of the 0 entries the scheduler plans in plain mode"),
+         "digest mismatch, file was modified"),
+        (with_log(lambda log: log[0].update(retries="")), LOG_PUT_BACK),
+        (lambda doc: doc.update(mode="plain"), "malformed captures 2: need 0 in plain mode"),
+        # The capture count is a JSON int >= 0 that the scheduler plans in full.
+        (lambda doc: doc.update(captures=-1), "malformed captures -1: need an int >= 0"),
+        (lambda doc: doc.update(captures=True), "malformed captures True: need an int >= 0"),
+        (lambda doc: doc.update(captures="2"), "malformed captures '2': need an int >= 0"),
+        (lambda doc: doc.update(captures=2 ** 64),
+         f"malformed captures {2 ** 64}: the scheduler plans 3 in 4 levels"),
+        # A third capture ("aa" at level 3) fits, a fourth does not.
+        (lambda doc: doc.update(captures=4),
+         "malformed captures 4: the scheduler plans 3 in 4 levels"),
+        (lambda doc: doc.update(note="extra"), "unknown keys ['note'], missing keys []"),
+        (lambda doc: doc.update(depth=4), "unknown keys ['depth'], missing keys []"),
+        # Equal to 3 in Python, but not the JSON int 3.
+        (lambda doc: doc.update(version=3.0), "unsupported version 3.0, need 3"),
+        (with_log(lambda log: None), LOG_PUT_BACK),
     ], ids=["no-chooser", "csets-int", "string-choice", "capture-no-gap-bound",
             "capture-negative-choice", "capture-choice-at-bound", "capture-huge-gap-bound",
             "capture-string-gap-bound", "capture-at-depth", "duplicate-member", "float-choice",
@@ -936,13 +956,15 @@ class TestCli:
             "mode-junk", "seed-string", "seed-bool", "horizon-string", "horizon-negative",
             "mu-offset-null", "free-mode-without-params", "params-in-recurrent-mode",
             "horizon-zero", "horizon-2-64", "mu-offset-plus-1", "capture-empty-string-retries",
-            "plain-mode-with-log"])
+            "plain-mode-with-log", "captures-negative", "captures-bool", "captures-string",
+            "captures-2-64", "captures-above-plan", "unknown-key", "depth-put-back",
+            "version-float", "log-put-back"])
     def test_analyze_malformed_exits_2(self, tmp_path, captured4, capsys, mutate, message):
         # Each document carries a recomputed digest where it still has one, so
         # only the shape is wrong.
         doc = plain_document(captured4)
         mutate(doc)
-        redigest(doc)
+        redigest(doc, captured4)
         sys_path = tmp_path / "bad.json"
         sys_path.write_text(json.dumps(doc))
         assert main(["analyze", str(sys_path), "--out", str(tmp_path / "r.json")]) == 2
@@ -950,18 +972,6 @@ class TestCli:
         assert str(sys_path) in err and "Traceback" not in err
         # The path holds the test's name, so look for the message without it.
         assert message in err.replace(str(sys_path), "")
-
-    def test_capture_entry_extra_key_loads(self, tmp_path, captured4):
-        # A key no CaptureEntry field names is ignored, as it always was.
-        doc = plain_document(captured4)
-        doc["capture_log"][0]["note"] = "extra"
-        redigest(doc)
-        sys_path = tmp_path / "extra.json"
-        sys_path.write_text(json.dumps(doc))
-        loaded = persist.load_system(sys_path)
-        assert [e.to_dict() for e in loaded.capture_log] == [
-            e.to_dict() for e in captured4.capture_log]
-        assert main(["analyze", str(sys_path), "--out", str(tmp_path / "r.json")]) == 0
 
     @pytest.mark.parametrize("argv, config, flag", [
         (["analyze", "{system}", "--nmax", "0"], "", "--nmax"),
@@ -1000,18 +1010,21 @@ class TestCli:
         ["build", "--family", "exp_power", "--power", "100", "--depth", "3",
          "--out", "{tmp}/s.json"],
         ["analyze", "{system}", "--out", "{tmp}/r.json"],
-    ], ids=["validate", "build", "analyze-file"])
+        # 2^100000 bits is a count of 30,103 digits, more than Python prints.
+        ["validate", "--family", "exp_power", "--power", "100000", "--out", "{tmp}/v.json"],
+    ], ids=["validate", "build", "analyze-file", "validate-past-the-digit-limit"])
     def test_huge_exp_power_exits_2(self, tmp_path, toy_system, capsys, argv):
         # f(2) = 2^(2^100) has too many digits for an int: a usage error, the
         # file's growth malformed, never a traceback.
         doc = plain_document(toy_system)
         doc["growth"] = {"family": "exp_power", "power": "100"}
-        redigest(doc)
+        redigest(doc, toy_system)
         sys_path = tmp_path / "sys.json"
         sys_path.write_text(json.dumps(doc))
         assert main([a.format(tmp=tmp_path, system=sys_path) for a in argv]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "f(" in err and "Traceback" not in err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "f(2) of exp_power is too large to compute: it needs " in err
 
     @pytest.mark.parametrize("argv", [
         ["validate", "--out", "{missing}/x.json"],
@@ -1026,30 +1039,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "nodir" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("mutate", [
-        # One-letter generators would make the freeness check vacuous.
-        lambda doc: doc["free_params"].update(x_word="x", y_word="y"),
-        lambda doc: doc["free_params"].update(y_word=[]),
-        lambda doc: doc["free_params"].update(degree=[]),
+    @pytest.mark.parametrize("mutate, message", [
+        # The free parameters are FreeParams.of(epsilon, depth), so a file that
+        # stores them, one-letter generators included, is refused.
+        (lambda doc: doc.update(free_params={"x_word": "x", "y_word": "y"}), PARAMS_PUT_BACK),
+        (lambda doc: doc.update(free_params={"y_word": []}), PARAMS_PUT_BACK),
+        (lambda doc: doc.update(free_params={"degree": []}), PARAMS_PUT_BACK),
         # Same dyadic ratios as geometric(1), but not the growth freeness assumes.
-        lambda doc: doc.update(growth={"family": "table", "table": {
+        (lambda doc: doc.update(growth={"family": "table", "table": {
             "1": 2, "2": 4, "4": 16, "8": 256, "16": 65536}}),
-        # Growth geometric(1), not geometric(1/10^9): refused before t = 31 would make
-        # two 2^31-letter generator words.
-        lambda doc: doc["free_params"].update(epsilon="1/1000000000"),
+         "malformed free system: need a geometric growth and letters 'xy', got table and 'xy'"),
+        # Growth geometric(1/10^9) at depth 4: refused before t = 31 would make two
+        # 2^31-letter generator words.
+        (lambda doc: doc.update(growth={"family": "geometric", "epsilon": "1/1000000000"}),
+         "depth must be >= t+1 = 32"),
         # The generators are powers of x and y, so a free system's letters are "xy".
-        lambda doc: doc.update(letters="ab"),
-        lambda doc: doc.update(free_params=None),
+        (lambda doc: doc.update(letters="ab"),
+         "malformed free system: need a geometric growth and letters 'xy', got geometric "
+         "and 'ab'"),
+        (lambda doc: doc.update(free_params=None), PARAMS_PUT_BACK),
+        (lambda doc: doc.update(captures=1), "malformed captures 1: need 0 in free mode"),
     ], ids=["one-letter-words", "y-word-list", "degree-list", "table-growth", "small-epsilon",
-            "letters-ab", "null-params"])
-    def test_free_malformed_exits_2(self, tmp_path, free_system_eps1, capsys, mutate):
-        doc = plain_document(free_system_eps1[0])
+            "letters-ab", "null-params", "captures"])
+    def test_free_malformed_exits_2(self, tmp_path, free_system_eps1, capsys, mutate, message):
+        system = free_system_eps1[0]
+        doc = plain_document(system)
         mutate(doc)
-        doc["digest"] = oracle_digest(doc)
+        doc["digest"] = oracle_digest(doc, system)
         sys_path = tmp_path / "bad.json"
         sys_path.write_text(json.dumps(doc))
         assert main(["free", str(sys_path), "--out", str(tmp_path / "r.json")]) == 2
-        assert "malformed free_params" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_free_with_system_file(self, tmp_path):
         system, _ = build_free_power_system(1, 4)
@@ -1194,58 +1214,67 @@ def fuzz_documents(tmp_path_factory):
     captured = build_uniformly_recurrent(poly_geometric("1/10"), depth=4, capture_budget=2,
                                          horizon=12)
     free, _ = build_free_power_system(1, 4)
-    docs = [plain_document(captured), plain_document(free)]
-    # Range bounds are few of the leaves, so they get a pool of their own.
+    systems = [captured, free]
+    docs = [plain_document(system) for system in systems]
+    # Range bounds are few of the leaves, so they get a pool of their own, and
+    # so do the capture count, an unknown key and each key format 3 dropped.
     leaves = [list(_leaf_paths(doc)) for doc in docs]
-    pools = [(st.sampled_from(every) | st.sampled_from([p for p in every if p[0] == "csets"]))
+    pools = [(st.sampled_from(every) | st.sampled_from([p for p in every if p[0] == "csets"])
+              | st.sampled_from([("captures",), *ADDED]))
              for every in leaves]
-    return docs, pools, tmp_path_factory.mktemp("fuzz")
+    return systems, docs, pools, tmp_path_factory.mktemp("fuzz")
 
 
 REMOVE = object()
+ADDED = [("note",), ("capture_log",), ("free_params",), ("depth",)]
 
 
 @given(which=st.integers(0, 1), data=st.data(),
-       value=st.sampled_from([None, -1, 0, 1, 3, 10 ** 6, "0", [], {}, [0, 1], True, False,
-                              2 ** 64, 1.5, REMOVE]))
+       value=st.sampled_from([None, -1, 0, 1, 2, 3, 10 ** 6, "0", "2", [], {}, [0, 1], True,
+                              False, 2 ** 64, 1.5, REMOVE]))
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_hostile_documents_never_raise(fuzz_documents, which, data, value):
-    # One leaf of a valid captured or free document is replaced or removed and
-    # the digest recomputed; every command must end with a documented exit code.
-    # Range bounds become bools, 2**64, floats, or ints that empty a range, make
-    # ranges overlap, pass the level's last rank or change the total. A leaf
-    # that changes the capture log, or the log the scheduler replays from the
-    # horizon and mu offset, must be refused.
-    docs, pools, work = fuzz_documents
+    # One leaf of a valid captured or free document is replaced or removed, or a
+    # key is added, and the digest recomputed; every command must end with a
+    # documented exit code. Range bounds become bools, 2**64, floats, or ints
+    # that empty a range, make ranges overlap, pass the level's last rank or
+    # change the total. A file whose key set is not the format's must be
+    # refused, and so must a leaf that changes the capture log the scheduler
+    # replays from the capture count, horizon and mu offset.
+    systems, docs, pools, work = fuzz_documents
     doc = json.loads(json.dumps(docs[which]))
     path = data.draw(pools[which])
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
-    if value is REMOVE:
+    if value is REMOVE and path not in ADDED:
         del parent[path[-1]]
     else:
-        parent[path[-1]] = value
-    redigest(doc)
+        parent[path[-1]] = None if value is REMOVE else value
+    redigest(doc, systems[which])
     sys_path = work / "fuzz.json"
     sys_path.write_text(json.dumps(doc))
     out = str(work / "report.json")
-    allowed = (2,) if _changes_the_log(docs[which], doc, path[0]) else (0, 1, 2)
+    allowed = (2,) if _must_refuse(docs[which], doc, path[0]) else (0, 1, 2)
     assert main(["analyze", str(sys_path), "--out", out]) in allowed
     assert main(["free", str(sys_path), "--products-len", "2", "--out", out]) in allowed
 
 
-def _changes_the_log(original: dict, doc: dict, key) -> bool:
-    """Whether a document edited at `key` logs other captures than a build from it would.
+def _must_refuse(original: dict, doc: dict, key) -> bool:
+    """Whether a document edited at `key` must be refused: its keys are not the format's,
+    or it replays other captures than a build from it would log.
 
-    The log itself differs when its text does. A horizon or mu offset edit
-    changes a captured document's log unless it is an int >= 0 that a build
-    at the fuzz fixture's spec, depth and budget logs the same captures at.
+    A capture count edit changes the replayed log unless it keeps the count. A
+    horizon or mu offset edit changes a captured document's log unless it is an
+    int >= 0 that a build at the fuzz fixture's spec, depth and budget logs the
+    same captures at.
     """
-    if key == "capture_log":
-        return persist.canonical_json(doc.get(key)) != persist.canonical_json(original[key])
-    if key not in ("horizon", "mu_offset") or not original["capture_log"]:
+    if doc.keys() != original.keys():
+        return True
+    if key == "captures":
+        return persist.canonical_json(doc[key]) != persist.canonical_json(original[key])
+    if key not in ("horizon", "mu_offset") or not original["captures"]:
         return False
     if any(type(doc.get(k)) is not int or doc[k] < 0 for k in ("horizon", "mu_offset")):
         return True
@@ -1254,4 +1283,4 @@ def _changes_the_log(original: dict, doc: dict, key) -> bool:
                                           mu_offset=doc["mu_offset"], horizon=doc["horizon"])
     except (ValueError, GrowthForgeError):
         return True
-    return [e.to_dict() for e in built.capture_log] != original["capture_log"]
+    return [e.to_dict() for e in built.capture_log] != FORMAT_2_LOG
