@@ -20,9 +20,9 @@ plans), then checks each level's ranges (JSON ints, nonempty, in range,
 pairwise disjoint, r_level ranks in all) over the radices the replayed
 captures fix, so the members are distinct and end with any capture target by
 construction. The digest comes last, streamed from the rows of one chunk of
-members at a time, and the system keeps it. `hashlib` is imported where the
-digest is taken, so commands that neither save nor load a system do not map
-OpenSSL.
+members at a time, and the system keeps it. The hash is CPython's built-in
+SHA-256 (`_sha2`, named `_sha256` before 3.12), so no command maps OpenSSL;
+`hashlib` is the fallback only where neither module is built.
 """
 
 from __future__ import annotations
@@ -33,6 +33,14 @@ from math import prod
 from pathlib import Path
 
 import numpy as np
+
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .construction import (
     CSet, FreeParams, LevelSystem, _rank_dtype, _require_choice_budget, plan_captures,
@@ -58,13 +66,11 @@ def document_digest(system: LevelSystem) -> str:
     The text is fed to the hash piece by piece, one chunk of rows at a time by
     `_feed_csets`; it is never built whole.
     """
-    import hashlib
-
     rest = _stored(system) | {
         "version": 1, "depth": system.depth, "csets": system.csets,
         "capture_log": [e.to_dict() for e in system.capture_log],
         "free_params": system.free_params and system.free_params.to_dict()}
-    h = hashlib.sha256(b"{")
+    h = sha256(b"{")
     for i, (key, value) in enumerate(sorted(rest.items())):
         h.update(("," * (i > 0) + json.dumps(key) + ":").encode())
         if key == "csets":

@@ -77,7 +77,10 @@ def oracle_digest(doc: dict, system) -> str:
     """The system-file digest by its definition, independent of the array encoder:
     sha256 of the sorted, compact JSON of the version-1 row document, that is the
     file's document without its digest and capture count, with version 1, its
-    ranges unranked, its depth, and `system`'s capture log and free parameters."""
+    ranges unranked, its depth, and `system`'s capture log and free parameters.
+
+    It hashes with `hashlib` on purpose: that is OpenSSL's SHA-256, a second
+    implementation beside the built-in one `persist` uses."""
     derived = {"version": 1, "depth": len(doc["csets"]), "csets": oracle_rows(doc, system),
                "capture_log": [e.to_dict() for e in system.capture_log],
                "free_params": system.free_params and system.free_params.to_dict()}

@@ -104,6 +104,16 @@ def rows_of(system) -> list:
     return [member_rows(cs) for cs in system.csets]
 
 
+def _run_fresh(script: str, tmp_path) -> str:
+    """Run `script` in a fresh interpreter on the package source with tmp_path as its
+    argument; returns its stdout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestPersist:
     def test_roundtrip_plain(self, toy_system, tmp_path):
         path = tmp_path / "toy.json"
@@ -1120,30 +1130,46 @@ class TestCli:
         assert time.perf_counter() - start < 1
         assert f"depth must be >= t+1 = {least_depth}" in capsys.readouterr().err
 
-    def test_openssl_loaded_only_to_digest(self, tmp_path):
+    def test_openssl_never_loaded(self, tmp_path):
         # This suite imports hashlib itself, so a fresh interpreter runs the commands:
-        # importing the CLI, `free` without a system file and `validate` never load
-        # OpenSSL's _hashlib; `build` does, and its digest is the CI pin.
+        # importing the CLI, `free` without a system file, `validate`, and `build`,
+        # `analyze` and `free FILE`, which take a digest, never load OpenSSL's
+        # _hashlib. The build's digest is the CI pin.
         script = textwrap.dedent("""
             import sys
             loaded = lambda: "_hashlib" in sys.modules
             from growthforge import cli
+            out = sys.argv[1]
             seen = [loaded()]
-            assert cli.main(["free", "--epsilon", "1", "--depth", "4",
-                             "--out", sys.argv[1] + "/f.json"]) == 0
-            seen.append(loaded())
-            assert cli.main(["validate", "--out", sys.argv[1] + "/v.json"]) == 0
-            seen.append(loaded())
+            for argv in (["free", "--epsilon", "1", "--depth", "4", "--out", out + "/f.json"],
+                         ["validate", "--out", out + "/v.json"],
+                         ["build", "--mode", "free", "--epsilon", "1", "--depth", "5",
+                          "--out", out + "/s.json"],
+                         ["analyze", out + "/s.json", "--nmax", "8", "--out", out + "/a.json"],
+                         ["free", out + "/s.json", "--products-len", "4",
+                          "--out", out + "/ff.json"]):
+                assert cli.main(argv) == 0, argv
+                seen.append(loaded())
+            print(seen)
+        """)
+        built, seen = _run_fresh(script, tmp_path).splitlines()
+        assert seen == str([False] * 6)
+        assert built.endswith(
+            " sha256:686b2d65439e6a92d86e84a61c77bdf27b22d1a92286ec3f258507acfdadd7be")
+
+    def test_hashlib_fallback_digest(self, tmp_path):
+        # Where CPython has neither built-in SHA-256 module, persist hashes with
+        # hashlib, and so with OpenSSL, to the same digest.
+        script = textwrap.dedent("""
+            import sys
+            sys.modules["_sha2"] = sys.modules["_sha256"] = None
+            from growthforge import cli
             assert cli.main(["build", "--mode", "free", "--epsilon", "1", "--depth", "5",
                              "--out", sys.argv[1] + "/s.json"]) == 0
-            print(seen + [loaded()])
+            print("_hashlib" in sys.modules)
         """)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
-                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        built, seen = proc.stdout.splitlines()
-        assert seen == "[False, False, False, True]"
+        built, loaded = _run_fresh(script, tmp_path).splitlines()
+        assert loaded == "True"
         assert built.endswith(
             " sha256:686b2d65439e6a92d86e84a61c77bdf27b22d1a92286ec3f258507acfdadd7be")
 
